@@ -237,6 +237,50 @@ func TestPhotoVariantQueryRoundTrip(t *testing.T) {
 	if _, err := ParsePhotoVariant(url.Values{"w": {"-3"}}); err == nil {
 		t.Error("negative width accepted")
 	}
+	for _, crop := range []string{"4,4,0,0", "4,4,8,0", "4,4,0,8"} {
+		if _, err := ParsePhotoVariant(url.Values{"crop": {crop}}); err == nil {
+			t.Errorf("zero-area crop %q accepted", crop)
+		}
+	}
+}
+
+// TestJoinProcessedRejectsInapplicableTransform: a crop that misses the
+// photo or a resize to nothing is a typed error from every processed-join
+// entry point, not a panic inside the pixel pipeline.
+func TestJoinProcessedRejectsInapplicableTransform(t *testing.T) {
+	jpegBytes, _ := testJPEG(t, 17, 96, 64, jpegx.Sub420)
+	codec := newTestCodec(t)
+	split, err := codec.SplitBytes(jpegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []Transform{
+		Crop(10000, 10000, 5, 5),
+		Crop(8, 8, 0, 16),
+		Resize(0, 0, FilterTriangle),
+		Blur(1).Then(Resize(48, 32, FilterBox)).Then(Crop(48, 0, 4, 4)),
+		Resize(48, -1, FilterBox).Then(Gamma(2.2)),
+	} {
+		var te *TransformError
+		_, err := codec.JoinProcessed(context.Background(), bytes.NewReader(split.PublicJPEG), bytes.NewReader(split.SecretBlob), tr)
+		if !errors.As(err, &te) {
+			t.Errorf("JoinProcessed(%s) returned %v, want a *TransformError", tr, err)
+		} else if te.Width != 96 || te.Height != 64 {
+			t.Errorf("JoinProcessed(%s): error reports a %dx%d photo, want 96x64", tr, te.Width, te.Height)
+		}
+		if _, err := codec.JoinProcessedBytes(split.PublicJPEG, split.SecretBlob, tr); !errors.As(err, &te) {
+			t.Errorf("JoinProcessedBytes(%s) returned %v, want a *TransformError", tr, err)
+		}
+		if !tr.Linear() {
+			continue
+		}
+		ok := Resize(48, 32, FilterTriangle)
+		_, err = codec.JoinProcessedMulti(
+			[][]byte{fabricateServed(t, split.PublicJPEG, ok), split.PublicJPEG}, split.SecretBlob, []Transform{ok, tr})
+		if !errors.As(err, &te) {
+			t.Errorf("JoinProcessedMulti(%s) returned %v, want a *TransformError", tr, err)
+		}
+	}
 }
 
 // TestNoInternalTypesInExportedAPI parses the package source and asserts

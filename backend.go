@@ -143,6 +143,9 @@ func ParsePhotoVariant(q url.Values) (PhotoVariant, error) {
 			}
 			vals[i] = n
 		}
+		if vals[2] == 0 || vals[3] == 0 {
+			return PhotoVariant{}, fmt.Errorf("p3: empty crop %q", cropStr)
+		}
 		v.Crop = &CropRect{X: vals[0], Y: vals[1], W: vals[2], H: vals[3]}
 	}
 	for _, dim := range []struct {

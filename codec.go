@@ -275,6 +275,11 @@ func (c *Codec) JoinProcessedMulti(publicJPEGs [][]byte, secretBlob []byte, ts [
 	if err != nil {
 		return nil, err
 	}
+	for _, t := range ts {
+		if err := checkTransform(t, sec); err != nil {
+			return nil, err
+		}
+	}
 	pixes, err := core.ReconstructPixelsMulti(publics, sec, threshold, ops, c.pool)
 	if err != nil {
 		return nil, err
@@ -284,6 +289,33 @@ func (c *Codec) JoinProcessedMulti(publicJPEGs [][]byte, secretBlob []byte, ts [
 		out[i] = &Image{pix: pix}
 	}
 	return out, nil
+}
+
+// TransformError reports a transform that cannot apply to the photo it was
+// given for: a crop that misses the image, or a resize to a non-positive
+// size. Returned by the JoinProcessed methods; test with errors.As.
+type TransformError struct {
+	Transform     Transform
+	Width, Height int // the photo's dimensions
+	Err           error
+}
+
+// Error implements the error interface.
+func (e *TransformError) Error() string {
+	return fmt.Sprintf("p3: transform %s does not apply to a %dx%d photo: %v", e.Transform, e.Width, e.Height, e.Err)
+}
+
+// Unwrap returns the stage-level cause.
+func (e *TransformError) Unwrap() error { return e.Err }
+
+// checkTransform verifies t has something to produce from the photo whose
+// secret part is sec, so a bad rectangle or size from the caller surfaces as
+// an error instead of a panic inside the pixel pipeline.
+func checkTransform(t Transform, sec *jpegx.CoeffImage) error {
+	if _, _, err := imaging.OutputSize(t.op(), sec.Width, sec.Height); err != nil {
+		return &TransformError{Transform: t, Width: sec.Width, Height: sec.Height, Err: err}
+	}
+	return nil
 }
 
 func (c *Codec) joinProcessed(publicJPEG, secretBlob []byte, t Transform, s *scratch) (*Image, error) {
@@ -320,6 +352,9 @@ func (c *Codec) joinProcessed(publicJPEG, secretBlob []byte, t Transform, s *scr
 		return nil, err
 	}
 	pubIm, sec := s.pubIm, s.secIm
+	if err := checkTransform(t, sec); err != nil {
+		return nil, err
+	}
 	op := t.op()
 	var pix *jpegx.PlanarImage
 	if op.Linear() {

@@ -8,35 +8,6 @@ import (
 	"p3/internal/work"
 )
 
-// SecretPixelImages converts the secret part into the two pixel-domain
-// images needed for reconstruction under a PSP-side transform (Eq. (2)):
-// the secret image S = IDCT(x_s) and the correction image
-// C = IDCT((Ss − Ss²)·w), both at full resolution with chroma upsampled by
-// the same linear interpolation the public decode path uses.
-//
-// Unlike a normal decoded JPEG, S and C are *difference* images: no +128
-// level shift applies and samples range far outside [0, 255]. Callers must
-// not clamp them before summing.
-func SecretPixelImages(sec *jpegx.CoeffImage, threshold int) (s, c *jpegx.PlanarImage) {
-	return SecretPixelImagesPool(sec, threshold, nil)
-}
-
-// SecretPixelImagesPool is SecretPixelImages building the two images
-// concurrently on pool, each with its IDCT fanned out over bands. The
-// floating-point work per sample is unchanged, so the planes are
-// bit-identical to the sequential derivation.
-func SecretPixelImagesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) (s, c *jpegx.PlanarImage) {
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			s = unshift(sec.ToPlanarPool(pool))
-		} else {
-			c = unshift(CorrectionImagePool(sec, threshold, pool).ToPlanarPool(pool))
-		}
-		return nil
-	})
-	return s, c
-}
-
 // unshift removes the +128 JPEG level shift that ToPlanar applies, turning
 // a decoded plane into a pure linear term.
 func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
@@ -49,33 +20,35 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 }
 
 // SecretPlanes is the variant-independent half of pixel-domain
-// reconstruction: the secret image S and correction image C of Eq. (2),
-// derived once per secret part. A PSP serves one photo as many renditions
-// (thumbnail, feed, full view), and every one of them applies its own
-// operator A to the *same* S and C — so a multi-variant consumer derives
-// the planes once and amortizes the secret part's IDCT across the whole
-// fan-out. Reconstruct does not mutate the planes; a SecretPlanes may be
-// shared by concurrent reconstructions.
+// reconstruction: the difference image D = unshift(IDCT(e)) of the effective
+// secret e, which stands for both secret-side terms of Eq. (2) (see
+// EffectiveSecret), so a reconstruction runs one IDCT → upsample → operator
+// chain. Only the fixed-point IDCT's final rounding differs from
+// transforming the secret and correction terms apart: once instead of twice.
+//
+// A PSP serves one photo as many renditions (thumbnail, feed, full view),
+// and every one of them applies its own operator A to the *same* D — so a
+// multi-variant consumer derives the planes once and amortizes the secret
+// part's IDCT across the whole fan-out. Reconstruct does not mutate the
+// planes; a SecretPlanes may be shared by concurrent reconstructions.
 type SecretPlanes struct {
-	// S and C are unshifted difference images (no +128 level shift, samples
-	// far outside [0, 255]); see SecretPixelImages.
-	S, C *jpegx.PlanarImage
-
-	// Threshold echoes the T the planes were derived at.
-	Threshold int
+	// D is an unshifted difference image: no +128 level shift applies and
+	// samples range far outside [0, 255]. It must not be clamped before it
+	// is added to the public part.
+	D *jpegx.PlanarImage
 }
 
-// DeriveSecretPlanes computes the reusable secret and correction planes for
-// one secret part at full resolution.
+// DeriveSecretPlanes computes the reusable difference planes for one secret
+// part at full resolution.
 func DeriveSecretPlanes(sec *jpegx.CoeffImage, threshold int) *SecretPlanes {
 	return DeriveSecretPlanesPool(sec, threshold, nil)
 }
 
-// DeriveSecretPlanesPool is DeriveSecretPlanes with the two derivations
-// running concurrently on pool.
+// DeriveSecretPlanesPool is DeriveSecretPlanes with the coefficient fold and
+// the IDCT fanned out over bands on pool.
 func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *SecretPlanes {
-	s, c := SecretPixelImagesPool(sec, threshold, pool)
-	return &SecretPlanes{S: s, C: c, Threshold: threshold}
+	d := EffectiveSecret(sec, threshold, pool).ToPlanarPool(pool)
+	return &SecretPlanes{D: unshift(d)}
 }
 
 // DeriveSecretPlanesScaledPool derives the planes at 1/denom of full
@@ -87,62 +60,38 @@ func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Poo
 // full-resolution chain only by the box prefilter, which the rendition's
 // own decimation dominates.
 func DeriveSecretPlanesScaledPool(sec *jpegx.CoeffImage, threshold, denom int, pool *work.Pool) (*SecretPlanes, error) {
-	var s, c *jpegx.PlanarImage
-	err := pool.Do(2, func(i int) error {
-		if i == 0 {
-			im, err := sec.ToPlanarScaledPool(denom, pool)
-			if err != nil {
-				return err
-			}
-			s = unshift(im)
-			return nil
-		}
-		im, err := CorrectionImagePool(sec, threshold, pool).ToPlanarScaledPool(denom, pool)
-		if err != nil {
-			return err
-		}
-		c = unshift(im)
-		return nil
-	})
+	d, err := EffectiveSecret(sec, threshold, pool).ToPlanarScaledPool(denom, pool)
 	if err != nil {
 		return nil, err
 	}
-	return &SecretPlanes{S: s, C: c, Threshold: threshold}, nil
+	return &SecretPlanes{D: unshift(d)}, nil
 }
 
 // Reconstruct applies Eq. (2) for one served variant: op maps the planes'
 // resolution onto the served public part's, exactly as it maps the original
-// photo onto that rendition.
+// photo onto that rendition, and the transformed difference image is added
+// to the public part and clamped for display.
 func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op) (*jpegx.PlanarImage, error) {
-	return sp.ReconstructPool(publicPix, op, nil)
-}
-
-// ReconstructPool is Reconstruct with the two operator applications running
-// concurrently on pool.
-func (sp *SecretPlanes) ReconstructPool(publicPix *jpegx.PlanarImage, op imaging.Op, pool *work.Pool) (*jpegx.PlanarImage, error) {
 	if op == nil {
 		op = imaging.Identity{}
 	}
 	if !op.Linear() {
 		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
 	}
-	var st, ct *jpegx.PlanarImage
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			st = op.Apply(sp.S)
-		} else {
-			ct = op.Apply(sp.C)
-		}
-		return nil
-	})
-	return addParts(publicPix, st, ct)
+	dt := op.Apply(sp.D)
+	if dt.Width != publicPix.Width || dt.Height != publicPix.Height {
+		return nil, fmt.Errorf("core: transformed secret is %dx%d but public part is %dx%d — wrong operator?",
+			dt.Width, dt.Height, publicPix.Width, publicPix.Height)
+	}
+	out := publicPix.Clone()
+	imaging.AddInto(out, dt, 1)
+	return imaging.Clamp(out), nil
 }
 
 // ReconstructPixelsMulti reconstructs several served variants of one photo
-// from a single secret part: the secret and correction planes derive once,
-// then every (publics[i], ops[i]) pair applies its own operator to the
-// shared planes. All operators must be linear. Results align with the
-// inputs.
+// from a single secret part: the difference planes derive once, then every
+// (publics[i], ops[i]) pair applies its own operator to the shared planes.
+// All operators must be linear. Results align with the inputs.
 func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, ops []imaging.Op, pool *work.Pool) ([]*jpegx.PlanarImage, error) {
 	if len(publics) != len(ops) {
 		return nil, fmt.Errorf("core: %d public variants but %d operators", len(publics), len(ops))
@@ -153,7 +102,7 @@ func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage,
 	sp := DeriveSecretPlanesPool(sec, threshold, pool)
 	out := make([]*jpegx.PlanarImage, len(publics))
 	err := pool.Do(len(publics), func(i int) error {
-		im, err := sp.ReconstructPool(publics[i], ops[i], pool)
+		im, err := sp.Reconstruct(publics[i], ops[i])
 		if err != nil {
 			return fmt.Errorf("core: variant %d: %w", i, err)
 		}
@@ -166,26 +115,15 @@ func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage,
 	return out, nil
 }
 
-// addParts sums the transformed secret and correction planes onto the served
-// public part — the final step of Eq. (2) — and clamps for display.
-func addParts(publicPix, st, ct *jpegx.PlanarImage) (*jpegx.PlanarImage, error) {
-	if st.Width != publicPix.Width || st.Height != publicPix.Height {
-		return nil, fmt.Errorf("core: transformed secret is %dx%d but public part is %dx%d — wrong operator?",
-			st.Width, st.Height, publicPix.Width, publicPix.Height)
-	}
-	out := publicPix.Clone()
-	imaging.AddInto(out, st, 1)
-	imaging.AddInto(out, ct, 1)
-	return imaging.Clamp(out), nil
-}
-
 // ReconstructPixels recombines in the pixel domain. publicPix is the decoded
 // public part — possibly after the PSP applied a transform — and op is the
 // transform the PSP applied (imaging.Identity{} when none). Per Eq. (2):
 //
 //	A·y = A·(public) + A·(secret) + A·(correction)
+//	    = A·(public) + A·IDCT(e)
 //
-// The returned image is the reconstructed photo, clamped to [0, 255].
+// with e the effective secret (see SecretPlanes). The returned image is the
+// reconstructed photo, clamped to [0, 255].
 //
 // op must be linear (op.Linear() == true); for invertible pointwise remaps
 // such as gamma, use ReconstructRemapped.
@@ -193,27 +131,11 @@ func ReconstructPixels(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, thre
 	return ReconstructPixelsPool(publicPix, sec, threshold, op, nil)
 }
 
-// ReconstructPixelsPool is ReconstructPixels with the secret and correction
-// chains (IDCT, upsample, PSP transform) running concurrently on pool. The
-// two chains touch disjoint images and the final sums are applied in a fixed
-// order, so the result is bit-identical to the sequential reconstruction.
+// ReconstructPixelsPool is ReconstructPixels with the coefficient fold and
+// the IDCT fanned out over bands on pool; the result is bit-identical to the
+// sequential reconstruction.
 func ReconstructPixelsPool(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, op imaging.Op, pool *work.Pool) (*jpegx.PlanarImage, error) {
-	if op == nil {
-		op = imaging.Identity{}
-	}
-	if !op.Linear() {
-		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
-	}
-	var st, ct *jpegx.PlanarImage
-	_ = pool.Do(2, func(i int) error {
-		if i == 0 {
-			st = op.Apply(unshift(sec.ToPlanarPool(pool)))
-		} else {
-			ct = op.Apply(unshift(CorrectionImagePool(sec, threshold, pool).ToPlanarPool(pool)))
-		}
-		return nil
-	})
-	return addParts(publicPix, st, ct)
+	return DeriveSecretPlanesPool(sec, threshold, pool).Reconstruct(publicPix, op)
 }
 
 // ReconstructRemapped handles the paper's §3.3 extension for one-to-one

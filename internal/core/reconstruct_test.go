@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"p3/internal/dataset"
 	"p3/internal/imaging"
 	"p3/internal/jpegx"
+	"p3/internal/work"
 )
 
 // naturalImage synthesizes a smooth image with edges and texture, then
@@ -192,9 +196,9 @@ func TestReconstructRemapped(t *testing.T) {
 	}
 }
 
-// TestSecretPixelImagesAreDifferences: secret and correction images must be
-// zero wherever the original had no DC energy and no above-threshold ACs.
-func TestSecretPixelImagesZeroForFlatSecret(t *testing.T) {
+// TestSecretPlanesZeroForFlatSecret: the difference image must be zero
+// wherever the original had no DC energy and no above-threshold ACs.
+func TestSecretPlanesZeroForFlatSecret(t *testing.T) {
 	luma, _ := jpegx.StandardQuantTables(90)
 	im := &jpegx.CoeffImage{Width: 16, Height: 16}
 	im.Quant[0] = &luma
@@ -207,10 +211,10 @@ func TestSecretPixelImagesZeroForFlatSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, c := SecretPixelImages(sec, 10)
-	for i := range s.Planes[0] {
-		if math.Abs(s.Planes[0][i]) > 1e-9 || math.Abs(c.Planes[0][i]) > 1e-9 {
-			t.Fatalf("secret/correction images not zero at %d: %v %v", i, s.Planes[0][i], c.Planes[0][i])
+	d := DeriveSecretPlanes(sec, 10).D
+	for i, v := range d.Planes[0] {
+		if math.Abs(v) > 1e-9 {
+			t.Fatalf("difference image not zero at %d: %v", i, v)
 		}
 	}
 }
@@ -311,7 +315,7 @@ func TestSplitJPEGDefaults(t *testing.T) {
 }
 
 // TestReconstructPixelsMultiMatchesSingle pins the shared-planes batch path
-// to the per-variant path bit for bit: deriving S and C once and applying N
+// to the per-variant path bit for bit: deriving the planes once and applying N
 // operators must equal N independent ReconstructPixels calls.
 func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -407,4 +411,195 @@ func TestDeriveSecretPlanesScaled(t *testing.T) {
 			t.Errorf("denom %d: scaled-plane reconstruction PSNR %.1f dB, want >= 38", denom, got)
 		}
 	}
+}
+
+// correctionImage is the reference derivation of Eq. (1)'s (Ss − Ss²)·w
+// term as its own coefficient image: −2T at every AC position where the
+// secret part is negative, zero elsewhere. Production code folds it into the
+// secret part (EffectiveSecret); the tests keep it apart as the oracle.
+func correctionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
+	corr := sec.Clone()
+	for ci := range corr.Components {
+		for bi := range corr.Components[ci].Blocks {
+			c, s := &corr.Components[ci].Blocks[bi], &sec.Components[ci].Blocks[bi]
+			*c = jpegx.Block{}
+			for k := 1; k < 64; k++ {
+				if s[k] < 0 {
+					c[k] = int32(-2 * threshold)
+				}
+			}
+		}
+	}
+	return corr
+}
+
+// twoChainDifference is the reference derivation of Eq. (2)'s secret-side
+// term, A·S + A·C: the secret image S = IDCT(x_s) and the correction image
+// C = IDCT(corr) each run their own IDCT → upsample → operator chain (at
+// 1/denom scale) and are summed afterwards, unclamped.
+func twoChainDifference(t *testing.T, sec *jpegx.CoeffImage, threshold, denom int, op imaging.Op) *jpegx.PlanarImage {
+	t.Helper()
+	s, err := sec.ToPlanarScaled(denom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := correctionImage(sec, threshold).ToPlanarScaled(denom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := op.Apply(unshift(s))
+	imaging.AddInto(out, op.Apply(unshift(c)), 1)
+	return out
+}
+
+// TestFusedMatchesTwoChainOracle is the differential test for the
+// effective-secret fold: over natural photos, every chroma layout, the
+// operator shapes the proxy builds and both IDCT scales, the one-chain
+// difference image must agree with the two-chain reference to within half a
+// sample before clamping (they differ only in where the fixed-point IDCT
+// rounds), and identity reconstruction must keep its PSNR floor.
+func TestFusedMatchesTwoChainOracle(t *testing.T) {
+	const w, h = 104, 76 // partial MCUs on the bottom edge
+	layouts := []struct {
+		name string
+		gray bool
+		sub  jpegx.Subsampling
+	}{
+		{"420", false, jpegx.Sub420},
+		{"444", false, jpegx.Sub444},
+		{"gray", true, jpegx.Sub444},
+	}
+	cases := []struct {
+		name  string
+		denom int
+		op    imaging.Op // maps the planes' resolution to the served one
+	}{
+		{"identity", 1, imaging.Identity{}},
+		{"resize", 1, imaging.Resize{W: 52, H: 38, Filter: imaging.Lanczos3}},
+		{"crop-resize", 1, imaging.Compose{
+			imaging.Crop{X: 9, Y: 5, W: 64, H: 48},
+			imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom},
+		}},
+		{"blur-resize-sharpen", 1, imaging.Compose{
+			imaging.GaussianBlur{Sigma: 0.8},
+			imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
+			imaging.Sharpen{Sigma: 1, Amount: 0.5},
+		}},
+		{"scaled-2", 2, imaging.Resize{W: 40, H: 30, Filter: imaging.CatmullRom}},
+		{"scaled-4", 4, imaging.Resize{W: 20, H: 15, Filter: imaging.CatmullRom}},
+		{"scaled-8", 8, imaging.Resize{W: 10, H: 8, Filter: imaging.Triangle}},
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		img := dataset.Natural(seed, w, h)
+		for _, l := range layouts {
+			src := img
+			if l.gray {
+				src = jpegx.NewPlanarImage(w, h, 1)
+				copy(src.Planes[0], img.Planes[0])
+			}
+			im, err := src.ToCoeffs(92, l.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threshold := range []int{5, 20} {
+				pub, sec, err := Split(im, threshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("seed%d/%s/T%d", seed, l.name, threshold)
+				rec, err := ReconstructPixels(pub.ToPlanar(), sec, threshold, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := psnr(im.ToPlanar(), rec); got < 55 {
+					t.Errorf("%s: identity reconstruction PSNR %.1f dB, want >= 55", name, got)
+				}
+				for _, tc := range cases {
+					sp, err := DeriveSecretPlanesScaledPool(sec, threshold, tc.denom, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fused := tc.op.Apply(sp.D)
+					want := twoChainDifference(t, sec, threshold, tc.denom, tc.op)
+					var worst float64
+					for pi := range want.Planes {
+						for i, v := range want.Planes[pi] {
+							worst = math.Max(worst, math.Abs(fused.Planes[pi][i]-v))
+						}
+					}
+					if worst > 0.5 {
+						t.Errorf("%s/%s: fused difference image is %.3f samples from the two-chain oracle, want <= 0.5",
+							name, tc.name, worst)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzEffectiveSecret checks the coefficient fold against its definition on
+// arbitrary blocks and thresholds: e == sec + correctionImage(sec)
+// coefficient for coefficient with every DC untouched, the result has
+// sec's shape and quantisation tables, the banded run equals the sequential
+// one, and sec itself is not modified.
+func FuzzEffectiveSecret(f *testing.F) {
+	f.Add([]byte{}, uint16(15), false)
+	f.Add([]byte{0x80, 0x00, 0xff, 0xff, 0x00, 0x01, 0x7f, 0xff}, uint16(1), true)
+	f.Add(bytes.Repeat([]byte{0xfe, 0x0c, 0x01, 0xf4}, 200), uint16(1022), false)
+	f.Fuzz(func(t *testing.T, data []byte, rawT uint16, gray bool) {
+		threshold := 1 + int(rawT)%MaxThreshold
+		sub := jpegx.Sub420
+		if gray {
+			sub = jpegx.Sub444
+		}
+		sec := randomCoeffImage(rand.New(rand.NewSource(1)), 24, 24, sub)
+		if gray {
+			sec.Components = sec.Components[:1]
+		}
+		// Overwrite the coefficients, in order, with the fuzz input read as
+		// big-endian int16s; blocks past the end of the input stay zero.
+		for ci := range sec.Components {
+			for bi := range sec.Components[ci].Blocks {
+				b := &sec.Components[ci].Blocks[bi]
+				*b = jpegx.Block{}
+				for k := 0; k < 64 && len(data) >= 2; k++ {
+					b[k] = int32(int16(binary.BigEndian.Uint16(data)))
+					data = data[2:]
+				}
+			}
+		}
+		before := sec.Clone()
+		eff := EffectiveSecret(sec, threshold, nil)
+		banded := EffectiveSecret(sec, threshold, work.New(3))
+		corr := correctionImage(sec, threshold)
+
+		if err := compatible(sec, eff); err != nil {
+			t.Fatalf("shape not shared: %v", err)
+		}
+		for i, q := range sec.Quant {
+			if e := eff.Quant[i]; (q == nil) != (e == nil) || q != nil && *q != *e {
+				t.Fatalf("quantisation table %d differs", i)
+			}
+		}
+		for ci := range sec.Components {
+			for bi := range sec.Components[ci].Blocks {
+				s, e := &sec.Components[ci].Blocks[bi], &eff.Components[ci].Blocks[bi]
+				if *s != before.Components[ci].Blocks[bi] {
+					t.Fatalf("component %d block %d: input mutated", ci, bi)
+				}
+				if e[0] != s[0] {
+					t.Fatalf("component %d block %d: DC %d became %d", ci, bi, s[0], e[0])
+				}
+				for k := 0; k < 64; k++ {
+					if want := s[k] + corr.Components[ci].Blocks[bi][k]; e[k] != want {
+						t.Fatalf("component %d block %d coeff %d: e = %d, want %d (s = %d, T = %d)",
+							ci, bi, k, e[k], want, s[k], threshold)
+					}
+				}
+				if *e != banded.Components[ci].Blocks[bi] {
+					t.Fatalf("component %d block %d: banded fold differs from sequential", ci, bi)
+				}
+			}
+		}
+	})
 }

@@ -230,39 +230,38 @@ func ReconstructCoeffsInto(pub, sec *jpegx.CoeffImage, threshold int, dst *jpegx
 	return out, nil
 }
 
-// CorrectionImage derives the (Ss − Ss²)·w correction term of Eq. (1) as a
-// coefficient image: −2T at every position where the secret part is
-// negative, zero elsewhere. The paper notes (§3.3) this term depends only on
-// the secret part, so a recipient can compute it without the public image
-// and transform it alongside the secret when the PSP has processed the
-// public part.
-func CorrectionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
-	return CorrectionImagePool(sec, threshold, nil)
-}
-
-// CorrectionImagePool is CorrectionImage with the derivation fanned out as
-// bands of block rows on pool.
-func CorrectionImagePool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.CoeffImage {
+// EffectiveSecret folds the (Ss − Ss²)·w correction term of Eq. (1) into the
+// secret part: e[0] = s[0], and for k ≥ 1, e[k] = s[k] − 2T where s[k] < 0
+// and s[k] elsewhere — so that y = pub + e coefficient for coefficient. The
+// correction depends only on the secret part (§3.3) and lives on the secret
+// part's own quantisation grid, and Eq. (2)'s operator, the IDCT and the
+// chroma upsample are all linear, so pixel-domain reconstruction transforms
+// this one image instead of the secret and correction images separately.
+// The result shares sec's geometry and quantisation tables; sec is not
+// modified. The fold runs as bands of block rows on pool.
+func EffectiveSecret(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.CoeffImage {
 	t := int32(threshold)
-	corr := sec.CloneShapeInto(nil)
+	eff := sec.CloneShapeInto(nil)
 	bands := blockBands(sec, pool.Size())
 	_ = pool.Do(len(bands), func(i int) error {
 		b := bands[i]
-		cb := corr.Components[b.ci].Blocks
+		eb := eff.Components[b.ci].Blocks
 		sb := sec.Components[b.ci].Blocks
 		bx := sec.Components[b.ci].BlocksX
 		for bi := b.r0 * bx; bi < b.r1*bx; bi++ {
-			c, s := &cb[bi], &sb[bi]
-			*c = jpegx.Block{}
+			e, s := &eb[bi], &sb[bi]
+			e[0] = s[0]
 			for k := 1; k < 64; k++ {
-				if s[k] < 0 {
-					c[k] = -2 * t
+				v := s[k]
+				if v < 0 {
+					v -= 2 * t
 				}
+				e[k] = v
 			}
 		}
 		return nil
 	})
-	return corr
+	return eff
 }
 
 // GuessThreshold mounts the paper's threshold-guessing attack (§3.4). The

@@ -223,7 +223,10 @@ func TestGuessThreshold(t *testing.T) {
 	}
 }
 
-func TestCorrectionImageMatchesEquation(t *testing.T) {
+// TestEffectiveSecretMatchesEquation: the effective secret is Eq. (1) with the
+// secret and correction terms folded, so pub + e must equal the original
+// coefficient by coefficient.
+func TestEffectiveSecretMatchesEquation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := randomCoeffImage(rng, 32, 32, jpegx.Sub444)
 	threshold := 10
@@ -231,17 +234,15 @@ func TestCorrectionImageMatchesEquation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr := CorrectionImage(sec, threshold)
-	// pub + sec + corr must equal the original, coefficient by coefficient.
+	eff := EffectiveSecret(sec, threshold, nil)
 	for ci := range im.Components {
 		for bi := range im.Components[ci].Blocks {
 			y := &im.Components[ci].Blocks[bi]
 			p := &pub.Components[ci].Blocks[bi]
-			s := &sec.Components[ci].Blocks[bi]
-			c := &corr.Components[ci].Blocks[bi]
+			e := &eff.Components[ci].Blocks[bi]
 			for k := 0; k < 64; k++ {
-				if p[k]+s[k]+c[k] != y[k] {
-					t.Fatalf("coeff %d: %d+%d+%d != %d", k, p[k], s[k], c[k], y[k])
+				if p[k]+e[k] != y[k] {
+					t.Fatalf("coeff %d: %d+%d != %d", k, p[k], e[k], y[k])
 				}
 			}
 		}

@@ -17,20 +17,20 @@ import (
 // leaves it there; this file implements it.
 //
 // For a known static variant (say Facebook's 130×130 "small") produced by a
-// linear operator A, Eq. (2) reconstruction needs A·S + A·C added to the
-// served public part. Both terms are known to the sender at upload time, so
-// they collapse into a single difference image D = A·(S + C) at the
-// variant's (small) resolution. D is stored as an ordinary lossy JPEG of
-// (D/2 + 128) — exactly the "correction term in a lossy JPEG format" whose
-// small quantization cost the paper's footnote 8 discusses — and sealed
-// like any other secret payload. A recipient browsing thumbnails then
-// downloads a secret part sized for thumbnails.
+// linear operator A, Eq. (2) reconstruction adds A·IDCT(e) — e the
+// effective secret, see SecretPlanes — to the served public part. That term
+// is known to the sender at upload time, so it is precomputed as a single
+// difference image D at the variant's (small) resolution. D is stored as an
+// ordinary lossy JPEG of (D/2 + 128) — exactly the "correction term in a
+// lossy JPEG format" whose small quantization cost the paper's footnote 8
+// discusses — and sealed like any other secret payload. A recipient
+// browsing thumbnails then downloads a secret part sized for thumbnails.
 
 // VariantSecret is one precomputed, resolution-matched secret part.
 type VariantSecret struct {
 	W, H      int
 	Threshold int
-	// D is the combined difference image A·(S + C); adding it to the
+	// D is the transformed difference image A·IDCT(e); adding it to the
 	// served variant completes Eq. (2).
 	D *jpegx.PlanarImage
 }
@@ -46,9 +46,7 @@ func BuildVariantSecret(sec *jpegx.CoeffImage, threshold int, op imaging.Op, w, 
 	if !op.Linear() {
 		return nil, fmt.Errorf("core: variant operator %s is not linear", op)
 	}
-	s, c := SecretPixelImages(sec, threshold)
-	imaging.AddInto(s, c, 1)
-	d := op.Apply(s)
+	d := op.Apply(DeriveSecretPlanes(sec, threshold).D)
 	if d.Width != w || d.Height != h {
 		return nil, fmt.Errorf("core: operator produced %dx%d, want %dx%d", d.Width, d.Height, w, h)
 	}
@@ -88,11 +86,7 @@ func (v *VariantSecret) Marshal() ([]byte, error) {
 		}
 	}
 	imaging.Clamp(shifted)
-	sub := jpegx.Sub444
-	if shifted.Gray() {
-		sub = jpegx.Sub444
-	}
-	coeffs, err := shifted.ToCoeffs(95, sub)
+	coeffs, err := shifted.ToCoeffs(95, jpegx.Sub444)
 	if err != nil {
 		return nil, err
 	}

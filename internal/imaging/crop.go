@@ -20,10 +20,18 @@ func (Crop) Linear() bool { return true }
 
 func (c Crop) String() string { return fmt.Sprintf("crop(%d,%d,%dx%d)", c.X, c.Y, c.W, c.H) }
 
-// Apply implements Op. The crop rectangle is clamped to the image bounds.
+// within clamps the rectangle to a w×h image, returning [x0, x1) × [y0, y1);
+// the result is empty when the rectangle misses the image.
+func (c Crop) within(w, h int) (x0, y0, x1, y1 int) {
+	x0, y0 = clampIdx(c.X, 0, w), clampIdx(c.Y, 0, h)
+	x1, y1 = clampIdx(c.X+c.W, x0, w), clampIdx(c.Y+c.H, y0, h)
+	return x0, y0, x1, y1
+}
+
+// Apply implements Op. The crop rectangle is clamped to the image bounds; a
+// rectangle that misses the image panics (see OutputSize).
 func (c Crop) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	x0, y0 := clampIdx(c.X, 0, src.Width), clampIdx(c.Y, 0, src.Height)
-	x1, y1 := clampIdx(c.X+c.W, x0, src.Width), clampIdx(c.Y+c.H, y0, src.Height)
+	x0, y0, x1, y1 := c.within(src.Width, src.Height)
 	w, h := x1-x0, y1-y0
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imaging: empty crop %v of %dx%d image", c, src.Width, src.Height))

@@ -170,6 +170,41 @@ func TestCrop(t *testing.T) {
 	}
 }
 
+// TestOutputSize: OutputSize predicts Apply's dimensions for every operator
+// that has something to produce, and errors exactly where Apply would panic.
+func TestOutputSize(t *testing.T) {
+	src := randomImage(rand.New(rand.NewSource(5)), 40, 30, 1)
+	for _, op := range []Op{
+		Identity{},
+		Crop{X: 35, Y: 25, W: 100, H: 100},
+		Resize{W: 17, H: 9, Filter: Box},
+		GaussianBlur{Sigma: 1},
+		Compose{Crop{X: 8, Y: 8, W: 24, H: 16}, Resize{W: 12, H: 8, Filter: Triangle}, Gamma{G: 2}},
+		Compose{Resize{W: 80, H: 60, Filter: Box}, Crop{X: 70, Y: 50, W: 30, H: 30}},
+	} {
+		w, h, err := OutputSize(op, src.Width, src.Height)
+		if err != nil {
+			t.Errorf("%s: %v", op, err)
+			continue
+		}
+		if got := op.Apply(src); got.Width != w || got.Height != h {
+			t.Errorf("%s: OutputSize says %dx%d, Apply produced %dx%d", op, w, h, got.Width, got.Height)
+		}
+	}
+	for _, op := range []Op{
+		Crop{X: 40, Y: 0, W: 5, H: 5},
+		Crop{X: 0, Y: 30, W: 5, H: 5},
+		Crop{X: 4, Y: 4, W: 0, H: 5},
+		Crop{X: -9, Y: 0, W: 9, H: 5},
+		Resize{W: 0, H: 10, Filter: Box},
+		Compose{Resize{W: 20, H: 15, Filter: Box}, Crop{X: 20, Y: 0, W: 5, H: 5}},
+	} {
+		if _, _, err := OutputSize(op, src.Width, src.Height); err == nil {
+			t.Errorf("%s of a 40x30 image accepted", op)
+		}
+	}
+}
+
 func TestCropAlignToBlocks(t *testing.T) {
 	c := Crop{X: 13, Y: 9, W: 10, H: 10}.AlignToBlocks()
 	if c.X != 8 || c.Y != 8 || c.W != 16 || c.H != 16 {

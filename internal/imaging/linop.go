@@ -73,6 +73,36 @@ func (c Compose) String() string {
 	return strings.Join(parts, " ∘ ")
 }
 
+// OutputSize reports the dimensions op produces from a w×h image, or an
+// error when some stage would have nothing to produce — a crop that misses
+// the image, a resize to a non-positive size — which is when Apply panics.
+// Callers holding an operator built from outside input check it here first.
+// Crop and Resize are the only operators that change dimensions; every other
+// stage passes them through.
+func OutputSize(op Op, w, h int) (int, int, error) {
+	switch o := op.(type) {
+	case Compose:
+		for _, stage := range o {
+			var err error
+			if w, h, err = OutputSize(stage, w, h); err != nil {
+				return 0, 0, err
+			}
+		}
+	case Crop:
+		x0, y0, x1, y1 := o.within(w, h)
+		if x1 == x0 || y1 == y0 {
+			return 0, 0, fmt.Errorf("imaging: %s misses the %dx%d image", o, w, h)
+		}
+		w, h = x1-x0, y1-y0
+	case Resize:
+		if o.W <= 0 || o.H <= 0 {
+			return 0, 0, fmt.Errorf("imaging: invalid resize target %dx%d", o.W, o.H)
+		}
+		w, h = o.W, o.H
+	}
+	return w, h, nil
+}
+
 // Invertible is implemented by pointwise one-to-one operators (e.g. gamma).
 // Per paper §3.3, such non-linear remaps can be undone on the public part,
 // the reconstruction performed, and the remap re-applied.

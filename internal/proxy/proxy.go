@@ -868,9 +868,10 @@ func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams
 }
 
 // reconstructDecoded is the back half of reconstruct, starting from decoded
-// parts. planes, when non-nil, are pre-derived full-resolution secret planes
-// shared across a multi-variant download; nil derives per call (possibly at
-// reduced scale, see scaledDenom).
+// parts. planes, when non-nil, are the pre-derived full-resolution difference
+// planes of the effective secret, shared across a multi-variant download;
+// nil derives per call (possibly at reduced scale, see scaledDenom). Either
+// way Eq. (2) runs as one IDCT → upsample → operator chain.
 func (p *Proxy) reconstructDecoded(ctx context.Context, id string, variant p3.PhotoVariant, params *core.PipelineParams,
 	pubIm, sec *jpegx.CoeffImage, threshold int, planes *core.SecretPlanes) (*jpegx.PlanarImage, error) {
 	op, err := p.buildOp(ctx, id, variant, params, sec.Width, sec.Height, pubIm.Width, pubIm.Height)
@@ -878,21 +879,17 @@ func (p *Proxy) reconstructDecoded(ctx context.Context, id string, variant p3.Ph
 		return nil, err
 	}
 	if op.Linear() {
-		if planes != nil {
-			return planes.Reconstruct(pubIm.ToPlanar(), op)
-		}
-		if d := scaledDenom(params, variant, sec.Width, sec.Height, pubIm.Width, pubIm.Height); d > 1 {
-			// The served rendition is no larger than the scaled planes, so
+		if planes == nil {
+			// When the served rendition is no larger than scaled planes,
 			// reconstruct the secret part straight to reduced scale — a
 			// quarter (or a sixteenth, …) of the IDCT work — and let the
 			// calibrated resize run from there.
-			sp, err := core.DeriveSecretPlanesScaledPool(sec, threshold, d, nil)
-			if err != nil {
+			d := scaledDenom(params, variant, sec.Width, sec.Height, pubIm.Width, pubIm.Height)
+			if planes, err = core.DeriveSecretPlanesScaledPool(sec, threshold, d, nil); err != nil {
 				return nil, err
 			}
-			return sp.Reconstruct(pubIm.ToPlanar(), op)
 		}
-		return core.ReconstructPixels(pubIm.ToPlanar(), sec, threshold, op)
+		return planes.Reconstruct(pubIm.ToPlanar(), op)
 	}
 	// Calibrated gamma: strip the trailing remap and use the §3.3 inversion
 	// path.
@@ -906,8 +903,9 @@ func (p *Proxy) reconstructDecoded(ctx context.Context, id string, variant p3.Ph
 
 // buildOp builds the operator mapping the original public part to the served
 // variant: optional crop (coordinates arrive in stored-image space; mapped
-// to original space) followed by the calibrated pipeline instantiated at the
-// served dimensions.
+// to original space and clamped to it) followed by the calibrated pipeline
+// instantiated at the served dimensions. A crop outside the stored image is
+// a *RequestError.
 func (p *Proxy) buildOp(ctx context.Context, id string, variant p3.PhotoVariant, params *core.PipelineParams,
 	origW, origH, servedW, servedH int) (imaging.Compose, error) {
 	var op imaging.Compose
@@ -917,10 +915,13 @@ func (p *Proxy) buildOp(ctx context.Context, id string, variant p3.PhotoVariant,
 		if err != nil {
 			return nil, err
 		}
-		if storedW != origW || storedH != origH {
-			crop = mapCrop(crop, origW, origH, storedW, storedH)
+		// A rectangle that misses the stored image is the client's mistake
+		// whatever the PSP made of it; mapCrop would clamp it onto the edge
+		// pixel and imaging.Crop would panic on it.
+		if _, _, err := imaging.OutputSize(crop, storedW, storedH); err != nil {
+			return nil, &RequestError{Err: err}
 		}
-		op = append(op, crop)
+		op = append(op, mapCrop(crop, origW, origH, storedW, storedH))
 	}
 	op = append(op, params.Instantiate(servedW, servedH))
 	return op, nil

@@ -534,3 +534,74 @@ func TestCropAcrossIngestResize(t *testing.T) {
 		t.Errorf("cross-scale cropped reconstruction PSNR %.1f dB, want >= 18", got)
 	}
 }
+
+// lenientPhotos is a PSP that never refuses a crop: a rectangle that misses
+// the w×h stored photo is ignored and the uncropped rendition served, so the
+// rectangle reaches the proxy's own operator construction unchecked.
+type lenientPhotos struct {
+	*countingPhotos
+	w, h int
+}
+
+func (l *lenientPhotos) FetchPhoto(ctx context.Context, id string, v p3.PhotoVariant) ([]byte, error) {
+	if c := v.Crop; c != nil && (c.X >= l.w || c.Y >= l.h) {
+		v.Crop = nil
+	}
+	return l.countingPhotos.FetchPhoto(ctx, id, v)
+}
+
+// TestCropOutsidePhotoIsBadRequest: an empty crop, or one that misses the
+// photo, is the client's mistake — 400 through the HTTP surface and a
+// *RequestError from DownloadPixels — even when the PSP lets it through and
+// did not downsize the photo at ingest (so stored and original grids agree).
+// It used to reach imaging.Crop and panic.
+func TestCropOutsidePhotoIsBadRequest(t *testing.T) {
+	key, err := p3.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := p3.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	photos := &lenientPhotos{countingPhotos: &countingPhotos{s: psp.NewServer(psp.FlickrLike())}, w: 160, h: 120}
+	px := New(codec, photos, p3.NewMemorySecretStore())
+	if _, err := px.Calibrate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	jpegBytes, _ := photoJPEG(t, 41, photos.w, photos.h)
+	id, err := px.Upload(ctx, jpegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(px)
+	defer srv.Close()
+	for _, tc := range []struct {
+		crop string
+		want int
+	}{
+		{"500,500,10,10", http.StatusBadRequest},
+		{"160,0,8,8", http.StatusBadRequest}, // first column past the right edge
+		{"0,120,8,8", http.StatusBadRequest},
+		{"10,10,0,0", http.StatusBadRequest},
+		{"10,10,8,0", http.StatusBadRequest},
+		{"150,110,50,50", http.StatusOK}, // overlaps the corner: clamped, served
+	} {
+		resp, err := http.Get(srv.URL + "/photo/" + id + "?crop=" + tc.crop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET crop=%s = %d, want %d", tc.crop, resp.StatusCode, tc.want)
+		}
+	}
+	var reqErr *RequestError
+	if _, err := px.DownloadPixels(ctx, id, url.Values{"crop": {"500,500,10,10"}}); !errors.As(err, &reqErr) {
+		t.Errorf("DownloadPixels with a crop outside the photo returned %v, want a *RequestError", err)
+	}
+	if _, err := px.DownloadMany(ctx, id, []url.Values{{"size": {"thumb"}}, {"crop": {"160,120,4,4"}}}); !errors.As(err, &reqErr) {
+		t.Errorf("DownloadMany with a crop outside the photo returned %v, want a *RequestError", err)
+	}
+}

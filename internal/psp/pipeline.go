@@ -105,7 +105,11 @@ func (p Pipeline) Render(original []byte, crop *CropSpec, maxW, maxH int) ([]byt
 	im.StripMarkers()
 	pix := im.ToPlanar()
 	if crop != nil {
-		pix = imaging.Crop{X: crop.X, Y: crop.Y, W: crop.W, H: crop.H}.Apply(pix)
+		c := imaging.Crop{X: crop.X, Y: crop.Y, W: crop.W, H: crop.H}
+		if _, _, err := imaging.OutputSize(c, pix.Width, pix.Height); err != nil {
+			return nil, fmt.Errorf("psp: %w", err)
+		}
+		pix = c.Apply(pix)
 	}
 	w, h := pix.Width, pix.Height
 	if maxW > 0 && maxH > 0 {

@@ -125,6 +125,11 @@ func TestDynamicResizeAndCrop(t *testing.T) {
 	if _, err := s.Photo(id, "", "", "0", "10"); err == nil {
 		t.Error("zero width accepted")
 	}
+	for _, crop := range []string{"400,0,8,8", "0,300,8,8", "9000,9000,5,5", "10,10,0,0"} {
+		if _, err := s.Photo(id, "", crop, "", ""); err == nil {
+			t.Errorf("crop %s of a 400x300 photo served", crop)
+		}
+	}
 	if _, err := s.Photo("nope", "", "", "", ""); err == nil {
 		t.Error("unknown photo served")
 	}
