@@ -193,11 +193,6 @@ func TestThresholdValidation(t *testing.T) {
 	if _, err := New(key, WithThreshold(1), WithThreshold(MaxThreshold)); err != nil {
 		t.Errorf("valid thresholds rejected: %v", err)
 	}
-	// The deprecated wrapper rejects negative thresholds with the same type.
-	var te *ThresholdError
-	if _, err := Split([]byte("x"), key, &Options{Threshold: -1}); !errors.As(err, &te) {
-		t.Errorf("deprecated Split(-1): got %v, want *ThresholdError", err)
-	}
 }
 
 // TestConstantsMatchCore pins the public constants to the algorithm's.

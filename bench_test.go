@@ -228,23 +228,8 @@ func BenchmarkCost_Reconstruct(b *testing.B) {
 	}
 }
 
-// Facade allocation benchmarks: the reused Codec recycles its encode
-// scratch via sync.Pool, so its split path allocates measurably less than
-// back-to-back calls to the deprecated package-level Split. Compare with
-// `go test -bench=BenchmarkFacade_Split -benchmem`.
-
-func BenchmarkFacade_SplitPerCall(b *testing.B) {
-	jpegBytes, codec := cost720(b)
-	key := codec.Key()
-	b.SetBytes(int64(len(jpegBytes)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Split(jpegBytes, key, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Facade allocation benchmark: the reused Codec recycles its encode scratch
+// via sync.Pool. Run with `go test -bench=BenchmarkFacade_Split -benchmem`.
 
 func BenchmarkFacade_SplitCodecReuse(b *testing.B) {
 	jpegBytes, codec := cost720(b)

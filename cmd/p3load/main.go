@@ -1,692 +1,64 @@
-// Command p3load drives realistic traffic at a real proxy + stores stack
-// and reports serving-level numbers: latency percentiles, throughput,
-// cache efficiency, and per-shard health. Micro-benchmarks time one
-// operation in a vacuum; p3load measures the system the way workload
-// traces say users hit it — skewed (zipfian) photo popularity, a mixed
-// upload:download:calibrate op stream, a spread of variant queries, bursty
-// open-loop arrivals, and (optionally) a shard failing mid-run.
+// Command p3load is the fault-drill harness: it boots a real serving stack
+// in-process, drives workload-shaped traffic at it, injects faults on a
+// schedule, and passes or fails the run on gates. It is not the benchmark —
+// bench/ (BENCHMARK.json) measures latency and throughput against a
+// recorded PSP; p3load's latencies include its in-process PSP simulator and
+// are printed for orientation only. What p3load alone does is seeded fault
+// timelines, gates, and JSONL trace record/replay.
 //
-// The stack under test is the real thing wired in-process: a Facebook-like
-// PSP served over HTTP, three disk shards under a consistent-hash
-// ShardedSecretStore with 2-way replication, and the instrumented
-// internal/proxy serving through its bounded coalescing caches.
+// The stack under test is the one operators run: internal/stack builds it
+// from the same Config (and the same -store spec grammar) as cmd/p3proxy —
+// a Facebook-like PSP over HTTP, disk shards under a ShardedSecretStore or
+// an ErasureSecretStore, each behind a kill switch (Config.WrapShard), and
+// the proxy with admission, dedup and similarity where the drill needs them.
 //
-// Usage, from the repository root:
+// A drill is one row of the table in scenario.go — workload shape, stack
+// shape, fault timeline, gates (EXPERIMENTS.md describes each):
 //
-//	go run ./cmd/p3load -scenario mixed         # the default workload
-//	go run ./cmd/p3load -scenario smoke         # seconds-long CI gate
-//	go run ./cmd/p3load -scenario burst         # open-loop arrival bursts
-//	go run ./cmd/p3load -scenario shardkill     # kill+revive a shard mid-run
-//	go run ./cmd/p3load -scenario shardkill-ec  # erasure store, kill TWO shards
-//	go run ./cmd/p3load -scenario zipf-hot      # near-single-photo skew
-//	go run ./cmd/p3load -scenario uniform       # no popularity skew
-//	go run ./cmd/p3load -scenario video         # MJPEG clips + frame seeks
-//	go run ./cmd/p3load -scenario recalibrate   # forced epoch flips mid-run
-//	go run ./cmd/p3load -scenario storm         # one client ramps to 50x fair share
-//	go run ./cmd/p3load -scenario dup-heavy     # duplicate-skewed corpus through dedup
+//	go run ./cmd/p3load -preset smoke          # seconds-long CI gate
+//	go run ./cmd/p3load -preset mixed          # the default mix
+//	go run ./cmd/p3load -preset burst          # open-loop arrival bursts
+//	go run ./cmd/p3load -preset video          # MJPEG clips + frame seeks
+//	go run ./cmd/p3load -preset shardkill      # kill+revive a shard mid-run
+//	go run ./cmd/p3load -preset shardkill-3x3  # same, three full replicas
+//	go run ./cmd/p3load -preset shardkill-ec   # erasure store, kill TWO shards
+//	go run ./cmd/p3load -preset recalibrate    # forced epoch flips mid-run
+//	go run ./cmd/p3load -preset storm          # one client ramps to 50x fair share
+//	go run ./cmd/p3load -preset dup-heavy      # duplicate-skewed corpus through dedup
 //
-// The dup-heavy scenario replays a duplicate-skewed corpus (a few base
-// images uploaded many times over, exact copies and near-dup re-encodes
-// mixed) through a content-addressed dedup layer (internal/dedup;
-// -dedup wires it into any scenario) with perceptual-hash similarity
-// queries in the op mix (the 6th -mix weight). The post-run
-// verification downloads every logical ID through cold caches and
-// requires byte-identity within each content group, then a dedup scrub
-// must find the refcount invariants intact; the entry records storage
-// saved, dup hit rate, similarity-query latency, and the similar-hit
-// rate. Combine with -store-kind erasure -shard-kill -kill-shards 2 for
-// the dedup-under-partial-outage drill.
+// One scheduler goroutine injects the row's timeline; after the run the
+// harness verifies what the drill is about (erasure: scrub to convergence,
+// then every photo re-downloaded through cold caches; dedup: byte-identity
+// within every content group and intact refcounts). -gate arms the row's
+// gates (smoke and storm arm themselves); any failing gate fails the run.
 //
-// The storm scenario turns on the proxy's admission layer
-// (internal/admission; -max-inflight, -queue-depth, -client-rps,
-// -storm-clamp wire it into any scenario) and runs per-client open-loop
-// dispatchers: -clients well-behaved victims plus one attacker that ramps
-// to -attacker-mult times its fair share in the middle of the run. The
-// run is gated on the admission contract: the storm detector clamps the
-// attacker, the victims see zero errors, and the victims' download p99
-// during the storm stays within 2x their steady-state p99.
+// A few flags override single fields of a row: -duration, -photos and
+// -workers scale it; -store-kind erasure swaps in the 4-of-6 erasure-coded
+// store (-scrub-interval sets its repair daemon); -shard-kill adds the shard
+// outage to any row, taking down -kill-shards shards with the proxy's
+// secret-cache retention off so reads reach the degraded store;
+// -max-download-p99 adds a download-tail budget; -seed seeds every draw.
+// The dedup-under-partial-outage drill, for one, is
 //
-// Any run can record its arrival process with -trace-record FILE: every
-// dispatched op is logged with its offset, client key, and target
-// (internal/trace, JSONL). -trace-replay FILE replays a recorded trace
+//	go run ./cmd/p3load -preset dup-heavy -store-kind erasure -shard-kill -kill-shards 2 -gate
+//
+// -trace-record FILE logs every dispatched op with its offset, client key
+// and target (internal/trace, JSONL). -trace-replay FILE replays a trace
 // open-loop against a fresh stack — at recorded speed, time-scaled
-// (-trace-speed 2), or as fast as possible (-trace-speed 0) — rebuilding
-// the corpus from the trace header so recorded indices address
-// equivalent photos. Record and replay compose, so a replayed run can
-// re-record itself for drift checks.
-//
-// The store topology is itself a knob: -store-kind sharded|erasure,
-// -shards N, -replicas R (replication) or -ec-k/-ec-n (erasure coding),
-// -kill-shards for how many shards the fault toggle takes down, and
-// -scrub-interval for the erasure store's self-healing daemon. Erasure
-// runs additionally record a recovery curve (degraded reads and repair
-// progress over time), the post-revive repair time, the measured storage
-// overhead (shard bytes on disk / logical secret bytes), and a post-run
-// zero-data-loss verification over the whole corpus — the numbers behind
-// the replication-vs-erasure experiment in EXPERIMENTS.md.
-//
-// The recalibrate scenario exercises the background-calibration subsystem:
-// -recalibrations forced full recalibrations fire at evenly spaced points
-// mid-run while download traffic keeps flowing, and every download is
-// attributed to a steady or during-recalibration bucket (sampled from the
-// proxy's in-flight flag around the request) so the report shows what an
-// epoch flip costs the serving path. -warm-topk sets how many hot variants
-// the proxy pre-warms after each flip; -max-download-p99 turns the
-// download p99 into a gate (the CI contract: recalibration must not
-// detonate tail latency).
-//
-// (`-preset` is an alias for `-scenario`.) The video scenario exercises
-// the §4.2 extension end to end: P3MJ clips with a spread of frame counts
-// are uploaded through the proxy (frame-parallel SplitVideo, both parts
-// onto the disk shards) and downloaded mostly as zipf-popular single-frame
-// seeks (`?frame=N`), with an occasional whole-clip join — the mixed-media
-// serving-trace shape.
-//
-// Every preset is a set of flag defaults; explicit flags override, so
-// `-scenario mixed -duration 30s -workers 32` scales the same mix up.
-// Each run appends an entry to BENCH_serving.json (-out), so the serving
-// perf trajectory accumulates across PRs next to BENCH_hotpath.json; see
-// EXPERIMENTS.md for how the scenarios map onto experiments.
+// (-trace-speed 2) or unpaced (-trace-speed 0) — rebuilding the corpus from
+// the trace header so recorded indices address equivalent photos (replay a
+// video trace with -preset video, which sets the clip pool's frame spread).
+// Record and replay compose: a replayed run re-records the same sequence.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
-	"net/http/httptest"
-	"net/url"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 
-	"p3"
-	"p3/internal/admission"
-	"p3/internal/cache"
-	"p3/internal/dataset"
-	"p3/internal/dedup"
-	"p3/internal/jpegx"
-	"p3/internal/metrics"
-	"p3/internal/proxy"
-	"p3/internal/psp"
-	"p3/internal/similarity"
 	"p3/internal/trace"
 )
-
-// config is one run's resolved parameters.
-type config struct {
-	Scenario  string        `json:"scenario"`
-	Mode      string        `json:"mode"` // "closed" or "open"
-	Duration  time.Duration `json:"-"`
-	DurationS float64       `json:"duration_s"`
-	Workers   int           `json:"workers"`
-	Rate      float64       `json:"rate_per_s"` // open-loop arrival rate
-	Photos    int           `json:"photos"`     // pre-populated corpus size
-	Zipf      float64       `json:"zipf_s"`     // popularity skew; 0 = uniform
-	Mix       string        `json:"mix"`        // upload:download:calibrate[:vupload:vdownload] weights
-	Dynamic   float64       `json:"dynamic"`    // fraction of dynamic-variant queries
-	Burst     bool          `json:"burst"`      // open-loop rate bursts
-	ShardKill bool          `json:"shard_kill"` // kill+revive shard 0 mid-run
-	Seed      int64         `json:"seed"`
-	// Video-workload shape: Clips clips are pre-populated with frame
-	// counts spread over [ClipFramesMin, ClipFramesMax] (the clip-size
-	// distribution); video downloads seek a zipf(FrameZipf)-popular frame
-	// (earlier frames hotter, like preview scrubbing), except a FullClip
-	// fraction that joins the whole clip.
-	Clips         int     `json:"clips,omitempty"`
-	ClipFramesMin int     `json:"clip_frames_min,omitempty"`
-	ClipFramesMax int     `json:"clip_frames_max,omitempty"`
-	FrameZipf     float64 `json:"frame_zipf,omitempty"`
-	FullClip      float64 `json:"full_clip,omitempty"`
-	// Gate makes any op error fail the run (the CI smoke contract).
-	Gate bool `json:"gate,omitempty"`
-	// SecretCache is the proxy's secret-cache budget. The shardkill presets
-	// set it to 1 byte (retention off) so downloads actually exercise the
-	// store's degraded-read and repair paths instead of being absorbed by
-	// the proxy cache.
-	SecretCache int64 `json:"secret_cache_bytes"`
-	// Store topology. StoreKind selects replication ("sharded", the
-	// default) or Reed-Solomon striping ("erasure") over ShardCount disk
-	// shards; Replicas is the replication factor, ECK/ECN the erasure
-	// scheme. KillShards is how many shards the ShardKill fault takes down
-	// at once (1 kills shard 0; 2 kills shards 0 and 1; ...).
-	// ScrubInterval runs the erasure store's self-healing daemon during the
-	// run (0 leaves repair to the explicit post-run convergence pass).
-	StoreKind      string        `json:"store_kind"`
-	ShardCount     int           `json:"shards"`
-	Replicas       int           `json:"replicas,omitempty"`
-	ECK            int           `json:"ec_k,omitempty"`
-	ECN            int           `json:"ec_n,omitempty"`
-	KillShards     int           `json:"kill_shards,omitempty"`
-	ScrubInterval  time.Duration `json:"-"`
-	ScrubIntervalS float64       `json:"scrub_interval_s,omitempty"`
-	// Recalibrations forces that many full (epoch-flipping) recalibrations
-	// at evenly spaced points mid-run, while download traffic keeps flowing
-	// against the previous epoch. WarmTopK is the proxy's post-flip
-	// pre-warm budget. MaxDownP99 (0 = off) fails the run if the overall
-	// download p99 exceeds it — the recalibration-smoke CI gate.
-	Recalibrations int           `json:"recalibrations,omitempty"`
-	WarmTopK       int           `json:"warm_topk,omitempty"`
-	MaxDownP99     time.Duration `json:"-"`
-	MaxDownP99Ms   float64       `json:"max_download_p99_ms,omitempty"`
-	// Admission control: MaxInflight > 0 wires an internal/admission
-	// controller into the proxy (concurrency bound + bounded priority
-	// queues); QueueDepth, ClientRPS, and StormClamp tune it (0 = the
-	// package defaults; ClientRPS 0 = no per-client buckets).
-	MaxInflight int     `json:"max_inflight,omitempty"`
-	QueueDepth  int     `json:"queue_depth,omitempty"`
-	ClientRPS   float64 `json:"client_rps,omitempty"`
-	StormClamp  float64 `json:"storm_clamp,omitempty"`
-	// Storm-mode shape: Clients victim clients each offered their fair
-	// share of Rate, plus one attacker that ramps to AttackerMult times
-	// its fair share during [40%, 70%] of the run.
-	Clients      int     `json:"clients,omitempty"`
-	AttackerMult float64 `json:"attacker_mult,omitempty"`
-	// Trace recording/replay (see internal/trace).
-	TraceRecord string  `json:"trace_record,omitempty"`
-	TraceReplay string  `json:"trace_replay,omitempty"`
-	TraceSpeed  float64 `json:"trace_speed,omitempty"`
-	// Dedup-workload shape: Dedup wires a content-addressed dedup layer
-	// (internal/dedup) between the proxy and the PSP, and DupUnique sets
-	// how many distinct base images the upload pool is built from — each
-	// also present as a near-duplicate re-encode, so a corpus of N photos
-	// carries ~N/(2*DupUnique) exact copies of each payload. SimilarD is
-	// the hamming radius "similar" ops query at.
-	Dedup     bool `json:"dedup,omitempty"`
-	DupUnique int  `json:"dup_unique,omitempty"`
-	SimilarD  int  `json:"similar_d,omitempty"`
-}
-
-// scenarios are named flag-default presets. Explicit flags override.
-var scenarios = map[string]config{
-	"smoke": {Mode: "closed", Duration: 2 * time.Second, Workers: 4, Rate: 50,
-		Photos: 4, Zipf: 1.2, Mix: "1:20:0", Dynamic: 0.3, Gate: true},
-	"video": {Mode: "closed", Duration: 10 * time.Second, Workers: 8, Rate: 50,
-		Photos: 1, Zipf: 1.2, Mix: "0:0:0:1:30", Dynamic: 0,
-		Clips: 6, ClipFramesMin: 4, ClipFramesMax: 12, FrameZipf: 1.3, FullClip: 0.1},
-	"mixed": {Mode: "closed", Duration: 10 * time.Second, Workers: 8, Rate: 100,
-		Photos: 16, Zipf: 1.2, Mix: "1:40:0.2", Dynamic: 0.4},
-	"zipf-hot": {Mode: "closed", Duration: 10 * time.Second, Workers: 8, Rate: 100,
-		Photos: 64, Zipf: 2.5, Mix: "0:1:0", Dynamic: 0.2},
-	"uniform": {Mode: "closed", Duration: 10 * time.Second, Workers: 8, Rate: 100,
-		Photos: 64, Zipf: 0, Mix: "0:1:0", Dynamic: 0.2},
-	"burst": {Mode: "open", Duration: 15 * time.Second, Workers: 8, Rate: 60,
-		Photos: 16, Zipf: 1.2, Mix: "1:40:0", Dynamic: 0.4, Burst: true},
-	"shardkill": {Mode: "closed", Duration: 12 * time.Second, Workers: 8, Rate: 100,
-		Photos: 16, Zipf: 1.2, Mix: "1:20:0", Dynamic: 0.3, ShardKill: true, SecretCache: 1},
-	// The erasure acceptance drill: 4-of-6 Reed-Solomon over 6 disk shards
-	// loses TWO shards mid-run and must serve every byte regardless, while
-	// the 500ms scrubber rebuilds the dead shards' shares the moment they
-	// revive. Compare against `-scenario shardkill -shards 3 -replicas 3`
-	// for the same fault tolerance at twice the storage.
-	"shardkill-ec": {Mode: "closed", Duration: 12 * time.Second, Workers: 8, Rate: 100,
-		Photos: 16, Zipf: 1.2, Mix: "1:20:0", Dynamic: 0.3, ShardKill: true, SecretCache: 1,
-		StoreKind: "erasure", ShardCount: 6, ECK: 4, ECN: 6, KillShards: 2,
-		ScrubInterval: 500 * time.Millisecond},
-	// The calibration-lifecycle drill: zipf-skewed download traffic with two
-	// forced epoch flips mid-run. Downloads must keep serving (stale, from
-	// the previous epoch) through each flip, and the post-flip pre-warm of
-	// the 32 hottest variants should keep the hot set from going cold.
-	// Four workers (not eight): the full sweep shares CPU with the
-	// workload, and the preset must leave it enough headroom to land both
-	// flips while traffic is still flowing even on small machines.
-	"recalibrate": {Mode: "closed", Duration: 16 * time.Second, Workers: 4, Rate: 100,
-		Photos: 16, Zipf: 1.2, Mix: "1:40:0", Dynamic: 0.3,
-		Recalibrations: 2, WarmTopK: 32},
-	// The admission acceptance drill: eight victims and one attacker share
-	// a 90/s offered load fairly until the attacker ramps to 50x its fair
-	// share mid-run. The storm detector must clamp the attacker (storm-
-	// reason sheds > 0) while every victim request keeps succeeding with a
-	// download p99 within 2x of steady state. The per-client buckets stay
-	// off (ClientRPS 0): the point is the *unconfigured* storm path — no
-	// operator pre-declared the attacker's identity or rate.
-	"storm": {Mode: "storm", Duration: 12 * time.Second, Workers: 8, Rate: 90,
-		Photos: 12, Zipf: 1.2, Mix: "0:1:0", Dynamic: 0.15, Gate: true,
-		Clients: 8, AttackerMult: 50,
-		MaxInflight: 8, QueueDepth: 256, StormClamp: 4},
-	// The duplicate-heavy serving drill: a corpus where every payload is
-	// uploaded many times over (6 base images, each also as a near-dup
-	// re-encode), through a content-addressed dedup layer, with similarity
-	// queries in the mix. The post-run verification downloads every
-	// logical ID and requires byte-identity within each content group —
-	// dedup sharing must be invisible to the application — and the entry
-	// records storage saved, dup hit rate, and the similarity-query tail.
-	"dup-heavy": {Mode: "closed", Duration: 10 * time.Second, Workers: 8, Rate: 100,
-		Photos: 48, Zipf: 1.2, Mix: "4:20:0:0:0:3", Dynamic: 0.3,
-		Dedup: true, DupUnique: 6, SimilarD: 10},
-}
-
-// opKind indexes the three operation types.
-type opKind int
-
-const (
-	opUpload opKind = iota
-	opDownload
-	opCalibrate
-	opVideoUpload
-	opVideoDownload
-	opSimilar
-	numOps
-)
-
-func (k opKind) String() string {
-	return [...]string{"upload", "download", "calibrate", "video_upload", "video_download", "similar"}[k]
-}
-
-// opFromString resolves a trace event's op name (the inverse of String).
-func opFromString(s string) (opKind, bool) {
-	for k := opKind(0); k < numOps; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// clampRank turns a trace event's target index into a popularity rank: a
-// hand-edited (or hostile) trace may carry negatives, which must not
-// panic the harness.
-func clampRank(v int) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
-
-// opRecorder aggregates one operation type's client-observed results.
-type opRecorder struct {
-	hist   metrics.Histogram
-	errs   atomic.Uint64
-	maxNs  atomic.Int64
-	sample sync.Once
-	err    atomic.Value // first error, for the report
-}
-
-func (r *opRecorder) record(d time.Duration, err error) {
-	r.hist.Observe(d)
-	for {
-		old := r.maxNs.Load()
-		if int64(d) <= old || r.maxNs.CompareAndSwap(old, int64(d)) {
-			break
-		}
-	}
-	if err != nil {
-		r.errs.Add(1)
-		r.sample.Do(func() { r.err.Store(err.Error()) })
-	}
-}
-
-// opReport is one operation type's section of the JSON entry.
-type opReport struct {
-	Count       uint64  `json:"count"`
-	Errors      uint64  `json:"errors"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	MeanMs      float64 `json:"mean_ms"`
-	MaxMs       float64 `json:"max_ms"`
-	PerSec      float64 `json:"throughput_per_s"`
-	SampleError string  `json:"sample_error,omitempty"`
-}
-
-func (r *opRecorder) report(elapsed time.Duration) opReport {
-	s := r.hist.Snapshot()
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	maxMs := float64(r.maxNs.Load()) / 1e6
-	// The log-scale buckets put a percentile estimate anywhere inside a
-	// factor-of-2 bucket; the true value can never exceed the observed max,
-	// so clamp to keep the report self-consistent.
-	pct := func(d time.Duration) float64 { return min(ms(d), maxMs) }
-	rep := opReport{
-		Count:  s.Count,
-		Errors: r.errs.Load(),
-		P50Ms:  pct(s.P50),
-		P95Ms:  pct(s.P95),
-		P99Ms:  pct(s.P99),
-		MeanMs: ms(s.Mean()),
-		MaxMs:  maxMs,
-		PerSec: float64(s.Count) / elapsed.Seconds(),
-	}
-	if e, ok := r.err.Load().(string); ok {
-		rep.SampleError = e
-	}
-	return rep
-}
-
-// faultyStore wraps a shard with a kill switch for the shard-kill fault
-// toggle: while down, every operation fails with a non-NotFound error, so
-// the sharded store treats it as a degraded replica (fall through + repair
-// later), not a missing blob.
-type faultyStore struct {
-	inner p3.SecretStore
-	down  atomic.Bool
-}
-
-var errShardDown = errors.New("p3load: shard down (injected fault)")
-
-func (f *faultyStore) PutSecret(ctx context.Context, id string, blob []byte) error {
-	if f.down.Load() {
-		return errShardDown
-	}
-	return f.inner.PutSecret(ctx, id, blob)
-}
-
-func (f *faultyStore) GetSecret(ctx context.Context, id string) ([]byte, error) {
-	if f.down.Load() {
-		return nil, errShardDown
-	}
-	return f.inner.GetSecret(ctx, id)
-}
-
-func (f *faultyStore) DeleteSecret(ctx context.Context, id string) error {
-	if f.down.Load() {
-		return errShardDown
-	}
-	if d, ok := f.inner.(p3.SecretDeleter); ok {
-		return d.DeleteSecret(ctx, id)
-	}
-	return nil
-}
-
-// ListSecrets forwards the inventory walk the erasure store's scrubber
-// relies on; a down shard is unlistable, exactly like a real outage.
-func (f *faultyStore) ListSecrets(ctx context.Context) ([]string, error) {
-	if f.down.Load() {
-		return nil, errShardDown
-	}
-	if l, ok := f.inner.(p3.SecretLister); ok {
-		return l.ListSecrets(ctx)
-	}
-	return nil, nil
-}
-
-// corpus is the shared, growing set of uploaded photo IDs workers pick
-// popularity-weighted targets from.
-type corpus struct {
-	mu  sync.RWMutex
-	ids []string
-}
-
-func (c *corpus) add(id string) {
-	c.mu.Lock()
-	c.ids = append(c.ids, id)
-	c.mu.Unlock()
-}
-
-// pick maps a popularity rank onto a photo ID. rank 0 is the most popular.
-func (c *corpus) pick(rank uint64) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ids[int(rank)%len(c.ids)]
-}
-
-// snapshot copies the current ID set (for the post-run verification walk).
-func (c *corpus) snapshot() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.ids...)
-}
-
-// clipRef names one uploaded clip and how many frames it has (frame seeks
-// need the count to stay in range).
-type clipRef struct {
-	id     string
-	frames int
-}
-
-// videoCorpus is the growing set of uploaded clips.
-type videoCorpus struct {
-	mu    sync.RWMutex
-	clips []clipRef
-}
-
-func (c *videoCorpus) add(id string, frames int) {
-	c.mu.Lock()
-	c.clips = append(c.clips, clipRef{id: id, frames: frames})
-	c.mu.Unlock()
-}
-
-// pick maps a popularity rank onto a clip. rank 0 is the most popular.
-func (c *videoCorpus) pick(rank uint64) clipRef {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.clips[int(rank)%len(c.clips)]
-}
-
-// parseMix parses the upload:download:calibrate[:vupload:vdownload[:similar]]
-// weight string. The trailing weights are optional (0 when absent), so
-// the photo-only presets keep their historical 3-part form and the video
-// presets their 5-part form.
-func parseMix(mix string) (weights [numOps]float64, total float64, err error) {
-	parts := strings.Split(mix, ":")
-	if len(parts) != 3 && len(parts) != 5 && len(parts) != int(numOps) {
-		return weights, 0, fmt.Errorf("bad -mix %q (want upload:download:calibrate[:vupload:vdownload[:similar]] weights)", mix)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-			return weights, 0, fmt.Errorf("bad -mix weight %q", p)
-		}
-		weights[i] = v
-		total += v
-	}
-	if total == 0 || math.IsInf(total, 0) {
-		return weights, 0, fmt.Errorf("-mix %q has unusable total weight", mix)
-	}
-	return weights, total, nil
-}
-
-// workload generates one worker's op stream deterministically from its own
-// rng (no shared locks on the decision path).
-type workload struct {
-	rng       *rand.Rand
-	zipf      *rand.Zipf // photo popularity
-	clipZipf  *rand.Zipf // clip popularity
-	frameZipf *rand.Zipf // frame-seek popularity within a clip
-	photos    int
-	clips     int
-	weights   [numOps]float64
-	totalW    float64
-	dynamic   float64
-	fullClip  float64
-	jpegPool  [][]byte // pre-encoded upload payloads
-	clipPool  []poolClip
-}
-
-// poolClip is one pre-encoded upload clip and its frame count.
-type poolClip struct {
-	bytes  []byte
-	frames int
-}
-
-func newWorkload(cfg config, seed int64, jpegPool [][]byte, clipPool []poolClip) (*workload, error) {
-	w := &workload{
-		rng:      rand.New(rand.NewSource(seed)),
-		photos:   cfg.Photos,
-		clips:    cfg.Clips,
-		dynamic:  cfg.Dynamic,
-		fullClip: cfg.FullClip,
-		jpegPool: jpegPool,
-		clipPool: clipPool,
-	}
-	var err error
-	if w.weights, w.totalW, err = parseMix(cfg.Mix); err != nil {
-		return nil, err
-	}
-	if cfg.Zipf > 1 {
-		// rand.Zipf yields ranks in [0, imax] with P(k) ∝ 1/(k+1)^s — the
-		// skewed popularity serving traces show.
-		w.zipf = rand.NewZipf(w.rng, cfg.Zipf, 1, uint64(max(cfg.Photos-1, 1)))
-		w.clipZipf = rand.NewZipf(w.rng, cfg.Zipf, 1, uint64(max(cfg.Clips-1, 1)))
-	}
-	if cfg.FrameZipf > 1 && cfg.ClipFramesMax > 1 {
-		// Frame seeks skew toward early frames (rank 0 = frame 0), the
-		// preview-scrubbing shape; ranks past a clip's end wrap.
-		w.frameZipf = rand.NewZipf(w.rng, cfg.FrameZipf, 1, uint64(cfg.ClipFramesMax-1))
-	}
-	return w, nil
-}
-
-func (w *workload) nextOp() opKind {
-	x := w.rng.Float64() * w.totalW
-	for k := opKind(0); k < numOps-1; k++ {
-		if x < w.weights[k] {
-			return k
-		}
-		x -= w.weights[k]
-	}
-	return numOps - 1
-}
-
-func (w *workload) rank() uint64 {
-	if w.zipf != nil {
-		return w.zipf.Uint64()
-	}
-	return uint64(w.rng.Intn(max(w.photos, 1)))
-}
-
-// clipRank is the clip-popularity analog of rank.
-func (w *workload) clipRank() uint64 {
-	if w.clipZipf != nil {
-		return w.clipZipf.Uint64()
-	}
-	return uint64(w.rng.Intn(max(w.clips, 1)))
-}
-
-// seekFrame draws a frame index within a clip of the given length.
-func (w *workload) seekFrame(frames int) int {
-	if frames <= 1 {
-		return 0
-	}
-	if w.frameZipf != nil {
-		return int(w.frameZipf.Uint64()) % frames
-	}
-	return w.rng.Intn(frames)
-}
-
-// variant draws one query from the variant spread: named sizes most of the
-// time, dynamic resizes and crops for the rest.
-func (w *workload) variant() url.Values {
-	if w.rng.Float64() >= w.dynamic {
-		sizes := []string{"thumb", "small", "big"}
-		return url.Values{"size": {sizes[w.rng.Intn(len(sizes))]}}
-	}
-	q := url.Values{}
-	widths := []int{64, 128, 200, 320, 480}
-	wpx := widths[w.rng.Intn(len(widths))]
-	q.Set("w", strconv.Itoa(wpx))
-	q.Set("h", strconv.Itoa(wpx*3/4))
-	if w.rng.Float64() < 0.3 {
-		// A modest crop well inside the smallest corpus photo.
-		x, y := w.rng.Intn(64), w.rng.Intn(64)
-		cw, ch := 128+w.rng.Intn(64), 96+w.rng.Intn(48)
-		q.Set("crop", fmt.Sprintf("%d,%d,%d,%d", x, y, cw, ch))
-	}
-	return q
-}
-
-// recoveryPoint is one sample of the recovery curve during an erasure
-// shardkill run: cumulative degraded-read and repair counters at t seconds
-// into the run, plus how many shards were down at that instant.
-type recoveryPoint struct {
-	TS             float64 `json:"t_s"`
-	ShardsDown     int     `json:"shards_down"`
-	DegradedReads  uint64  `json:"degraded_reads"`
-	ReadFailures   uint64  `json:"share_read_failures"`
-	SharesRepaired uint64  `json:"shares_repaired"`
-	HintsParked    uint64  `json:"hints_parked"`
-	HintsDrained   uint64  `json:"hints_drained"`
-}
-
-// servingEntry is one run's record in BENCH_serving.json.
-type servingEntry struct {
-	GeneratedAt time.Time              `json:"generated_at"`
-	GoVersion   string                 `json:"go_version"`
-	GOMAXPROCS  int                    `json:"gomaxprocs"`
-	Config      config                 `json:"config"`
-	ElapsedS    float64                `json:"elapsed_s"`
-	TotalPerSec float64                `json:"total_throughput_per_s"`
-	Ops         map[string]opReport    `json:"ops"`
-	Caches      map[string]cache.Stats `json:"caches"`
-	HitRate     float64                `json:"variant_hit_rate"`
-	Shards      []p3.ShardStats        `json:"shards,omitempty"`
-	// Erasure-run extras: per-shard share traffic, self-healing totals, the
-	// recovery curve sampled through the fault and repair window, seconds
-	// the post-run scrub needed to converge (no more repairs to do), and
-	// the post-run corpus verification (every photo re-downloaded through
-	// cold caches; DataLossObjects must be 0).
-	ErasureShards   []p3.ErasureShardStats `json:"erasure_shards,omitempty"`
-	Repair          *p3.RepairStats        `json:"repair,omitempty"`
-	Recovery        []recoveryPoint        `json:"recovery_curve,omitempty"`
-	RepairS         float64                `json:"repair_s,omitempty"`
-	VerifiedObjects int                    `json:"verified_objects,omitempty"`
-	DataLossObjects int                    `json:"data_loss_objects"`
-	// StorageOverhead is bytes on disk across all shards divided by the
-	// logical (sealed secret) bytes stored — ~R for R-way replication,
-	// ~n/k for erasure coding. Recorded for every run over disk shards.
-	StorageOverhead float64 `json:"storage_overhead,omitempty"`
-	// Recalibration-run extras: the forced mid-run recalibration passes
-	// themselves, downloads split into steady vs during-recalibration
-	// buckets (the stale-while-revalidate cost view), and the proxy's
-	// calibration counters (epoch, sweeps, stale serves, warm hits).
-	Recalibrations      *opReport               `json:"recalibrations,omitempty"`
-	DownloadSteady      *opReport               `json:"download_steady,omitempty"`
-	DownloadDuringRecal *opReport               `json:"download_during_recal,omitempty"`
-	Calibration         *proxy.CalibrationStats `json:"calibration,omitempty"`
-	// Admission is the controller snapshot for runs with admission on;
-	// Storm the per-client view of a storm-mode run.
-	Admission *admission.Stats `json:"admission,omitempty"`
-	Storm     *stormReport     `json:"storm,omitempty"`
-	// Dedup-run extras: the dedup layer's counters and post-run scrub
-	// audit, the similarity index's counters, the fraction of logical
-	// public bytes dedup kept off the PSP, the fraction of similar queries
-	// returning at least one neighbor, and the byte-identity verification
-	// over every content group (DedupMismatches must be 0).
-	Dedup             *dedup.Stats       `json:"dedup,omitempty"`
-	DedupScrub        *dedup.ScrubReport `json:"dedup_scrub,omitempty"`
-	Similarity        *similarity.Stats  `json:"similarity,omitempty"`
-	StorageSavedRatio float64            `json:"storage_saved_ratio,omitempty"`
-	SimilarHitRate    float64            `json:"similar_hit_rate,omitempty"`
-	DedupVerified     int                `json:"dedup_verified,omitempty"`
-	DedupMismatches   int                `json:"dedup_mismatches,omitempty"`
-}
-
-// stormReport is the storm-mode section of the JSON entry: the victims'
-// latency split around the storm window, the attacker's fate, and the
-// acceptance numbers the storm gate checks.
-type stormReport struct {
-	Clients      int      `json:"clients"`
-	AttackerMult float64  `json:"attacker_mult"`
-	StormFromS   float64  `json:"storm_from_s"`
-	StormToS     float64  `json:"storm_to_s"`
-	VictimSteady opReport `json:"victim_steady"`
-	VictimStorm  opReport `json:"victim_storm"`
-	Attacker     opReport `json:"attacker"`
-	// VictimErrors counts every victim request that did not succeed —
-	// sheds included; the gate requires 0.
-	VictimErrors uint64 `json:"victim_errors"`
-	// AttackerShed counts attacker requests answered 503 by the
-	// admission layer (all reasons).
-	AttackerShed uint64 `json:"attacker_shed"`
-	// StormSheds is the controller's storm-reason shed total — the
-	// detector actually clamping someone; the gate requires > 0.
-	StormSheds uint64 `json:"storm_sheds"`
-}
-
-// servingFile is the whole BENCH_serving.json document: runs accumulate.
-type servingFile struct {
-	Runs []servingEntry `json:"runs"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -695,1313 +67,119 @@ func main() {
 	}
 }
 
-// run executes one load run. Flags live on a private FlagSet (not
-// flag.CommandLine) so tests can invoke whole runs in-process, more than
-// once, with different argument vectors.
-func run(args []string) error {
+// parseFlags resolves the preset row and applies the explicit overrides.
+// Flags live on a private FlagSet (not flag.CommandLine) so tests can
+// invoke whole runs in-process, more than once.
+func parseFlags(args []string) (scenario, error) {
 	fs := flag.NewFlagSet("p3load", flag.ContinueOnError)
-	scenario := fs.String("scenario", "mixed", "preset: smoke, mixed, zipf-hot, uniform, burst, shardkill, shardkill-ec, video, recalibrate, storm, dup-heavy")
-	preset := fs.String("preset", "", "alias for -scenario")
-	mode := fs.String("mode", "", "closed (workers loop), open (timed arrivals), or storm (per-client arrivals)")
+	preset := fs.String("preset", "mixed", "scenario row to run (see the package comment)")
 	duration := fs.Duration("duration", 0, "measured run length")
-	workers := fs.Int("workers", 0, "closed-loop workers / open-loop dispatch bound")
-	rate := fs.Float64("rate", 0, "open-loop arrival rate per second")
+	workers := fs.Int("workers", 0, "closed-loop workers")
 	photos := fs.Int("photos", 0, "pre-populated corpus size")
-	zipfS := fs.Float64("zipf", -1, "zipf popularity exponent (>1); 0 = uniform")
-	mix := fs.String("mix", "", "upload:download:calibrate weights, e.g. 1:40:0.2")
-	dynamic := fs.Float64("dynamic", -1, "fraction of dynamic (w/h/crop) variant queries")
-	burst := fs.Bool("burst", false, "open loop: alternate 1x and 5x arrival rate")
-	shardKill := fs.Bool("shard-kill", false, "kill shard(s) at 40% of the run, revive at 70%")
-	secretCache := fs.Int64("secret-cache-bytes", 0, "proxy secret-cache budget (0 = preset default)")
-	storeKind := fs.String("store-kind", "", "secret store layout: sharded (replication) or erasure")
-	shardCount := fs.Int("shards", 0, "disk shards under the store (0 = preset default)")
-	replicas := fs.Int("replicas", 0, "replication factor for -store-kind sharded")
-	ecK := fs.Int("ec-k", 0, "erasure data shares (with -store-kind erasure)")
-	ecN := fs.Int("ec-n", 0, "erasure total shares (with -store-kind erasure)")
-	killShards := fs.Int("kill-shards", 0, "shards the -shard-kill fault takes down at once")
-	scrubInterval := fs.Duration("scrub-interval", -1, "erasure store scrub daemon period (0 disables)")
-	clips := fs.Int("clips", 0, "pre-populated video clip corpus size")
-	clipFrames := fs.String("clip-frames", "", "clip frame-count spread, min-max (e.g. 4-12)")
-	frameZipf := fs.Float64("frame-zipf", -1, "frame-seek popularity exponent (>1); 0 = uniform")
-	fullClip := fs.Float64("full-clip", -1, "fraction of video downloads joining the whole clip")
-	recalibrations := fs.Int("recalibrations", 0, "forced full recalibrations at evenly spaced points mid-run")
-	warmTopK := fs.Int("warm-topk", 0, "hottest variants the proxy pre-warms after an epoch flip (0 = proxy default)")
+	storeKind := fs.String("store-kind", "", "secret store layout: sharded (replication) or erasure (4-of-6)")
+	scrubInterval := fs.Duration("scrub-interval", 0, "erasure store scrub daemon period (0 disables)")
+	shardKill := fs.Bool("shard-kill", false, "kill shard(s) at 40% of the run, revive at 70%, secret-cache retention off")
+	killN := fs.Int("kill-shards", 0, "shards the outage takes down at once")
+	gate := fs.Bool("gate", false, "fail the run on any of the preset's gates")
+	seed := fs.Int64("seed", 1, "workload rng seed")
 	maxDownP99 := fs.Duration("max-download-p99", 0, "fail the run if download p99 exceeds this (0 disables)")
-	maxInflight := fs.Int("max-inflight", 0, "admission: concurrent requests the proxy serves (0 = admission off)")
-	queueDepth := fs.Int("queue-depth", 0, "admission: bounded queue depth per cost class (0 = package default)")
-	clientRPS := fs.Float64("client-rps", 0, "admission: per-client token-bucket refill rate (0 = no client buckets)")
-	stormClamp := fs.Float64("storm-clamp", 0, "admission: clamp clients over this multiple of fair share during a storm (0 = package default)")
-	clientsN := fs.Int("clients", 0, "storm mode: victim clients (one attacker is added on top)")
-	attackerMult := fs.Float64("attacker-mult", 0, "storm mode: attacker peak rate as a multiple of its fair share")
 	traceRecord := fs.String("trace-record", "", "record every dispatched op to this trace file (JSONL)")
 	traceReplay := fs.String("trace-replay", "", "replay arrivals from this trace file instead of generating them")
 	traceSpeed := fs.Float64("trace-speed", 1, "replay clock scale: 1 recorded speed, 2 twice as fast, 0 unpaced")
-	dedupOn := fs.Bool("dedup", false, "content-addressed dedup of public parts between the proxy and the PSP")
-	dupUnique := fs.Int("dup-unique", 0, "distinct base images in the upload pool (each also as a near-dup re-encode; 0 = the plain 3-image pool)")
-	similarD := fs.Int("similar-d", 0, "hamming radius for similar ops (0 = default 10)")
-	gate := fs.Bool("gate", false, "fail the run on any op error (CI smoke contract)")
-	seed := fs.Int64("seed", 1, "workload rng seed")
-	out := fs.String("out", "BENCH_serving.json", "serving trajectory file to append to ('' = don't write)")
 	if err := fs.Parse(args); err != nil {
+		return scenario{}, err
+	}
+	sc, err := lookupScenario(*preset)
+	if err != nil {
+		return sc, err
+	}
+	sc.seed, sc.traceRecord, sc.traceReplay, sc.traceSpeed = *seed, *traceRecord, *traceReplay, *traceSpeed
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "duration":
+			sc.duration = *duration
+		case "workers":
+			sc.workers = *workers
+		case "photos":
+			sc.photos = *photos
+		case "store-kind":
+			if sc.erasure = *storeKind == "erasure"; !sc.erasure && *storeKind != "sharded" {
+				err = fmt.Errorf("bad -store-kind %q (want sharded or erasure)", *storeKind)
+			}
+		case "scrub-interval":
+			sc.scrubInterval = *scrubInterval
+		case "shard-kill":
+			if *shardKill && sc.count(killShards) == 0 {
+				sc.faults = slices.Concat(sc.faults, shardOutage)
+				sc.killShards = max(sc.killShards, 1)
+			}
+			sc.coldSecrets = sc.coldSecrets || *shardKill
+		case "kill-shards":
+			sc.killShards = *killN
+		case "gate":
+			sc.armed = *gate
+		}
+	})
+	if !sc.armed {
+		sc.gates = nil
+	}
+	if *maxDownP99 > 0 {
+		// The tail budget is armed by its flag alone, with or without -gate.
+		sc.gates = append(slices.Clip(sc.gates), downloadTailGate(*maxDownP99))
+	}
+	if err == nil && sc.traceSpeed < 0 {
+		err = fmt.Errorf("bad -trace-speed %g", sc.traceSpeed)
+	}
+	return sc, err
+}
+
+// run executes one drill.
+func run(args []string) error {
+	sc, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
-	if *preset != "" {
-		*scenario = *preset
-	}
-	cfg, ok := scenarios[*scenario]
-	if !ok {
-		names := make([]string, 0, len(scenarios))
-		for n := range scenarios {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown -scenario %q (have: %s)", *scenario, strings.Join(names, ", "))
-	}
-	cfg.Scenario = *scenario
-	cfg.Seed = *seed
-	// Explicit flags override the preset.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["mode"] {
-		cfg.Mode = *mode
-	}
-	if set["duration"] {
-		cfg.Duration = *duration
-	}
-	if set["workers"] {
-		cfg.Workers = *workers
-	}
-	if set["rate"] {
-		cfg.Rate = *rate
-	}
-	if set["photos"] {
-		cfg.Photos = *photos
-	}
-	if set["zipf"] {
-		cfg.Zipf = *zipfS
-	}
-	if set["mix"] {
-		cfg.Mix = *mix
-	}
-	if set["dynamic"] {
-		cfg.Dynamic = *dynamic
-	}
-	if set["burst"] {
-		cfg.Burst = *burst
-	}
-	if set["shard-kill"] {
-		cfg.ShardKill = *shardKill
-	}
-	if set["secret-cache-bytes"] {
-		cfg.SecretCache = *secretCache
-	}
-	if set["store-kind"] {
-		cfg.StoreKind = *storeKind
-	}
-	if set["shards"] {
-		cfg.ShardCount = *shardCount
-	}
-	if set["replicas"] {
-		cfg.Replicas = *replicas
-	}
-	if set["ec-k"] {
-		cfg.ECK = *ecK
-	}
-	if set["ec-n"] {
-		cfg.ECN = *ecN
-	}
-	if set["kill-shards"] {
-		cfg.KillShards = *killShards
-	}
-	if set["scrub-interval"] {
-		cfg.ScrubInterval = *scrubInterval
-	}
-	if set["clips"] {
-		cfg.Clips = *clips
-	}
-	if set["clip-frames"] {
-		if _, err := fmt.Sscanf(*clipFrames, "%d-%d", &cfg.ClipFramesMin, &cfg.ClipFramesMax); err != nil {
-			return fmt.Errorf("bad -clip-frames %q (want min-max)", *clipFrames)
-		}
-	}
-	if set["frame-zipf"] {
-		cfg.FrameZipf = *frameZipf
-	}
-	if set["full-clip"] {
-		cfg.FullClip = *fullClip
-	}
-	if set["recalibrations"] {
-		cfg.Recalibrations = *recalibrations
-	}
-	if set["warm-topk"] {
-		cfg.WarmTopK = *warmTopK
-	}
-	if set["max-download-p99"] {
-		cfg.MaxDownP99 = *maxDownP99
-	}
-	if set["max-inflight"] {
-		cfg.MaxInflight = *maxInflight
-	}
-	if set["queue-depth"] {
-		cfg.QueueDepth = *queueDepth
-	}
-	if set["client-rps"] {
-		cfg.ClientRPS = *clientRPS
-	}
-	if set["storm-clamp"] {
-		cfg.StormClamp = *stormClamp
-	}
-	if set["clients"] {
-		cfg.Clients = *clientsN
-	}
-	if set["attacker-mult"] {
-		cfg.AttackerMult = *attackerMult
-	}
-	if set["dedup"] {
-		cfg.Dedup = *dedupOn
-	}
-	if set["dup-unique"] {
-		cfg.DupUnique = *dupUnique
-	}
-	if set["similar-d"] {
-		cfg.SimilarD = *similarD
-	}
-	if set["gate"] {
-		cfg.Gate = *gate
-	}
-	// Trace flags are run artifacts, never preset defaults.
-	cfg.TraceRecord = *traceRecord
-	cfg.TraceReplay = *traceReplay
-	cfg.TraceSpeed = *traceSpeed
 	// A replayed trace dictates corpus shape and seed: recorded events
 	// address the corpus positionally, so the replay run must rebuild an
 	// equivalent one.
-	var replayLog *trace.Log
-	if cfg.TraceReplay != "" {
-		var err error
-		if replayLog, err = trace.ReadFile(cfg.TraceReplay); err != nil {
+	var replay *trace.Log
+	if sc.traceReplay != "" {
+		if replay, err = trace.ReadFile(sc.traceReplay); err != nil {
 			return err
 		}
-		h := replayLog.Header
-		if h.Photos > 0 {
-			cfg.Photos = h.Photos
+		hdr := replay.Header
+		if hdr.Photos > 0 {
+			sc.photos = hdr.Photos
 		}
-		if h.Videos > 0 {
-			cfg.Clips = h.Videos
+		if hdr.Videos > 0 {
+			sc.clips = hdr.Videos
 		}
-		if h.Seed != 0 {
-			cfg.Seed = h.Seed
+		if hdr.Seed != 0 {
+			sc.seed = hdr.Seed
 		}
+		fmt.Printf("p3load: replaying %d events from %s at %gx\n", len(replay.Events), sc.traceReplay, sc.traceSpeed)
 	}
-	if cfg.SecretCache <= 0 {
-		cfg.SecretCache = 32 << 20
+	if err := sc.validate(); err != nil {
+		return err
 	}
-	// Topology defaults: the historical 3-shard/2-replica stack for
-	// replication, 4-of-6 over 6 shards for erasure.
-	if cfg.StoreKind == "" {
-		cfg.StoreKind = "sharded"
-	}
-	switch cfg.StoreKind {
-	case "sharded":
-		if cfg.ShardCount == 0 {
-			cfg.ShardCount = 3
-		}
-		if cfg.Replicas == 0 {
-			cfg.Replicas = 2
-		}
-	case "erasure":
-		if cfg.ECK == 0 {
-			cfg.ECK = p3.DefaultErasureK
-		}
-		if cfg.ECN == 0 {
-			cfg.ECN = p3.DefaultErasureN
-		}
-		if cfg.ShardCount == 0 {
-			cfg.ShardCount = cfg.ECN
-		}
-	default:
-		return fmt.Errorf("bad -store-kind %q (want sharded or erasure)", cfg.StoreKind)
-	}
-	if cfg.ShardKill && cfg.KillShards == 0 {
-		cfg.KillShards = 1
-	}
-	if cfg.KillShards >= cfg.ShardCount {
-		return fmt.Errorf("bad -kill-shards %d (must leave at least one of %d shards up)",
-			cfg.KillShards, cfg.ShardCount)
-	}
-	cfg.ScrubIntervalS = cfg.ScrubInterval.Seconds()
-	cfg.DurationS = cfg.Duration.Seconds()
-	cfg.MaxDownP99Ms = float64(cfg.MaxDownP99) / float64(time.Millisecond)
-	if cfg.Recalibrations < 0 {
-		return fmt.Errorf("bad -recalibrations %d", cfg.Recalibrations)
-	}
-	if cfg.Mode != "closed" && cfg.Mode != "open" && cfg.Mode != "storm" {
-		return fmt.Errorf("bad -mode %q (want closed, open, or storm)", cfg.Mode)
-	}
-	if cfg.Photos < 1 {
-		return fmt.Errorf("bad -photos %d (need at least 1 pre-populated photo)", cfg.Photos)
-	}
-	if (cfg.Mode == "open" || cfg.Mode == "storm") && cfg.Rate <= 0 {
-		return fmt.Errorf("bad -rate %g (%s loop needs a positive arrival rate)", cfg.Rate, cfg.Mode)
-	}
-	if cfg.Mode == "storm" {
-		if cfg.Clients < 1 {
-			return fmt.Errorf("bad -clients %d (storm mode needs at least 1 victim client)", cfg.Clients)
-		}
-		if cfg.AttackerMult <= 1 {
-			return fmt.Errorf("bad -attacker-mult %g (must exceed 1)", cfg.AttackerMult)
-		}
-		if cfg.MaxInflight <= 0 {
-			return fmt.Errorf("storm mode needs admission control on (-max-inflight > 0)")
-		}
-	}
-	if cfg.TraceSpeed < 0 {
-		return fmt.Errorf("bad -trace-speed %g", cfg.TraceSpeed)
-	}
-	if cfg.DupUnique < 0 || cfg.SimilarD < 0 || cfg.SimilarD > 64 {
-		return fmt.Errorf("bad -dup-unique %d / -similar-d %d", cfg.DupUnique, cfg.SimilarD)
-	}
-	weights, _, err := parseMix(cfg.Mix)
+	fmt.Printf("p3load: preset %s (%s driver, %v, %d workers, %d photos, zipf %g, seed %d)\n",
+		sc.name, sc.driver, sc.duration, sc.workers, sc.photos, sc.zipf, sc.seed)
+
+	h, err := newHarness(sc)
 	if err != nil {
 		return err
 	}
-	videoInUse := weights[opVideoUpload] > 0 || weights[opVideoDownload] > 0
-	similarityInUse := cfg.Dedup || weights[opSimilar] > 0
-	if similarityInUse && cfg.SimilarD == 0 {
-		cfg.SimilarD = proxy.DefaultSimilarDistance
+	defer h.close()
+	if err := h.populate(); err != nil {
+		return err
 	}
-	if replayLog != nil && replayLog.Header.Videos > 0 {
-		// A video trace needs the clip pool even if this run's own mix has
-		// no video weight (replay with -scenario video to set the pool's
-		// frame spread).
-		videoInUse = true
+	if err := h.drive(replay); err != nil {
+		return err
 	}
-	if videoInUse {
-		if cfg.Clips < 1 {
-			return fmt.Errorf("bad -clips %d (video ops need at least 1 pre-populated clip)", cfg.Clips)
-		}
-		if cfg.ClipFramesMin < 1 || cfg.ClipFramesMax < cfg.ClipFramesMin {
-			return fmt.Errorf("bad -clip-frames %d-%d", cfg.ClipFramesMin, cfg.ClipFramesMax)
-		}
-	}
-
-	// --- Stack under test -------------------------------------------------
-	fmt.Printf("p3load: scenario %s (%s loop, %v, %d workers, %d photos, zipf %g, mix %s)\n",
-		cfg.Scenario, cfg.Mode, cfg.Duration, cfg.Workers, cfg.Photos, cfg.Zipf, cfg.Mix)
-
-	pspSrv := httptest.NewServer(psp.NewServer(psp.FacebookLike()))
-	defer pspSrv.Close()
-
-	shardRoot, err := os.MkdirTemp("", "p3load-shards-")
+	res, err := h.verify()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(shardRoot)
-	faults := make([]*faultyStore, cfg.ShardCount)
-	shards := make([]p3.SecretStore, cfg.ShardCount)
-	for i := range shards {
-		disk, err := p3.NewDiskSecretStore(filepath.Join(shardRoot, fmt.Sprintf("shard%d", i)))
-		if err != nil {
-			return err
-		}
-		faults[i] = &faultyStore{inner: disk}
-		shards[i] = faults[i]
-	}
-	var store p3.SecretStore
-	var sharded *p3.ShardedSecretStore
-	var ec *p3.ErasureSecretStore
-	switch cfg.StoreKind {
-	case "sharded":
-		sharded, err = p3.NewShardedSecretStore(shards, p3.WithShardReplicas(cfg.Replicas))
-		if err != nil {
-			return err
-		}
-		store = sharded
-	case "erasure":
-		ec, err = p3.NewErasureSecretStore(shards,
-			p3.WithErasureScheme(cfg.ECK, cfg.ECN),
-			p3.WithScrubInterval(cfg.ScrubInterval))
-		if err != nil {
-			return err
-		}
-		defer ec.Close()
-		store = ec
-	}
-
-	key, err := p3.NewKey()
-	if err != nil {
-		return err
-	}
-	codec, err := p3.New(key)
-	if err != nil {
-		return err
-	}
-	// A private registry keeps repeated in-process runs (tests) from
-	// colliding on metrics.Default.
-	reg := metrics.NewRegistry()
-	pxOpts := []proxy.ProxyOption{
-		proxy.WithMetricsName("p3load"),
-		proxy.WithMetricsRegistry(reg),
-		proxy.WithSecretCacheBytes(cfg.SecretCache),
-		proxy.WithVariantCacheBytes(32 << 20),
-	}
-	if cfg.WarmTopK > 0 {
-		pxOpts = append(pxOpts, proxy.WithWarmTopK(cfg.WarmTopK))
-	}
-	var ctrl *admission.Controller
-	if cfg.MaxInflight > 0 {
-		ctrl, err = admission.New(admission.Config{
-			MaxInflight: cfg.MaxInflight,
-			QueueDepth:  cfg.QueueDepth,
-			ClientRPS:   cfg.ClientRPS,
-			StormClamp:  cfg.StormClamp,
-		}, reg, "p3load")
-		if err != nil {
-			return err
-		}
-		pxOpts = append(pxOpts, proxy.WithAdmission(ctrl))
-		fmt.Printf("p3load: admission on (max-inflight %d, queue %d, client-rps %g, storm-clamp %g)\n",
-			cfg.MaxInflight, cfg.QueueDepth, cfg.ClientRPS, cfg.StormClamp)
-	}
-	var photoSvc p3.PhotoService = p3.NewHTTPPhotoService(pspSrv.URL)
-	var ded *dedup.Store
-	if cfg.Dedup {
-		ded = dedup.New(photoSvc, dedup.WithRegistry(reg), dedup.WithName("p3load"))
-		photoSvc = ded
-		fmt.Println("p3load: content-addressed dedup of public parts on")
-	}
-	var sim *similarity.Index
-	if similarityInUse {
-		sim = similarity.NewIndex(similarity.WithRegistry(reg), similarity.WithName("p3load"))
-		defer sim.Close()
-		pxOpts = append(pxOpts, proxy.WithSimilarity(sim))
-	}
-	px := proxy.New(codec, photoSvc, store, pxOpts...)
-
-	ctx := context.Background()
-	if _, err := px.Calibrate(ctx); err != nil {
-		return fmt.Errorf("calibrate: %w", err)
-	}
-
-	// --- Corpus -----------------------------------------------------------
-	// A few source sizes so upload cost and variant geometry vary; all
-	// large enough that the workload's crops stay in-bounds.
-	encodeAt := func(img *jpegx.PlanarImage, quality int) ([]byte, error) {
-		coeffs, err := img.ToCoeffs(quality, jpegx.Sub420)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := jpegx.EncodeCoeffs(&buf, coeffs, nil); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	var jpegPool [][]byte
-	if cfg.DupUnique > 0 {
-		// Duplicate-heavy pool: DupUnique distinct base images, each present
-		// twice — once at the baseline quality and once as a near-duplicate
-		// re-encode (same pixels, different JPEG bytes). Uploads drawing
-		// uniformly from this pool make every payload a many-way duplicate
-		// (the dedup hit path) while the re-encodes keep the similarity
-		// index's near-dup clustering honest (distinct content hashes, tiny
-		// hamming distance).
-		dims := []struct{ w, h int }{{512, 384}, {448, 336}, {400, 300}}
-		for i := 0; i < cfg.DupUnique; i++ {
-			dim := dims[i%len(dims)]
-			img := dataset.Natural(int64(1000+i), dim.w, dim.h)
-			exact, err := encodeAt(img, 90)
-			if err != nil {
-				return err
-			}
-			near, err := encodeAt(img, 84)
-			if err != nil {
-				return err
-			}
-			jpegPool = append(jpegPool, exact, near)
-		}
-	} else {
-		for i, dim := range []struct{ w, h int }{{512, 384}, {448, 336}, {400, 300}} {
-			img := dataset.Natural(int64(1000+i), dim.w, dim.h)
-			enc, err := encodeAt(img, 90)
-			if err != nil {
-				return err
-			}
-			jpegPool = append(jpegPool, enc)
-		}
-	}
-	// payloadOf maps every uploaded logical ID back to its pool index, so
-	// the post-run dedup verification can demand byte-identity within each
-	// content group.
-	var payloadOf sync.Map
-	pop := &corpus{}
-	for i := 0; i < cfg.Photos; i++ {
-		id, err := px.Upload(ctx, jpegPool[i%len(jpegPool)])
-		if err != nil {
-			return fmt.Errorf("pre-populating corpus: %w", err)
-		}
-		payloadOf.Store(id, i%len(jpegPool))
-		pop.add(id)
-	}
-	layout := fmt.Sprintf("%d disk shards (%d replicas)", cfg.ShardCount, cfg.Replicas)
-	if cfg.StoreKind == "erasure" {
-		layout = fmt.Sprintf("%d disk shards (%d-of-%d erasure, scrub %v)",
-			cfg.ShardCount, cfg.ECK, cfg.ECN, cfg.ScrubInterval)
-	}
-	fmt.Printf("p3load: corpus of %d photos over %s behind %s\n",
-		cfg.Photos, layout, pspSrv.URL)
-
-	// --- Video corpus -----------------------------------------------------
-	// Upload clips are drawn from a pool whose frame counts spread across
-	// [ClipFramesMin, ClipFramesMax] — the clip-size distribution — with
-	// small frames so clip cost is dominated by frame count, like real
-	// short-form video mixes.
-	var clipPool []poolClip
-	vpop := &videoCorpus{}
-	if videoInUse {
-		counts := []int{cfg.ClipFramesMin, (cfg.ClipFramesMin + cfg.ClipFramesMax) / 2, cfg.ClipFramesMax}
-		for pi, frames := range counts {
-			jpegs := make([][]byte, frames)
-			for f := range jpegs {
-				img := dataset.Natural(int64(2000+100*pi+f), 160, 120)
-				coeffs, err := img.ToCoeffs(88, jpegx.Sub420)
-				if err != nil {
-					return err
-				}
-				var buf bytes.Buffer
-				if err := jpegx.EncodeCoeffs(&buf, coeffs, nil); err != nil {
-					return err
-				}
-				jpegs[f] = buf.Bytes()
-			}
-			clip, err := p3.PackMJPEG(jpegs)
-			if err != nil {
-				return err
-			}
-			clipPool = append(clipPool, poolClip{bytes: clip, frames: frames})
-		}
-		for i := 0; i < cfg.Clips; i++ {
-			pc := clipPool[i%len(clipPool)]
-			id, frames, err := px.UploadVideo(ctx, pc.bytes)
-			if err != nil {
-				return fmt.Errorf("pre-populating video corpus: %w", err)
-			}
-			vpop.add(id, frames)
-		}
-		fmt.Printf("p3load: video corpus of %d clips (%d-%d frames each) on the same shards\n",
-			cfg.Clips, cfg.ClipFramesMin, cfg.ClipFramesMax)
-	}
-
-	// --- Run --------------------------------------------------------------
-	var recs [numOps]*opRecorder
-	for i := range recs {
-		recs[i] = &opRecorder{}
-	}
-	// Downloads are additionally attributed to a steady or
-	// during-recalibration bucket: the in-flight flag is sampled on both
-	// sides of the request, so a download overlapping any part of a
-	// calibration pass counts as during-recal (stale-while-revalidate
-	// serving). calibBusy counts Calibrate ops turned away by the
-	// single-flight admission — backpressure, not failures.
-	downSteady, downRecal := &opRecorder{}, &opRecorder{}
-	var calibBusy atomic.Uint64
-	// similarHits / similarQueries feed the similar-hit-rate number: a
-	// query "hits" when it returns at least one neighbor.
-	var similarQueries, similarHits atomic.Uint64
-
-	// Drawing an op and executing it are split around a trace.Event: a
-	// generated stream and a replayed trace run through one execution
-	// path, and recording is a tap on the event at dispatch time.
-	//
-	// drawEvent turns the workload's next draw into an event. Targets are
-	// positional — Photo is the popularity rank for downloads and the
-	// payload-pool index for uploads, Video likewise — so a replay against
-	// a corpus rebuilt from the trace header addresses equivalent objects
-	// even though the IDs themselves are minted fresh per run.
-	drawEvent := func(w *workload) trace.Event {
-		k := w.nextOp()
-		ev := trace.Event{Op: k.String(), Photo: -1, Video: -1, Frame: -1}
-		switch k {
-		case opUpload:
-			ev.Photo = w.rng.Intn(len(w.jpegPool))
-		case opDownload:
-			ev.Photo = int(w.rank())
-			ev.Q = w.variant().Encode()
-		case opSimilar:
-			ev.Photo = int(w.rank())
-		case opVideoUpload:
-			ev.Video = w.rng.Intn(len(w.clipPool))
-		case opVideoDownload:
-			ev.Video = int(w.clipRank())
-			if w.rng.Float64() >= w.fullClip {
-				ev.Frame = w.seekFrame(vpop.pick(clampRank(ev.Video)).frames)
-			}
-		}
-		return ev
-	}
-
-	// execEvent executes one event against the stack, records it in the
-	// per-op recorders, and returns the client-observed latency and error
-	// so mode-specific drivers (storm's per-client buckets) can attribute
-	// it further.
-	execEvent := func(ev trace.Event) (time.Duration, error) {
-		k, ok := opFromString(ev.Op)
-		if !ok {
-			return 0, fmt.Errorf("unknown trace op %q", ev.Op)
-		}
-		ctx := ctx
-		if ev.Client != "" {
-			ctx = admission.WithClient(ctx, ev.Client)
-		}
-		var d time.Duration
-		var err error
-		switch k {
-		case opUpload:
-			pi := int(clampRank(ev.Photo)) % len(jpegPool)
-			start := time.Now()
-			id, uerr := px.Upload(ctx, jpegPool[pi])
-			d, err = time.Since(start), uerr
-			if err == nil {
-				payloadOf.Store(id, pi)
-				pop.add(id)
-			}
-		case opDownload:
-			id := pop.pick(clampRank(ev.Photo))
-			q, _ := url.ParseQuery(ev.Q)
-			during := px.CalibrationInFlight()
-			start := time.Now()
-			_, err = px.Download(ctx, id, q)
-			d = time.Since(start)
-			during = during || px.CalibrationInFlight()
-			if during {
-				downRecal.record(d, err)
-			} else {
-				downSteady.record(d, err)
-			}
-		case opCalibrate:
-			start := time.Now()
-			_, err = px.Calibrate(ctx)
-			d = time.Since(start)
-			var busy *proxy.CalibrationInFlightError
-			if errors.As(err, &busy) {
-				calibBusy.Add(1)
-				err = nil
-			}
-		case opVideoUpload:
-			pc := clipPool[int(clampRank(ev.Video))%len(clipPool)]
-			start := time.Now()
-			id, frames, uerr := px.UploadVideo(ctx, pc.bytes)
-			d, err = time.Since(start), uerr
-			if err == nil {
-				vpop.add(id, frames)
-			}
-		case opVideoDownload:
-			ref := vpop.pick(clampRank(ev.Video))
-			q := url.Values{}
-			if ev.Frame >= 0 {
-				q.Set("frame", strconv.Itoa(ev.Frame%max(ref.frames, 1)))
-			}
-			start := time.Now()
-			_, err = px.DownloadVideo(ctx, ref.id, q)
-			d = time.Since(start)
-		case opSimilar:
-			id := pop.pick(clampRank(ev.Photo))
-			start := time.Now()
-			matches, serr := px.Similar(ctx, id, cfg.SimilarD)
-			d, err = time.Since(start), serr
-			similarQueries.Add(1)
-			if err == nil && len(matches) > 0 {
-				similarHits.Add(1)
-			}
-		}
-		recs[k].record(d, err)
-		return d, err
-	}
-
-	// recorder taps every dispatched event when -trace-record is set; it
-	// is created right before the run starts so offsets are run-relative.
-	var recorder *trace.Recorder
-	execOp := func(w *workload) {
-		ev := drawEvent(w)
-		if recorder != nil {
-			recorder.Record(ev)
-		}
-		execEvent(ev)
-	}
-
-	deadline := time.Now().Add(cfg.Duration)
-	stop := make(chan struct{})
-	var faultWG sync.WaitGroup
-	if cfg.ShardKill {
-		faultWG.Add(1)
-		go func() {
-			defer faultWG.Done()
-			killAt := time.Duration(float64(cfg.Duration) * 0.4)
-			reviveAt := time.Duration(float64(cfg.Duration) * 0.7)
-			select {
-			case <-time.After(killAt):
-				for i := 0; i < cfg.KillShards; i++ {
-					faults[i].down.Store(true)
-				}
-				fmt.Printf("p3load: !! %d shard(s) killed at +%v\n",
-					cfg.KillShards, killAt.Round(time.Millisecond))
-			case <-stop:
-				return
-			}
-			select {
-			case <-time.After(reviveAt - killAt):
-				for i := 0; i < cfg.KillShards; i++ {
-					faults[i].down.Store(false)
-				}
-				fmt.Printf("p3load: !! shard(s) revived at +%v (repair heals from here)\n",
-					reviveAt.Round(time.Millisecond))
-			case <-stop:
-			}
-		}()
-	}
-
-	// Forced recalibrations fire at evenly spaced points — i/(n+1) of the
-	// run for n passes — so the download stream sees each full sweep, epoch
-	// flip, lazy purge, and pre-warm while traffic is flowing.
-	recalRec := &opRecorder{}
-	var recalFlips atomic.Uint64
-	if cfg.Recalibrations > 0 {
-		fmt.Printf("p3load: forcing %d recalibrations mid-run (pre-warming top %d variants per flip)\n",
-			cfg.Recalibrations, cfg.WarmTopK)
-		faultWG.Add(1)
-		go func() {
-			defer faultWG.Done()
-			base := time.Now()
-			for i := 1; i <= cfg.Recalibrations; i++ {
-				// Target times are wall-clock offsets from the run start, so
-				// a pass that overruns its slot (CPU contention with the
-				// workload is the point of this preset) delays but never
-				// starves the passes behind it.
-				at := time.Duration(float64(cfg.Duration) * float64(i) / float64(cfg.Recalibrations+1))
-				if wait := at - time.Since(base); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-stop:
-						return
-					}
-				}
-				start := time.Now()
-				out, err := px.Recalibrate(ctx, true)
-				recalRec.record(time.Since(start), err)
-				if err != nil {
-					fmt.Printf("p3load: !! forced recalibration #%d failed: %v\n", i, err)
-					continue
-				}
-				if out.Flipped {
-					recalFlips.Add(1)
-				}
-				fmt.Printf("p3load: !! forced recalibration #%d at +%v: epoch %d, warmed %d variants (%v)\n",
-					i, at.Round(time.Millisecond), out.Epoch, out.Warmed,
-					time.Since(start).Round(time.Millisecond))
-			}
-		}()
-	}
-
-	if cfg.TraceRecord != "" {
-		recorder = trace.NewRecorder(trace.Header{
-			Scenario: cfg.Scenario,
-			Seed:     cfg.Seed,
-			Photos:   cfg.Photos,
-			Videos:   cfg.Clips,
-			Note:     "recorded by p3load -trace-record",
-		})
-	}
-	started := time.Now()
-
-	// Erasure runs sample a recovery curve: cumulative degraded-read and
-	// repair counters every 300ms, from the run start through the post-run
-	// repair convergence, so the entry records how fast redundancy returns.
-	var curve []recoveryPoint
-	samplerStop := make(chan struct{})
-	samplerDone := make(chan struct{})
-	if ec != nil && cfg.ShardKill {
-		go func() {
-			defer close(samplerDone)
-			ticker := time.NewTicker(300 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-ticker.C:
-					rs := ec.RepairStats()
-					var readFails uint64
-					for _, sh := range ec.ErasureShardStats() {
-						readFails += sh.ShareReadFailures
-					}
-					downs := 0
-					for _, f := range faults {
-						if f.down.Load() {
-							downs++
-						}
-					}
-					curve = append(curve, recoveryPoint{
-						TS:             time.Since(started).Seconds(),
-						ShardsDown:     downs,
-						DegradedReads:  rs.DegradedReads,
-						ReadFailures:   readFails,
-						SharesRepaired: rs.SharesRepaired,
-						HintsParked:    rs.HintsParked,
-						HintsDrained:   rs.HintsDrained,
-					})
-				}
-			}
-		}()
-	} else {
-		close(samplerDone)
-	}
-	// Per-client accounting for storm runs: victims bucketed by whether
-	// the op was dispatched inside the storm window, the attacker
-	// separately, plus the attacker's shed count (its requests answered
-	// 503 by the admission layer).
-	victimSteady, victimStorm, attackRec := &opRecorder{}, &opRecorder{}, &opRecorder{}
-	var attackerShed atomic.Uint64
-	stormFrom := time.Duration(float64(cfg.Duration) * 0.4)
-	stormTo := time.Duration(float64(cfg.Duration) * 0.7)
-
-	var wg sync.WaitGroup
-	switch {
-	case replayLog != nil:
-		// Trace replay: dispatch each recorded event at its recorded
-		// (scaled) offset, open-loop — the work runs in goroutines while
-		// the dispatch clock keeps pace, so recorded overload replays as
-		// overload. Dispatch order is the recorded order exactly; a
-		// simultaneous -trace-record therefore re-records the same event
-		// sequence.
-		fmt.Printf("p3load: replaying %d events from %s at %gx\n",
-			len(replayLog.Events), cfg.TraceReplay, cfg.TraceSpeed)
-		if err := trace.Replay(ctx, replayLog, cfg.TraceSpeed, func(ev trace.Event) {
-			if recorder != nil {
-				recorder.Record(ev)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				execEvent(ev)
-			}()
-		}); err != nil {
-			return err
-		}
-	case cfg.Mode == "closed":
-		// Closed loop: each worker issues back-to-back requests; offered
-		// load adapts to service time, measuring capacity.
-		for i := 0; i < cfg.Workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				w, err := newWorkload(cfg, cfg.Seed+int64(i), jpegPool, clipPool)
-				if err != nil {
-					panic(err) // validated before the run starts
-				}
-				for time.Now().Before(deadline) {
-					execOp(w)
-				}
-			}(i)
-		}
-	case cfg.Mode == "open":
-		// Open loop: arrivals at a set rate regardless of completions, so
-		// queueing delay shows up in the latency — the trace-replay view.
-		// Inter-arrivals are exponential (Poisson process); bursts multiply
-		// the rate 5x in alternating 2s phases.
-		arrivalRng := rand.New(rand.NewSource(cfg.Seed))
-		wlPool := make(chan *workload, cfg.Workers*4)
-		for i := 0; i < cfg.Workers*4; i++ {
-			w, err := newWorkload(cfg, cfg.Seed+int64(i), jpegPool, clipPool)
-			if err != nil {
-				return err
-			}
-			wlPool <- w
-		}
-		for time.Now().Before(deadline) {
-			r := cfg.Rate
-			if cfg.Burst {
-				phase := int(time.Since(started) / (2 * time.Second))
-				if phase%2 == 1 {
-					r *= 5
-				}
-			}
-			time.Sleep(time.Duration(arrivalRng.ExpFloat64() / r * float64(time.Second)))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := <-wlPool
-				execOp(w)
-				wlPool <- w
-			}()
-		}
-	case cfg.Mode == "storm":
-		// Storm: every client is its own open-loop Poisson dispatcher at
-		// an equal share of -rate. Mid-run the attacker ramps to
-		// -attacker-mult times that share over the first fifth of the
-		// storm window (a surge, not a step — the detector must catch an
-		// onset, not a discontinuity) and holds it until the window ends.
-		nClients := cfg.Clients + 1
-		fair := cfg.Rate / float64(nClients)
-		rampOver := (stormTo - stormFrom).Seconds() * 0.2
-		fmt.Printf("p3load: storm: %d victims + 1 attacker at %.1f req/s each; attacker x%g during [%v, %v]\n",
-			cfg.Clients, fair, cfg.AttackerMult,
-			stormFrom.Round(time.Millisecond), stormTo.Round(time.Millisecond))
-		for ci := 0; ci < nClients; ci++ {
-			attacker := ci == nClients-1
-			client := fmt.Sprintf("victim-%d", ci)
-			if attacker {
-				client = "attacker"
-			}
-			wg.Add(1)
-			go func(ci int, client string, attacker bool) {
-				defer wg.Done()
-				w, err := newWorkload(cfg, cfg.Seed+int64(ci), jpegPool, clipPool)
-				if err != nil {
-					panic(err) // validated before the run starts
-				}
-				arrivals := rand.New(rand.NewSource(cfg.Seed + 7919*int64(ci)))
-				var cwg sync.WaitGroup
-				defer cwg.Wait()
-				for {
-					now := time.Since(started)
-					if now >= cfg.Duration {
-						return
-					}
-					r := fair
-					if attacker && now >= stormFrom && now < stormTo {
-						ramp := min(1, (now-stormFrom).Seconds()/rampOver)
-						r = fair * (1 + (cfg.AttackerMult-1)*ramp)
-					}
-					time.Sleep(time.Duration(arrivals.ExpFloat64() / r * float64(time.Second)))
-					ev := drawEvent(w)
-					ev.Client = client
-					if recorder != nil {
-						recorder.Record(ev)
-					}
-					at := time.Since(started)
-					cwg.Add(1)
-					go func() {
-						defer cwg.Done()
-						d, err := execEvent(ev)
-						switch {
-						case attacker:
-							attackRec.record(d, err)
-							var shed *admission.ShedError
-							if errors.As(err, &shed) {
-								attackerShed.Add(1)
-							}
-						case at >= stormFrom && at < stormTo:
-							victimStorm.record(d, err)
-						default:
-							victimSteady.record(d, err)
-						}
-					}()
-				}
-			}(ci, client, attacker)
-		}
-	}
-	wg.Wait()
-	close(stop)
-	faultWG.Wait()
-	elapsed := time.Since(started)
-
-	if recorder != nil {
-		if err := recorder.WriteFile(cfg.TraceRecord); err != nil {
-			return fmt.Errorf("writing trace %s: %w", cfg.TraceRecord, err)
-		}
-		fmt.Printf("p3load: recorded %d events to %s\n", recorder.Len(), cfg.TraceRecord)
-	}
-
-	// --- Post-run repair + verification ------------------------------------
-	var repairS float64
-	verified, lost := 0, 0
-	if ec != nil {
-		// Drive explicit scrub passes until one finds nothing left to fix;
-		// that is the repair time the benchmark reports (the daemon may have
-		// done most of the work mid-run already).
-		repairStart := time.Now()
-		for pass := 0; pass < 100; pass++ {
-			rep, err := ec.ScrubOnce(ctx)
-			if err != nil {
-				return fmt.Errorf("post-run scrub: %w", err)
-			}
-			if rep.SharesMissing+rep.SharesCorrupt+rep.SharesRepaired+
-				rep.SharesRemoved+rep.TombstonesPropagated+rep.HintsDrained == 0 {
-				break
-			}
-		}
-		repairS = time.Since(repairStart).Seconds()
-		fmt.Printf("p3load: post-run scrub converged in %.2fs\n", repairS)
-
-		// Zero-data-loss verification: every photo in the corpus must still
-		// download through cold caches.
-		px.InvalidateCaches()
-		for _, id := range pop.snapshot() {
-			verified++
-			if _, err := px.Download(ctx, id, url.Values{}); err != nil {
-				lost++
-				fmt.Printf("p3load: !! data loss: %s: %v\n", id, err)
-			}
-		}
-		fmt.Printf("p3load: verified %d/%d corpus photos intact\n", verified-lost, verified)
-	}
-	close(samplerStop)
-	<-samplerDone
-
-	// --- Dedup verification -------------------------------------------------
-	// Byte-identity within every content group: all logical IDs minted from
-	// one pool payload must serve byte-identical full-size bytes through
-	// cold caches — behind dedup they share one PSP blob, and that sharing
-	// must be invisible to the application. Then a dedup scrub audits the
-	// refcount invariants (refs match the live ID set, nothing negative).
-	var dedupStats *dedup.Stats
-	var dedupScrub *dedup.ScrubReport
-	dupVerified, dupMismatches := 0, 0
-	if sim != nil {
-		sim.Flush()
-	}
-	if ded != nil {
-		px.InvalidateCaches()
-		groups := map[int][]string{}
-		for _, id := range pop.snapshot() {
-			if v, ok := payloadOf.Load(id); ok {
-				groups[v.(int)] = append(groups[v.(int)], id)
-			}
-		}
-		for _, ids := range groups {
-			var ref []byte
-			for i, id := range ids {
-				got, err := px.Download(ctx, id, url.Values{})
-				if err != nil {
-					dupMismatches++
-					fmt.Printf("p3load: !! dedup verify: %s: %v\n", id, err)
-					continue
-				}
-				dupVerified++
-				if i == 0 {
-					ref = got
-				} else if !bytes.Equal(ref, got) {
-					dupMismatches++
-					fmt.Printf("p3load: !! dedup verify: %s differs from its content group\n", id)
-				}
-			}
-		}
-		rep, err := ded.Scrub(ctx)
-		if err != nil {
-			return fmt.Errorf("dedup scrub: %w", err)
-		}
-		dedupScrub = &rep
-		ds := ded.Stats()
-		dedupStats = &ds
-		fmt.Printf("p3load: dedup: %d uploads → %d blobs (%d dup hits), %s of %s public bytes saved; verified %d ids, %d mismatches, %d scrub ref errors\n",
-			ds.Uploads, ds.UniqueBlobs, ds.DupHits,
-			fmtBytes(ds.BytesSaved), fmtBytes(ds.BytesLogical),
-			dupVerified, dupMismatches, dedupScrub.RefErrors)
-	}
-
-	// Storage overhead: bytes on disk across every shard vs the logical
-	// sealed-secret bytes they encode (photo corpora only; video secrets
-	// are spread over per-frame IDs the harness doesn't track).
-	var overhead float64
-	if !videoInUse {
-		var diskBytes, logicalBytes int64
-		filepath.Walk(shardRoot, func(_ string, info os.FileInfo, err error) error {
-			if err == nil && info.Mode().IsRegular() {
-				diskBytes += info.Size()
-			}
-			return nil
-		})
-		for _, id := range pop.snapshot() {
-			if blob, err := store.GetSecret(ctx, id); err == nil {
-				logicalBytes += int64(len(blob))
-			}
-		}
-		if logicalBytes > 0 {
-			overhead = float64(diskBytes) / float64(logicalBytes)
-			fmt.Printf("p3load: storage overhead %.2fx (%d disk bytes / %d logical bytes)\n",
-				overhead, diskBytes, logicalBytes)
-		}
-	}
-
-	// --- Report -----------------------------------------------------------
-	st := px.Stats()
-	entry := servingEntry{
-		GeneratedAt: time.Now().UTC().Truncate(time.Second),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Config:      cfg,
-		ElapsedS:    elapsed.Seconds(),
-		Ops:         map[string]opReport{},
-		Caches: map[string]cache.Stats{
-			"secrets":  st.Secrets,
-			"dims":     st.Dims,
-			"variants": st.Variants,
-		},
-		Recovery:        curve,
-		RepairS:         repairS,
-		VerifiedObjects: verified,
-		DataLossObjects: lost,
-		StorageOverhead: overhead,
-	}
-	if sharded != nil {
-		entry.Shards = sharded.ShardStats()
-	}
-	if ec != nil {
-		entry.ErasureShards = ec.ErasureShardStats()
-		rs := ec.RepairStats()
-		entry.Repair = &rs
-	}
-	var total uint64
-	for k := opKind(0); k < numOps; k++ {
-		rep := recs[k].report(elapsed)
-		if rep.Count > 0 {
-			entry.Ops[k.String()] = rep
-		}
-		total += rep.Count
-	}
-	entry.TotalPerSec = float64(total) / elapsed.Seconds()
-	if lookups := st.Variants.Hits + st.Variants.Misses; lookups > 0 {
-		entry.HitRate = float64(st.Variants.Hits) / float64(lookups)
-	}
-	if cfg.Recalibrations > 0 {
-		recalRep := recalRec.report(elapsed)
-		steadyRep := downSteady.report(elapsed)
-		recalDownRep := downRecal.report(elapsed)
-		calibStats := st.Calibration
-		entry.Recalibrations = &recalRep
-		entry.DownloadSteady = &steadyRep
-		entry.DownloadDuringRecal = &recalDownRep
-		entry.Calibration = &calibStats
-	}
-	if ctrl != nil {
-		as := ctrl.Stats()
-		entry.Admission = &as
-	}
-	if dedupStats != nil {
-		entry.Dedup = dedupStats
-		entry.DedupScrub = dedupScrub
-		entry.DedupVerified = dupVerified
-		entry.DedupMismatches = dupMismatches
-		if dedupStats.BytesLogical > 0 {
-			entry.StorageSavedRatio = float64(dedupStats.BytesSaved) / float64(dedupStats.BytesLogical)
-		}
-	}
-	if sim != nil {
-		ss := sim.Stats()
-		entry.Similarity = &ss
-		if q := similarQueries.Load(); q > 0 {
-			entry.SimilarHitRate = float64(similarHits.Load()) / float64(q)
-		}
-	}
-	if cfg.Mode == "storm" {
-		sr := stormReport{
-			Clients:      cfg.Clients,
-			AttackerMult: cfg.AttackerMult,
-			StormFromS:   stormFrom.Seconds(),
-			StormToS:     stormTo.Seconds(),
-			VictimSteady: victimSteady.report(elapsed),
-			VictimStorm:  victimStorm.report(elapsed),
-			Attacker:     attackRec.report(elapsed),
-			AttackerShed: attackerShed.Load(),
-		}
-		sr.VictimErrors = sr.VictimSteady.Errors + sr.VictimStorm.Errors
-		if entry.Admission != nil {
-			sr.StormSheds = entry.Admission.ShedByReason[admission.ReasonStorm]
-		}
-		entry.Storm = &sr
-	}
-
-	fmt.Printf("\np3load: %d ops in %v (%.0f ops/s overall)\n", total, elapsed.Round(time.Millisecond), entry.TotalPerSec)
-	fmt.Printf("%-14s %9s %7s %9s %9s %9s %9s %9s\n", "op", "count", "errors", "p50", "p95", "p99", "max", "ops/s")
-	for k := opKind(0); k < numOps; k++ {
-		rep, ok := entry.Ops[k.String()]
-		if !ok {
-			continue
-		}
-		fmt.Printf("%-14s %9d %7d %8.2fms %8.2fms %8.2fms %8.2fms %9.1f\n",
-			k, rep.Count, rep.Errors, rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.MaxMs, rep.PerSec)
-		if rep.SampleError != "" {
-			fmt.Printf("           first error: %s\n", rep.SampleError)
-		}
-	}
-	if entry.DownloadSteady != nil {
-		for _, row := range []struct {
-			name string
-			rep  *opReport
-		}{{"dl steady", entry.DownloadSteady}, {"dl during-rec", entry.DownloadDuringRecal},
-			{"recalibration", entry.Recalibrations}} {
-			if row.rep.Count == 0 {
-				continue
-			}
-			fmt.Printf("%-14s %9d %7d %8.2fms %8.2fms %8.2fms %8.2fms %9.1f\n",
-				row.name, row.rep.Count, row.rep.Errors, row.rep.P50Ms, row.rep.P95Ms,
-				row.rep.P99Ms, row.rep.MaxMs, row.rep.PerSec)
-		}
-		c := entry.Calibration
-		fmt.Printf("calibration: epoch %d after %d flips (%d sweeps, %d probes/%d confirmed), %d stale serves, %d/%d warm hits/warmed, %d busy rejections\n",
-			c.Epoch, recalFlips.Load(), c.Sweeps, c.Probes, c.ProbeHits,
-			c.StaleServes, c.WarmHits, c.Warmed, calibBusy.Load())
-	}
-	if sr := entry.Storm; sr != nil {
-		for _, row := range []struct {
-			name string
-			rep  *opReport
-		}{{"victim steady", &sr.VictimSteady}, {"victim storm", &sr.VictimStorm},
-			{"attacker", &sr.Attacker}} {
-			if row.rep.Count == 0 {
-				continue
-			}
-			fmt.Printf("%-14s %9d %7d %8.2fms %8.2fms %8.2fms %8.2fms %9.1f\n",
-				row.name, row.rep.Count, row.rep.Errors, row.rep.P50Ms, row.rep.P95Ms,
-				row.rep.P99Ms, row.rep.MaxMs, row.rep.PerSec)
-		}
-		fmt.Printf("storm: %d victim errors, attacker shed %d/%d requests (%d by storm clamp)\n",
-			sr.VictimErrors, sr.AttackerShed, sr.Attacker.Count, sr.StormSheds)
-	}
-	if as := entry.Admission; as != nil {
-		fmt.Printf("admission: %d/%d/%d admitted (cached/cold/calibrate), shed %d client-rate + %d storm + %d deadline + %d queue-full, %d clamped keys\n",
-			as.Cached.Admitted, as.Cold.Admitted, as.Calibrate.Admitted,
-			as.ShedByReason[admission.ReasonClientRate], as.ShedByReason[admission.ReasonStorm],
-			as.ShedByReason[admission.ReasonDeadline], as.ShedByReason[admission.ReasonQueueFull],
-			as.ClampedKeys)
-	}
-	if entry.Similarity != nil {
-		fmt.Printf("similarity: %d indexed, %d ingests (%d inline, %d errors), %d queries, %.1f%% hit rate\n",
-			entry.Similarity.Size, entry.Similarity.Ingests, entry.Similarity.InlineIngests,
-			entry.Similarity.IngestErrors, entry.Similarity.Queries, 100*entry.SimilarHitRate)
-	}
-	fmt.Printf("caches: variants %.1f%% hit (%d/%d, %d coalesced, %d evicted), secrets %.1f%% hit (%d/%d)\n",
-		100*entry.HitRate, st.Variants.Hits, st.Variants.Hits+st.Variants.Misses,
-		st.Variants.Coalesced, st.Variants.Evictions,
-		100*safeRate(st.Secrets.Hits, st.Secrets.Misses), st.Secrets.Hits, st.Secrets.Hits+st.Secrets.Misses)
-	for i, sh := range entry.Shards {
-		fmt.Printf("shard %d: %d reads (%d failed), %d repairs, %d puts (%d failed)\n",
-			i, sh.Reads, sh.ReadFailures, sh.ReadRepairs, sh.Puts, sh.PutFailures)
-	}
-	for i, sh := range entry.ErasureShards {
-		fmt.Printf("shard %d: %d share reads (%d failed), %d share puts (%d failed), %d repairs\n",
-			i, sh.ShareReads, sh.ShareReadFailures, sh.SharePuts, sh.SharePutFailures, sh.ShareRepairs)
-	}
-	if entry.Repair != nil {
-		r := entry.Repair
-		fmt.Printf("repair: %d scrub cycles, %d degraded reads, %d shares repaired (%d missing, %d corrupt), %d/%d hints drained/parked, %d lost objects\n",
-			r.ScrubCycles, r.DegradedReads, r.SharesRepaired, r.SharesMissing, r.SharesCorrupt,
-			r.HintsDrained, r.HintsParked, r.LostObjects)
-	}
-
-	if *out != "" {
-		if err := appendServingEntry(*out, entry); err != nil {
-			return fmt.Errorf("writing %s: %w", *out, err)
-		}
-		fmt.Printf("p3load: appended run to %s\n", *out)
-	}
-	// Gated runs (the smoke preset, or -gate) fail CI on any op error.
-	// Storm runs gate on the admission contract instead: shedding the
-	// attacker is the desired outcome, so its 503s must not fail the run —
-	// only victim errors do.
-	var errCount uint64
-	for k := opKind(0); k < numOps; k++ {
-		errCount += recs[k].errs.Load()
-	}
-	errCount += recalRec.errs.Load()
-	if cfg.Gate && cfg.Mode != "storm" && errCount > 0 {
-		return fmt.Errorf("gated run saw %d op errors", errCount)
-	}
-	// The storm contract: victims never fail, the detector actually clamps
-	// someone (storm-reason sheds), and the victims' download tail during
-	// the storm stays within 2x of their steady-state tail.
-	if cfg.Gate && entry.Storm != nil {
-		sr := entry.Storm
-		if sr.VictimErrors > 0 {
-			return fmt.Errorf("storm run saw %d victim errors, want 0", sr.VictimErrors)
-		}
-		if sr.StormSheds == 0 {
-			return fmt.Errorf("storm run never clamped the attacker (0 storm-reason sheds; attacker shed %d total)",
-				sr.AttackerShed)
-		}
-		if sr.VictimSteady.Count > 0 && sr.VictimStorm.Count > 0 &&
-			sr.VictimStorm.P99Ms > 2*sr.VictimSteady.P99Ms {
-			return fmt.Errorf("storm run victim p99 %.2fms during the storm exceeds 2x steady-state %.2fms",
-				sr.VictimStorm.P99Ms, sr.VictimSteady.P99Ms)
-		}
-	}
-	// The recalibration contract: every forced pass must land its epoch
-	// flip, and with a pre-warm budget the warmed hot set must actually
-	// absorb post-flip traffic.
-	if cfg.Gate && cfg.Recalibrations > 0 {
-		if flips := recalFlips.Load(); flips < uint64(cfg.Recalibrations) {
-			return fmt.Errorf("gated run flipped %d/%d forced recalibrations", flips, cfg.Recalibrations)
-		}
-		if cfg.WarmTopK > 0 && st.Calibration.WarmHits == 0 {
-			return fmt.Errorf("gated run saw no warm hits after %d pre-warming epoch flips", cfg.Recalibrations)
-		}
-	}
-	// The tail-latency gate: recalibration (or anything else) must not blow
-	// the download p99 past the budget.
-	if cfg.MaxDownP99 > 0 {
-		if rep, ok := entry.Ops[opDownload.String()]; ok && rep.P99Ms > cfg.MaxDownP99Ms {
-			return fmt.Errorf("download p99 %.2fms exceeds the %.2fms gate", rep.P99Ms, cfg.MaxDownP99Ms)
-		}
-	}
-	// Data loss always fails a gated run: the erasure acceptance contract
-	// is byte-perfect survival of the configured fault.
-	if cfg.Gate && lost > 0 {
-		return fmt.Errorf("gated run lost %d/%d corpus objects", lost, verified)
-	}
-	// The dedup contract: every content group byte-identical, real storage
-	// savings recorded, and the refcount invariants intact after scrub.
-	if cfg.Gate && dedupStats != nil {
-		if dupMismatches > 0 {
-			return fmt.Errorf("gated dedup run saw %d byte-identity mismatches over %d verified ids",
-				dupMismatches, dupVerified)
-		}
-		if dedupStats.BytesSaved == 0 {
-			return fmt.Errorf("gated dedup run saved no public-part bytes (%d uploads, %d dup hits)",
-				dedupStats.Uploads, dedupStats.DupHits)
-		}
-		if dedupStats.NegativeRefs > 0 || dedupScrub.RefErrors > 0 {
-			return fmt.Errorf("gated dedup run broke refcount invariants (%d negative refs, %d scrub ref errors)",
-				dedupStats.NegativeRefs, dedupScrub.RefErrors)
-		}
-	}
-	return nil
-}
-
-// fmtBytes renders a byte count with a binary unit suffix for the
-// human-readable report lines.
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
-func safeRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// appendServingEntry merges the run into the accumulating trajectory file.
-func appendServingEntry(path string, entry servingEntry) error {
-	var doc servingFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing file unparseable (move it aside): %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc.Runs = append(doc.Runs, entry)
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	h.report(res)
+	return checkGates(sc.gates, res)
 }

@@ -4,7 +4,7 @@ package main
 // -trace-record and replayed with -trace-replay must re-dispatch the
 // identical event sequence — same op counts, same per-op ordering, same
 // targets — with only the timestamps differing. The whole harness runs
-// in-process twice, which is what run()'s private FlagSet exists for.
+// in-process twice, which is what parseFlags' private FlagSet exists for.
 
 import (
 	"path/filepath"
@@ -30,8 +30,8 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 
 	// A short but real smoke run, recorded.
 	if err := run([]string{
-		"-scenario", "smoke", "-duration", "1s", "-workers", "2",
-		"-seed", "7", "-out", "", "-trace-record", first,
+		"-preset", "smoke", "-duration", "1s", "-workers", "2",
+		"-seed", "7", "-trace-record", first,
 	}); err != nil {
 		t.Fatalf("recording run: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 
 	// Replay it unpaced against a fresh stack, re-recording the dispatch.
 	if err := run([]string{
-		"-scenario", "smoke", "-out", "",
+		"-preset", "smoke",
 		"-trace-replay", first, "-trace-speed", "0", "-trace-record", second,
 	}); err != nil {
 		t.Fatalf("replaying run: %v", err)
@@ -92,7 +92,7 @@ func TestDupHeavyGatedRun(t *testing.T) {
 	}
 	if err := run([]string{
 		"-preset", "dup-heavy", "-duration", "2s", "-photos", "16",
-		"-seed", "11", "-gate", "-out", "",
+		"-seed", "11", "-gate",
 	}); err != nil {
 		t.Fatalf("gated dup-heavy run failed: %v", err)
 	}
@@ -109,8 +109,7 @@ func TestDupHeavyErasureShardKillRun(t *testing.T) {
 	if err := run([]string{
 		"-preset", "dup-heavy", "-duration", "3s", "-photos", "16",
 		"-seed", "12", "-store-kind", "erasure", "-shard-kill", "-kill-shards", "2",
-		"-scrub-interval", "250ms", "-secret-cache-bytes", "1",
-		"-gate", "-out", "",
+		"-scrub-interval", "250ms", "-gate",
 	}); err != nil {
 		t.Fatalf("gated dup-heavy erasure run failed: %v", err)
 	}

@@ -22,6 +22,9 @@
 //
 //	p3proxy -store erasure:k=4,n=6,disk:/mnt/a,disk:/mnt/b,disk:/mnt/c,disk:/mnt/d,disk:/mnt/e,disk:/mnt/f
 //
+// (-replicas above 1 is refused with an erasure: spec — its redundancy is
+// the k-of-n scheme.)
+//
 // Besides photos, the proxy serves P3MJ video clips (§4.2) end to end:
 // POST /video/upload splits every frame and stores both parts in the blob
 // store; GET /video/{id} joins the clip back, and GET /video/{id}?frame=N
@@ -55,8 +58,18 @@
 // serves Prometheus-style text exposition covering the proxy operations,
 // all three caches, the codec's split/join timings, and — when -store
 // names several backends — each shard's read/repair/failure counters
-// (naming scheme in ARCHITECTURE.md). Drive realistic traffic at the
-// stack with `go run ./cmd/p3load`.
+// (naming scheme in ARCHITECTURE.md). `go run ./cmd/p3load` runs fault
+// drills against this same stack, built by the same code.
+//
+// The process is flags → stack.Config → stack.Build → serve: every flag
+// but -addr and -key is a field of internal/stack's Config, which assembles
+// the whole stack and tears it down again. The listener is an http.Server
+// with header-read and idle timeouts (no write timeout: a forced
+// calibration or a whole-clip join legitimately runs for minutes). SIGINT
+// or SIGTERM stops it accepting, lets in-flight requests finish for up to
+// 30 s (an upload is never cut between the PSP put and the secret put),
+// then closes the stack — recalibration loop, similarity workers, scrub
+// daemon — and exits 0.
 //
 // Generate the shared key with `p3 keygen`; every authorized recipient's
 // proxy must be started with the same key file.
@@ -68,217 +81,172 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"p3"
-	"p3/internal/admission"
-	"p3/internal/dedup"
-	"p3/internal/proxy"
-	"p3/internal/similarity"
+	"p3/internal/stack"
 )
 
-// parseBackend turns one -store list element into a SecretStore.
-func parseBackend(part string, timeout time.Duration) (p3.SecretStore, error) {
-	switch {
-	case strings.HasPrefix(part, "disk:"):
-		return p3.NewDiskSecretStore(strings.TrimPrefix(part, "disk:"))
-	case strings.HasPrefix(part, "http://"), strings.HasPrefix(part, "https://"):
-		return p3.NewHTTPSecretStore(part, p3.WithHTTPTimeout(timeout)), nil
-	default:
-		return nil, fmt.Errorf("unrecognized store %q (want http(s)://... or disk:/path)", part)
-	}
-}
+const (
+	// readHeaderTimeout and idleTimeout bound what a slow or silent peer can
+	// hold open. There is deliberately no WriteTimeout: a forced calibration
+	// or a whole-clip join legitimately runs for minutes.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// drainTimeout is how long a shutdown waits for in-flight requests —
+	// one backend request timeout at its default, so an upload between its
+	// PSP put and its secret put gets to finish.
+	drainTimeout = 30 * time.Second
+	// calibrateTimeout bounds the start-up calibration sweep.
+	calibrateTimeout = 5 * time.Minute
+)
 
-// parseErasureSpec parses "k=4,n=6,<backend>,<backend>,..." (the part of
-// the -store flag after "erasure:"; the k=/n= tokens are optional and
-// default to the 4-of-6 scheme) into an erasure-coded store.
-func parseErasureSpec(spec string, timeout, scrubInterval time.Duration) (p3.SecretStore, error) {
-	k, n := p3.DefaultErasureK, p3.DefaultErasureN
-	var stores []p3.SecretStore
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if v, ok := strings.CutPrefix(part, "k="); ok {
-			var err error
-			if k, err = strconv.Atoi(v); err != nil || k < 1 {
-				return nil, fmt.Errorf("bad k=%q (want a positive integer)", v)
-			}
-			continue
-		}
-		if v, ok := strings.CutPrefix(part, "n="); ok {
-			var err error
-			if n, err = strconv.Atoi(v); err != nil || n < 1 {
-				return nil, fmt.Errorf("bad n=%q (want a positive integer)", v)
-			}
-			continue
-		}
-		s, err := parseBackend(part, timeout)
-		if err != nil {
-			return nil, err
-		}
-		stores = append(stores, s)
-	}
-	return p3.NewErasureSecretStore(stores,
-		p3.WithErasureScheme(k, n),
-		p3.WithScrubInterval(scrubInterval))
-}
-
-// parseStoreSpec turns the -store flag into a SecretStore: one backend, a
-// sharded store over several, or (with the erasure: prefix) an
-// erasure-coded self-healing store.
-func parseStoreSpec(spec string, replicas int, timeout, scrubInterval time.Duration) (p3.SecretStore, error) {
-	if rest, ok := strings.CutPrefix(spec, "erasure:"); ok {
-		return parseErasureSpec(rest, timeout, scrubInterval)
-	}
-	parts := strings.Split(spec, ",")
-	stores := make([]p3.SecretStore, 0, len(parts))
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		s, err := parseBackend(part, timeout)
-		if err != nil {
-			return nil, err
-		}
-		stores = append(stores, s)
-	}
-	switch len(stores) {
-	case 0:
-		return nil, fmt.Errorf("no stores in %q", spec)
-	case 1:
-		if replicas > 1 {
-			return nil, fmt.Errorf("-replicas %d needs at least %d stores", replicas, replicas)
-		}
-		return stores[0], nil
-	default:
-		return p3.NewShardedSecretStore(stores, p3.WithShardReplicas(replicas))
-	}
+// registerFlags declares p3proxy's flags on fs, bound directly to the
+// fields of cfg (whose current values become the flag defaults), plus the
+// two that are not stack configuration: the listen address and the key
+// file path.
+func registerFlags(fs *flag.FlagSet, cfg *stack.Config) (addr, keyPath *string) {
+	addr = fs.String("addr", ":9090", "proxy listen address")
+	keyPath = fs.String("key", "p3.key", "hex key file (see `p3 keygen`)")
+	fs.StringVar(&cfg.PSP, "psp", cfg.PSP, "PSP base URL")
+	fs.StringVar(&cfg.Store, "store", cfg.Store,
+		"blob store(s): http(s)://... or disk:/path, comma-separated for sharding, erasure:k=4,n=6,... for erasure coding")
+	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies of each secret part across shards")
+	fs.DurationVar(&cfg.ScrubInterval, "scrub-interval", cfg.ScrubInterval,
+		"erasure store: period of the background repair scrubber (0 disables)")
+	fs.IntVar(&cfg.Threshold, "t", cfg.Threshold, "splitting threshold T")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "PSP and blob store request timeout")
+	fs.Int64Var(&cfg.SecretCacheBytes, "secret-cache-bytes", cfg.SecretCacheBytes,
+		"secret-part cache budget in bytes")
+	fs.Int64Var(&cfg.VariantCacheBytes, "variant-cache-bytes", cfg.VariantCacheBytes,
+		"reconstructed-variant cache budget in bytes")
+	fs.Int64Var(&cfg.VideoMaxBytes, "video-max-bytes", cfg.VideoMaxBytes,
+		"largest accepted video clip upload in bytes")
+	fs.DurationVar(&cfg.RecalibrateInterval, "recalibrate-interval", cfg.RecalibrateInterval,
+		"re-verify the calibration every interval in the background (probe first, full sweep only on mismatch; 0 disables)")
+	fs.IntVar(&cfg.WarmTopK, "warm-topk", cfg.WarmTopK,
+		"hottest variants to pre-warm after a calibration epoch flip (0 disables)")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight,
+		"admission control: concurrent requests the proxy serves, queueing the rest (0 disables admission entirely)")
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth,
+		"admission control: bounded queue depth per cost class (0 = default)")
+	fs.Float64Var(&cfg.ClientRPS, "client-rps", cfg.ClientRPS,
+		"admission control: per-client token-bucket refill rate, keyed by X-P3-Client or remote address (0 = no per-client limit)")
+	fs.Float64Var(&cfg.StormClamp, "storm-clamp", cfg.StormClamp,
+		"admission control: during a detected request storm, shed clients over this multiple of their fair share (0 = default)")
+	fs.BoolVar(&cfg.Dedup, "dedup", cfg.Dedup,
+		"content-addressed dedup of public parts: identical uploads share one PSP blob (refcounted; DELETE /photo/{id} drops a reference)")
+	fs.BoolVar(&cfg.Similarity, "similarity", cfg.Similarity,
+		"perceptual-hash index over public parts, served on GET /similar/{id}?d=N")
+	fs.IntVar(&cfg.SimilarityWorkers, "similarity-workers", cfg.SimilarityWorkers,
+		"background hash workers feeding the similarity index")
+	return addr, keyPath
 }
 
 func main() {
-	addr := flag.String("addr", ":9090", "proxy listen address")
-	pspURL := flag.String("psp", "http://localhost:8080", "PSP base URL")
-	storeSpec := flag.String("store", "http://localhost:8081",
-		"blob store(s): http(s)://... or disk:/path, comma-separated for sharding")
-	replicas := flag.Int("replicas", 1, "copies of each secret part across shards")
-	scrubInterval := flag.Duration("scrub-interval", time.Minute,
-		"erasure store: period of the background repair scrubber (0 disables)")
-	keyPath := flag.String("key", "p3.key", "hex key file (see `p3 keygen`)")
-	threshold := flag.Int("t", p3.DefaultThreshold, "splitting threshold T")
-	timeout := flag.Duration("timeout", p3.DefaultHTTPTimeout, "PSP and blob store request timeout")
-	secretCache := flag.Int64("secret-cache-bytes", proxy.DefaultSecretCacheBytes,
-		"secret-part cache budget in bytes")
-	variantCache := flag.Int64("variant-cache-bytes", proxy.DefaultVariantCacheBytes,
-		"reconstructed-variant cache budget in bytes")
-	videoMax := flag.Int64("video-max-bytes", proxy.DefaultVideoMaxBytes,
-		"largest accepted video clip upload in bytes")
-	recalInterval := flag.Duration("recalibrate-interval", 0,
-		"re-verify the calibration every interval in the background (probe first, full sweep only on mismatch; 0 disables)")
-	warmTopK := flag.Int("warm-topk", proxy.DefaultWarmTopK,
-		"hottest variants to pre-warm after a calibration epoch flip (0 disables)")
-	maxInflight := flag.Int("max-inflight", 0,
-		"admission control: concurrent requests the proxy serves, queueing the rest (0 disables admission entirely)")
-	queueDepth := flag.Int("queue-depth", 0,
-		"admission control: bounded queue depth per cost class (0 = default)")
-	clientRPS := flag.Float64("client-rps", 0,
-		"admission control: per-client token-bucket refill rate, keyed by X-P3-Client or remote address (0 = no per-client limit)")
-	stormClamp := flag.Float64("storm-clamp", 0,
-		"admission control: during a detected request storm, shed clients over this multiple of their fair share (0 = default)")
-	dedupOn := flag.Bool("dedup", false,
-		"content-addressed dedup of public parts: identical uploads share one PSP blob (refcounted; DELETE /photo/{id} drops a reference)")
-	similarOn := flag.Bool("similarity", false,
-		"perceptual-hash index over public parts, served on GET /similar/{id}?d=N")
-	similarWorkers := flag.Int("similarity-workers", 4,
-		"background hash workers feeding the similarity index")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "p3proxy: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("p3proxy", flag.ExitOnError)
+	cfg := stack.DefaultConfig()
+	addr, keyPath := registerFlags(fs, &cfg)
+	fs.Parse(args)
 
 	keyData, err := os.ReadFile(*keyPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	key, err := p3.ParseKey(string(keyData))
+	if cfg.Key, err = p3.ParseKey(string(keyData)); err != nil {
+		return fmt.Errorf("key file %s: %w", *keyPath, err)
+	}
+	st, err := stack.Build(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: key file %s: %v\n", *keyPath, err)
-		os.Exit(1)
+		return err
 	}
+	defer st.Close()
+	describe(cfg, st)
 
-	store, err := parseStoreSpec(*storeSpec, *replicas, *timeout, *scrubInterval)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: -store: %v\n", err)
-		os.Exit(1)
-	}
-	if sh, ok := store.(*p3.ShardedSecretStore); ok {
-		fmt.Printf("p3proxy: sharding secret parts over %d stores (%d replicas)\n",
-			sh.Shards(), sh.Replicas())
-	}
-	if es, ok := store.(*p3.ErasureSecretStore); ok {
-		k, n := es.Scheme()
-		fmt.Printf("p3proxy: erasure coding secret parts %d-of-%d over %d stores (scrub every %s)\n",
-			k, n, es.Shards(), *scrubInterval)
-	}
-
-	codec, err := p3.New(key, p3.WithThreshold(*threshold))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: %v\n", err)
-		os.Exit(1)
-	}
-	opts := []proxy.ProxyOption{
-		proxy.WithSecretCacheBytes(*secretCache),
-		proxy.WithVariantCacheBytes(*variantCache),
-		proxy.WithVideoMaxBytes(*videoMax),
-		proxy.WithRecalibrateInterval(*recalInterval),
-		proxy.WithWarmTopK(*warmTopK),
-	}
-	if *maxInflight > 0 {
-		ctrl, err := admission.New(admission.Config{
-			MaxInflight: *maxInflight,
-			QueueDepth:  *queueDepth,
-			ClientRPS:   *clientRPS,
-			StormClamp:  *stormClamp,
-		}, nil, "proxy")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p3proxy: %v\n", err)
-			os.Exit(1)
-		}
-		opts = append(opts, proxy.WithAdmission(ctrl))
-		fmt.Printf("p3proxy: admission control on (max-inflight %d, queue depth %d, client rps %g, storm clamp %g)\n",
-			*maxInflight, *queueDepth, *clientRPS, *stormClamp)
-	}
-	var photos p3.PhotoService = p3.NewHTTPPhotoService(*pspURL, p3.WithHTTPTimeout(*timeout))
-	if *dedupOn {
-		photos = dedup.New(photos)
-		fmt.Println("p3proxy: content-addressed dedup of public parts on")
-	}
-	if *similarOn {
-		ix := similarity.NewIndex(similarity.WithWorkers(*similarWorkers))
-		defer ix.Close()
-		opts = append(opts, proxy.WithSimilarity(ix))
-		fmt.Printf("p3proxy: similarity index on (%d hash workers, GET /similar/{id}?d=N)\n", *similarWorkers)
-	}
-	p := proxy.New(codec, photos, store, opts...)
-	fmt.Printf("p3proxy: calibrating against %s ...\n", *pspURL)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	res, err := p.Calibrate(ctx)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Printf("p3proxy: calibrating against %s ...\n", cfg.PSP)
+	calCtx, cancel := context.WithTimeout(ctx, calibrateTimeout)
+	res, err := st.Proxy.Calibrate(calCtx)
 	cancel()
+	if ctx.Err() != nil {
+		return nil // asked to stop before serving began
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: calibration failed: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("calibration failed: %w", err)
 	}
 	fmt.Printf("p3proxy: calibrated pipeline %s (match %.1f dB)\n", res.Op, res.PSNR)
-	if *recalInterval > 0 {
-		fmt.Printf("p3proxy: recalibrating every %s in the background (pre-warming top %d variants on epoch flips)\n",
-			*recalInterval, *warmTopK)
-	}
 	fmt.Printf("p3proxy: listening on %s (T=%d, secret cache %d MiB, variant cache %d MiB)\n",
-		*addr, *threshold, *secretCache>>20, *variantCache>>20)
-	if err := http.ListenAndServe(*addr, p); err != nil {
-		fmt.Fprintf(os.Stderr, "p3proxy: %v\n", err)
-		os.Exit(1)
+		*addr, cfg.Threshold, cfg.SecretCacheBytes>>20, cfg.VariantCacheBytes>>20)
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           st.Proxy,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
+	if err := serve(ctx, srv); err != nil {
+		return err
+	}
+	st.Close()
+	fmt.Println("p3proxy: stopped")
+	return nil
+}
+
+// describe prints which optional layers the built stack carries.
+func describe(cfg stack.Config, st *stack.Stack) {
+	switch store := st.Store.(type) {
+	case *p3.ShardedSecretStore:
+		fmt.Printf("p3proxy: sharding secret parts over %d stores (%d replicas)\n",
+			store.Shards(), store.Replicas())
+	case *p3.ErasureSecretStore:
+		k, n := store.Scheme()
+		fmt.Printf("p3proxy: erasure coding secret parts %d-of-%d over %d stores (scrub every %s)\n",
+			k, n, store.Shards(), cfg.ScrubInterval)
+	}
+	if st.Admission != nil {
+		fmt.Printf("p3proxy: admission control on (max-inflight %d, queue depth %d, client rps %g, storm clamp %g)\n",
+			cfg.MaxInflight, cfg.QueueDepth, cfg.ClientRPS, cfg.StormClamp)
+	}
+	if st.Dedup != nil {
+		fmt.Println("p3proxy: content-addressed dedup of public parts on")
+	}
+	if st.Similarity != nil {
+		fmt.Printf("p3proxy: similarity index on (%d hash workers, GET /similar/{id}?d=N)\n", cfg.SimilarityWorkers)
+	}
+	if cfg.RecalibrateInterval > 0 {
+		fmt.Printf("p3proxy: recalibrating every %s in the background (pre-warming top %d variants on epoch flips)\n",
+			cfg.RecalibrateInterval, cfg.WarmTopK)
+	}
+}
+
+// serve runs srv until it fails or ctx is cancelled (main: SIGINT/SIGTERM).
+// On cancellation it stops accepting and waits up to drainTimeout for
+// in-flight requests to finish, so the caller closes the stack only once
+// nothing is running against it.
+func serve(ctx context.Context, srv *http.Server) error {
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Println("p3proxy: shutting down (draining in-flight requests)")
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		// Stragglers past the deadline are cut; the stack still closes.
+		fmt.Fprintf(os.Stderr, "p3proxy: drain: %v\n", err)
+		srv.Close()
+	}
+	return nil
 }

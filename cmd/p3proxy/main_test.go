@@ -1,56 +1,119 @@
 package main
 
 import (
-	"path/filepath"
+	"context"
+	"flag"
+	"io"
+	"net"
+	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
-	"p3"
+	"p3/internal/stack"
 )
 
-func TestParseStoreSpec(t *testing.T) {
-	dir := t.TempDir()
-	disk := func(name string) string { return "disk:" + filepath.Join(dir, name) }
-
-	single, err := parseStoreSpec(disk("a"), 1, time.Second, 0)
+// TestFlagsAreTheStackConfig pins the flag surface: the twenty flags this
+// binary has always had, whose defaults are stack.DefaultConfig and whose
+// values land in the Config the stack is built from.
+func TestFlagsAreTheStackConfig(t *testing.T) {
+	fs := flag.NewFlagSet("p3proxy", flag.ContinueOnError)
+	cfg := stack.DefaultConfig()
+	registerFlags(fs, &cfg)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 20 {
+		t.Errorf("p3proxy registers %d flags, want 20", n)
+	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, stack.DefaultConfig()) {
+		t.Errorf("parsing no flags changed the config:\n got %+v\nwant %+v", cfg, stack.DefaultConfig())
+	}
+	err := fs.Parse([]string{"-store", "disk:/a,disk:/b", "-replicas", "2", "-similarity", "-max-inflight", "8", "-t", "20"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := single.(*p3.DiskSecretStore); !ok {
-		t.Errorf("single backend = %T, want *p3.DiskSecretStore", single)
+	if cfg.Store != "disk:/a,disk:/b" || cfg.Replicas != 2 || !cfg.Similarity || cfg.MaxInflight != 8 || cfg.Threshold != 20 {
+		t.Errorf("flags did not reach the config: %+v", cfg)
 	}
+}
 
-	sharded, err := parseStoreSpec(disk("a")+","+disk("b"), 2, time.Second, 0)
+// TestServeDrainsInFlightRequestBeforeReturning is the shutdown contract:
+// after the stop signal (ctx) a request already inside the handler runs to
+// completion and is answered, the listener refuses new connections, and
+// serve returns — only then does main close the stack.
+func TestServeDrainsInFlightRequestBeforeReturning(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh, ok := sharded.(*p3.ShardedSecretStore); !ok || sh.Replicas() != 2 {
-		t.Errorf("multi backend = %T (replicas?), want 2-replica *p3.ShardedSecretStore", sharded)
-	}
+	addr := ln.Addr().String()
+	ln.Close()
 
-	spec := "erasure:k=2,n=3," + disk("a") + "," + disk("b") + "," + disk("c")
-	erasure, err := parseStoreSpec(spec, 1, time.Second, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, ok := erasure.(*p3.ErasureSecretStore)
-	if !ok {
-		t.Fatalf("erasure spec = %T, want *p3.ErasureSecretStore", erasure)
-	}
-	if k, n := es.Scheme(); k != 2 || n != 3 {
-		t.Errorf("scheme = %d-of-%d, want 2-of-3", k, n)
-	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv := &http.Server{Addr: addr, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "done")
+	})}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, srv) }()
 
-	for _, bad := range []string{
-		"ftp://nope",
-		"erasure:k=4,n=6," + disk("a"), // not enough shards for the scheme
-		"erasure:k=zzz," + disk("a"),
-		"erasure:k=4x,n=6y," + disk("a"), // trailing garbage must not parse as 4/6
-		"erasure:k=-1,n=3," + disk("a"),
-		"",
-	} {
-		if _, err := parseStoreSpec(bad, 1, time.Second, 0); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	type reply struct {
+		body string
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		var resp *http.Response
+		var err error
+		// The listener comes up a moment after serve starts.
+		for i := 0; i < 200; i++ {
+			if resp, err = http.Get("http://" + addr + "/"); err == nil {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		replied <- reply{string(body), err}
+	}()
+
+	<-entered
+	stop()
+	select {
+	case err := <-served:
+		t.Fatalf("serve returned (%v) with a request still in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if r := <-replied; r.err != nil || r.body != "done" {
+		t.Errorf("in-flight request got %q, %v; want it completed", r.body, r.err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve returned %v after a clean drain", err)
+	}
+	if _, err := http.Get("http://" + addr + "/"); err == nil {
+		t.Error("listener still accepting after shutdown")
+	}
+}
+
+// TestServeReportsListenFailure: a port that cannot be bound is an error
+// from serve, not a hang.
+func TestServeReportsListenFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := serve(context.Background(), &http.Server{Addr: ln.Addr().String()}); err == nil {
+		t.Error("serve on an occupied port returned nil")
 	}
 }

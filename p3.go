@@ -42,69 +42,13 @@
 // splitting/reconstruction algorithm), internal/video (the P3MJ container
 // and the frame-parallel clip split/join), internal/imaging (linear PSP
 // transforms), internal/psp and internal/proxy (the simulated provider and
-// the client-side interposition proxy), internal/cache (the proxy's
+// the client-side interposition proxy; internal/stack assembles the proxy,
+// its backends and optional layers from one Config), internal/cache (the proxy's
 // bounded coalescing serving caches), internal/metrics (the observability
 // layer behind the proxy's /metrics endpoint), internal/vision (the
 // privacy attack suite: Canny, Viola-Jones, SIFT, Eigenfaces), and
 // internal/dataset (synthetic evaluation corpora). ARCHITECTURE.md maps
 // how the layers compose and names the metric series; see DESIGN.md for
 // the full inventory and EXPERIMENTS.md for how to regenerate the
-// paper-versus-measured results (including cmd/p3load serving scenarios).
+// paper-versus-measured results (including the cmd/p3load fault drills).
 package p3
-
-import "p3/internal/core"
-
-// Options configures the deprecated package-level Split. A Threshold of 0
-// selects DefaultThreshold — the zero-vs-unset ambiguity that WithThreshold
-// eliminates.
-//
-// Deprecated: build a Codec with New and functional options instead.
-type Options struct {
-	Threshold       int
-	OptimizeHuffman bool
-}
-
-// Split divides a JPEG into a public part and a sealed secret part. nil opts
-// selects the paper's recommended operating point.
-//
-// Deprecated: use New and Codec.SplitBytes; a reused Codec also recycles
-// scratch buffers across photos.
-func Split(jpegBytes []byte, key Key, opts *Options) (*SplitResult, error) {
-	var copts *core.Options
-	if opts != nil {
-		if opts.Threshold < 0 {
-			return nil, &ThresholdError{Threshold: opts.Threshold}
-		}
-		copts = &core.Options{Threshold: opts.Threshold, OptimizeHuffman: opts.OptimizeHuffman}
-	}
-	out, err := core.SplitJPEG(jpegBytes, core.Key(key), copts)
-	if err != nil {
-		return nil, err
-	}
-	return &SplitResult{
-		PublicJPEG:    out.PublicJPEG,
-		SecretBlob:    out.SecretBlob,
-		Threshold:     out.Threshold,
-		SecretJPEGLen: out.SecretJPEGLen,
-	}, nil
-}
-
-// Join reconstructs the original JPEG from an unprocessed public part and
-// the sealed secret part.
-//
-// Deprecated: use New and Codec.JoinBytes (or the streaming Codec.Join).
-func Join(publicJPEG, secretBlob []byte, key Key) ([]byte, error) {
-	return core.JoinJPEG(publicJPEG, secretBlob, core.Key(key))
-}
-
-// JoinProcessed reconstructs pixels when the provider applied the transform
-// t to the public part.
-//
-// Deprecated: use New and Codec.JoinProcessedBytes.
-func JoinProcessed(publicJPEG, secretBlob []byte, key Key, t Transform) (*Image, error) {
-	codec, err := New(key)
-	if err != nil {
-		return nil, err
-	}
-	return codec.JoinProcessedBytes(publicJPEG, secretBlob, t)
-}

@@ -38,42 +38,46 @@ func newTestCodec(t testing.TB, opts ...Option) *Codec {
 	return codec
 }
 
-// TestFacadeRoundTrip exercises the Codec end to end.
+// TestFacadeRoundTrip exercises the Codec end to end, with the source's
+// entropy tables and with re-derived (optimized) ones: neither changes the
+// threshold a split records or the exactness of the join.
 func TestFacadeRoundTrip(t *testing.T) {
 	jpegBytes, coeffs := testJPEG(t, 1, 256, 192, jpegx.Sub420)
-	codec := newTestCodec(t)
-	split, err := codec.SplitBytes(jpegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split.Threshold != DefaultThreshold {
-		t.Errorf("threshold %d, want default %d", split.Threshold, DefaultThreshold)
-	}
-	// Public part must be decodable stand-alone and degraded.
-	pubIm, err := jpegx.Decode(bytes.NewReader(split.PublicJPEG))
-	if err != nil {
-		t.Fatalf("public part not a valid JPEG: %v", err)
-	}
-	psnr, err := vision.PSNR(coeffs.ToPlanar(), pubIm.ToPlanar())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if psnr > 25 {
-		t.Errorf("public part PSNR %.1f dB — not degraded enough", psnr)
-	}
-	// Exact reconstruction.
-	joined, err := codec.JoinBytes(split.PublicJPEG, split.SecretBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := jpegx.Decode(bytes.NewReader(joined))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range coeffs.Components {
-		for bi := range coeffs.Components[ci].Blocks {
-			if got.Components[ci].Blocks[bi] != coeffs.Components[ci].Blocks[bi] {
-				t.Fatal("facade round trip not coefficient-exact")
+	for _, optimize := range []bool{false, true} {
+		codec := newTestCodec(t, WithHuffmanOptimization(optimize))
+		split, err := codec.SplitBytes(jpegBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split.Threshold != DefaultThreshold {
+			t.Errorf("optimize=%v: threshold %d, want default %d", optimize, split.Threshold, DefaultThreshold)
+		}
+		// Public part must be decodable stand-alone and degraded.
+		pubIm, err := jpegx.Decode(bytes.NewReader(split.PublicJPEG))
+		if err != nil {
+			t.Fatalf("optimize=%v: public part not a valid JPEG: %v", optimize, err)
+		}
+		psnr, err := vision.PSNR(coeffs.ToPlanar(), pubIm.ToPlanar())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if psnr > 25 {
+			t.Errorf("optimize=%v: public part PSNR %.1f dB — not degraded enough", optimize, psnr)
+		}
+		// Exact reconstruction.
+		joined, err := codec.JoinBytes(split.PublicJPEG, split.SecretBlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := jpegx.Decode(bytes.NewReader(joined))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := range coeffs.Components {
+			for bi := range coeffs.Components[ci].Blocks {
+				if got.Components[ci].Blocks[bi] != coeffs.Components[ci].Blocks[bi] {
+					t.Fatalf("optimize=%v: facade round trip not coefficient-exact", optimize)
+				}
 			}
 		}
 	}
@@ -86,46 +90,6 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := codec.JoinBytes([]byte("junk"), []byte("junk")); err == nil {
 		t.Error("junk parts accepted")
-	}
-}
-
-// TestDeprecatedWrappers keeps the legacy package-level surface working.
-func TestDeprecatedWrappers(t *testing.T) {
-	jpegBytes, coeffs := testJPEG(t, 3, 128, 96, jpegx.Sub420)
-	key, err := NewKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := Split(jpegBytes, key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split.Threshold != DefaultThreshold {
-		t.Errorf("nil opts threshold %d, want %d", split.Threshold, DefaultThreshold)
-	}
-	// Legacy zero-threshold still means "default".
-	split2, err := Split(jpegBytes, key, &Options{Threshold: 0, OptimizeHuffman: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split2.Threshold != DefaultThreshold {
-		t.Errorf("legacy zero threshold resolved to %d, want %d", split2.Threshold, DefaultThreshold)
-	}
-	joined, err := Join(split.PublicJPEG, split.SecretBlob, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := jpegx.Decode(bytes.NewReader(joined))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Width != coeffs.Width || got.Height != coeffs.Height {
-		t.Errorf("joined %dx%d, want %dx%d", got.Width, got.Height, coeffs.Width, coeffs.Height)
-	}
-	op := Resize(64, 48, FilterTriangle)
-	served := fabricateServed(t, split.PublicJPEG, op)
-	if _, err := JoinProcessed(served, split.SecretBlob, key, op); err != nil {
-		t.Errorf("deprecated JoinProcessed: %v", err)
 	}
 }
 
