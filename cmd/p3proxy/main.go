@@ -69,7 +69,8 @@
 // or SIGTERM stops it accepting, lets in-flight requests finish for up to
 // 30 s (an upload is never cut between the PSP put and the secret put),
 // then closes the stack — recalibration loop, similarity workers, scrub
-// daemon — and exits 0.
+// daemon — and exits 0. A second signal during the drain ends the process
+// at once.
 //
 // Generate the shared key with `p3 keygen`; every authorized recipient's
 // proxy must be started with the same key file.
@@ -193,7 +194,7 @@ func run(args []string) error {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	if err := serve(ctx, srv); err != nil {
+	if err := serve(ctx, stop, srv); err != nil {
 		return err
 	}
 	st.Close()
@@ -231,8 +232,11 @@ func describe(cfg stack.Config, st *stack.Stack) {
 // serve runs srv until it fails or ctx is cancelled (main: SIGINT/SIGTERM).
 // On cancellation it stops accepting and waits up to drainTimeout for
 // in-flight requests to finish, so the caller closes the stack only once
-// nothing is running against it.
-func serve(ctx context.Context, srv *http.Server) error {
+// nothing is running against it. stop releases whatever cancelled ctx; main
+// passes signal.NotifyContext's, so from the moment the drain begins the
+// signals are back to their default disposition and a second one ends the
+// process instead of being swallowed for the length of the drain.
+func serve(ctx context.Context, stop context.CancelFunc, srv *http.Server) error {
 	failed := make(chan error, 1)
 	go func() { failed <- srv.ListenAndServe() }()
 	select {
@@ -240,6 +244,7 @@ func serve(ctx context.Context, srv *http.Server) error {
 		return err
 	case <-ctx.Done():
 	}
+	stop()
 	fmt.Println("p3proxy: shutting down (draining in-flight requests)")
 	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

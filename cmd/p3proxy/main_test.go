@@ -1,12 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"os/signal"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -60,7 +68,7 @@ func TestServeDrainsInFlightRequestBeforeReturning(t *testing.T) {
 	})}
 	ctx, stop := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- serve(ctx, srv) }()
+	go func() { served <- serve(ctx, stop, srv) }()
 
 	type reply struct {
 		body string
@@ -105,6 +113,94 @@ func TestServeDrainsInFlightRequestBeforeReturning(t *testing.T) {
 	}
 }
 
+// TestSecondSignalDuringDrainEndsProcess: the first SIGTERM starts the drain;
+// a second one while a request is still in flight must end the process at
+// once, not wait out the 30 s drain. The test re-executes itself as the
+// process under test: signal.NotifyContext and serve wired as in main,
+// around a handler that never returns.
+func TestSecondSignalDuringDrainEndsProcess(t *testing.T) {
+	if addr := os.Getenv("P3PROXY_TEST_DRAIN_ADDR"); addr != "" {
+		drainForever(addr)
+		return
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSecondSignalDuringDrainEndsProcess$")
+	cmd.Env = append(os.Environ(), "P3PROXY_TEST_DRAIN_ADDR="+addr)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	lines := make(chan string, 16) // the process prints two lines
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+		exited <- cmd.Wait()
+	}()
+	defer cmd.Process.Kill()
+	waitFor := func(want string) {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for {
+			select {
+			case line, ok := <-lines:
+				if !ok {
+					t.Fatalf("process exited before printing %q", want)
+				}
+				if strings.Contains(line, want) {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("process never printed %q", want)
+			}
+		}
+	}
+
+	waitFor("request in flight")
+	cmd.Process.Signal(syscall.SIGTERM)
+	waitFor("shutting down")
+	cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case err := <-exited:
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGTERM {
+			t.Errorf("process ended with %v, want killed by the second SIGTERM", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("second SIGTERM during the drain did not end the process")
+	}
+}
+
+// drainForever is the process under test above.
+func drainForever(addr string) {
+	srv := &http.Server{Addr: addr, Handler: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		fmt.Println("request in flight")
+		select {}
+	})}
+	go func() {
+		for {
+			if resp, err := http.Get("http://" + addr + "/"); err == nil {
+				resp.Body.Close()
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	serve(ctx, stop, srv)
+}
+
 // TestServeReportsListenFailure: a port that cannot be bound is an error
 // from serve, not a hang.
 func TestServeReportsListenFailure(t *testing.T) {
@@ -113,7 +209,7 @@ func TestServeReportsListenFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if err := serve(context.Background(), &http.Server{Addr: ln.Addr().String()}); err == nil {
+	if err := serve(context.Background(), func() {}, &http.Server{Addr: ln.Addr().String()}); err == nil {
 		t.Error("serve on an occupied port returned nil")
 	}
 }

@@ -1,0 +1,325 @@
+package imaging
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"p3/internal/jpegx"
+)
+
+// The reference kernels below are the loops convolveH, convolveV,
+// resampleRows, resampleCols and Sharpen.Apply ran before they were
+// rewritten for speed, moved here verbatim. They define the summation order
+// the fast loops must reproduce bit for bit.
+
+func refConvolveH(src, dst []float64, w, h int, k []float64) {
+	r := len(k) / 2
+	for y := 0; y < h; y++ {
+		row := src[y*w : y*w+w]
+		orow := dst[y*w : y*w+w]
+		for x := 0; x < w; x++ {
+			var acc float64
+			for i, kv := range k {
+				sx := clampIdx(x+i-r, 0, w-1)
+				acc += kv * row[sx]
+			}
+			orow[x] = acc
+		}
+	}
+}
+
+func refConvolveV(src, dst []float64, w, h int, k []float64) {
+	r := len(k) / 2
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var acc float64
+			for i, kv := range k {
+				sy := clampIdx(y+i-r, 0, h-1)
+				acc += kv * src[sy*w+x]
+			}
+			dst[y*w+x] = acc
+		}
+	}
+}
+
+func refResampleRows(src []float64, sw, sh int, dst []float64, dw int, weights []weightRange) {
+	for y := 0; y < sh; y++ {
+		srow := src[y*sw : y*sw+sw]
+		drow := dst[y*dw : y*dw+dw]
+		for x := 0; x < dw; x++ {
+			wr := &weights[x]
+			var acc float64
+			for j, w := range wr.w {
+				acc += w * srow[wr.start+j]
+			}
+			drow[x] = acc
+		}
+	}
+}
+
+func refResampleCols(src []float64, w, sh int, dst []float64, dh int, weights []weightRange) {
+	for y := 0; y < dh; y++ {
+		wr := &weights[y]
+		drow := dst[y*w : y*w+w]
+		for x := 0; x < w; x++ {
+			var acc float64
+			for j, wt := range wr.w {
+				acc += wt * src[(wr.start+j)*w+x]
+			}
+			drow[x] = acc
+		}
+	}
+}
+
+func refGaussianBlur(g GaussianBlur, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	k := g.Kernel1D()
+	dst := jpegx.NewPlanarImage(src.Width, src.Height, len(src.Planes))
+	tmp := make([]float64, src.Width*src.Height)
+	for pi := range src.Planes {
+		refConvolveH(src.Planes[pi], tmp, src.Width, src.Height, k)
+		refConvolveV(tmp, dst.Planes[pi], src.Width, src.Height, k)
+	}
+	return dst
+}
+
+func refResize(r Resize, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	mid := jpegx.NewPlanarImage(r.W, src.Height, len(src.Planes))
+	wH := buildWeights(src.Width, r.W, r.Filter)
+	for pi := range src.Planes {
+		refResampleRows(src.Planes[pi], src.Width, src.Height, mid.Planes[pi], r.W, wH)
+	}
+	dst := jpegx.NewPlanarImage(r.W, r.H, len(src.Planes))
+	wV := buildWeights(src.Height, r.H, r.Filter)
+	for pi := range mid.Planes {
+		refResampleCols(mid.Planes[pi], r.W, src.Height, dst.Planes[pi], r.H, wV)
+	}
+	return dst
+}
+
+func refSharpen(s Sharpen, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	blurred := refGaussianBlur(GaussianBlur{Sigma: s.Sigma}, src)
+	out := src.Clone()
+	// out = src + a·src − a·blur
+	AddInto(out, src, s.Amount)
+	AddInto(out, blurred, -s.Amount)
+	return out
+}
+
+// kernelPlane fills a w×h plane with values that make a summation-order
+// slip visible: a wide dynamic range of both signs (the difference planes
+// reconstruction feeds these kernels are far outside [0,255]), plus exact
+// and negative zeros, whose sum depends on the leading 0 + k·s.
+func kernelPlane(rng *rand.Rand, w, h int) []float64 {
+	p := make([]float64, w*h)
+	for i := range p {
+		switch rng.Intn(16) {
+		case 0:
+			p[i] = 0
+		case 1:
+			p[i] = math.Copysign(0, -1)
+		case 2:
+			p[i] = (rng.Float64() - 0.5) * 1e9
+		default:
+			p[i] = (rng.Float64() - 0.5) * 1024
+		}
+	}
+	return p
+}
+
+func negZeroPlane(w, h int) []float64 {
+	p := make([]float64, w*h)
+	for i := range p {
+		p[i] = math.Copysign(0, -1)
+	}
+	return p
+}
+
+// diffBits returns the first index at which a and b differ as bit patterns.
+func diffBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, true
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func checkConvolve(t testing.TB, src []float64, w, h int, k []float64) {
+	t.Helper()
+	got, want := make([]float64, w*h), make([]float64, w*h)
+	convolveH(src, got, w, h, k)
+	refConvolveH(src, want, w, h, k)
+	if i, bad := diffBits(got, want); bad {
+		t.Fatalf("convolveH %dx%d taps=%d: sample %d = %x, reference %x", w, h, len(k), i, got[i], want[i])
+	}
+	convolveV(src, got, w, h, k)
+	refConvolveV(src, want, w, h, k)
+	if i, bad := diffBits(got, want); bad {
+		t.Fatalf("convolveV %dx%d taps=%d: sample %d = %x, reference %x", w, h, len(k), i, got[i], want[i])
+	}
+}
+
+func checkResample(t testing.TB, src []float64, sw, sh, dw, dh int, f Filter) {
+	t.Helper()
+	wH := buildWeights(sw, dw, f)
+	got, want := make([]float64, dw*sh), make([]float64, dw*sh)
+	resampleRows(src, sw, sh, got, dw, wH)
+	refResampleRows(src, sw, sh, want, dw, wH)
+	if i, bad := diffBits(got, want); bad {
+		t.Fatalf("resampleRows %s %dx%d→%d wide: sample %d = %x, reference %x", f.Name, sw, sh, dw, i, got[i], want[i])
+	}
+	wV := buildWeights(sh, dh, f)
+	got, want = make([]float64, sw*dh), make([]float64, sw*dh)
+	resampleCols(src, sw, sh, got, dh, wV)
+	refResampleCols(src, sw, sh, want, dh, wV)
+	if i, bad := diffBits(got, want); bad {
+		t.Fatalf("resampleCols %s %dx%d→%d high: sample %d = %x, reference %x", f.Name, sw, sh, dh, i, got[i], want[i])
+	}
+}
+
+// TestKernelsBitIdenticalToReference pins every fast loop to the loop it
+// replaced: same bits out for the same bits in, over sizes that are all
+// edge (1×1, w ≤ 2r), barely interior, not a multiple of any block width,
+// and production-sized; over the three kernel widths (5 and 7 taps are the
+// unrolled ones, σ=2.3 takes the generic path); and over every resampling
+// filter both up and down.
+func TestKernelsBitIdenticalToReference(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {3, 5}, {4, 2}, {6, 14}, {17, 9}, {130, 98}, {513, 383}}
+	rng := rand.New(rand.NewSource(19))
+	for _, sz := range sizes {
+		w, h := sz[0], sz[1]
+		planes := [][]float64{kernelPlane(rng, w, h), negZeroPlane(w, h)}
+		for _, sigma := range []float64{0.5, 1, 2.3} {
+			k := GaussianBlur{Sigma: sigma}.Kernel1D()
+			for _, p := range planes {
+				checkConvolve(t, p, w, h, k)
+			}
+		}
+		// Widths no Gaussian produces, even ones included: the tap
+		// offsets are i − len(k)/2 whatever the parity.
+		for _, k := range [][]float64{{1}, {0.5, 0.5}, {0.1, 0.2, 0.3, 0.4}} {
+			checkConvolve(t, planes[0], w, h, k)
+		}
+		for _, f := range Filters() {
+			for _, to := range [][2]int{{w/3 + 1, h/3 + 1}, {2*w + 1, 2*h + 3}, {w, h/2 + 1}, {1, 1}} {
+				for _, p := range planes {
+					checkResample(t, p, w, h, to[0], to[1], f)
+				}
+			}
+		}
+	}
+	// Whole operators, three planes: Apply wires the passes together the
+	// way the reference did.
+	src := &jpegx.PlanarImage{Width: 130, Height: 98}
+	for i := 0; i < 3; i++ {
+		src.Planes = append(src.Planes, kernelPlane(rng, 130, 98))
+	}
+	for _, sigma := range []float64{0.5, 1, 2.3} {
+		g := GaussianBlur{Sigma: sigma}
+		assertSameImage(t, g.String(), g.Apply(src), refGaussianBlur(g, src))
+	}
+	for _, f := range Filters() {
+		for _, r := range []Resize{{W: 59, H: 44, Filter: f}, {W: 200, H: 151, Filter: f}} {
+			assertSameImage(t, r.String(), r.Apply(src), refResize(r, src))
+		}
+	}
+}
+
+func assertSameImage(t *testing.T, name string, got, want *jpegx.PlanarImage) {
+	t.Helper()
+	if got.Width != want.Width || got.Height != want.Height || len(got.Planes) != len(want.Planes) {
+		t.Fatalf("%s: shape %dx%dx%d, reference %dx%dx%d", name,
+			got.Width, got.Height, len(got.Planes), want.Width, want.Height, len(want.Planes))
+	}
+	for pi := range got.Planes {
+		if i, bad := diffBits(got.Planes[pi], want.Planes[pi]); bad {
+			t.Fatalf("%s: plane %d sample %d = %x, reference %x", name, pi, i, got.Planes[pi][i], want.Planes[pi][i])
+		}
+	}
+}
+
+// TestSharpenFusedBitIdentical: the one-pass unsharp mask equals the
+// Clone + AddInto + AddInto it replaced, bit for bit.
+func TestSharpenFusedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, sz := range [][2]int{{1, 1}, {5, 3}, {130, 98}} {
+		src := &jpegx.PlanarImage{Width: sz[0], Height: sz[1]}
+		for i := 0; i < 3; i++ {
+			src.Planes = append(src.Planes, kernelPlane(rng, sz[0], sz[1]))
+		}
+		for _, s := range []Sharpen{{Sigma: 1, Amount: 0.5}, {Sigma: 1, Amount: 1}, {Sigma: 0.8, Amount: -0.3}, {Sigma: 2.3, Amount: 1e-3}} {
+			assertSameImage(t, s.String(), s.Apply(src), refSharpen(s, src))
+		}
+	}
+}
+
+// FuzzSeparableKernels drives all four separable loops with fuzzer-chosen
+// dimensions (1–97), σ, target size and filter against their references.
+func FuzzSeparableKernels(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(16), uint8(0))
+	f.Add(int64(2), uint8(16), uint8(8), uint8(5), uint8(40), uint8(32), uint8(2))
+	f.Add(int64(3), uint8(96), uint8(96), uint8(200), uint8(1), uint8(74), uint8(3))
+	f.Add(int64(4), uint8(4), uint8(60), uint8(3), uint8(120), uint8(255), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, wRaw, hRaw, dwRaw, dhRaw, sigmaRaw, filterRaw uint8) {
+		w, h := 1+int(wRaw)%97, 1+int(hRaw)%97
+		dw, dh := 1+int(dwRaw), 1+int(dhRaw)
+		sigma := 0.05 + float64(sigmaRaw)/32 // up to 51 taps
+		filter := Filters()[int(filterRaw)%len(Filters())]
+		src := kernelPlane(rand.New(rand.NewSource(seed)), w, h)
+		checkConvolve(t, src, w, h, GaussianBlur{Sigma: sigma}.Kernel1D())
+		checkResample(t, src, w, h, dw, dh, filter)
+	})
+}
+
+var benchSink *jpegx.PlanarImage
+
+func benchImage(w, h, planes int) *jpegx.PlanarImage {
+	return randomImage(rand.New(rand.NewSource(1)), w, h, planes)
+}
+
+// BenchmarkGaussianBlur times the blur of one full-resolution three-plane
+// photo at the two kernel widths the serving path instantiates, old loops
+// (ref) beside new ones in the same run.
+func BenchmarkGaussianBlur(b *testing.B) {
+	src := benchImage(1600, 1200, 3)
+	for _, sigma := range []float64{0.5, 1} {
+		g := GaussianBlur{Sigma: sigma}
+		b.Run(fmt.Sprintf("sigma=%g/ref", sigma), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSink = refGaussianBlur(g, src)
+			}
+		})
+		b.Run(fmt.Sprintf("sigma=%g/new", sigma), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSink = g.Apply(src)
+			}
+		})
+	}
+}
+
+// BenchmarkResize times the two static renditions a PSP derives from a
+// 1600×1200 upload, under the calibrated filter and the PSP's own.
+func BenchmarkResize(b *testing.B) {
+	src := benchImage(1600, 1200, 3)
+	for _, f := range []Filter{CatmullRom, Lanczos3} {
+		for _, to := range [][2]int{{720, 540}, {130, 98}} {
+			r := Resize{W: to[0], H: to[1], Filter: f}
+			name := fmt.Sprintf("%s/%dx%d", f.Name, to[0], to[1])
+			b.Run(name+"/ref", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink = refResize(r, src)
+				}
+			})
+			b.Run(name+"/new", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink = r.Apply(src)
+				}
+			})
+		}
+	}
+}

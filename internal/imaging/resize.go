@@ -165,32 +165,43 @@ func buildWeights(n, m int, f Filter) []weightRange {
 	return out
 }
 
+// resampleRows resamples every row of src (sw×sh) to dw samples. Each
+// output's taps are a contiguous run of its source row, pre-sliced so the
+// tap loop carries no bounds check, and summed in tap order from zero. Four
+// rows share each weight run so their add chains overlap; past the last row
+// the block repeats it, recomputing and rewriting the same samples.
 func resampleRows(src []float64, sw, sh int, dst []float64, dw int, weights []weightRange) {
-	for y := 0; y < sh; y++ {
-		srow := src[y*sw : y*sw+sw]
-		drow := dst[y*dw : y*dw+dw]
-		for x := 0; x < dw; x++ {
+	for y := 0; y < sh; y += 4 {
+		y1, y2, y3 := min(y+1, sh-1), min(y+2, sh-1), min(y+3, sh-1)
+		s0, s1, s2, s3 := src[y*sw:][:sw], src[y1*sw:][:sw], src[y2*sw:][:sw], src[y3*sw:][:sw]
+		d0, d1, d2, d3 := dst[y*dw:][:dw], dst[y1*dw:][:dw], dst[y2*dw:][:dw], dst[y3*dw:][:dw]
+		for x := range weights {
 			wr := &weights[x]
-			var acc float64
+			n := len(wr.w)
+			a, b, c, d := s0[wr.start:][:n], s1[wr.start:][:n], s2[wr.start:][:n], s3[wr.start:][:n]
+			var acc0, acc1, acc2, acc3 float64
 			for j, w := range wr.w {
-				acc += w * srow[wr.start+j]
+				acc0 += w * a[j]
+				acc1 += w * b[j]
+				acc2 += w * c[j]
+				acc3 += w * d[j]
 			}
-			drow[x] = acc
+			d0[x], d1[x], d2[x], d3[x] = acc0, acc1, acc2, acc3
 		}
 	}
 }
 
+// resampleCols resamples every column of src (w×sh) to dh samples by
+// streaming, for each output row, the source rows its weights name.
 func resampleCols(src []float64, w, sh int, dst []float64, dh int, weights []weightRange) {
+	var rows [][]float64
 	for y := 0; y < dh; y++ {
 		wr := &weights[y]
-		drow := dst[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			var acc float64
-			for j, wt := range wr.w {
-				acc += wt * src[(wr.start+j)*w+x]
-			}
-			drow[x] = acc
+		rows = rows[:0]
+		for j := range wr.w {
+			rows = append(rows, src[(wr.start+j)*w:(wr.start+j)*w+w])
 		}
+		accumulateRows(dst[y*w:y*w+w], rows, wr.w)
 	}
 }
 

@@ -1150,21 +1150,25 @@ func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
 		}
 		cw := (im.Width*c.H + hMax - 1) / hMax
 		ch := (im.Height*c.V + vMax - 1) / vMax
-		plane := idctPlane(c, q, cw, ch, pool)
-		if cw == im.Width && ch == im.Height {
-			copy(out.Planes[ci], plane)
-			continue
+		// A full-size component (luma, or 4:4:4 chroma) transforms straight
+		// into its output plane; a subsampled one goes through a temporary.
+		plane := out.Planes[ci]
+		subsampled := cw != im.Width || ch != im.Height
+		if subsampled {
+			plane = make([]float64, cw*ch)
 		}
-		upsamplePlane(plane, cw, ch, out.Planes[ci], im.Width, im.Height)
+		idctPlane(plane, c, q, cw, ch, pool)
+		if subsampled {
+			upsamplePlane(plane, cw, ch, out.Planes[ci], im.Width, im.Height)
+		}
 	}
 	return out
 }
 
-// idctPlane runs dequantization + IDCT over a component, returning a
-// cw×ch sample plane in [0,255] (not clamped; callers clamp at display).
-// Bands of block rows run on pool when it allows.
-func idctPlane(c *Component, q *QuantTable, cw, ch int, pool *work.Pool) []float64 {
-	plane := make([]float64, cw*ch)
+// idctPlane runs dequantization + IDCT over a component, filling the cw×ch
+// sample plane with values in [0,255] (not clamped; callers clamp at
+// display). Bands of block rows run on pool when it allows.
+func idctPlane(plane []float64, c *Component, q *QuantTable, cw, ch int, pool *work.Pool) {
 	bh := (ch + 7) / 8
 	bands := pool.Size()
 	if bands > bh {
@@ -1172,14 +1176,13 @@ func idctPlane(c *Component, q *QuantTable, cw, ch int, pool *work.Pool) []float
 	}
 	if bands <= 1 {
 		idctRows(plane, c, q, cw, ch, 0, bh)
-		return plane
+		return
 	}
 	// Band errors are impossible; ignore Do's error.
 	_ = pool.Do(bands, func(i int) error {
 		idctRows(plane, c, q, cw, ch, bh*i/bands, bh*(i+1)/bands)
 		return nil
 	})
-	return plane
 }
 
 // idctRows dequantizes and inverse-transforms block rows [by0, by1) of c
@@ -1246,7 +1249,11 @@ func (im *CoeffImage) ToPlanarScaledPool(denom int, pool *work.Pool) (*PlanarIma
 		// Scaled extent of this component's plane.
 		scw := (cw + denom - 1) / denom
 		sch := (ch + denom - 1) / denom
-		plane := make([]float64, scw*sch)
+		plane := out.Planes[ci]
+		subsampled := scw != sw || sch != sh
+		if subsampled {
+			plane = make([]float64, scw*sch)
+		}
 		bh := (ch + 7) / 8
 		bands := pool.Size()
 		if bands > bh {
@@ -1260,11 +1267,9 @@ func (im *CoeffImage) ToPlanarScaledPool(denom int, pool *work.Pool) (*PlanarIma
 				return nil
 			})
 		}
-		if scw == sw && sch == sh {
-			copy(out.Planes[ci], plane)
-			continue
+		if subsampled {
+			upsamplePlane(plane, scw, sch, out.Planes[ci], sw, sh)
 		}
-		upsamplePlane(plane, scw, sch, out.Planes[ci], sw, sh)
 	}
 	return out, nil
 }
@@ -1306,28 +1311,7 @@ func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int) {
 	} else if 2*cw >= w {
 		hor = make([]float64, w*ch)
 		for y := 0; y < ch; y++ {
-			row := src[y*cw : y*cw+cw]
-			orow := hor[y*w : y*w+w]
-			for x := 0; x < w; x++ {
-				sx := x / 2
-				if sx >= cw {
-					sx = cw - 1
-				}
-				// Triangle: 3/4 nearest + 1/4 next-nearest.
-				var other int
-				if x%2 == 0 {
-					other = sx - 1
-				} else {
-					other = sx + 1
-				}
-				if other < 0 {
-					other = 0
-				}
-				if other >= cw {
-					other = cw - 1
-				}
-				orow[x] = 0.75*row[sx] + 0.25*row[other]
-			}
+			upsampleRow(src[y*cw:y*cw+cw], hor[y*w:y*w+w])
 		}
 	} else {
 		hor = make([]float64, w*ch)
@@ -1361,8 +1345,10 @@ func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int) {
 			if other >= ch {
 				other = ch - 1
 			}
-			for x := 0; x < w; x++ {
-				dst[y*w+x] = 0.75*hor[sy*w+x] + 0.25*hor[other*w+x]
+			drow := dst[y*w : y*w+w]
+			near, far := hor[sy*w:][:len(drow)], hor[other*w:][:len(drow)]
+			for x := range drow {
+				drow[x] = 0.75*near[x] + 0.25*far[x]
 			}
 		}
 		return
@@ -1370,5 +1356,33 @@ func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int) {
 	for y := 0; y < h; y++ {
 		sy := y * ch / h
 		copy(dst[y*w:y*w+w], hor[sy*w:sy*w+w])
+	}
+}
+
+// upsampleRow doubles one row with the triangle filter: each output is 3/4
+// its nearest source sample plus 1/4 the next-nearest (the left neighbour
+// for even outputs, the right one for odd), neighbours clamped to the row.
+// Outputs 2i+1 and 2i+2 sit between sources i and i+1 and are computed as a
+// pair; only the first output and the one or none left past the last pair
+// clamp.
+func upsampleRow(row, orow []float64) {
+	cw, w := len(row), len(orow)
+	orow[0] = 0.75*row[0] + 0.25*row[0]
+	pairs := min(cw-1, (w-1)/2)
+	left := row[0]
+	for i, right := range row[1 : 1+pairs] {
+		o := orow[2*i+1 : 2*i+3]
+		o[0] = 0.75*left + 0.25*right
+		o[1] = 0.75*right + 0.25*left
+		left = right
+	}
+	for x := 2*pairs + 1; x < w; x++ {
+		sx := min(x/2, cw-1)
+		other := sx + 1
+		if x%2 == 0 {
+			other = sx - 1
+		}
+		other = max(0, min(other, cw-1))
+		orow[x] = 0.75*row[sx] + 0.25*row[other]
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -106,19 +107,29 @@ type CalibrationOutcome struct {
 	Warmed    int               // variants pre-warmed after the flip
 }
 
-// CalibrationStats is the /stats view of the calibration subsystem.
+// CalibrationStats is the /stats view of the calibration subsystem. The
+// identified-pipeline fields describe the published epoch — the operator A
+// every reconstruction applies — and are empty or zero until the first
+// calibration lands. MatchPSNRdB is how well that operator reproduced the
+// PSP's rendition of the calibration photo; an exact match, whose PSNR is
+// infinite, reads math.MaxFloat64 because JSON has no infinity.
 type CalibrationStats struct {
-	Epoch       uint64  `json:"epoch"`
-	InFlight    bool    `json:"in_flight"`
-	Probes      uint64  `json:"probes"`
-	ProbeHits   uint64  `json:"probe_hits"`
-	Sweeps      uint64  `json:"sweeps"`
-	Rejected    uint64  `json:"rejected_in_flight"`
-	StaleServes uint64  `json:"stale_serves"`
-	Warmed      uint64  `json:"variants_warmed"`
-	WarmHits    uint64  `json:"warm_hits"`
-	ProbeP50Ms  float64 `json:"probe_p50_ms"`
-	SweepP50Ms  float64 `json:"sweep_p50_ms"`
+	Epoch         uint64  `json:"epoch"`
+	Filter        string  `json:"filter"`
+	PreBlur       float64 `json:"pre_blur"`
+	SharpenAmount float64 `json:"sharpen_amount"`
+	Gamma         float64 `json:"gamma"`
+	MatchPSNRdB   float64 `json:"match_psnr_db"`
+	InFlight      bool    `json:"in_flight"`
+	Probes        uint64  `json:"probes"`
+	ProbeHits     uint64  `json:"probe_hits"`
+	Sweeps        uint64  `json:"sweeps"`
+	Rejected      uint64  `json:"rejected_in_flight"`
+	StaleServes   uint64  `json:"stale_serves"`
+	Warmed        uint64  `json:"variants_warmed"`
+	WarmHits      uint64  `json:"warm_hits"`
+	ProbeP50Ms    float64 `json:"probe_p50_ms"`
+	SweepP50Ms    float64 `json:"sweep_p50_ms"`
 }
 
 // calibState is the manager's mutable state, embedded in Proxy.
@@ -182,6 +193,14 @@ func (c *calibState) initCalibMetrics(r *metrics.Registry, name string) {
 			}
 			return 0
 		}, labels...)
+	r.SetGaugeFunc("p3_calibration_match_psnr_db",
+		"PSNR (dB) at which the published epoch's pipeline matched the PSP's rendition of the calibration photo (0 = not yet calibrated).",
+		func() float64 {
+			if ep := c.cur.Load(); ep != nil {
+				return ep.Result.PSNR
+			}
+			return 0
+		}, labels...)
 	r.SetGaugeFunc("p3_calibration_in_flight",
 		"1 while a calibration pass is running.",
 		func() float64 {
@@ -194,23 +213,28 @@ func (c *calibState) initCalibMetrics(r *metrics.Registry, name string) {
 
 // stats snapshots the subsystem for the JSON /stats view.
 func (c *calibState) stats() CalibrationStats {
-	var epoch uint64
-	if ep := c.cur.Load(); ep != nil {
-		epoch = ep.Epoch
+	ep := c.cur.Load()
+	if ep == nil {
+		ep = &core.CalibrationEpoch{} // not yet calibrated: epoch 0, no pipeline
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return CalibrationStats{
-		Epoch:       epoch,
-		InFlight:    c.busy.Load(),
-		Probes:      c.probes.Value(),
-		ProbeHits:   c.probeHits.Value(),
-		Sweeps:      c.sweeps.Value(),
-		Rejected:    c.rejected.Value(),
-		StaleServes: c.staleServes.Value(),
-		Warmed:      c.warmed.Value(),
-		WarmHits:    c.warmHits.Value(),
-		ProbeP50Ms:  ms(c.probeHist.Snapshot().P50),
-		SweepP50Ms:  ms(c.sweepHist.Snapshot().P50),
+		Epoch:         ep.Epoch,
+		Filter:        ep.Params.Filter.Name,
+		PreBlur:       ep.Params.PreBlur,
+		SharpenAmount: ep.Params.SharpenAmount,
+		Gamma:         ep.Params.Gamma,
+		MatchPSNRdB:   math.Min(ep.Result.PSNR, math.MaxFloat64),
+		InFlight:      c.busy.Load(),
+		Probes:        c.probes.Value(),
+		ProbeHits:     c.probeHits.Value(),
+		Sweeps:        c.sweeps.Value(),
+		Rejected:      c.rejected.Value(),
+		StaleServes:   c.staleServes.Value(),
+		Warmed:        c.warmed.Value(),
+		WarmHits:      c.warmHits.Value(),
+		ProbeP50Ms:    ms(c.probeHist.Snapshot().P50),
+		SweepP50Ms:    ms(c.sweepHist.Snapshot().P50),
 	}
 }
 
@@ -413,6 +437,8 @@ func (p *Proxy) runCalibration(ctx context.Context, force bool) (CalibrationOutc
 		next.Epoch = prev.Epoch + 1
 	}
 	c.cur.Store(next)
+	log.Printf("proxy: calibration epoch %d → %d: %s → %s (match %.2f dB)",
+		next.Epoch-1, next.Epoch, describeEpoch(prev), describeEpoch(next), res.PSNR)
 
 	// Lazy retirement: only photo variants of superseded epochs go; video
 	// renditions are calibration-independent and any entry already keyed
@@ -426,6 +452,15 @@ func (p *Proxy) runCalibration(ctx context.Context, force bool) (CalibrationOutc
 
 	warmed := p.prewarm(ctx, next, hot)
 	return CalibrationOutcome{Result: res, Epoch: next.Epoch, FullSweep: true, Flipped: true, Warmed: warmed}, nil
+}
+
+// describeEpoch names an epoch's identified pipeline for the flip log line.
+func describeEpoch(ep *core.CalibrationEpoch) string {
+	if ep == nil {
+		return "uncalibrated"
+	}
+	p := ep.Params
+	return fmt.Sprintf("%s pre_blur=%g sharpen=%g gamma=%g", p.Filter.Name, p.PreBlur, p.SharpenAmount, p.Gamma)
 }
 
 // prewarm re-reconstructs the outgoing epoch's hottest variants under the

@@ -9,11 +9,16 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -403,6 +408,69 @@ func TestStaleServingDuringRecalibration(t *testing.T) {
 	}
 	if st.Epoch != epochBefore+1 {
 		t.Errorf("stats epoch = %d, want %d", st.Epoch, epochBefore+1)
+	}
+}
+
+// TestStatsPublishIdentifiedPipeline: what calibration identified is
+// readable from outside — /stats carries the published epoch's filter,
+// pre-blur, sharpen amount, gamma and match PSNR, /metrics the match PSNR
+// gauge — and every epoch flip, foreground or background, logs old → new.
+func TestStatsPublishIdentifiedPipeline(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	photos, px := gatedBed(t, WithMetricsName("calib-stats"))
+
+	getStats := func() CalibrationStats {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		px.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var body struct {
+			Calibration map[string]any `json:"calibration"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("/stats is not JSON: %v\n%s", err, rec.Body.Bytes())
+		}
+		for _, field := range []string{"filter", "pre_blur", "sharpen_amount", "gamma", "match_psnr_db"} {
+			if _, ok := body.Calibration[field]; !ok {
+				t.Errorf("/stats calibration block has no %q: %v", field, body.Calibration)
+			}
+		}
+		return px.Stats().Calibration
+	}
+
+	first := getStats()
+	if first.Filter == "" || first.Gamma == 0 {
+		t.Errorf("calibrated /stats names no pipeline: %+v", first)
+	}
+	if math.IsInf(first.MatchPSNRdB, 0) || math.IsNaN(first.MatchPSNRdB) || first.MatchPSNRdB < DefaultProbeFloorDB {
+		t.Errorf("match_psnr_db = %v, want a finite match above the %d dB probe floor", first.MatchPSNRdB, DefaultProbeFloorDB)
+	}
+	if got := scrape(t, px)[`p3_calibration_match_psnr_db{proxy="calib-stats"}`]; got != first.MatchPSNRdB {
+		t.Errorf("p3_calibration_match_psnr_db = %v, /stats says %v", got, first.MatchPSNRdB)
+	}
+
+	photos.s.Pipeline = psp.Pipeline{Filter: imaging.Box, PreBlur: 0.5, Gamma: 1.1, Quality: 85, Subsampling: jpegx.Sub420}
+	if out, err := px.Recalibrate(ctx, false); err != nil || !out.Flipped {
+		t.Fatalf("recalibration after a PSP pipeline change: %+v, %v", out, err)
+	}
+	// Which filter the sweep names for a box PSP is calibration's business;
+	// here only that the new epoch's pick is what /stats and the log show.
+	second := getStats()
+	if second.Epoch != 2 || second.Gamma != 1.1 || second.MatchPSNRdB == first.MatchPSNRdB {
+		t.Errorf("/stats after the flip = %+v, want epoch 2 at gamma 1.1 with its own match PSNR", second)
+	}
+	log.SetOutput(os.Stderr)
+	describe := func(st CalibrationStats) string {
+		return fmt.Sprintf("%s pre_blur=%g sharpen=%g gamma=%g", st.Filter, st.PreBlur, st.SharpenAmount, st.Gamma)
+	}
+	for _, want := range []string{
+		"calibration epoch 0 → 1: uncalibrated → " + describe(first),
+		"calibration epoch 1 → 2: " + describe(first) + " → " + describe(second),
+	} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("flip log lacks %q:\n%s", want, logged.String())
+		}
 	}
 }
 

@@ -88,7 +88,9 @@ func PHash(jpegBytes []byte) (Hash, error) {
 
 // HashPlanar computes the perceptual hash of an already-decoded image.
 func HashPlanar(img *jpegx.PlanarImage) Hash {
-	thumb := imaging.Resize{W: thumbSize, H: thumbSize, Filter: imaging.Triangle}.Apply(img)
+	// Only luma is hashed, so only luma is resized.
+	y := &jpegx.PlanarImage{Width: img.Width, Height: img.Height, Planes: img.Planes[:1]}
+	thumb := imaging.Resize{W: thumbSize, H: thumbSize, Filter: imaging.Triangle}.Apply(y)
 	return hashGray(vision.Luma(thumb))
 }
 
