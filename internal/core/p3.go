@@ -269,7 +269,7 @@ func JoinJPEGToScratch(w io.Writer, publicJPEG, secretBlob []byte, key Key, opts
 }
 
 // JoinProcessed reconstructs pixels when the PSP applied a (possibly
-// unknown, see SearchPipeline) linear transform op to the public part.
+// unknown, see SearchParams) linear transform op to the public part.
 // publicJPEG is the transformed public part as served by the PSP.
 func JoinProcessed(publicJPEG, secretBlob []byte, key Key, op imaging.Op) (*jpegx.PlanarImage, error) {
 	pubIm, err := jpegx.DecodeBytes(publicJPEG)

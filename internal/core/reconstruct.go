@@ -8,23 +8,17 @@ import (
 	"p3/internal/work"
 )
 
-// unshift removes the +128 JPEG level shift that ToPlanar applies, turning
-// a decoded plane into a pure linear term.
-func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
-	for _, p := range img.Planes {
-		for i := range p {
-			p[i] -= 128
-		}
-	}
-	return img
-}
-
 // SecretPlanes is the variant-independent half of pixel-domain
-// reconstruction: the difference image D = unshift(IDCT(e)) of the effective
-// secret e, which stands for both secret-side terms of Eq. (2) (see
-// EffectiveSecret), so a reconstruction runs one IDCT → upsample → operator
-// chain. Only the fixed-point IDCT's final rounding differs from
-// transforming the secret and correction terms apart: once instead of twice.
+// reconstruction: the difference image D = IDCT(e) of the effective secret e,
+// which stands for both secret-side terms of Eq. (2) (see EffectiveSecret).
+// Only the fixed-point IDCT's final rounding differs from transforming the
+// secret and correction terms apart: once instead of twice.
+//
+// D is held the way the IDCT leaves it — every component at its own
+// resolution, chroma not yet upsampled — and without the +128 JPEG level
+// shift: it is a pure linear term whose samples range far outside [0, 255].
+// Reconstruct folds the chroma upsample into the served variant's operator
+// instead of materialising full-resolution planes.
 //
 // A PSP serves one photo as many renditions (thumbnail, feed, full view),
 // and every one of them applies its own operator A to the *same* D — so a
@@ -32,10 +26,7 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 // part's IDCT across the whole fan-out. Reconstruct does not mutate the
 // planes; a SecretPlanes may be shared by concurrent reconstructions.
 type SecretPlanes struct {
-	// D is an unshifted difference image: no +128 level shift applies and
-	// samples range far outside [0, 255]. It must not be clamped before it
-	// is added to the public part.
-	D *jpegx.PlanarImage
+	d *jpegx.NativePlanes
 }
 
 // DeriveSecretPlanes computes the reusable difference planes for one secret
@@ -47,8 +38,8 @@ func DeriveSecretPlanes(sec *jpegx.CoeffImage, threshold int) *SecretPlanes {
 // DeriveSecretPlanesPool is DeriveSecretPlanes with the coefficient fold and
 // the IDCT fanned out over bands on pool.
 func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *SecretPlanes {
-	d := EffectiveSecret(sec, threshold, pool).ToPlanarPool(pool)
-	return &SecretPlanes{D: unshift(d)}
+	sp, _ := DeriveSecretPlanesScaledPool(sec, threshold, 1, pool) // 1 is a valid denominator
+	return sp
 }
 
 // DeriveSecretPlanesScaledPool derives the planes at 1/denom of full
@@ -60,17 +51,17 @@ func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Poo
 // full-resolution chain only by the box prefilter, which the rendition's
 // own decimation dominates.
 func DeriveSecretPlanesScaledPool(sec *jpegx.CoeffImage, threshold, denom int, pool *work.Pool) (*SecretPlanes, error) {
-	d, err := EffectiveSecret(sec, threshold, pool).ToPlanarScaledPool(denom, pool)
+	d, err := EffectiveSecret(sec, threshold, pool).ToNativePlanesPool(0, denom, pool)
 	if err != nil {
 		return nil, err
 	}
-	return &SecretPlanes{D: unshift(d)}, nil
+	return &SecretPlanes{d: d}, nil
 }
 
 // Reconstruct applies Eq. (2) for one served variant: op maps the planes'
-// resolution onto the served public part's, exactly as it maps the original
-// photo onto that rendition, and the transformed difference image is added
-// to the public part and clamped for display.
+// (upsampled) resolution onto the served public part's, exactly as it maps
+// the original photo onto that rendition, and the transformed difference
+// image is added to the public part and clamped for display.
 func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op) (*jpegx.PlanarImage, error) {
 	if op == nil {
 		op = imaging.Identity{}
@@ -78,14 +69,41 @@ func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op)
 	if !op.Linear() {
 		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
 	}
-	dt := op.Apply(sp.D)
-	if dt.Width != publicPix.Width || dt.Height != publicPix.Height {
-		return nil, fmt.Errorf("core: transformed secret is %dx%d but public part is %dx%d — wrong operator?",
-			dt.Width, dt.Height, publicPix.Width, publicPix.Height)
+	w, h, err := imaging.OutputSize(op, sp.d.Width, sp.d.Height)
+	if err != nil {
+		return nil, fmt.Errorf("core: transforming the secret part: %w", err)
 	}
-	out := publicPix.Clone()
-	imaging.AddInto(out, dt, 1)
+	if w != publicPix.Width || h != publicPix.Height || len(sp.d.Planes) != len(publicPix.Planes) {
+		return nil, fmt.Errorf("core: transformed secret is %dx%dx%d but public part is %dx%dx%d — wrong operator?",
+			w, h, len(sp.d.Planes), publicPix.Width, publicPix.Height, len(publicPix.Planes))
+	}
+	out := sp.difference(op)
+	imaging.AddInto(out, publicPix, 1)
 	return imaging.Clamp(out), nil
+}
+
+// difference returns A·D for A = op, unclamped, in a fresh image. The chroma
+// upsample and op's leading separable stages run as one composed pass per
+// axis straight from each component's own plane (imaging.FoldSeparable);
+// whatever is left of op runs stage by stage on that pass's output, which is
+// already at the served size for the operators calibration publishes. op must
+// have passed imaging.OutputSize.
+func (sp *SecretPlanes) difference(op imaging.Op) *jpegx.PlanarImage {
+	d := sp.d
+	full, rest := imaging.FoldSeparable(op, d.Width, d.Height)
+	out := &jpegx.PlanarImage{Planes: make([][]float64, len(d.Planes))}
+	var sep imaging.Separable
+	for i, p := range d.Planes {
+		if i == 0 || p.W != d.Planes[i-1].W || p.H != d.Planes[i-1].H { // Cb and Cr share theirs
+			sep = full.Upsampled(p.W, p.H)
+		}
+		out.Planes[i] = sep.Apply(p.Pix)
+	}
+	out.Width, out.Height = full.OutputSize()
+	if len(rest) > 0 {
+		out = rest.Apply(out)
+	}
+	return out
 }
 
 // ReconstructPixelsMulti reconstructs several served variants of one photo

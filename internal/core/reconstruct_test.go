@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"p3/internal/dataset"
@@ -211,8 +212,7 @@ func TestSecretPlanesZeroForFlatSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := DeriveSecretPlanes(sec, 10).D
-	for i, v := range d.Planes[0] {
+	for i, v := range DeriveSecretPlanes(sec, 10).d.Planes[0].Pix {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("difference image not zero at %d: %v", i, v)
 		}
@@ -384,6 +384,36 @@ func TestSecretPlanesErrors(t *testing.T) {
 	}
 }
 
+// TestReconstructRejectsPlaneCountMismatch: a hostile PSP may serve a
+// grayscale rendition of a colour upload (or the reverse). That is an error
+// naming both shapes, not a panic in the add loop.
+func TestReconstructRejectsPlaneCountMismatch(t *testing.T) {
+	colour := dataset.Natural(9, 64, 48)
+	gray := jpegx.NewPlanarImage(64, 48, 1)
+	copy(gray.Planes[0], colour.Planes[0])
+	for _, tc := range []struct {
+		name        string
+		secret, pub *jpegx.PlanarImage
+		want        string
+	}{
+		{"gray public, colour secret", colour, gray, "64x48x3 but public part is 64x48x1"},
+		{"colour public, gray secret", gray, colour, "64x48x1 but public part is 64x48x3"},
+	} {
+		im, err := tc.secret.ToCoeffs(92, jpegx.Sub420)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sec, err := Split(im, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReconstructPixels(tc.pub, sec, 15, imaging.Identity{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestDeriveSecretPlanesScaled: scaled planes reconstruct a downsized
 // rendition nearly as well as full-resolution planes put through the same
 // resize — the proxy's fast path for small variants.
@@ -433,6 +463,31 @@ func correctionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
 	return corr
 }
 
+// unshift removes the +128 JPEG level shift that ToPlanar applies, turning
+// a decoded plane into a pure linear term.
+func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
+	for _, p := range img.Planes {
+		for i := range p {
+			p[i] -= 128
+		}
+	}
+	return img
+}
+
+// stagedDifference is the definition SecretPlanes.difference is held to, and
+// what reconstruction ran before the stages were composed: materialise the
+// effective secret's planes the way jpegx.ToPlanarScaled does (IDCT, chroma
+// upsample to the full grid), unshift them, and apply op one stage after
+// another.
+func stagedDifference(t testing.TB, sec *jpegx.CoeffImage, threshold, denom int, op imaging.Op) *jpegx.PlanarImage {
+	t.Helper()
+	d, err := EffectiveSecret(sec, threshold, nil).ToPlanarScaled(denom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op.Apply(unshift(d))
+}
+
 // twoChainDifference is the reference derivation of Eq. (2)'s secret-side
 // term, A·S + A·C: the secret image S = IDCT(x_s) and the correction image
 // C = IDCT(corr) each run their own IDCT → upsample → operator chain (at
@@ -452,89 +507,179 @@ func twoChainDifference(t *testing.T, sec *jpegx.CoeffImage, threshold, denom in
 	return out
 }
 
-// TestFusedMatchesTwoChainOracle is the differential test for the
-// effective-secret fold: over natural photos, every chroma layout, the
-// operator shapes the proxy builds and both IDCT scales, the one-chain
-// difference image must agree with the two-chain reference to within half a
-// sample before clamping (they differ only in where the fixed-point IDCT
-// rounds), and identity reconstruction must keep its PSNR floor.
+// worstGap is the largest sample difference between two images of one shape;
+// a shape mismatch is +Inf.
+func worstGap(a, b *jpegx.PlanarImage) float64 {
+	if a.Width != b.Width || a.Height != b.Height || len(a.Planes) != len(b.Planes) {
+		return math.Inf(1)
+	}
+	var worst float64
+	for pi := range a.Planes {
+		for i, v := range a.Planes[pi] {
+			worst = math.Max(worst, math.Abs(b.Planes[pi][i]-v))
+		}
+	}
+	return worst
+}
+
+// TestFusedMatchesTwoChainOracle is the differential test for both folds of
+// the secret-side term, run through the path Reconstruct runs. Over natural
+// photos, every chroma layout, even and odd geometry, the operator shapes the
+// proxy builds and every IDCT scale:
+//   - the effective-secret fold: the one-chain difference image agrees with
+//     the two-chain reference to within half a sample before clamping (they
+//     differ only in where the fixed-point IDCT rounds);
+//   - the composed operator: it agrees with the staged application of the
+//     same operator to materialised full-grid planes to within 1e-9 samples
+//     (float re-association only);
+//
+// and identity reconstruction keeps its PSNR floor.
 func TestFusedMatchesTwoChainOracle(t *testing.T) {
-	const w, h = 104, 76 // partial MCUs on the bottom edge
+	geometries := [][2]int{
+		{104, 76}, // partial MCUs on the bottom edge
+		{103, 75}, // odd: the chroma planes upsample to 2·cw − 1
+	}
 	layouts := []struct {
 		name string
 		gray bool
 		sub  jpegx.Subsampling
 	}{
 		{"420", false, jpegx.Sub420},
+		{"422", false, jpegx.Sub422},
+		{"440", false, jpegx.Sub440},
 		{"444", false, jpegx.Sub444},
 		{"gray", true, jpegx.Sub444},
 	}
-	cases := []struct {
-		name  string
-		denom int
-		op    imaging.Op // maps the planes' resolution to the served one
-	}{
-		{"identity", 1, imaging.Identity{}},
-		{"resize", 1, imaging.Resize{W: 52, H: 38, Filter: imaging.Lanczos3}},
-		{"crop-resize", 1, imaging.Compose{
-			imaging.Crop{X: 9, Y: 5, W: 64, H: 48},
-			imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom},
-		}},
-		{"blur-resize-sharpen", 1, imaging.Compose{
-			imaging.GaussianBlur{Sigma: 0.8},
-			imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
-			imaging.Sharpen{Sigma: 1, Amount: 0.5},
-		}},
-		{"scaled-2", 2, imaging.Resize{W: 40, H: 30, Filter: imaging.CatmullRom}},
-		{"scaled-4", 4, imaging.Resize{W: 20, H: 15, Filter: imaging.CatmullRom}},
-		{"scaled-8", 8, imaging.Resize{W: 10, H: 8, Filter: imaging.Triangle}},
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		img := dataset.Natural(seed, w, h)
-		for _, l := range layouts {
-			src := img
-			if l.gray {
-				src = jpegx.NewPlanarImage(w, h, 1)
-				copy(src.Planes[0], img.Planes[0])
-			}
-			im, err := src.ToCoeffs(92, l.sub)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, threshold := range []int{5, 20} {
-				pub, sec, err := Split(im, threshold)
+	for _, g := range geometries {
+		w, h := g[0], g[1]
+		cases := []struct {
+			name  string
+			denom int
+			op    imaging.Op // maps the planes' resolution to the served one
+		}{
+			{"identity", 1, imaging.Identity{}},
+			{"resize", 1, imaging.Resize{W: 52, H: 38, Filter: imaging.Lanczos3}},
+			{"crop-resize", 1, imaging.Compose{
+				imaging.Crop{X: 9, Y: 5, W: 64, H: 48},
+				imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom},
+			}},
+			{"blur-resize-sharpen", 1, imaging.Compose{
+				imaging.GaussianBlur{Sigma: 0.8},
+				imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
+				imaging.Sharpen{Sigma: 1, Amount: 0.5},
+			}},
+			// The shape proxy.buildOp hands over: a crop, then the calibrated
+			// pipeline as a nested Compose. The crop runs off the right and
+			// bottom edges and is clamped to them.
+			{"edge-crop-nested", 1, imaging.Compose{
+				imaging.Crop{X: 41, Y: 29, W: 200, H: 200},
+				imaging.Compose{
+					imaging.GaussianBlur{Sigma: 0.5},
+					imaging.Resize{W: 31, H: 23, Filter: imaging.CatmullRom},
+				},
+			}},
+			{"crop-only", 1, imaging.Crop{X: 17, Y: 11, W: 40, H: 30}},
+			{"blur-only", 1, imaging.GaussianBlur{Sigma: 1.1}},
+			{"identity-size-resize", 1, imaging.Compose{
+				imaging.GaussianBlur{Sigma: 0.5},
+				imaging.Resize{W: w, H: h, Filter: imaging.Lanczos3},
+			}},
+			{"one-axis-resize", 1, imaging.Resize{W: w, H: 40, Filter: imaging.Lanczos3}},
+			{"upscale", 1, imaging.Resize{W: 150, H: 110, Filter: imaging.CatmullRom}},
+			{"box", 1, imaging.Resize{W: 33, H: 21, Filter: imaging.Box}},
+			{"scaled-2", 2, imaging.Resize{W: 40, H: 30, Filter: imaging.CatmullRom}},
+			{"scaled-4", 4, imaging.Resize{W: 20, H: 15, Filter: imaging.CatmullRom}},
+			{"scaled-8", 8, imaging.Resize{W: 10, H: 8, Filter: imaging.Triangle}},
+		}
+		for seed := int64(1); seed <= 2; seed++ {
+			img := dataset.Natural(seed, w, h)
+			for _, l := range layouts {
+				src := img
+				if l.gray {
+					src = jpegx.NewPlanarImage(w, h, 1)
+					copy(src.Planes[0], img.Planes[0])
+				}
+				im, err := src.ToCoeffs(92, l.sub)
 				if err != nil {
 					t.Fatal(err)
 				}
-				name := fmt.Sprintf("seed%d/%s/T%d", seed, l.name, threshold)
-				rec, err := ReconstructPixels(pub.ToPlanar(), sec, threshold, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := psnr(im.ToPlanar(), rec); got < 55 {
-					t.Errorf("%s: identity reconstruction PSNR %.1f dB, want >= 55", name, got)
-				}
-				for _, tc := range cases {
-					sp, err := DeriveSecretPlanesScaledPool(sec, threshold, tc.denom, nil)
+				for _, threshold := range []int{5, 20} {
+					pub, sec, err := Split(im, threshold)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fused := tc.op.Apply(sp.D)
-					want := twoChainDifference(t, sec, threshold, tc.denom, tc.op)
-					var worst float64
-					for pi := range want.Planes {
-						for i, v := range want.Planes[pi] {
-							worst = math.Max(worst, math.Abs(fused.Planes[pi][i]-v))
-						}
+					name := fmt.Sprintf("%dx%d/seed%d/%s/T%d", w, h, seed, l.name, threshold)
+					rec, err := ReconstructPixels(pub.ToPlanar(), sec, threshold, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if worst > 0.5 {
-						t.Errorf("%s/%s: fused difference image is %.3f samples from the two-chain oracle, want <= 0.5",
-							name, tc.name, worst)
+					if got := psnr(im.ToPlanar(), rec); got < 55 {
+						t.Errorf("%s: identity reconstruction PSNR %.1f dB, want >= 55", name, got)
+					}
+					for _, tc := range cases {
+						sp, err := DeriveSecretPlanesScaledPool(sec, threshold, tc.denom, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						composed := sp.difference(tc.op)
+						if gap := worstGap(twoChainDifference(t, sec, threshold, tc.denom, tc.op), composed); gap > 0.5 {
+							t.Errorf("%s/%s: composed difference image is %.3f samples from the two-chain oracle, want <= 0.5",
+								name, tc.name, gap)
+						}
+						if gap := worstGap(stagedDifference(t, sec, threshold, tc.denom, tc.op), composed); gap > 1e-9 {
+							t.Errorf("%s/%s: composed difference image is %.3g samples from the staged operator, want <= 1e-9",
+								name, tc.name, gap)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// FuzzComposedOperator holds the composed pass to the staged operator on
+// geometry nobody wrote a table row for: any size from 1×1 up, every chroma
+// layout, and a random crop → blur → resize chain with any stage absent.
+func FuzzComposedOperator(f *testing.F) {
+	f.Add(uint8(96), uint8(71), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(47), uint8(35))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(9), uint8(9), uint8(5), uint8(2), uint8(4), uint8(2))
+	f.Add(uint8(16), uint8(8), uint8(1), uint8(1), uint8(3), uint8(2), uint8(200), uint8(200), uint8(12), uint8(1), uint8(90), uint8(3))
+	f.Add(uint8(2), uint8(96), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(30), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(64), uint8(1), uint8(3), uint8(1), uint8(60), uint8(0), uint8(5), uint8(1), uint8(0), uint8(3), uint8(1), uint8(96))
+	f.Add(uint8(32), uint8(32), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(7), uint8(2), uint8(32), uint8(32))
+	layouts := []jpegx.Subsampling{jpegx.Sub420, jpegx.Sub444, jpegx.Sub422, jpegx.Sub440}
+	f.Fuzz(func(t *testing.T, rw, rh, layout, crop, cx, cy, cw, ch, sigma, filter, tw, th uint8) {
+		w, h := 1+int(rw)%97, 1+int(rh)%97
+		src := dataset.Natural(int64(rw)<<8|int64(rh), w, h)
+		sub := jpegx.Sub444
+		if l := int(layout) % (len(layouts) + 1); l < len(layouts) {
+			sub = layouts[l]
+		} else {
+			src.Planes = src.Planes[:1] // grayscale
+		}
+		im, err := src.ToCoeffs(90, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sec, err := Split(im, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var op imaging.Compose
+		if crop%2 == 1 {
+			op = append(op, imaging.Crop{X: int(cx) % w, Y: int(cy) % h, W: 1 + int(cw), H: 1 + int(ch)})
+		}
+		if s := float64(sigma%32) / 10; s > 0 {
+			op = append(op, imaging.GaussianBlur{Sigma: s})
+		}
+		if tw > 0 && th > 0 {
+			op = append(op, imaging.Resize{W: int(tw), H: int(th), Filter: imaging.Filters()[int(filter)%len(imaging.Filters())]})
+		}
+		composed := DeriveSecretPlanes(sec, 10).difference(op)
+		if gap := worstGap(stagedDifference(t, sec, 10, 1, op), composed); gap > 1e-9 {
+			t.Fatalf("%dx%d %s %s: composed is %.3g samples from staged", w, h, sub, op, gap)
+		}
+	})
 }
 
 // FuzzEffectiveSecret checks the coefficient fold against its definition on

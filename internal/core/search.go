@@ -64,16 +64,6 @@ func CandidateParams() []PipelineParams {
 	return out
 }
 
-// CandidatePipelines instantiates the full grid for a resize to w×h.
-func CandidatePipelines(w, h int) []imaging.Op {
-	params := CandidateParams()
-	out := make([]imaging.Op, len(params))
-	for i, p := range params {
-		out[i] = p.Instantiate(w, h)
-	}
-	return out
-}
-
 // CalibrationEpoch is one immutable, versioned identification of a PSP
 // pipeline. A proxy publishes a new value atomically each time calibration
 // lands new parameters; readers snapshot the pointer once and use Epoch and
@@ -152,30 +142,6 @@ type SearchResult struct {
 	Op   imaging.Op
 	MSE  float64 // mean squared error against the PSP output
 	PSNR float64 // equivalent PSNR in dB
-}
-
-// SearchPipeline finds, among candidates, the pipeline minimizing MSE
-// between candidate(input) and the observed PSP output. If candidates is
-// nil, CandidatePipelines for the output's dimensions is used. input should
-// be the calibration image the proxy uploaded; output the PSP's transformed
-// version of it.
-func SearchPipeline(input, output *jpegx.PlanarImage, candidates []imaging.Op) SearchResult {
-	if candidates == nil {
-		candidates = CandidatePipelines(output.Width, output.Height)
-	}
-	best := SearchResult{MSE: math.Inf(1)}
-	for _, op := range candidates {
-		got := op.Apply(input)
-		if got.Width != output.Width || got.Height != output.Height {
-			continue
-		}
-		mse := clampedMSE(got, output)
-		if mse < best.MSE {
-			best = SearchResult{Op: op, MSE: mse}
-		}
-	}
-	finishPSNR(&best)
-	return best
 }
 
 // clampedMSE compares images after clamping to displayable range, because

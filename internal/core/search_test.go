@@ -22,7 +22,7 @@ func TestSearchPipelineRecoversTruth(t *testing.T) {
 		imaging.Sharpen{Sigma: 1, Amount: 0.5},
 	}
 	output := imaging.Clamp(hidden.Apply(input))
-	res := SearchPipeline(input, output, nil)
+	_, res := SearchParams(input, output)
 	if res.Op == nil {
 		t.Fatal("no candidate matched")
 	}
@@ -46,7 +46,7 @@ func TestSearchPipelineApproximatesUnknown(t *testing.T) {
 		imaging.Sharpen{Sigma: 1.4, Amount: 0.35},
 	}
 	output := imaging.Clamp(hidden.Apply(input))
-	res := SearchPipeline(input, output, nil)
+	_, res := SearchParams(input, output)
 	if res.Op == nil {
 		t.Fatal("no candidate matched")
 	}
@@ -59,7 +59,7 @@ func TestSearchPipelineApproximatesUnknown(t *testing.T) {
 }
 
 func TestCandidatePipelinesAllProduceTargetDims(t *testing.T) {
-	cands := CandidatePipelines(30, 20)
+	cands := CandidateParams()
 	if len(cands) < 4*2*3 {
 		t.Fatalf("only %d candidates", len(cands))
 	}
@@ -67,7 +67,8 @@ func TestCandidatePipelinesAllProduceTargetDims(t *testing.T) {
 	for i := range img.Planes[0] {
 		img.Planes[0][i] = float64(i % 255)
 	}
-	for _, op := range cands {
+	for _, p := range cands {
+		op := p.Instantiate(30, 20)
 		out := op.Apply(img)
 		if out.Width != 30 || out.Height != 20 {
 			t.Errorf("%s produced %dx%d", op, out.Width, out.Height)
@@ -85,7 +86,7 @@ func TestSearchPipelineUsedForReconstruction(t *testing.T) {
 	}
 	calibIm := naturalImage(t, rng, 80, 80, jpegx.Sub444)
 	calib := calibIm.ToPlanar()
-	res := SearchPipeline(calib, imaging.Clamp(hidden.Apply(calib)), nil)
+	_, res := SearchParams(calib, imaging.Clamp(hidden.Apply(calib)))
 	if res.Op == nil {
 		t.Fatal("calibration failed")
 	}

@@ -123,7 +123,8 @@ type weightRange struct {
 }
 
 // buildWeights computes, for each destination index, the source sample
-// weights for a 1-D resample from n to m samples.
+// weights for a 1-D resample from n to m samples. The rows share one backing
+// array; a row spans at most 2·support+1 samples.
 func buildWeights(n, m int, f Filter) []weightRange {
 	scale := float64(n) / float64(m)
 	filterScale := 1.0
@@ -132,6 +133,8 @@ func buildWeights(n, m int, f Filter) []weightRange {
 	}
 	support := f.Support * filterScale
 	out := make([]weightRange, m)
+	maxTaps := int(2*support) + 1
+	back := make([]float64, m*maxTaps)
 	for i := 0; i < m; i++ {
 		center := (float64(i)+0.5)*scale - 0.5
 		lo := int(math.Ceil(center - support))
@@ -146,7 +149,7 @@ func buildWeights(n, m int, f Filter) []weightRange {
 			lo = clampIdx(int(center+0.5), 0, n-1)
 			hi = lo
 		}
-		ws := make([]float64, hi-lo+1)
+		ws := back[i*maxTaps:][: hi-lo+1 : hi-lo+1]
 		var sum float64
 		for j := lo; j <= hi; j++ {
 			w := f.Kernel((float64(j) - center) / filterScale)

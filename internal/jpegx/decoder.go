@@ -1137,10 +1137,53 @@ func (im *CoeffImage) ToPlanar() *PlanarImage {
 // row range of the sample plane, so the result is bit-identical to the
 // sequential conversion. A nil pool runs sequentially.
 func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
+	return im.nativePlanes(128, 1, pool).upsampled()
+}
+
+// NativePlanes is a decoded image before chroma upsampling: every component
+// at its own resolution. Width×Height is the grid the components upsample to.
+type NativePlanes struct {
+	Width, Height int
+	Planes        []NativePlane
+}
+
+// NativePlane is one component's W×H samples, row-major.
+type NativePlane struct {
+	W, H int
+	Pix  []float64
+}
+
+// ToNativePlanesPool is ToPlanarScaledPool stopped short of the chroma
+// upsample, with the level shift a parameter: samples are IDCT + level, so
+// level 128 gives pixels and level 0 the pure linear term P3's pixel-domain
+// reconstruction adds to a served public part. Upsampling each plane to
+// Width×Height (see UpsampleTap) yields ToPlanarScaledPool's image, shifted
+// by level − 128.
+func (im *CoeffImage) ToNativePlanesPool(level float64, denom int, pool *work.Pool) (*NativePlanes, error) {
+	if denom != 1 && denom != 2 && denom != 4 && denom != 8 {
+		return nil, fmt.Errorf("jpegx: scaled IDCT denominator %d not in {1, 2, 4, 8}", denom)
+	}
+	return im.nativePlanes(level, denom, pool), nil
+}
+
+// nativePlanes runs dequantization + IDCT over every component at 1/denom
+// scale (denom ∈ {1, 2, 4, 8}), bands of block rows on pool when it allows.
+func (im *CoeffImage) nativePlanes(level float64, denom int, pool *work.Pool) *NativePlanes {
 	hMax, vMax := im.MaxSampling()
-	out := NewPlanarImage(im.Width, im.Height, len(im.Components))
+	out := &NativePlanes{
+		Width:  (im.Width + denom - 1) / denom,
+		Height: (im.Height + denom - 1) / denom,
+		Planes: make([]NativePlane, len(im.Components)),
+	}
 	for ci := range im.Components {
 		c := &im.Components[ci]
+		ch := (im.Height*c.V + vMax - 1) / vMax
+		p := NativePlane{
+			W: ((im.Width*c.H+hMax-1)/hMax + denom - 1) / denom,
+			H: (ch + denom - 1) / denom,
+		}
+		p.Pix = make([]float64, p.W*p.H)
+		out.Planes[ci] = p
 		q := im.Quant[c.TqIndex]
 		if q == nil {
 			// validate() prevents this for encoder-produced images; decoded
@@ -1148,64 +1191,58 @@ func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
 			// panicking.
 			continue
 		}
-		cw := (im.Width*c.H + hMax - 1) / hMax
-		ch := (im.Height*c.V + vMax - 1) / vMax
-		// A full-size component (luma, or 4:4:4 chroma) transforms straight
-		// into its output plane; a subsampled one goes through a temporary.
-		plane := out.Planes[ci]
-		subsampled := cw != im.Width || ch != im.Height
-		if subsampled {
-			plane = make([]float64, cw*ch)
+		bh := (ch + 7) / 8
+		bands := min(pool.Size(), bh)
+		if bands <= 1 {
+			idctRows(p, c, q, level, 8/denom, 0, bh)
+			continue
 		}
-		idctPlane(plane, c, q, cw, ch, pool)
-		if subsampled {
-			upsamplePlane(plane, cw, ch, out.Planes[ci], im.Width, im.Height)
-		}
+		// Band errors are impossible; ignore Do's error.
+		_ = pool.Do(bands, func(i int) error {
+			idctRows(p, c, q, level, 8/denom, bh*i/bands, bh*(i+1)/bands)
+			return nil
+		})
 	}
 	return out
 }
 
-// idctPlane runs dequantization + IDCT over a component, filling the cw×ch
-// sample plane with values in [0,255] (not clamped; callers clamp at
-// display). Bands of block rows run on pool when it allows.
-func idctPlane(plane []float64, c *Component, q *QuantTable, cw, ch int, pool *work.Pool) {
-	bh := (ch + 7) / 8
-	bands := pool.Size()
-	if bands > bh {
-		bands = bh
+// upsampled brings every plane to Width×Height. A full-size component (luma,
+// or 4:4:4 chroma) is adopted as it is; only a subsampled one is copied.
+func (np *NativePlanes) upsampled() *PlanarImage {
+	out := &PlanarImage{Width: np.Width, Height: np.Height, Planes: make([][]float64, len(np.Planes))}
+	for i, p := range np.Planes {
+		if p.W == np.Width && p.H == np.Height {
+			out.Planes[i] = p.Pix
+			continue
+		}
+		out.Planes[i] = make([]float64, np.Width*np.Height)
+		upsamplePlane(p.Pix, p.W, p.H, out.Planes[i], np.Width, np.Height)
 	}
-	if bands <= 1 {
-		idctRows(plane, c, q, cw, ch, 0, bh)
-		return
-	}
-	// Band errors are impossible; ignore Do's error.
-	_ = pool.Do(bands, func(i int) error {
-		idctRows(plane, c, q, cw, ch, bh*i/bands, bh*(i+1)/bands)
-		return nil
-	})
+	return out
 }
 
-// idctRows dequantizes and inverse-transforms block rows [by0, by1) of c
-// into the matching pixel rows of plane. Each block row owns pixel rows
-// [8·by, min(8·by+8, ch)), so concurrent bands never overlap.
-func idctRows(plane []float64, c *Component, q *QuantTable, cw, ch, by0, by1 int) {
+// idctRows dequantizes and inverse-transforms block rows [by0, by1) of c to
+// n×n samples each (n = 8 is the full transform, less the scaled one),
+// written as IDCT + level to the matching rows of plane, not clamped. Each
+// block row owns sample rows [n·by, min(n·by+n, plane.H)), so concurrent
+// bands never overlap.
+func idctRows(plane NativePlane, c *Component, q *QuantTable, level float64, n, by0, by1 int) {
 	var coeffs, pixels [64]int32
-	bw := (cw + 7) / 8
+	bw := (plane.W + n - 1) / n
 	for by := by0; by < by1; by++ {
 		for bx := 0; bx < bw; bx++ {
 			dequantizeBlockInt(c.Block(bx, by), q, &coeffs)
-			IDCT8x8Int(&coeffs, &pixels)
-			for y := 0; y < 8; y++ {
-				py := by*8 + y
-				if py >= ch {
-					break
-				}
-				for x := 0; x < 8; x++ {
-					px := bx*8 + x
-					if px >= cw {
-						break
-					}
-					plane[py*cw+px] = float64(pixels[y*8+x])*0.125 + 128
+			if n == 8 {
+				IDCT8x8Int(&coeffs, &pixels)
+			} else {
+				IDCTScaledInt(&coeffs, &pixels, n)
+			}
+			// The last block row and column may hang over the plane's edge.
+			rows, cols := min(n, plane.H-by*n), min(n, plane.W-bx*n)
+			for y := 0; y < rows; y++ {
+				dst := plane.Pix[(by*n+y)*plane.W+bx*n:][:cols]
+				for x, v := range pixels[y*n:][:cols] {
+					dst[x] = float64(v)*0.125 + level
 				}
 			}
 		}
@@ -1227,77 +1264,26 @@ func (im *CoeffImage) ToPlanarScaled(denom int) (*PlanarImage, error) {
 // over bands of block rows on pool (nil runs sequentially; results are
 // identical either way).
 func (im *CoeffImage) ToPlanarScaledPool(denom int, pool *work.Pool) (*PlanarImage, error) {
-	if denom == 1 {
-		return im.ToPlanarPool(pool), nil
+	np, err := im.ToNativePlanesPool(128, denom, pool)
+	if err != nil {
+		return nil, err
 	}
-	if denom != 2 && denom != 4 && denom != 8 {
-		return nil, fmt.Errorf("jpegx: scaled IDCT denominator %d not in {1, 2, 4, 8}", denom)
-	}
-	n := 8 / denom
-	hMax, vMax := im.MaxSampling()
-	sw := (im.Width + denom - 1) / denom
-	sh := (im.Height + denom - 1) / denom
-	out := NewPlanarImage(sw, sh, len(im.Components))
-	for ci := range im.Components {
-		c := &im.Components[ci]
-		q := im.Quant[c.TqIndex]
-		if q == nil {
-			continue
-		}
-		cw := (im.Width*c.H + hMax - 1) / hMax
-		ch := (im.Height*c.V + vMax - 1) / vMax
-		// Scaled extent of this component's plane.
-		scw := (cw + denom - 1) / denom
-		sch := (ch + denom - 1) / denom
-		plane := out.Planes[ci]
-		subsampled := scw != sw || sch != sh
-		if subsampled {
-			plane = make([]float64, scw*sch)
-		}
-		bh := (ch + 7) / 8
-		bands := pool.Size()
-		if bands > bh {
-			bands = bh
-		}
-		if bands <= 1 {
-			scaledIdctRows(plane, c, q, scw, sch, n, 0, bh)
-		} else {
-			_ = pool.Do(bands, func(i int) error {
-				scaledIdctRows(plane, c, q, scw, sch, n, bh*i/bands, bh*(i+1)/bands)
-				return nil
-			})
-		}
-		if subsampled {
-			upsamplePlane(plane, scw, sch, out.Planes[ci], sw, sh)
-		}
-	}
-	return out, nil
+	return np.upsampled(), nil
 }
 
-// scaledIdctRows is idctRows at reduced scale: block rows [by0, by1) of c
-// reconstruct to n×n samples each, written to the matching rows of the
-// scw×sch scaled plane.
-func scaledIdctRows(plane []float64, c *Component, q *QuantTable, scw, sch, n, by0, by1 int) {
-	var coeffs, pixels [64]int32
-	bw := (scw + n - 1) / n
-	for by := by0; by < by1; by++ {
-		for bx := 0; bx < bw; bx++ {
-			dequantizeBlockInt(c.Block(bx, by), q, &coeffs)
-			IDCTScaledInt(&coeffs, &pixels, n)
-			for y := 0; y < n; y++ {
-				py := by*n + y
-				if py >= sch {
-					break
-				}
-				for x := 0; x < n; x++ {
-					px := bx*n + x
-					if px >= scw {
-						break
-					}
-					plane[py*scw+px] = float64(pixels[y*n+x])*0.125 + 128
-				}
-			}
-		}
+// UpsampleTap is upsamplePlane along one axis as data: output sample x of n
+// is 3/4 of source sample near plus 1/4 of source sample far, out of cn.
+// Where the axis is copied (cn = n), replicated (2·cn < n) or clamped at an
+// end of the triangle filter, far == near and the sample passes through whole.
+func UpsampleTap(x, cn, n int) (near, far int) {
+	switch {
+	case cn == n:
+		return x, x
+	case 2*cn >= n:
+		near = min(x/2, cn-1)
+		return near, max(0, min(near+2*(x%2)-1, cn-1))
+	default:
+		return x * cn / n, x * cn / n
 	}
 }
 

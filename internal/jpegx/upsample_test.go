@@ -110,14 +110,44 @@ func checkUpsample(t testing.TB, seed int64, cw, ch, w, h int) {
 // nearest-neighbour fallback for factors above two, down to one-sample
 // planes.
 func TestUpsamplePlaneBitIdenticalToReference(t *testing.T) {
-	for i, c := range [][4]int{
-		{1, 1, 1, 1}, {1, 1, 2, 2}, {1, 1, 2, 1}, {1, 1, 1, 2},
-		{2, 2, 3, 3}, {2, 2, 4, 4}, {3, 2, 5, 4}, {3, 2, 6, 3},
-		{9, 5, 17, 9}, {9, 5, 18, 10}, {9, 9, 18, 9}, {9, 5, 9, 10},
-		{65, 49, 130, 98}, {65, 49, 129, 97}, {257, 192, 513, 383},
-		{3, 2, 13, 9}, {4, 4, 8, 17}, {4, 4, 17, 8}, // nearest-neighbour
-	} {
+	for i, c := range upsampleCases {
 		checkUpsample(t, int64(i), c[0], c[1], c[2], c[3])
+	}
+}
+
+// upsampleCases lists {cw, ch, w, h}.
+var upsampleCases = [][4]int{
+	{1, 1, 1, 1}, {1, 1, 2, 2}, {1, 1, 2, 1}, {1, 1, 1, 2},
+	{2, 2, 3, 3}, {2, 2, 4, 4}, {3, 2, 5, 4}, {3, 2, 6, 3},
+	{9, 5, 17, 9}, {9, 5, 18, 10}, {9, 9, 18, 9}, {9, 5, 9, 10},
+	{65, 49, 130, 98}, {65, 49, 129, 97}, {257, 192, 513, 383},
+	{3, 2, 13, 9}, {4, 4, 8, 17}, {4, 4, 17, 8}, // nearest-neighbour
+}
+
+// TestUpsampleTapMatchesUpsamplePlane: UpsampleTap, applied along both axes,
+// is upsamplePlane on every branch — even doubling, odd doubling, copy and
+// nearest — up to the rounding of (3/4 + 1/4)·s at a clamped end.
+func TestUpsampleTapMatchesUpsamplePlane(t *testing.T) {
+	for i, c := range upsampleCases {
+		cw, ch, w, h := c[0], c[1], c[2], c[3]
+		rng := rand.New(rand.NewSource(int64(i)))
+		src := make([]float64, cw*ch)
+		for j := range src {
+			src[j] = (rng.Float64() - 0.5) * 1024
+		}
+		want := make([]float64, w*h)
+		upsamplePlane(src, cw, ch, want, w, h)
+		for y := 0; y < h; y++ {
+			ny, fy := UpsampleTap(y, ch, h)
+			for x := 0; x < w; x++ {
+				nx, fx := UpsampleTap(x, cw, w)
+				near := 0.75*src[ny*cw+nx] + 0.25*src[ny*cw+fx]
+				far := 0.75*src[fy*cw+nx] + 0.25*src[fy*cw+fx]
+				if got := 0.75*near + 0.25*far; math.Abs(got-want[y*w+x]) > 1e-12 {
+					t.Fatalf("%dx%d→%dx%d at (%d,%d): taps give %v, upsamplePlane %v", cw, ch, w, h, x, y, got, want[y*w+x])
+				}
+			}
+		}
 	}
 }
 

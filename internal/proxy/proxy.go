@@ -871,7 +871,8 @@ func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams
 // parts. planes, when non-nil, are the pre-derived full-resolution difference
 // planes of the effective secret, shared across a multi-variant download;
 // nil derives per call (possibly at reduced scale, see scaledDenom). Either
-// way Eq. (2) runs as one IDCT → upsample → operator chain.
+// way Eq. (2)'s secret side runs as one IDCT and one composed pass per axis
+// from each component's own plane to the served grid.
 func (p *Proxy) reconstructDecoded(ctx context.Context, id string, variant p3.PhotoVariant, params *core.PipelineParams,
 	pubIm, sec *jpegx.CoeffImage, threshold int, planes *core.SecretPlanes) (*jpegx.PlanarImage, error) {
 	op, err := p.buildOp(ctx, id, variant, params, sec.Width, sec.Height, pubIm.Width, pubIm.Height)

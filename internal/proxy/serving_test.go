@@ -12,12 +12,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"p3"
+	"p3/internal/core"
 	"p3/internal/imaging"
+	"p3/internal/jpegx"
 	"p3/internal/metrics"
 	"p3/internal/psp"
 )
@@ -409,6 +412,76 @@ func TestServeHTTPStatusCodes(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadGateway {
 		t.Errorf("dead blob store status %d, want 502", resp3.StatusCode)
+	}
+}
+
+// grayPhotos is a hostile PSP: it serves every rendition of one photo with
+// the chroma dropped, a single-component JPEG of the right dimensions.
+type grayPhotos struct {
+	memPhotos
+	gray string // photo ID served in grayscale
+}
+
+func (g *grayPhotos) FetchPhoto(ctx context.Context, id string, v p3.PhotoVariant) ([]byte, error) {
+	served, err := g.memPhotos.FetchPhoto(ctx, id, v)
+	if err != nil || id != g.gray {
+		return served, err
+	}
+	pix, err := jpegx.DecodeToPlanar(bytes.NewReader(served))
+	if err != nil {
+		return nil, err
+	}
+	pix.Planes = pix.Planes[:1]
+	coeffs, err := pix.ToCoeffs(90, jpegx.Sub444)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = jpegx.EncodeCoeffs(&buf, coeffs, nil)
+	return buf.Bytes(), err
+}
+
+// TestGrayPublicPartIs502: a PSP that answers a colour upload with a
+// grayscale rendition gets a 502 naming both shapes — it used to panic inside
+// the variant cache's loader — and the proxy keeps serving other photos.
+func TestGrayPublicPartIs502(t *testing.T) {
+	key, err := p3.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := p3.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	photos := &grayPhotos{memPhotos: memPhotos{s: psp.NewServer(psp.FlickrLike())}}
+	px := New(codec, photos, p3.NewMemorySecretStore())
+	// What is under test does not depend on which operator calibration
+	// identified, so publish one instead of paying for a sweep.
+	px.calib.cur.Store(&core.CalibrationEpoch{Epoch: 1, Params: core.PipelineParams{Filter: imaging.CatmullRom, Gamma: 1}})
+	var ids [2]string
+	for i := range ids {
+		jpegBytes, _ := photoJPEG(t, int64(70+i), 160, 120)
+		if ids[i], err = px.Upload(ctx, jpegBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	px.InvalidateCaches() // forget the upload warm: both views are cold
+	photos.gray = ids[0]
+
+	get := func(id string) (int, string) {
+		rec := httptest.NewRecorder()
+		px.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/photo/"+id+"?size=small", nil))
+		return rec.Code, rec.Body.String()
+	}
+	code, body := get(ids[0])
+	if code != http.StatusBadGateway {
+		t.Errorf("grayscale rendition of a colour photo: status %d, want 502", code)
+	}
+	if strings.Contains(body, "panicked") || !strings.Contains(body, "130x98x3") || !strings.Contains(body, "130x98x1") {
+		t.Errorf("502 body %q: want an error naming the 130x98x3 and 130x98x1 shapes, not a recovered panic", body)
+	}
+	if code, body := get(ids[1]); code != http.StatusOK {
+		t.Errorf("next photo after the hostile one: status %d (%s), want 200", code, body)
 	}
 }
 
