@@ -29,33 +29,11 @@ type SecretPlanes struct {
 	d *jpegx.NativePlanes
 }
 
-// DeriveSecretPlanes computes the reusable difference planes for one secret
-// part at full resolution.
-func DeriveSecretPlanes(sec *jpegx.CoeffImage, threshold int) *SecretPlanes {
-	return DeriveSecretPlanesPool(sec, threshold, nil)
-}
-
-// DeriveSecretPlanesPool is DeriveSecretPlanes with the coefficient fold and
-// the IDCT fanned out over bands on pool.
+// DeriveSecretPlanesPool computes the reusable difference planes for one
+// secret part: the coefficient fold, then one full-resolution 8×8 IDCT, both
+// fanned out over bands on pool (nil runs sequentially, bit-identically).
 func DeriveSecretPlanesPool(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *SecretPlanes {
-	sp, _ := DeriveSecretPlanesScaledPool(sec, threshold, 1, pool) // 1 is a valid denominator
-	return sp
-}
-
-// DeriveSecretPlanesScaledPool derives the planes at 1/denom of full
-// resolution (denom ∈ {1, 2, 4, 8}) through the scaled inverse DCT: each
-// plane sample is the exact box average of the denom×denom full-resolution
-// samples it covers, at 1/denom² of the IDCT work. A consumer serving a
-// rendition no larger than the scaled planes (e.g. a thumbnail) resizes
-// from them instead of from full resolution; the result differs from the
-// full-resolution chain only by the box prefilter, which the rendition's
-// own decimation dominates.
-func DeriveSecretPlanesScaledPool(sec *jpegx.CoeffImage, threshold, denom int, pool *work.Pool) (*SecretPlanes, error) {
-	d, err := EffectiveSecret(sec, threshold, pool).ToNativePlanesPool(0, denom, pool)
-	if err != nil {
-		return nil, err
-	}
-	return &SecretPlanes{d: d}, nil
+	return &SecretPlanes{d: EffectiveSecret(sec, threshold, pool).ToNativePlanesPool(0, pool)}
 }
 
 // Reconstruct applies Eq. (2) for one served variant: op maps the planes'

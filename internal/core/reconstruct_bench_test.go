@@ -63,11 +63,8 @@ func BenchmarkSecretPlanesReconstruct(b *testing.B) {
 		b.Run(tc.name+"/composed", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := eff.ToNativePlanesPool(0, 1, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if benchSink, err = (&SecretPlanes{d: d}).Reconstruct(pub, tc.op); err != nil {
+				var err error
+				if benchSink, err = (&SecretPlanes{d: eff.ToNativePlanesPool(0, nil)}).Reconstruct(pub, tc.op); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -212,7 +212,7 @@ func TestSecretPlanesZeroForFlatSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range DeriveSecretPlanes(sec, 10).d.Planes[0].Pix {
+	for i, v := range DeriveSecretPlanesPool(sec, 10, nil).d.Planes[0].Pix {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("difference image not zero at %d: %v", i, v)
 		}
@@ -370,7 +370,7 @@ func TestSecretPlanesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := DeriveSecretPlanes(sec, 15)
+	sp := DeriveSecretPlanesPool(sec, 15, nil)
 	if _, err := sp.Reconstruct(pub.ToPlanar(), imaging.Gamma{G: 2.2}); err == nil {
 		t.Error("non-linear operator accepted")
 	}
@@ -414,35 +414,6 @@ func TestReconstructRejectsPlaneCountMismatch(t *testing.T) {
 	}
 }
 
-// TestDeriveSecretPlanesScaled: scaled planes reconstruct a downsized
-// rendition nearly as well as full-resolution planes put through the same
-// resize — the proxy's fast path for small variants.
-func TestDeriveSecretPlanesScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	im := naturalImage(t, rng, 128, 96, jpegx.Sub444)
-	threshold := 15
-	pub, sec, err := Split(im, threshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom}
-	served := imaging.Clamp(op.Apply(pub.ToPlanar()))
-	want := imaging.Clamp(op.Apply(im.ToPlanar()))
-	for _, denom := range []int{2, 4} {
-		sp, err := DeriveSecretPlanesScaledPool(sec, threshold, denom, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := sp.Reconstruct(served, op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := psnr(want, rec); got < 38 {
-			t.Errorf("denom %d: scaled-plane reconstruction PSNR %.1f dB, want >= 38", denom, got)
-		}
-	}
-}
-
 // correctionImage is the reference derivation of Eq. (1)'s (Ss − Ss²)·w
 // term as its own coefficient image: −2T at every AC position where the
 // secret part is negative, zero elsewhere. Production code folds it into the
@@ -476,34 +447,20 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 
 // stagedDifference is the definition SecretPlanes.difference is held to, and
 // what reconstruction ran before the stages were composed: materialise the
-// effective secret's planes the way jpegx.ToPlanarScaled does (IDCT, chroma
+// effective secret's planes the way jpegx.ToPlanar does (IDCT, chroma
 // upsample to the full grid), unshift them, and apply op one stage after
 // another.
-func stagedDifference(t testing.TB, sec *jpegx.CoeffImage, threshold, denom int, op imaging.Op) *jpegx.PlanarImage {
-	t.Helper()
-	d, err := EffectiveSecret(sec, threshold, nil).ToPlanarScaled(denom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op.Apply(unshift(d))
+func stagedDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
+	return op.Apply(unshift(EffectiveSecret(sec, threshold, nil).ToPlanar()))
 }
 
 // twoChainDifference is the reference derivation of Eq. (2)'s secret-side
 // term, A·S + A·C: the secret image S = IDCT(x_s) and the correction image
-// C = IDCT(corr) each run their own IDCT → upsample → operator chain (at
-// 1/denom scale) and are summed afterwards, unclamped.
-func twoChainDifference(t *testing.T, sec *jpegx.CoeffImage, threshold, denom int, op imaging.Op) *jpegx.PlanarImage {
-	t.Helper()
-	s, err := sec.ToPlanarScaled(denom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := correctionImage(sec, threshold).ToPlanarScaled(denom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := op.Apply(unshift(s))
-	imaging.AddInto(out, op.Apply(unshift(c)), 1)
+// C = IDCT(corr) each run their own IDCT → upsample → operator chain and are
+// summed afterwards, unclamped.
+func twoChainDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
+	out := op.Apply(unshift(sec.ToPlanar()))
+	imaging.AddInto(out, op.Apply(unshift(correctionImage(sec, threshold).ToPlanar())), 1)
 	return out
 }
 
@@ -525,7 +482,7 @@ func worstGap(a, b *jpegx.PlanarImage) float64 {
 // TestFusedMatchesTwoChainOracle is the differential test for both folds of
 // the secret-side term, run through the path Reconstruct runs. Over natural
 // photos, every chroma layout, even and odd geometry, the operator shapes the
-// proxy builds and every IDCT scale:
+// proxy builds:
 //   - the effective-secret fold: the one-chain difference image agrees with
 //     the two-chain reference to within half a sample before clamping (they
 //     differ only in where the fixed-point IDCT rounds);
@@ -553,17 +510,16 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 	for _, g := range geometries {
 		w, h := g[0], g[1]
 		cases := []struct {
-			name  string
-			denom int
-			op    imaging.Op // maps the planes' resolution to the served one
+			name string
+			op   imaging.Op // maps the planes' resolution to the served one
 		}{
-			{"identity", 1, imaging.Identity{}},
-			{"resize", 1, imaging.Resize{W: 52, H: 38, Filter: imaging.Lanczos3}},
-			{"crop-resize", 1, imaging.Compose{
+			{"identity", imaging.Identity{}},
+			{"resize", imaging.Resize{W: 52, H: 38, Filter: imaging.Lanczos3}},
+			{"crop-resize", imaging.Compose{
 				imaging.Crop{X: 9, Y: 5, W: 64, H: 48},
 				imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom},
 			}},
-			{"blur-resize-sharpen", 1, imaging.Compose{
+			{"blur-resize-sharpen", imaging.Compose{
 				imaging.GaussianBlur{Sigma: 0.8},
 				imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
 				imaging.Sharpen{Sigma: 1, Amount: 0.5},
@@ -571,25 +527,22 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 			// The shape proxy.buildOp hands over: a crop, then the calibrated
 			// pipeline as a nested Compose. The crop runs off the right and
 			// bottom edges and is clamped to them.
-			{"edge-crop-nested", 1, imaging.Compose{
+			{"edge-crop-nested", imaging.Compose{
 				imaging.Crop{X: 41, Y: 29, W: 200, H: 200},
 				imaging.Compose{
 					imaging.GaussianBlur{Sigma: 0.5},
 					imaging.Resize{W: 31, H: 23, Filter: imaging.CatmullRom},
 				},
 			}},
-			{"crop-only", 1, imaging.Crop{X: 17, Y: 11, W: 40, H: 30}},
-			{"blur-only", 1, imaging.GaussianBlur{Sigma: 1.1}},
-			{"identity-size-resize", 1, imaging.Compose{
+			{"crop-only", imaging.Crop{X: 17, Y: 11, W: 40, H: 30}},
+			{"blur-only", imaging.GaussianBlur{Sigma: 1.1}},
+			{"identity-size-resize", imaging.Compose{
 				imaging.GaussianBlur{Sigma: 0.5},
 				imaging.Resize{W: w, H: h, Filter: imaging.Lanczos3},
 			}},
-			{"one-axis-resize", 1, imaging.Resize{W: w, H: 40, Filter: imaging.Lanczos3}},
-			{"upscale", 1, imaging.Resize{W: 150, H: 110, Filter: imaging.CatmullRom}},
-			{"box", 1, imaging.Resize{W: 33, H: 21, Filter: imaging.Box}},
-			{"scaled-2", 2, imaging.Resize{W: 40, H: 30, Filter: imaging.CatmullRom}},
-			{"scaled-4", 4, imaging.Resize{W: 20, H: 15, Filter: imaging.CatmullRom}},
-			{"scaled-8", 8, imaging.Resize{W: 10, H: 8, Filter: imaging.Triangle}},
+			{"one-axis-resize", imaging.Resize{W: w, H: 40, Filter: imaging.Lanczos3}},
+			{"upscale", imaging.Resize{W: 150, H: 110, Filter: imaging.CatmullRom}},
+			{"box", imaging.Resize{W: 33, H: 21, Filter: imaging.Box}},
 		}
 		for seed := int64(1); seed <= 2; seed++ {
 			img := dataset.Natural(seed, w, h)
@@ -616,17 +569,14 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 					if got := psnr(im.ToPlanar(), rec); got < 55 {
 						t.Errorf("%s: identity reconstruction PSNR %.1f dB, want >= 55", name, got)
 					}
+					sp := DeriveSecretPlanesPool(sec, threshold, nil)
 					for _, tc := range cases {
-						sp, err := DeriveSecretPlanesScaledPool(sec, threshold, tc.denom, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
 						composed := sp.difference(tc.op)
-						if gap := worstGap(twoChainDifference(t, sec, threshold, tc.denom, tc.op), composed); gap > 0.5 {
+						if gap := worstGap(twoChainDifference(sec, threshold, tc.op), composed); gap > 0.5 {
 							t.Errorf("%s/%s: composed difference image is %.3f samples from the two-chain oracle, want <= 0.5",
 								name, tc.name, gap)
 						}
-						if gap := worstGap(stagedDifference(t, sec, threshold, tc.denom, tc.op), composed); gap > 1e-9 {
+						if gap := worstGap(stagedDifference(sec, threshold, tc.op), composed); gap > 1e-9 {
 							t.Errorf("%s/%s: composed difference image is %.3g samples from the staged operator, want <= 1e-9",
 								name, tc.name, gap)
 						}
@@ -675,8 +625,8 @@ func FuzzComposedOperator(f *testing.F) {
 		if tw > 0 && th > 0 {
 			op = append(op, imaging.Resize{W: int(tw), H: int(th), Filter: imaging.Filters()[int(filter)%len(imaging.Filters())]})
 		}
-		composed := DeriveSecretPlanes(sec, 10).difference(op)
-		if gap := worstGap(stagedDifference(t, sec, 10, 1, op), composed); gap > 1e-9 {
+		composed := DeriveSecretPlanesPool(sec, 10, nil).difference(op)
+		if gap := worstGap(stagedDifference(sec, 10, op), composed); gap > 1e-9 {
 			t.Fatalf("%dx%d %s %s: composed is %.3g samples from staged", w, h, sub, op, gap)
 		}
 	})

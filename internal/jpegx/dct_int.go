@@ -1,17 +1,15 @@
 package jpegx
 
-import "math"
-
 // Fixed-point DCT/IDCT, the production transforms of the pixel pipeline. The
 // algorithm is the Loeffler–Ligtenberg–Moshovitz factorization in 13-bit
 // fixed point (libjpeg's jfdctint/jidctint): 12 multiplications per 1-D
 // pass, all arithmetic in int64 so no intermediate can overflow, results
 // within ±1 of the float transforms (pinned by FuzzIDCTFixedVsFloat). The
-// float matrix and AAN transforms in dct.go / dct_fast.go remain as the
-// differential references. Unlike libjpeg the IDCT does not range-limit its
-// output: P3's public and secret parts are valid coefficient images whose
-// sample planes legitimately exceed [0, 255], and reconstruction needs the
-// unclamped values (clamping is display's job; see imaging.Clamp).
+// float matrix transforms in dct.go remain as the differential references.
+// Unlike libjpeg the IDCT does not range-limit its output: P3's public and
+// secret parts are valid coefficient images whose sample planes legitimately
+// exceed [0, 255], and reconstruction needs the unclamped values (clamping is
+// display's job; see imaging.Clamp).
 const (
 	dctConstBits = 13
 	dctPass1Bits = 2
@@ -227,81 +225,6 @@ func IDCT8x8Int(src, dst *[64]int32) {
 		dst[i+5] = int32(descale(tmp12-t1, dctConstBits+dctPass1Bits))
 		dst[i+3] = int32(descale(tmp13+t0, dctConstBits+dctPass1Bits))
 		dst[i+4] = int32(descale(tmp13-t0, dctConstBits+dctPass1Bits))
-	}
-}
-
-// Scaled inverse transforms. A proxy serving a ≤ half-size rendition does
-// not need 64 samples per block: the n×n scaled IDCT (n ∈ {1, 2, 4})
-// reconstructs each output sample as the exact box average of the (8/n)²
-// full-resolution samples the float IDCT would produce, folding the
-// downsample into the transform. The n×8 basis g_n[i][u] =
-// (n/8)·Σ_{x ∈ group i} C(u)/2·cos((2x+1)uπ/16) is precomputed in 13-bit
-// fixed point; both passes use all 8 input frequencies, so (unlike simple
-// coefficient truncation) high-frequency energy is correctly averaged, not
-// dropped.
-var idctScaledBasis [2][4][8]int64 // [0]: n=4, [1]: n=2
-
-func init() {
-	for bi, n := range [2]int{4, 2} {
-		group := 8 / n
-		for i := 0; i < n; i++ {
-			for u := 0; u < 8; u++ {
-				cu := 1.0
-				if u == 0 {
-					cu = 1 / math.Sqrt2
-				}
-				var s float64
-				for x := i * group; x < (i+1)*group; x++ {
-					s += cu / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
-				}
-				idctScaledBasis[bi][i][u] = int64(math.Round(s / float64(group) * (1 << dctConstBits)))
-			}
-		}
-	}
-}
-
-// IDCTScaledInt computes the n×n box-downsampled reconstruction of the
-// dequantized coefficients in src into the first n×n entries of dst
-// (row-major level-shifted samples scaled by 8 like IDCT8x8Int's, unclamped).
-// n must be 1, 2 or 4; n = 8 callers use IDCT8x8Int.
-func IDCTScaledInt(src, dst *[64]int32, n int) {
-	if n == 1 {
-		// The 1×1 output is the block mean, DC/8 — already 8×-scaled as DC.
-		dst[0] = src[0]
-		return
-	}
-	bi := 0
-	if n == 2 {
-		bi = 1
-	}
-	basis := &idctScaledBasis[bi]
-	// Pass 1: columns → n×8 intermediate, keeping dctPass1Bits extra bits.
-	var ws [32]int64 // n ≤ 4 rows × 8 columns
-	for u := 0; u < 8; u++ {
-		c0 := int64(src[u])
-		c1 := int64(src[8+u])
-		c2 := int64(src[16+u])
-		c3 := int64(src[24+u])
-		c4 := int64(src[32+u])
-		c5 := int64(src[40+u])
-		c6 := int64(src[48+u])
-		c7 := int64(src[56+u])
-		for i := 0; i < n; i++ {
-			g := &basis[i]
-			s := g[0]*c0 + g[1]*c1 + g[2]*c2 + g[3]*c3 +
-				g[4]*c4 + g[5]*c5 + g[6]*c6 + g[7]*c7
-			ws[i*8+u] = descale(s, dctConstBits-dctPass1Bits)
-		}
-	}
-	// Pass 2: rows → n×n samples, keeping 3 fractional bits (−3).
-	for i := 0; i < n; i++ {
-		row := ws[i*8 : i*8+8]
-		for j := 0; j < n; j++ {
-			g := &basis[j]
-			s := g[0]*row[0] + g[1]*row[1] + g[2]*row[2] + g[3]*row[3] +
-				g[4]*row[4] + g[5]*row[5] + g[6]*row[6] + g[7]*row[7]
-			dst[i*n+j] = int32(descale(s, dctConstBits+dctPass1Bits-3))
-		}
 	}
 }
 

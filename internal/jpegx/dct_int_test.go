@@ -98,113 +98,6 @@ func TestFDCTIntVsFloat(t *testing.T) {
 	}
 }
 
-// TestIDCTScaledMatchesBoxAverage pins each scaled kernel to its definition:
-// the n×n output equals the box average of the full float reconstruction's
-// (8/n)² sample groups, within ±1.
-func TestIDCTScaledMatchesBoxAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	luma, _ := StandardQuantTables(90)
-	for _, n := range []int{4, 2, 1} {
-		group := 8 / n
-		for trial := 0; trial < 300; trial++ {
-			ic, fc := realizableBlock(rng, &luma, 45)
-			var got [64]int32
-			IDCTScaledInt(&ic, &got, n)
-			var full [64]float64
-			IDCT8x8(&fc, &full)
-			for by := 0; by < n; by++ {
-				for bx := 0; bx < n; bx++ {
-					var sum float64
-					for y := by * group; y < (by+1)*group; y++ {
-						for x := bx * group; x < (bx+1)*group; x++ {
-							sum += full[y*8+x]
-						}
-					}
-					want := sum / float64(group*group)
-					if d := math.Abs(float64(got[by*n+bx])*0.125 - want); d > 1 {
-						t.Fatalf("n=%d trial %d (%d,%d): scaled %v vs box average %v (|Δ| = %.3f)",
-							n, trial, bx, by, float64(got[by*n+bx])*0.125, want, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestToPlanarScaledDims checks the scaled conversion's geometry across odd
-// sizes with subsampled chroma, and that unsupported denominators fail.
-func TestToPlanarScaledDims(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, tc := range []struct{ w, h int }{{129, 97}, {64, 48}, {720, 481}} {
-		im := randomCoeffImage(rng, tc.w, tc.h, false, Sub420)
-		for _, denom := range []int{2, 4, 8} {
-			out, err := im.ToPlanarScaled(denom)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantW := (tc.w + denom - 1) / denom
-			wantH := (tc.h + denom - 1) / denom
-			if out.Width != wantW || out.Height != wantH {
-				t.Fatalf("%dx%d denom %d: got %dx%d, want %dx%d",
-					tc.w, tc.h, denom, out.Width, out.Height, wantW, wantH)
-			}
-		}
-		if _, err := im.ToPlanarScaled(3); err == nil {
-			t.Fatal("denom 3 accepted")
-		}
-	}
-}
-
-// TestToPlanarScaledApproximatesFullRes checks quality, not just shape: a
-// scaled plane must stay close to the box-downsampled full-resolution plane.
-// The two differ only in where the chroma upsample happens relative to the
-// box average, so the comparison uses a smooth image — on coefficient noise
-// those two operations don't commute and the bound would be meaningless.
-func TestToPlanarScaledApproximatesFullRes(t *testing.T) {
-	pix := NewPlanarImage(160, 120, 3)
-	for ci := range pix.Planes {
-		for y := 0; y < 120; y++ {
-			for x := 0; x < 160; x++ {
-				pix.Planes[ci][y*160+x] = 128 +
-					70*math.Sin(float64(x)/17+float64(ci))*
-						math.Cos(float64(y)/13-float64(ci))
-			}
-		}
-	}
-	im, err := pix.ToCoeffs(90, Sub420)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := im.ToPlanar()
-	for _, denom := range []int{2, 4} {
-		scaled, err := im.ToPlanarScaled(denom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range scaled.Planes {
-			var se, n float64
-			for y := 0; y < scaled.Height; y++ {
-				for x := 0; x < scaled.Width; x++ {
-					var sum float64
-					var cnt int
-					for yy := y * denom; yy < (y+1)*denom && yy < full.Height; yy++ {
-						for xx := x * denom; xx < (x+1)*denom && xx < full.Width; xx++ {
-							sum += full.Planes[ci][yy*full.Width+xx]
-							cnt++
-						}
-					}
-					d := scaled.Planes[ci][y*scaled.Width+x] - sum/float64(cnt)
-					se += d * d
-					n++
-				}
-			}
-			if rmse := math.Sqrt(se / n); rmse > 4 {
-				t.Errorf("denom %d plane %d: RMSE %.2f vs box-downsampled full res", denom, ci, rmse)
-			}
-		}
-	}
-}
-
 // FuzzIDCTFixedVsFloat fuzzes the ±1 contract over quant quality and sample
 // statistics. Run with `go test -fuzz=FuzzIDCTFixedVsFloat ./internal/jpegx`.
 func FuzzIDCTFixedVsFloat(f *testing.F) {
@@ -230,26 +123,6 @@ func FuzzIDCTFixedVsFloat(f *testing.F) {
 			if d := math.Abs(float64(got[i])*0.125 - want[i]); d > 1 {
 				t.Fatalf("sample %d: int/8 = %v vs float %v (|Δ| = %.3f)",
 					i, float64(got[i])*0.125, want[i], d)
-			}
-		}
-		for _, n := range []int{4, 2, 1} {
-			var scaled [64]int32
-			IDCTScaledInt(&ic, &scaled, n)
-			group := 8 / n
-			for by := 0; by < n; by++ {
-				for bx := 0; bx < n; bx++ {
-					var sum float64
-					for y := by * group; y < (by+1)*group; y++ {
-						for x := bx * group; x < (bx+1)*group; x++ {
-							sum += want[y*8+x]
-						}
-					}
-					avg := sum / float64(group*group)
-					if d := math.Abs(float64(scaled[by*n+bx])*0.125 - avg); d > 1 {
-						t.Fatalf("n=%d (%d,%d): scaled/8 = %v vs box average %v",
-							n, bx, by, float64(scaled[by*n+bx])*0.125, avg)
-					}
-				}
 			}
 		}
 	})

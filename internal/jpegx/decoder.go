@@ -1137,7 +1137,7 @@ func (im *CoeffImage) ToPlanar() *PlanarImage {
 // row range of the sample plane, so the result is bit-identical to the
 // sequential conversion. A nil pool runs sequentially.
 func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
-	return im.nativePlanes(128, 1, pool).upsampled()
+	return im.ToNativePlanesPool(128, pool).upsampled()
 }
 
 // NativePlanes is a decoded image before chroma upsampling: every component
@@ -1153,34 +1153,25 @@ type NativePlane struct {
 	Pix  []float64
 }
 
-// ToNativePlanesPool is ToPlanarScaledPool stopped short of the chroma
-// upsample, with the level shift a parameter: samples are IDCT + level, so
-// level 128 gives pixels and level 0 the pure linear term P3's pixel-domain
-// reconstruction adds to a served public part. Upsampling each plane to
-// Width×Height (see UpsampleTap) yields ToPlanarScaledPool's image, shifted
-// by level − 128.
-func (im *CoeffImage) ToNativePlanesPool(level float64, denom int, pool *work.Pool) (*NativePlanes, error) {
-	if denom != 1 && denom != 2 && denom != 4 && denom != 8 {
-		return nil, fmt.Errorf("jpegx: scaled IDCT denominator %d not in {1, 2, 4, 8}", denom)
-	}
-	return im.nativePlanes(level, denom, pool), nil
-}
-
-// nativePlanes runs dequantization + IDCT over every component at 1/denom
-// scale (denom ∈ {1, 2, 4, 8}), bands of block rows on pool when it allows.
-func (im *CoeffImage) nativePlanes(level float64, denom int, pool *work.Pool) *NativePlanes {
+// ToNativePlanesPool is ToPlanarPool stopped short of the chroma upsample,
+// with the level shift a parameter: dequantization + 8×8 IDCT over every
+// component, samples IDCT + level, so level 128 gives pixels and level 0 the
+// pure linear term P3's pixel-domain reconstruction adds to a served public
+// part. Upsampling each plane to Width×Height (see UpsampleTap) yields
+// ToPlanarPool's image, shifted by level − 128. Bands of block rows run on
+// pool when it allows.
+func (im *CoeffImage) ToNativePlanesPool(level float64, pool *work.Pool) *NativePlanes {
 	hMax, vMax := im.MaxSampling()
 	out := &NativePlanes{
-		Width:  (im.Width + denom - 1) / denom,
-		Height: (im.Height + denom - 1) / denom,
+		Width:  im.Width,
+		Height: im.Height,
 		Planes: make([]NativePlane, len(im.Components)),
 	}
 	for ci := range im.Components {
 		c := &im.Components[ci]
-		ch := (im.Height*c.V + vMax - 1) / vMax
 		p := NativePlane{
-			W: ((im.Width*c.H+hMax-1)/hMax + denom - 1) / denom,
-			H: (ch + denom - 1) / denom,
+			W: (im.Width*c.H + hMax - 1) / hMax,
+			H: (im.Height*c.V + vMax - 1) / vMax,
 		}
 		p.Pix = make([]float64, p.W*p.H)
 		out.Planes[ci] = p
@@ -1191,15 +1182,15 @@ func (im *CoeffImage) nativePlanes(level float64, denom int, pool *work.Pool) *N
 			// panicking.
 			continue
 		}
-		bh := (ch + 7) / 8
+		bh := (p.H + 7) / 8
 		bands := min(pool.Size(), bh)
 		if bands <= 1 {
-			idctRows(p, c, q, level, 8/denom, 0, bh)
+			idctRows(p, c, q, level, 0, bh)
 			continue
 		}
 		// Band errors are impossible; ignore Do's error.
 		_ = pool.Do(bands, func(i int) error {
-			idctRows(p, c, q, level, 8/denom, bh*i/bands, bh*(i+1)/bands)
+			idctRows(p, c, q, level, bh*i/bands, bh*(i+1)/bands)
 			return nil
 		})
 	}
@@ -1221,54 +1212,27 @@ func (np *NativePlanes) upsampled() *PlanarImage {
 	return out
 }
 
-// idctRows dequantizes and inverse-transforms block rows [by0, by1) of c to
-// n×n samples each (n = 8 is the full transform, less the scaled one),
+// idctRows dequantizes and inverse-transforms block rows [by0, by1) of c,
 // written as IDCT + level to the matching rows of plane, not clamped. Each
-// block row owns sample rows [n·by, min(n·by+n, plane.H)), so concurrent
+// block row owns sample rows [8·by, min(8·by+8, plane.H)), so concurrent
 // bands never overlap.
-func idctRows(plane NativePlane, c *Component, q *QuantTable, level float64, n, by0, by1 int) {
+func idctRows(plane NativePlane, c *Component, q *QuantTable, level float64, by0, by1 int) {
 	var coeffs, pixels [64]int32
-	bw := (plane.W + n - 1) / n
+	bw := (plane.W + 7) / 8
 	for by := by0; by < by1; by++ {
 		for bx := 0; bx < bw; bx++ {
 			dequantizeBlockInt(c.Block(bx, by), q, &coeffs)
-			if n == 8 {
-				IDCT8x8Int(&coeffs, &pixels)
-			} else {
-				IDCTScaledInt(&coeffs, &pixels, n)
-			}
+			IDCT8x8Int(&coeffs, &pixels)
 			// The last block row and column may hang over the plane's edge.
-			rows, cols := min(n, plane.H-by*n), min(n, plane.W-bx*n)
+			rows, cols := min(8, plane.H-by*8), min(8, plane.W-bx*8)
 			for y := 0; y < rows; y++ {
-				dst := plane.Pix[(by*n+y)*plane.W+bx*n:][:cols]
-				for x, v := range pixels[y*n:][:cols] {
+				dst := plane.Pix[(by*8+y)*plane.W+bx*8:][:cols]
+				for x, v := range pixels[y*8:][:cols] {
 					dst[x] = float64(v)*0.125 + level
 				}
 			}
 		}
 	}
-}
-
-// ToPlanarScaled converts the coefficient image to planar pixels at 1/denom
-// of full resolution (denom ∈ {1, 2, 4, 8}), folding the downsample into the
-// inverse transform: each block reconstructs straight to (8/denom)² samples
-// via the scaled IDCT, so a proxy serving a half-size rendition does a
-// quarter of the IDCT work and never materializes the full-size plane. Each
-// output sample is the exact box average of the denom×denom full-resolution
-// samples it covers.
-func (im *CoeffImage) ToPlanarScaled(denom int) (*PlanarImage, error) {
-	return im.ToPlanarScaledPool(denom, nil)
-}
-
-// ToPlanarScaledPool is ToPlanarScaled with the per-block work fanned out
-// over bands of block rows on pool (nil runs sequentially; results are
-// identical either way).
-func (im *CoeffImage) ToPlanarScaledPool(denom int, pool *work.Pool) (*PlanarImage, error) {
-	np, err := im.ToNativePlanesPool(128, denom, pool)
-	if err != nil {
-		return nil, err
-	}
-	return np.upsampled(), nil
 }
 
 // UpsampleTap is upsamplePlane along one axis as data: output sample x of n

@@ -78,13 +78,6 @@ func WithWarmTopK(n int) ProxyOption {
 	return func(c *proxyConfig) { c.warmTopK = max(n, 0) }
 }
 
-// WithProbeFloorDB sets the PSNR floor (dB) under which a recalibration
-// probe declares the published parameters stale and triggers the full
-// sweep.
-func WithProbeFloorDB(db float64) ProxyOption {
-	return func(c *proxyConfig) { c.probeFloorDB = db }
-}
-
 // CalibrationInFlightError reports a calibration request rejected because
 // another calibration is already running on this proxy; RetryAfter
 // estimates when the slot frees. ServeHTTP maps it to 503 with a
@@ -408,7 +401,7 @@ func (p *Proxy) runCalibration(ctx context.Context, force bool) (CalibrationOutc
 		res := prev.Params.Verify(sentP, servedP)
 		c.probes.Inc()
 		c.probeHist.Observe(time.Since(probeStart))
-		if res.PSNR >= p.probeFloorDB {
+		if res.PSNR >= DefaultProbeFloorDB {
 			// The published parameters still reproduce the PSP: keep the
 			// epoch, and with it every cached variant.
 			c.probeHits.Inc()

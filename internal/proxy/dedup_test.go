@@ -36,11 +36,11 @@ func jpegAt(t testing.TB, seed int64, w, h, quality int) []byte {
 
 // diffBed is a full proxy stack whose photos backend is optionally
 // wrapped in a dedup layer. The dedup-on and dedup-off beds share one
-// key and run byte-identical codec and calibration paths — the only
-// difference is the middleware — which is what the differential test
-// measures. Calibration sweeps are expensive (especially under -race),
-// so the pair is built once and shared by every test in this file; all
-// assertions on dedup counters are therefore deltas, never absolutes.
+// key and serve one published epoch through byte-identical codec paths —
+// the only difference is the middleware — which is what the differential
+// test measures. The pair is built once and shared by every test in this
+// file; all assertions on dedup counters are therefore deltas, never
+// absolutes.
 type diffBed struct {
 	proxy *Proxy
 	ded   *dedup.Store      // nil on the dedup-off bed
@@ -73,9 +73,7 @@ func buildDiffBed(key p3.Key, withDedup bool) (*diffBed, error) {
 		opts = append(opts, WithSimilarity(bed.sim))
 	}
 	bed.proxy = New(codec, photos, p3.NewHTTPSecretStore(stSrv.URL), opts...)
-	if _, err := bed.proxy.Calibrate(ctx); err != nil {
-		return nil, err
-	}
+	publishTruePipeline(bed.proxy, psp.FacebookLike())
 	return bed, nil
 }
 

@@ -91,9 +91,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// the scrape) with a unique instance name (so this test's cache views
 	// don't collide with other tests').
 	p := New(codec, photos, store, WithMetricsName("metrics-e2e"))
-	if _, err := p.Calibrate(ctx); err != nil {
-		t.Fatal(err)
-	}
+	publishTruePipeline(p, photos.s.Pipeline)
 
 	jpegBytes, _ := photoJPEG(t, 77, 320, 240)
 	id, err := p.Upload(ctx, jpegBytes)
@@ -132,7 +130,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := first[`p3_cache_hits_total{proxy="metrics-e2e",cache="variants"}`]; got != 2 {
 		t.Errorf("variant cache hits = %v, want 2", got)
 	}
-	// Replication: 2 replicas per blob, photo + calibration probe stored.
+	// Replication: 2 replicas of the photo's secret part.
 	var puts float64
 	for i := 0; i < 3; i++ {
 		puts += first[fmt.Sprintf(`p3_shard_puts_total{shard="%d"}`, i)]
@@ -217,9 +215,7 @@ func TestMetricsErasureStore(t *testing.T) {
 	}
 	photos := &countingPhotos{s: psp.NewServer(psp.FlickrLike())}
 	p := New(codec, photos, store, WithMetricsName("metrics-erasure"))
-	if _, err := p.Calibrate(ctx); err != nil {
-		t.Fatal(err)
-	}
+	publishTruePipeline(p, photos.s.Pipeline)
 	jpegBytes, _ := photoJPEG(t, 99, 320, 240)
 	id, err := p.Upload(ctx, jpegBytes)
 	if err != nil {

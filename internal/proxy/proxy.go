@@ -68,7 +68,6 @@ import (
 	"net/url"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"p3"
@@ -106,12 +105,10 @@ type ProxyOption func(*proxyConfig)
 type proxyConfig struct {
 	secretCacheBytes  int64
 	variantCacheBytes int64
-	dimsCacheEntries  int
 	videoMaxBytes     int64
 	registry          *metrics.Registry
 	name              string
 	warmTopK          int
-	probeFloorDB      float64
 	recalInterval     time.Duration
 	admission         *admission.Controller
 	similarity        *similarity.Index
@@ -128,12 +125,6 @@ func WithSecretCacheBytes(n int64) ProxyOption {
 // are clamped to 1 (retention off, coalescing still on).
 func WithVariantCacheBytes(n int64) ProxyOption {
 	return func(c *proxyConfig) { c.variantCacheBytes = max(n, 1) }
-}
-
-// WithDimsCacheEntries bounds how many photos' stored dimensions are
-// remembered for crop-coordinate mapping.
-func WithDimsCacheEntries(n int) ProxyOption {
-	return func(c *proxyConfig) { c.dimsCacheEntries = max(n, 1) }
 }
 
 // WithMetricsRegistry points the proxy's instruments at a private registry
@@ -201,10 +192,9 @@ type Proxy struct {
 	// calib publishes the identified PSP pipeline as an atomic epoch
 	// snapshot (see calibration.go); calibPool fans out the sweep and the
 	// post-flip pre-warm without competing for the codec's pool.
-	calib        calibState
-	calibPool    *work.Pool
-	warmTopK     int
-	probeFloorDB float64
+	calib     calibState
+	calibPool *work.Pool
+	warmTopK  int
 
 	secrets  *cache.Cache[[]byte] // photo ID / clip blob name → stored bytes
 	dims     *cache.Cache[[2]int] // photo ID → PSP stored dims
@@ -408,12 +398,10 @@ func New(codec *p3.Codec, photos p3.PhotoService, secrets p3.SecretStore, opts .
 	cfg := proxyConfig{
 		secretCacheBytes:  DefaultSecretCacheBytes,
 		variantCacheBytes: DefaultVariantCacheBytes,
-		dimsCacheEntries:  DefaultDimsCacheEntries,
 		videoMaxBytes:     DefaultVideoMaxBytes,
 		registry:          metrics.Default,
 		name:              "proxy",
 		warmTopK:          DefaultWarmTopK,
-		probeFloorDB:      DefaultProbeFloorDB,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -425,9 +413,8 @@ func New(codec *p3.Codec, photos p3.PhotoService, secrets p3.SecretStore, opts .
 		store:         secrets,
 		calibPool:     work.New(runtime.GOMAXPROCS(0)),
 		warmTopK:      cfg.warmTopK,
-		probeFloorDB:  cfg.probeFloorDB,
 		secrets:       cache.New(cfg.secretCacheBytes, maxCacheEntries, byteLen),
-		dims:          cache.New[[2]int](0, cfg.dimsCacheEntries, nil),
+		dims:          cache.New[[2]int](0, DefaultDimsCacheEntries, nil),
 		variants:      cache.New(cfg.variantCacheBytes, maxCacheEntries, byteLen),
 		videoMaxBytes: cfg.videoMaxBytes,
 		admission:     cfg.admission,
@@ -712,106 +699,6 @@ func encodeVariant(pix *jpegx.PlanarImage) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DownloadMany serves several renditions of one photo in a single call — the
-// shape of an application prefetching thumb + small + full on photo open.
-// Renditions already in the variant cache are served from memory; for the
-// misses, the secret part is fetched and decoded once and its reconstruction
-// planes are derived once, shared across every rendition, instead of paying
-// the secret IDCT per variant as repeated Download calls would. Results
-// align with queries; the returned byte slices are shared with the cache and
-// must be treated as immutable.
-func (p *Proxy) DownloadMany(ctx context.Context, id string, queries []url.Values) (_ [][]byte, err error) {
-	defer p.download.observe(time.Now(), &err)
-	if err := validateID(id); err != nil {
-		return nil, err
-	}
-	ep := p.calib.cur.Load()
-	if ep == nil {
-		return nil, errNotCalibrated
-	}
-	p.calib.noteServe()
-	params := &ep.Params
-	variants := make([]p3.PhotoVariant, len(queries))
-	for i, q := range queries {
-		v, err := p3.ParsePhotoVariant(q)
-		if err != nil {
-			return nil, &RequestError{Err: err}
-		}
-		variants[i] = v
-	}
-	// The batch is Cached only when every rendition is already resident;
-	// one miss means real reconstruction work.
-	class := admission.Cached
-	for _, variant := range variants {
-		if p.downloadClass(variantKeyFor(ep.Epoch, id, variant)) == admission.Cold {
-			class = admission.Cold
-			break
-		}
-	}
-	release, err := p.admit(ctx, class)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	// The secret decode and plane derivation run at most once across the
-	// whole batch, on first cache miss; hits never touch the secret at all.
-	var shared struct {
-		sync.Mutex
-		sec       *jpegx.CoeffImage
-		threshold int
-		planes    *core.SecretPlanes
-	}
-	secretPlanes := func(ctx context.Context) (*jpegx.CoeffImage, int, *core.SecretPlanes, error) {
-		shared.Lock()
-		defer shared.Unlock()
-		if shared.sec == nil {
-			secretBlob, err := p.fetchSecret(ctx, id)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			threshold, secretJPEG, err := core.OpenSecret(p.key(), secretBlob)
-			if err != nil {
-				return nil, 0, nil, err
-			}
-			sec, err := jpegx.Decode(bytes.NewReader(secretJPEG))
-			if err != nil {
-				return nil, 0, nil, fmt.Errorf("proxy: decoding secret part: %w", err)
-			}
-			shared.sec, shared.threshold = sec, threshold
-			shared.planes = core.DeriveSecretPlanes(sec, threshold)
-		}
-		return shared.sec, shared.threshold, shared.planes, nil
-	}
-	out := make([][]byte, len(variants))
-	for i, variant := range variants {
-		key := variantKeyFor(ep.Epoch, id, variant)
-		p.calib.noteWarmHit(p.variants, key)
-		out[i], err = p.variants.GetOrLoad(ctx, key, func(ctx context.Context) ([]byte, error) {
-			publicBytes, err := p.photos.FetchPhoto(ctx, id, variant)
-			if err != nil {
-				return nil, err
-			}
-			pubIm, err := jpegx.Decode(bytes.NewReader(publicBytes))
-			if err != nil {
-				return nil, fmt.Errorf("proxy: decoding served public part: %w", err)
-			}
-			sec, threshold, planes, err := secretPlanes(ctx)
-			if err != nil {
-				return nil, err
-			}
-			pix, err := p.reconstructDecoded(ctx, id, variant, params, pubIm, sec, threshold, planes)
-			if err != nil {
-				return nil, err
-			}
-			return encodeVariant(pix)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // DownloadPixels is Download without the final JPEG encode. Pixel results
 // are not cached (the variant cache holds encoded bytes), but the secret
 // and dims fetches underneath still are. It counts toward the download
@@ -842,7 +729,9 @@ func (p *Proxy) DownloadPixels(ctx context.Context, id string, q url.Values) (_ 
 
 // reconstructWith fetches both parts of one variant and reverses the PSP's
 // transform per Eq. (2) under the given calibrated parameters — always an
-// epoch snapshot's, so the caller's cache key and operator agree.
+// epoch snapshot's, so the caller's cache key and operator agree. The secret
+// side is one full-resolution IDCT, then one composed pass per axis from
+// each component's own plane to the served grid, whatever the rendition.
 func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams, id string, variant p3.PhotoVariant) (*jpegx.PlanarImage, error) {
 	publicBytes, err := p.photos.FetchPhoto(ctx, id, variant)
 	if err != nil {
@@ -864,33 +753,12 @@ func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams
 	if err != nil {
 		return nil, fmt.Errorf("proxy: decoding secret part: %w", err)
 	}
-	return p.reconstructDecoded(ctx, id, variant, params, pubIm, sec, threshold, nil)
-}
-
-// reconstructDecoded is the back half of reconstruct, starting from decoded
-// parts. planes, when non-nil, are the pre-derived full-resolution difference
-// planes of the effective secret, shared across a multi-variant download;
-// nil derives per call (possibly at reduced scale, see scaledDenom). Either
-// way Eq. (2)'s secret side runs as one IDCT and one composed pass per axis
-// from each component's own plane to the served grid.
-func (p *Proxy) reconstructDecoded(ctx context.Context, id string, variant p3.PhotoVariant, params *core.PipelineParams,
-	pubIm, sec *jpegx.CoeffImage, threshold int, planes *core.SecretPlanes) (*jpegx.PlanarImage, error) {
 	op, err := p.buildOp(ctx, id, variant, params, sec.Width, sec.Height, pubIm.Width, pubIm.Height)
 	if err != nil {
 		return nil, err
 	}
 	if op.Linear() {
-		if planes == nil {
-			// When the served rendition is no larger than scaled planes,
-			// reconstruct the secret part straight to reduced scale — a
-			// quarter (or a sixteenth, …) of the IDCT work — and let the
-			// calibrated resize run from there.
-			d := scaledDenom(params, variant, sec.Width, sec.Height, pubIm.Width, pubIm.Height)
-			if planes, err = core.DeriveSecretPlanesScaledPool(sec, threshold, d, nil); err != nil {
-				return nil, err
-			}
-		}
-		return planes.Reconstruct(pubIm.ToPlanar(), op)
+		return core.ReconstructPixels(pubIm.ToPlanar(), sec, threshold, op)
 	}
 	// Calibrated gamma: strip the trailing remap and use the §3.3 inversion
 	// path.
@@ -926,23 +794,6 @@ func (p *Proxy) buildOp(ctx context.Context, id string, variant p3.PhotoVariant,
 	}
 	op = append(op, params.Instantiate(servedW, servedH))
 	return op, nil
-}
-
-// scaledDenom picks the deepest scaled-IDCT reduction whose planes still
-// cover the served rendition, or 1 when the variant must reconstruct at full
-// resolution. Crops are excluded because their coordinates address the
-// full-resolution grid, and a calibrated pre-blur because its σ is expressed
-// in full-resolution pixels.
-func scaledDenom(params *core.PipelineParams, variant p3.PhotoVariant, origW, origH, servedW, servedH int) int {
-	if params.PreBlur > 0 || variant.Crop != nil {
-		return 1
-	}
-	for _, d := range [...]int{8, 4, 2} {
-		if (origW+d-1)/d >= servedW && (origH+d-1)/d >= servedH {
-			return d
-		}
-	}
-	return 1
 }
 
 // mapCrop maps a crop rectangle from stored-image coordinates (the space

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"p3"
+	"p3/internal/core"
 	"p3/internal/dataset"
 	"p3/internal/imaging"
 	"p3/internal/jpegx"
@@ -20,7 +21,8 @@ import (
 
 var ctx = context.Background()
 
-// testbed wires a PSP, a blob store, and a calibrated proxy.
+// testbed wires a PSP, a blob store, and a proxy serving the PSP's own
+// pipeline (see publishTruePipeline).
 type testbed struct {
 	psp    *psp.Server
 	store  *psp.BlobStore
@@ -52,10 +54,21 @@ func newTestbed(t *testing.T, pipeline psp.Pipeline) *testbed {
 	}
 	tb.key = key
 	tb.proxy = newProxy(t, tb, key)
-	if _, err := tb.proxy.Calibrate(ctx); err != nil {
-		t.Fatalf("calibrate: %v", err)
-	}
+	publishTruePipeline(tb.proxy, pipeline)
 	return tb
+}
+
+// publishTruePipeline publishes pipeline's own parameters as p's first
+// calibration epoch: the operator a perfect sweep would identify. Beds that
+// only need serving started use it instead of paying a 72-candidate sweep;
+// tests whose subject is calibration call Calibrate.
+func publishTruePipeline(p *Proxy, pipeline psp.Pipeline) {
+	p.calib.cur.Store(&core.CalibrationEpoch{Epoch: 1, Params: core.PipelineParams{
+		Filter:        pipeline.Filter,
+		PreBlur:       pipeline.PreBlur,
+		SharpenAmount: pipeline.SharpenAmount,
+		Gamma:         pipeline.Gamma,
+	}})
 }
 
 func photoJPEG(t *testing.T, seed int64, w, h int) ([]byte, *jpegx.PlanarImage) {
@@ -213,9 +226,7 @@ func TestWrongKeyFailsAuth(t *testing.T) {
 	}
 	otherKey, _ := p3.NewKey()
 	eve := newProxy(t, tb, otherKey)
-	if _, err := eve.Calibrate(ctx); err != nil {
-		t.Fatal(err)
-	}
+	publishTruePipeline(eve, psp.FlickrLike())
 	if _, err := eve.DownloadPixels(ctx, id, url.Values{"size": {"big"}}); err == nil {
 		t.Error("download with the wrong key must fail authentication")
 	}
@@ -285,6 +296,86 @@ func TestDynamicCropReconstruction(t *testing.T) {
 	}.Apply(ref))
 	if got := psnr(want, rec); got < 22 {
 		t.Errorf("cropped reconstruction PSNR %.1f dB, want >= 22", got)
+	}
+}
+
+// TestBlurFreeEpochReconstructsAtFullResolution: an epoch with no pre-blur —
+// Facebook's lanczos3 + sharpen 0.5 — reconstructs small renditions through
+// the one full-resolution path, bit for bit what core.ReconstructPixelsPool
+// gives for the served public part, and close to what the PSP serves for the
+// unsplit photo. Box-averaged reduced-resolution planes of the secret part
+// (a shortcut the proxy once took for such epochs) fail the bit-for-bit
+// check; they read ~1 dB higher on the PSNR floors below, whose reference is
+// low-passed by the PSP's q85 4:2:0 re-encode, but lower against the epoch's
+// operator applied to the original photo.
+func TestBlurFreeEpochReconstructsAtFullResolution(t *testing.T) {
+	pipeline := psp.FacebookLike()
+	tb := newTestbed(t, pipeline)
+	params := core.PipelineParams{Filter: imaging.Lanczos3, SharpenAmount: 0.5, Gamma: 1}
+	tb.proxy.calib.cur.Store(&core.CalibrationEpoch{Epoch: 1, Params: params})
+	original, _ := photoJPEG(t, 44, 640, 480)
+	id, err := tb.proxy.Upload(ctx, original)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := tb.proxy.fetchSecret(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold, secretJPEG, err := core.OpenSecret(tb.proxy.key(), blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := jpegx.Decode(bytes.NewReader(secretJPEG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		size  string
+		max   int
+		floor float64 // dB against the PSP's rendition of the unsplit photo
+	}{
+		{"thumb", 75, 42.5},  // measured 42.97; reduced-resolution planes 44.17
+		{"small", 130, 44.0}, // measured 44.33; reduced-resolution planes 45.32
+	} {
+		served, err := tb.proxy.photos.FetchPhoto(ctx, id, p3.PhotoVariant{Size: tc.size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err := jpegx.Decode(bytes.NewReader(served))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.ReconstructPixelsPool(pub.ToPlanar(), sec, threshold, params.Instantiate(pub.Width, pub.Height), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tb.proxy.DownloadPixels(ctx, id, url.Values{"size": {tc.size}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Width != want.Width || got.Height != want.Height {
+			t.Fatalf("%s: %dx%d, want %dx%d", tc.size, got.Width, got.Height, want.Width, want.Height)
+		}
+		for pi := range want.Planes {
+			for i, v := range want.Planes[pi] {
+				if got.Planes[pi][i] != v {
+					t.Fatalf("%s: plane %d sample %d is %v, full-resolution reconstruction gives %v",
+						tc.size, pi, i, got.Planes[pi][i], v)
+				}
+			}
+		}
+		direct, err := pipeline.Render(original, nil, tc.max, tc.max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := jpegx.DecodeToPlanar(bytes.NewReader(direct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := psnr(ref, got); p < tc.floor {
+			t.Errorf("%s: %.2f dB against the PSP's rendition of the unsplit photo, want >= %.1f", tc.size, p, tc.floor)
+		}
 	}
 }
 
