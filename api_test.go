@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"net/url"
 	"path"
 	"strconv"
@@ -243,19 +244,47 @@ func TestPhotoVariantQueryRoundTrip(t *testing.T) {
 // photo or a resize to nothing is a typed error from every processed-join
 // entry point, not a panic inside the pixel pipeline.
 func TestJoinProcessedRejectsInapplicableTransform(t *testing.T) {
+	assertTransformErrors(t, []Transform{
+		Crop(10000, 10000, 5, 5),
+		Crop(8, 8, 0, 16),
+		Resize(0, 0, FilterTriangle),
+		Blur(1).Then(Resize(48, 32, FilterBox)).Then(Crop(48, 0, 4, 4)),
+		Resize(48, -1, FilterBox).Then(Gamma(2.2)),
+	})
+}
+
+// TestJoinProcessedRejectsBadFilterParameters: a blur or sharpen σ that is
+// not finite or needs a kernel radius over 64 samples, a sharpen amount that
+// is not finite, and a gamma that is not finite and positive are typed
+// errors too — not NaN pixels, and not a kernel the size of σ.
+func TestJoinProcessedRejectsBadFilterParameters(t *testing.T) {
+	const overBound = 64.01 / 3 // ⌈3σ⌉ = 65
+	assertTransformErrors(t, []Transform{
+		Blur(math.NaN()),
+		Blur(math.Inf(1)),
+		Blur(overBound),
+		Blur(1e7),
+		Resize(48, 32, FilterBox).Then(Sharpen(math.NaN(), 0.5)),
+		Sharpen(overBound, 0.5),
+		Sharpen(1, math.Inf(1)),
+		Resize(48, 32, FilterBox).Then(Gamma(math.NaN())),
+		Gamma(0),
+		Gamma(-2),
+		Gamma(math.Inf(1)),
+	})
+}
+
+// assertTransformErrors checks that every processed-join entry point refuses
+// each transform on a 96×64 photo with a *TransformError naming that size.
+func assertTransformErrors(t *testing.T, trs []Transform) {
+	t.Helper()
 	jpegBytes, _ := testJPEG(t, 17, 96, 64, jpegx.Sub420)
 	codec := newTestCodec(t)
 	split, err := codec.SplitBytes(jpegBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []Transform{
-		Crop(10000, 10000, 5, 5),
-		Crop(8, 8, 0, 16),
-		Resize(0, 0, FilterTriangle),
-		Blur(1).Then(Resize(48, 32, FilterBox)).Then(Crop(48, 0, 4, 4)),
-		Resize(48, -1, FilterBox).Then(Gamma(2.2)),
-	} {
+	for _, tr := range trs {
 		var te *TransformError
 		_, err := codec.JoinProcessed(context.Background(), bytes.NewReader(split.PublicJPEG), bytes.NewReader(split.SecretBlob), tr)
 		if !errors.As(err, &te) {

@@ -73,8 +73,10 @@ const (
 	DefaultErasureN = 6
 )
 
-// defaultHintBytes bounds the in-memory hinted-handoff log.
-const defaultHintBytes = 64 << 20
+// hintBytes bounds the in-memory hinted-handoff log. When it is full,
+// further shares for down shards are dropped (counted in
+// RepairStats.HintsDropped) and the scrubber restores redundancy instead.
+const hintBytes = 64 << 20
 
 // ErasureOption configures an ErasureSecretStore.
 type ErasureOption func(*ErasureSecretStore)
@@ -100,14 +102,6 @@ func WithScrubInterval(d time.Duration) ErasureOption {
 	return func(s *ErasureSecretStore) { s.scrubInterval = d }
 }
 
-// WithHintBytes bounds the in-memory hinted-handoff log (default 64 MiB).
-// When full, further shares for down shards are dropped (counted in
-// RepairStats.HintsDropped) and redundancy is restored by the scrubber
-// instead.
-func WithHintBytes(n int64) ErasureOption {
-	return func(s *ErasureSecretStore) { s.hints.maxBytes = max(n, 0) }
-}
-
 // NewErasureSecretStore builds a store striping over the given child
 // shards with the default 4-of-6 scheme (see WithErasureScheme). The shard
 // count must be at least n so the n shares land on distinct shards.
@@ -116,7 +110,7 @@ func NewErasureSecretStore(shards []SecretStore, opts ...ErasureOption) (*Erasur
 		shards:   shards,
 		k:        DefaultErasureK,
 		n:        DefaultErasureN,
-		hints:    &hintLog{maxBytes: defaultHintBytes, entries: map[hintKey][]byte{}},
+		hints:    &hintLog{entries: map[hintKey][]byte{}},
 		inflight: map[string]*objectWriteLock{},
 	}
 	for _, opt := range opts {
@@ -325,10 +319,9 @@ type hintKey struct {
 // reads: a GetSecret that cannot reach a shard consults the log, so a
 // write-then-read during an outage still sees full redundancy.
 type hintLog struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[hintKey][]byte
+	mu      sync.Mutex
+	bytes   int64
+	entries map[hintKey][]byte
 }
 
 // park stores (or replaces) a parked share. Reports false when the log is
@@ -338,7 +331,7 @@ func (h *hintLog) park(shard int, key string, rec []byte) bool {
 	defer h.mu.Unlock()
 	k := hintKey{shard: shard, key: key}
 	old := int64(len(h.entries[k]))
-	if h.bytes-old+int64(len(rec)) > h.maxBytes {
+	if h.bytes-old+int64(len(rec)) > hintBytes {
 		return false
 	}
 	h.entries[k] = rec

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"p3/internal/imaging"
 	"p3/internal/jpegx"
 	"p3/internal/work"
 )
@@ -266,23 +265,4 @@ func JoinJPEGToScratch(w io.Writer, publicJPEG, secretBlob []byte, key Key, opts
 	}
 	s.outIm = orig
 	return jpegx.EncodeCoeffs(w, orig, &jpegx.EncodeOptions{OptimizeHuffman: true, Workers: pool})
-}
-
-// JoinProcessed reconstructs pixels when the PSP applied a (possibly
-// unknown, see SearchParams) linear transform op to the public part.
-// publicJPEG is the transformed public part as served by the PSP.
-func JoinProcessed(publicJPEG, secretBlob []byte, key Key, op imaging.Op) (*jpegx.PlanarImage, error) {
-	pubIm, err := jpegx.DecodeBytes(publicJPEG)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding public part: %w", err)
-	}
-	t, secJPEG, err := OpenSecret(key, secretBlob)
-	if err != nil {
-		return nil, err
-	}
-	sec, err := jpegx.DecodeBytes(secJPEG)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding secret part: %w", err)
-	}
-	return ReconstructPixels(pubIm.ToPlanar(), sec, t, op)
 }

@@ -60,28 +60,12 @@ func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op)
 	return imaging.Clamp(out), nil
 }
 
-// difference returns A·D for A = op, unclamped, in a fresh image. The chroma
-// upsample and op's leading separable stages run as one composed pass per
-// axis straight from each component's own plane (imaging.FoldSeparable);
-// whatever is left of op runs stage by stage on that pass's output, which is
-// already at the served size for the operators calibration publishes. op must
-// have passed imaging.OutputSize.
+// difference returns A·D for A = op, unclamped, in a fresh image: the chroma
+// upsample and op's separable stages run as composed passes straight from
+// each component's own plane (imaging.ApplyPlanes). op must have passed
+// imaging.OutputSize.
 func (sp *SecretPlanes) difference(op imaging.Op) *jpegx.PlanarImage {
-	d := sp.d
-	full, rest := imaging.FoldSeparable(op, d.Width, d.Height)
-	out := &jpegx.PlanarImage{Planes: make([][]float64, len(d.Planes))}
-	var sep imaging.Separable
-	for i, p := range d.Planes {
-		if i == 0 || p.W != d.Planes[i-1].W || p.H != d.Planes[i-1].H { // Cb and Cr share theirs
-			sep = full.Upsampled(p.W, p.H)
-		}
-		out.Planes[i] = sep.Apply(p.Pix)
-	}
-	out.Width, out.Height = full.OutputSize()
-	if len(rest) > 0 {
-		out = rest.Apply(out)
-	}
-	return out
+	return imaging.ApplyPlanes(op, sp.d)
 }
 
 // ReconstructPixelsMulti reconstructs several served variants of one photo

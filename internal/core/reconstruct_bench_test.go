@@ -31,10 +31,10 @@ var benchSink *jpegx.PlanarImage
 
 // BenchmarkSecretPlanesReconstruct times Eq. (2)'s secret side from the
 // effective secret's coefficients to the reconstructed rendition, on a
-// 1600×1200 4:2:0 photo: staged is what reconstruction ran before the stages
-// were composed (the test oracle: materialise full-grid planes, unshift,
-// apply op stage by stage, add), composed is SecretPlanes.Reconstruct. Both
-// sides pay the same IDCT.
+// 1600×1200 4:2:0 photo: full-grid is the test oracle (materialise full-grid
+// planes, unshift, apply op, add), composed is SecretPlanes.Reconstruct,
+// which reads each component at its own resolution. Both sides pay the same
+// IDCT.
 func BenchmarkSecretPlanesReconstruct(b *testing.B) {
 	const w, h, threshold = 1600, 1200, 15
 	im, err := dataset.Natural(1, w, h).ToCoeffs(92, jpegx.Sub420)
@@ -52,7 +52,7 @@ func BenchmarkSecretPlanesReconstruct(b *testing.B) {
 			b.Fatal(err)
 		}
 		pub := jpegx.NewPlanarImage(ow, oh, 3)
-		b.Run(tc.name+"/staged", func(b *testing.B) {
+		b.Run(tc.name+"/full-grid", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out := tc.op.Apply(unshift(eff.ToPlanar()))

@@ -282,7 +282,21 @@ func TestJoinProcessedEndToEnd(t *testing.T) {
 	if err := jpegx.EncodeCoeffs(&served, coeffs, nil); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := JoinProcessed(served.Bytes(), out.SecretBlob, key, op)
+	// The recipient's side: open the sealed secret part and reconstruct
+	// from the served JPEG's pixels.
+	threshold, secJPEG, err := OpenSecret(key, out.SecretBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := jpegx.DecodeBytes(secJPEG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedIm, err := jpegx.DecodeBytes(served.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ReconstructPixels(servedIm.ToPlanar(), sec, threshold, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +459,13 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 	return img
 }
 
-// stagedDifference is the definition SecretPlanes.difference is held to, and
-// what reconstruction ran before the stages were composed: materialise the
-// effective secret's planes the way jpegx.ToPlanar does (IDCT, chroma
-// upsample to the full grid), unshift them, and apply op one stage after
-// another.
-func stagedDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
+// fullGridDifference is what SecretPlanes.difference is held to: materialise
+// the effective secret's planes the way jpegx.ToPlanar does (IDCT, then its
+// own chroma upsample loop to the full grid), unshift them, and apply op to
+// those. The composed pass folds the upsample into op's weights instead.
+// op's stages themselves are held to their naive definitions in
+// internal/imaging (TestOperatorsMatchNaiveReference).
+func fullGridDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
 	return op.Apply(unshift(EffectiveSecret(sec, threshold, nil).ToPlanar()))
 }
 
@@ -486,9 +501,9 @@ func worstGap(a, b *jpegx.PlanarImage) float64 {
 //   - the effective-secret fold: the one-chain difference image agrees with
 //     the two-chain reference to within half a sample before clamping (they
 //     differ only in where the fixed-point IDCT rounds);
-//   - the composed operator: it agrees with the staged application of the
-//     same operator to materialised full-grid planes to within 1e-9 samples
-//     (float re-association only);
+//   - the composed operator: reading each component at its own resolution,
+//     it agrees with the same operator applied to materialised full-grid
+//     planes to within 1e-9 samples (float re-association only);
 //
 // and identity reconstruction keeps its PSNR floor.
 func TestFusedMatchesTwoChainOracle(t *testing.T) {
@@ -576,8 +591,8 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 							t.Errorf("%s/%s: composed difference image is %.3f samples from the two-chain oracle, want <= 0.5",
 								name, tc.name, gap)
 						}
-						if gap := worstGap(stagedDifference(sec, threshold, tc.op), composed); gap > 1e-9 {
-							t.Errorf("%s/%s: composed difference image is %.3g samples from the staged operator, want <= 1e-9",
+						if gap := worstGap(fullGridDifference(sec, threshold, tc.op), composed); gap > 1e-9 {
+							t.Errorf("%s/%s: composed difference image is %.3g samples from the full-grid operator, want <= 1e-9",
 								name, tc.name, gap)
 						}
 					}
@@ -587,7 +602,7 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 	}
 }
 
-// FuzzComposedOperator holds the composed pass to the staged operator on
+// FuzzComposedOperator holds the composed pass to the full-grid operator on
 // geometry nobody wrote a table row for: any size from 1×1 up, every chroma
 // layout, and a random crop → blur → resize chain with any stage absent.
 func FuzzComposedOperator(f *testing.F) {
@@ -626,8 +641,8 @@ func FuzzComposedOperator(f *testing.F) {
 			op = append(op, imaging.Resize{W: int(tw), H: int(th), Filter: imaging.Filters()[int(filter)%len(imaging.Filters())]})
 		}
 		composed := DeriveSecretPlanesPool(sec, 10, nil).difference(op)
-		if gap := worstGap(stagedDifference(sec, 10, op), composed); gap > 1e-9 {
-			t.Fatalf("%dx%d %s %s: composed is %.3g samples from staged", w, h, sub, op, gap)
+		if gap := worstGap(fullGridDifference(sec, 10, op), composed); gap > 1e-9 {
+			t.Fatalf("%dx%d %s %s: composed is %.3g samples from full-grid", w, h, sub, op, gap)
 		}
 	})
 }

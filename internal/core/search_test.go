@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"p3/internal/dataset"
 	"p3/internal/imaging"
 	"p3/internal/jpegx"
+	"p3/internal/psp"
 	"p3/internal/work"
 )
 
@@ -169,5 +172,76 @@ func TestVerifyProbe(t *testing.T) {
 	swept, sweptRes := SearchParams(input, output)
 	if probe := swept.Verify(input, output); probe.MSE != sweptRes.MSE {
 		t.Errorf("probe of swept winner scores MSE %g, sweep reported %g", probe.MSE, sweptRes.MSE)
+	}
+}
+
+// calibrationPair is what the proxy's calibration pass sweeps against pipe:
+// its probe photo (dataset.Natural(0xca11b, 512, 384) at q92 4:2:0) as
+// decoded, and the "small" rendition the PSP serves back, rendered the way
+// psp.Server does: the upload re-encoded at its stored size (≤ 720 px), then
+// fit within 130×130 and re-encoded again.
+func calibrationPair(tb testing.TB, pipe psp.Pipeline) (sent, served *jpegx.PlanarImage) {
+	tb.Helper()
+	coeffs, err := dataset.Natural(0xca11b, 512, 384).ToCoeffs(92, jpegx.Sub420)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := jpegx.EncodeCoeffs(&buf, coeffs, nil); err != nil {
+		tb.Fatal(err)
+	}
+	stored, err := pipe.Render(buf.Bytes(), nil, 720, 720)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	small, err := pipe.Render(stored, nil, 130, 130)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sentIm, err := jpegx.DecodeBytes(buf.Bytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	servedIm, err := jpegx.DecodeBytes(small)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sentIm.ToPlanar(), servedIm.ToPlanar()
+}
+
+// TestSweepWinnersPinned pins what the sweep publishes against the two
+// simulated PSPs. The winners are not those PSPs' pipelines (Facebook-like
+// is lanczos3 with sharpen 0.5, Flickr-like catmullrom with no blur): this
+// is the wrong-operator finding EXPERIMENTS.md records, held here so that a
+// change to the operators cannot move it unnoticed, and so that the
+// calibration repair changes this table on purpose.
+func TestSweepWinnersPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pipe psp.Pipeline
+		want PipelineParams
+	}{
+		{"facebook", psp.FacebookLike(), PipelineParams{Filter: imaging.CatmullRom, PreBlur: 0.5, SharpenAmount: 0, Gamma: 1}},
+		{"flickr", psp.FlickrLike(), PipelineParams{Filter: imaging.Triangle, PreBlur: 0.5, SharpenAmount: 0, Gamma: 1}},
+	} {
+		sent, served := calibrationPair(t, tc.pipe)
+		got, res := SearchParams(sent, served)
+		if got.Filter.Name != tc.want.Filter.Name || got.PreBlur != tc.want.PreBlur ||
+			got.SharpenAmount != tc.want.SharpenAmount || got.Gamma != tc.want.Gamma {
+			t.Errorf("%s: sweep published %s pre_blur=%g sharpen=%g gamma=%g (%.2f dB), recorded %s pre_blur=%g sharpen=%g gamma=%g",
+				tc.name, got.Filter.Name, got.PreBlur, got.SharpenAmount, got.Gamma, res.PSNR,
+				tc.want.Filter.Name, tc.want.PreBlur, tc.want.SharpenAmount, tc.want.Gamma)
+		}
+	}
+}
+
+// BenchmarkSearchParams times the full 72-candidate sweep the proxy runs at
+// calibration — the 512×384 probe against the Facebook-like PSP's 130×98
+// rendition — sequentially, so one op is one core's work.
+func BenchmarkSearchParams(b *testing.B) {
+	sent, served := calibrationPair(b, psp.FacebookLike())
+	b.ReportAllocs()
+	for b.Loop() {
+		SearchParams(sent, served)
 	}
 }

@@ -53,19 +53,12 @@ type Option func(*config)
 
 type config struct {
 	registry *metrics.Registry
-	name     string
 }
 
 // WithRegistry points the store's p3_dedup_* series at a private registry
 // instead of metrics.Default (tests; multi-store processes).
 func WithRegistry(r *metrics.Registry) Option {
 	return func(c *config) { c.registry = r }
-}
-
-// WithName sets the store="..." label on this instance's metric series
-// (default "dedup").
-func WithName(name string) Option {
-	return func(c *config) { c.name = name }
 }
 
 // entry is one distinct public-part content: the provider blob it lives
@@ -118,7 +111,7 @@ type Store struct {
 
 // New wraps next in a content-addressed dedup layer.
 func New(next p3.PhotoService, opts ...Option) *Store {
-	cfg := config{registry: metrics.Default, name: "dedup"}
+	cfg := config{registry: metrics.Default}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -128,7 +121,7 @@ func New(next p3.PhotoService, opts ...Option) *Store {
 		byID:   make(map[string]*entry),
 	}
 	r := cfg.registry
-	labels := []metrics.Label{{Key: "store", Value: cfg.name}}
+	labels := []metrics.Label{{Key: "store", Value: "dedup"}}
 	s.uploads = r.Counter("p3_dedup_uploads_total",
 		"Logical public-part uploads through the dedup layer.", labels...)
 	s.dupHits = r.Counter("p3_dedup_dup_hits_total",

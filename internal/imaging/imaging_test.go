@@ -198,10 +198,26 @@ func TestOutputSize(t *testing.T) {
 		Crop{X: -9, Y: 0, W: 9, H: 5},
 		Resize{W: 0, H: 10, Filter: Box},
 		Compose{Resize{W: 20, H: 15, Filter: Box}, Crop{X: 20, Y: 0, W: 5, H: 5}},
+		GaussianBlur{Sigma: math.NaN()},
+		GaussianBlur{Sigma: math.Inf(1)},
+		GaussianBlur{Sigma: math.Inf(-1)},
+		GaussianBlur{Sigma: maxBlurRadius/3.0 + 0.01}, // radius maxBlurRadius+1
+		Compose{Resize{W: 20, H: 15, Filter: Box}, Sharpen{Sigma: math.NaN(), Amount: 0.5}},
+		Sharpen{Sigma: maxBlurRadius/3.0 + 0.01, Amount: 0.5},
+		Sharpen{Sigma: 1, Amount: math.Inf(-1)},
+		Sharpen{Sigma: 1, Amount: math.NaN()},
+		Gamma{G: 0},
+		Gamma{G: -1},
+		Gamma{G: math.NaN()},
+		Gamma{G: math.Inf(1)},
 	} {
 		if _, _, err := OutputSize(op, src.Width, src.Height); err == nil {
 			t.Errorf("%s of a 40x30 image accepted", op)
 		}
+	}
+	// The largest σ the bound admits still applies.
+	if _, _, err := OutputSize(GaussianBlur{Sigma: maxBlurRadius / 3.0}, 40, 30); err != nil {
+		t.Errorf("σ at the radius bound refused: %v", err)
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"p3/internal/jpegx"
 )
 
-// The reference kernels below are the loops convolveH, convolveV,
-// resampleRows, resampleCols and Sharpen.Apply ran before they were
-// rewritten for speed, moved here verbatim. They define the summation order
-// the fast loops must reproduce bit for bit.
+// The reference kernels below are the naive loops that define the
+// operators: a tap-by-tap clamped convolution per axis for the blur, one
+// weighted sum per output for the resample, and Clone + AddInto + AddInto for
+// the unsharp mask. resampleRows and resampleCols reproduce their summation
+// order bit for bit; every Op, run through ApplyPlanes, agrees with them to
+// within 1e-9 of the largest input sample.
 
 func refConvolveH(src, dst []float64, w, h int, k []float64) {
 	r := len(k) / 2
@@ -98,13 +100,43 @@ func refResize(r Resize, src *jpegx.PlanarImage) *jpegx.PlanarImage {
 	return dst
 }
 
-func refSharpen(s Sharpen, src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	blurred := refGaussianBlur(GaussianBlur{Sigma: s.Sigma}, src)
+// refSharpen is out = src + a·src − a·blurred, with blurred the σ-blur of src.
+func refSharpen(s Sharpen, src, blurred *jpegx.PlanarImage) *jpegx.PlanarImage {
 	out := src.Clone()
-	// out = src + a·src − a·blur
 	AddInto(out, src, s.Amount)
 	AddInto(out, blurred, -s.Amount)
 	return out
+}
+
+// refApply is the naive definition of op: each stage in turn, through the
+// reference loops above. Crop is its own definition (a row copy), and so is
+// Gamma (pointwise).
+func refApply(op Op, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	switch o := op.(type) {
+	case Compose:
+		out := src.Clone()
+		for _, stage := range o {
+			out = refApply(stage, out)
+		}
+		return out
+	case GaussianBlur:
+		if o.Sigma <= 0 {
+			return src.Clone()
+		}
+		return refGaussianBlur(o, src)
+	case Resize:
+		if o.W == src.Width && o.H == src.Height {
+			return src.Clone()
+		}
+		return refResize(o, src)
+	case Sharpen:
+		if o.Amount == 0 || o.Sigma <= 0 {
+			return src.Clone()
+		}
+		return refSharpen(o, src, refGaussianBlur(GaussianBlur{Sigma: o.Sigma}, src))
+	default:
+		return op.Apply(src)
+	}
 }
 
 // kernelPlane fills a w×h plane with values that make a summation-order
@@ -149,18 +181,29 @@ func diffBits(a, b []float64) (int, bool) {
 	return 0, false
 }
 
-func checkConvolve(t testing.TB, src []float64, w, h int, k []float64) {
+// checkOperator holds op.Apply(src) to refApply(op, src): same shape, and
+// every sample within 1e-9 of the largest input magnitude (at least 1), the
+// most re-associating a sum of products can move it.
+func checkOperator(t testing.TB, op Op, src *jpegx.PlanarImage) {
 	t.Helper()
-	got, want := make([]float64, w*h), make([]float64, w*h)
-	convolveH(src, got, w, h, k)
-	refConvolveH(src, want, w, h, k)
-	if i, bad := diffBits(got, want); bad {
-		t.Fatalf("convolveH %dx%d taps=%d: sample %d = %x, reference %x", w, h, len(k), i, got[i], want[i])
+	got, want := op.Apply(src), refApply(op, src)
+	if got.Width != want.Width || got.Height != want.Height || len(got.Planes) != len(want.Planes) {
+		t.Fatalf("%s of %dx%d: shape %dx%dx%d, reference %dx%dx%d", op, src.Width, src.Height,
+			got.Width, got.Height, len(got.Planes), want.Width, want.Height, len(want.Planes))
 	}
-	convolveV(src, got, w, h, k)
-	refConvolveV(src, want, w, h, k)
-	if i, bad := diffBits(got, want); bad {
-		t.Fatalf("convolveV %dx%d taps=%d: sample %d = %x, reference %x", w, h, len(k), i, got[i], want[i])
+	scale := 1.0
+	for _, p := range src.Planes {
+		for _, v := range p {
+			scale = math.Max(scale, math.Abs(v))
+		}
+	}
+	for pi := range got.Planes {
+		for i, v := range got.Planes[pi] {
+			if gap := math.Abs(v - want.Planes[pi][i]); !(gap <= 1e-9*scale) {
+				t.Fatalf("%s of %dx%d: plane %d sample %d = %g, reference %g (gap %.3g of scale %.3g)",
+					op, src.Width, src.Height, pi, i, v, want.Planes[pi][i], gap, scale)
+			}
+		}
 	}
 }
 
@@ -182,29 +225,18 @@ func checkResample(t testing.TB, src []float64, sw, sh, dw, dh int, f Filter) {
 	}
 }
 
-// TestKernelsBitIdenticalToReference pins every fast loop to the loop it
-// replaced: same bits out for the same bits in, over sizes that are all
-// edge (1×1, w ≤ 2r), barely interior, not a multiple of any block width,
-// and production-sized; over the three kernel widths (5 and 7 taps are the
-// unrolled ones, σ=2.3 takes the generic path); and over every resampling
-// filter both up and down.
+// TestKernelsBitIdenticalToReference pins the resample loops to the naive
+// ones: same bits out for the same bits in, over sizes that are all edge
+// (1×1), barely interior, not a multiple of any block width, and
+// production-sized; over every resampling filter both up and down; and over
+// weight rows of 1–7 taps and wider, which take different accumulateRows
+// paths. A whole Resize folds to exactly these weights, so it matches too.
 func TestKernelsBitIdenticalToReference(t *testing.T) {
 	sizes := [][2]int{{1, 1}, {3, 5}, {4, 2}, {6, 14}, {17, 9}, {130, 98}, {513, 383}}
 	rng := rand.New(rand.NewSource(19))
 	for _, sz := range sizes {
 		w, h := sz[0], sz[1]
 		planes := [][]float64{kernelPlane(rng, w, h), negZeroPlane(w, h)}
-		for _, sigma := range []float64{0.5, 1, 2.3} {
-			k := GaussianBlur{Sigma: sigma}.Kernel1D()
-			for _, p := range planes {
-				checkConvolve(t, p, w, h, k)
-			}
-		}
-		// Widths no Gaussian produces, even ones included: the tap
-		// offsets are i − len(k)/2 whatever the parity.
-		for _, k := range [][]float64{{1}, {0.5, 0.5}, {0.1, 0.2, 0.3, 0.4}} {
-			checkConvolve(t, planes[0], w, h, k)
-		}
 		for _, f := range Filters() {
 			for _, to := range [][2]int{{w/3 + 1, h/3 + 1}, {2*w + 1, 2*h + 3}, {w, h/2 + 1}, {1, 1}} {
 				for _, p := range planes {
@@ -212,20 +244,73 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 				}
 			}
 		}
+		// Blur-shaped rows: 5 and 7 taps (σ = 0.5, 1) and 15 (σ = 2.3).
+		for _, sigma := range []float64{0.5, 1, 2.3} {
+			k := GaussianBlur{Sigma: sigma}.Kernel1D()
+			got, want := make([]float64, w*h), make([]float64, w*h)
+			wH, wV := blurWeights(w, k), blurWeights(h, k)
+			resampleRows(planes[0], w, h, got, w, wH)
+			refResampleRows(planes[0], w, h, want, w, wH)
+			if i, bad := diffBits(got, want); bad {
+				t.Fatalf("resampleRows blur σ=%g %dx%d: sample %d = %x, reference %x", sigma, w, h, i, got[i], want[i])
+			}
+			resampleCols(planes[0], w, h, got, h, wV)
+			refResampleCols(planes[0], w, h, want, h, wV)
+			if i, bad := diffBits(got, want); bad {
+				t.Fatalf("resampleCols blur σ=%g %dx%d: sample %d = %x, reference %x", sigma, w, h, i, got[i], want[i])
+			}
+		}
 	}
-	// Whole operators, three planes: Apply wires the passes together the
-	// way the reference did.
 	src := &jpegx.PlanarImage{Width: 130, Height: 98}
 	for i := 0; i < 3; i++ {
 		src.Planes = append(src.Planes, kernelPlane(rng, 130, 98))
 	}
-	for _, sigma := range []float64{0.5, 1, 2.3} {
-		g := GaussianBlur{Sigma: sigma}
-		assertSameImage(t, g.String(), g.Apply(src), refGaussianBlur(g, src))
-	}
 	for _, f := range Filters() {
 		for _, r := range []Resize{{W: 59, H: 44, Filter: f}, {W: 200, H: 151, Filter: f}} {
 			assertSameImage(t, r.String(), r.Apply(src), refResize(r, src))
+		}
+	}
+}
+
+// TestOperatorsMatchNaiveReference holds every operator shape the product
+// builds, applied through ApplyPlanes, to its naive definition: blur, resize
+// down, up, to one sample and to its own size, crops inside and over the
+// edge, sharpen alone, mid-chain and opening a chain, and the nested shape
+// the proxy hands over. Sizes run from 1×1 to production-sized; samples mix
+// ±0 with values up to 1e9, far outside [0, 255] as reconstruction's
+// difference planes are.
+func TestOperatorsMatchNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, sz := range [][2]int{{1, 1}, {3, 5}, {17, 9}, {130, 98}} {
+		w, h := sz[0], sz[1]
+		src := &jpegx.PlanarImage{Width: w, Height: h, Planes: [][]float64{
+			kernelPlane(rng, w, h), kernelPlane(rng, w, h), negZeroPlane(w, h),
+		}}
+		down := Resize{W: w/3 + 1, H: h/3 + 1, Filter: CatmullRom}
+		ops := []Op{
+			Identity{},
+			Compose{},
+			GaussianBlur{Sigma: 0.5},
+			GaussianBlur{Sigma: 1},
+			GaussianBlur{Sigma: 2.3},
+			Resize{W: 2*w + 1, H: 2*h + 3, Filter: CatmullRom},
+			Resize{W: w, H: h, Filter: Lanczos3},
+			Resize{W: 1, H: 1, Filter: Triangle},
+			Crop{X: w / 4, Y: h / 4, W: w/2 + 1, H: h/2 + 1},
+			Crop{X: w - 1, Y: h / 2, W: 40, H: 40},
+			Sharpen{Sigma: 1, Amount: 0.5},
+			Compose{GaussianBlur{Sigma: 0.5}, Resize{W: 2*w/3 + 1, H: 2*h/3 + 1, Filter: Lanczos3}, Sharpen{Sigma: 1, Amount: 0.5}, down},
+			Compose{Sharpen{Sigma: 0.8, Amount: -0.3}, Crop{X: w / 3, Y: 0, W: w, H: h}, down, Gamma{G: 1.1}},
+			Compose{Crop{X: w / 2, Y: h / 2, W: 200, H: 200}, Compose{GaussianBlur{Sigma: 0.5}, Resize{W: 7, H: 5, Filter: CatmullRom}}},
+		}
+		for _, f := range Filters() {
+			ops = append(ops, Resize{W: w/3 + 1, H: h/3 + 1, Filter: f})
+		}
+		for _, op := range ops {
+			if _, _, err := OutputSize(op, w, h); err != nil {
+				t.Fatalf("%s of %dx%d: %v", op, w, h, err)
+			}
+			checkOperator(t, op, src)
 		}
 	}
 }
@@ -243,8 +328,8 @@ func assertSameImage(t *testing.T, name string, got, want *jpegx.PlanarImage) {
 	}
 }
 
-// TestSharpenFusedBitIdentical: the one-pass unsharp mask equals the
-// Clone + AddInto + AddInto it replaced, bit for bit.
+// TestSharpenFusedBitIdentical: the one-pass unsharp mask equals Clone +
+// AddInto + AddInto over the same blur, bit for bit.
 func TestSharpenFusedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, sz := range [][2]int{{1, 1}, {5, 3}, {130, 98}} {
@@ -253,13 +338,15 @@ func TestSharpenFusedBitIdentical(t *testing.T) {
 			src.Planes = append(src.Planes, kernelPlane(rng, sz[0], sz[1]))
 		}
 		for _, s := range []Sharpen{{Sigma: 1, Amount: 0.5}, {Sigma: 1, Amount: 1}, {Sigma: 0.8, Amount: -0.3}, {Sigma: 2.3, Amount: 1e-3}} {
-			assertSameImage(t, s.String(), s.Apply(src), refSharpen(s, src))
+			assertSameImage(t, s.String(), s.Apply(src), refSharpen(s, src, GaussianBlur{Sigma: s.Sigma}.Apply(src)))
 		}
 	}
 }
 
-// FuzzSeparableKernels drives all four separable loops with fuzzer-chosen
-// dimensions (1–97), σ, target size and filter against their references.
+// FuzzSeparableKernels drives the resample loops (bit for bit) and the blur,
+// alone and folded into a resize (within checkOperator's bound), with
+// fuzzer-chosen dimensions (1–97), σ, target size and filter against their
+// references.
 func FuzzSeparableKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(16), uint8(0))
 	f.Add(int64(2), uint8(16), uint8(8), uint8(5), uint8(40), uint8(32), uint8(2))
@@ -271,8 +358,11 @@ func FuzzSeparableKernels(f *testing.F) {
 		sigma := 0.05 + float64(sigmaRaw)/32 // up to 51 taps
 		filter := Filters()[int(filterRaw)%len(Filters())]
 		src := kernelPlane(rand.New(rand.NewSource(seed)), w, h)
-		checkConvolve(t, src, w, h, GaussianBlur{Sigma: sigma}.Kernel1D())
 		checkResample(t, src, w, h, dw, dh, filter)
+		img := &jpegx.PlanarImage{Width: w, Height: h, Planes: [][]float64{src}}
+		blur := GaussianBlur{Sigma: sigma}
+		checkOperator(t, blur, img)
+		checkOperator(t, Compose{blur, Resize{W: dw, H: dh, Filter: filter}}, img)
 	})
 }
 
@@ -283,8 +373,8 @@ func benchImage(w, h, planes int) *jpegx.PlanarImage {
 }
 
 // BenchmarkGaussianBlur times the blur of one full-resolution three-plane
-// photo at the two kernel widths the serving path instantiates, old loops
-// (ref) beside new ones in the same run.
+// photo at the two kernel widths the product instantiates, the naive loops
+// (ref) beside ApplyPlanes (new) in the same run.
 func BenchmarkGaussianBlur(b *testing.B) {
 	src := benchImage(1600, 1200, 3)
 	for _, sigma := range []float64{0.5, 1} {

@@ -15,6 +15,7 @@ package imaging
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"p3/internal/jpegx"
@@ -43,17 +44,9 @@ func (Identity) String() string { return "identity" }
 // Compose applies ops left to right.
 type Compose []Op
 
-// Apply implements Op.
-func (c Compose) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	out := src
-	for _, op := range c {
-		out = op.Apply(out)
-	}
-	if out == src {
-		out = src.Clone()
-	}
-	return out
-}
+// Apply implements Op through ApplyPlanes: each run of separable stages is
+// one pass per axis.
+func (c Compose) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(c, native(src)) }
 
 // Linear implements Op: a composition is linear iff every stage is.
 func (c Compose) Linear() bool {
@@ -73,12 +66,19 @@ func (c Compose) String() string {
 	return strings.Join(parts, " ∘ ")
 }
 
+// maxBlurRadius bounds a blur's kernel radius ⌈3σ⌉, in samples: well past
+// any σ a PSP uses, it stops an operator from outside input from building a
+// kernel, and a weight row per sample, as large as its σ asks.
+const maxBlurRadius = 64
+
 // OutputSize reports the dimensions op produces from a w×h image, or an
-// error when some stage would have nothing to produce — a crop that misses
-// the image, a resize to a non-positive size — which is when Apply panics.
-// Callers holding an operator built from outside input check it here first.
-// Crop and Resize are the only operators that change dimensions; every other
-// stage passes them through.
+// error when some stage cannot be applied: a crop that misses the image, a
+// resize to a non-positive size, a blur or sharpen σ that is not finite or
+// whose radius exceeds maxBlurRadius, a sharpen amount that is not finite,
+// or a gamma that is not finite and positive. Apply has no defined result
+// for such an operator (ApplyPlanes panics on it), so callers holding one
+// built from outside input check it here first. Crop and Resize are the only
+// operators that change dimensions; every other stage passes them through.
 func OutputSize(op Op, w, h int) (int, int, error) {
 	switch o := op.(type) {
 	case Compose:
@@ -99,8 +99,26 @@ func OutputSize(op Op, w, h int) (int, int, error) {
 			return 0, 0, fmt.Errorf("imaging: invalid resize target %dx%d", o.W, o.H)
 		}
 		w, h = o.W, o.H
+	case GaussianBlur:
+		if !blurRadiusOK(o.Sigma) {
+			return 0, 0, fmt.Errorf("imaging: invalid %s: σ must be finite, with ⌈3σ⌉ at most %d", o, maxBlurRadius)
+		}
+	case Sharpen:
+		if !blurRadiusOK(o.Sigma) || math.IsNaN(o.Amount) || math.IsInf(o.Amount, 0) {
+			return 0, 0, fmt.Errorf("imaging: invalid %s: σ must be finite, with ⌈3σ⌉ at most %d, and the amount finite", o, maxBlurRadius)
+		}
+	case Gamma:
+		if !(o.G > 0 && o.G < math.Inf(1)) {
+			return 0, 0, fmt.Errorf("imaging: invalid %s: gamma must be finite and positive", o)
+		}
 	}
 	return w, h, nil
+}
+
+// blurRadiusOK reports whether σ is finite with a kernel radius ⌈3σ⌉ of at
+// most maxBlurRadius; a σ ≤ 0 blurs nothing.
+func blurRadiusOK(sigma float64) bool {
+	return !math.IsInf(sigma, -1) && math.Ceil(3*sigma) <= maxBlurRadius
 }
 
 // Invertible is implemented by pointwise one-to-one operators (e.g. gamma).

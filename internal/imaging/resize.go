@@ -93,27 +93,8 @@ func (r Resize) String() string {
 	return fmt.Sprintf("resize(%dx%d,%s)", r.W, r.H, r.Filter.Name)
 }
 
-// Apply implements Op.
-func (r Resize) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	if r.W <= 0 || r.H <= 0 {
-		panic(fmt.Sprintf("imaging: invalid resize target %dx%d", r.W, r.H))
-	}
-	if r.W == src.Width && r.H == src.Height {
-		return src.Clone()
-	}
-	// Two separable passes: horizontal then vertical.
-	mid := jpegx.NewPlanarImage(r.W, src.Height, len(src.Planes))
-	wH := buildWeights(src.Width, r.W, r.Filter)
-	for pi := range src.Planes {
-		resampleRows(src.Planes[pi], src.Width, src.Height, mid.Planes[pi], r.W, wH)
-	}
-	dst := jpegx.NewPlanarImage(r.W, r.H, len(src.Planes))
-	wV := buildWeights(src.Height, r.H, r.Filter)
-	for pi := range mid.Planes {
-		resampleCols(mid.Planes[pi], r.W, src.Height, dst.Planes[pi], r.H, wV)
-	}
-	return dst
-}
+// Apply implements Op through ApplyPlanes: a horizontal pass, then a vertical.
+func (r Resize) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(r, native(src)) }
 
 // weightRange holds normalized contribution weights of source samples
 // [start, start+len(w)) for one destination sample.
@@ -139,12 +120,7 @@ func buildWeights(n, m int, f Filter) []weightRange {
 		center := (float64(i)+0.5)*scale - 0.5
 		lo := int(math.Ceil(center - support))
 		hi := int(math.Floor(center + support))
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n-1 {
-			hi = n - 1
-		}
+		lo, hi = max(lo, 0), min(hi, n-1)
 		if hi < lo { // degenerate: clamp to the nearest sample
 			lo = clampIdx(int(center+0.5), 0, n-1)
 			hi = lo
@@ -208,6 +184,65 @@ func resampleCols(src []float64, w, sh int, dst []float64, dh int, weights []wei
 	}
 }
 
+// accumulateRows sets out[x] = Σ k[i]·rows[i][x], summed in tap order from
+// zero. Every row has len(out) samples. Five and seven taps, an interior row
+// of the two blurs the product instantiates, keep the sum in a register for
+// the whole column; other widths (resampling and composed weights, any other
+// σ) add four source rows per pass over out.
+func accumulateRows(out []float64, rows [][]float64, k []float64) {
+	n := len(out)
+	switch len(k) {
+	case 5:
+		k0, k1, k2, k3, k4 := k[0], k[1], k[2], k[3], k[4]
+		r0, r1, r2, r3, r4 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n], rows[4][:n]
+		for x := range out {
+			var acc float64
+			acc += k0 * r0[x]
+			acc += k1 * r1[x]
+			acc += k2 * r2[x]
+			acc += k3 * r3[x]
+			acc += k4 * r4[x]
+			out[x] = acc
+		}
+	case 7:
+		k0, k1, k2, k3, k4, k5, k6 := k[0], k[1], k[2], k[3], k[4], k[5], k[6]
+		r0, r1, r2, r3, r4, r5, r6 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n], rows[4][:n], rows[5][:n], rows[6][:n]
+		for x := range out {
+			var acc float64
+			acc += k0 * r0[x]
+			acc += k1 * r1[x]
+			acc += k2 * r2[x]
+			acc += k3 * r3[x]
+			acc += k4 * r4[x]
+			acc += k5 * r5[x]
+			acc += k6 * r6[x]
+			out[x] = acc
+		}
+	default:
+		for x := range out {
+			out[x] = 0
+		}
+		i := 0
+		for ; i+4 <= len(k); i += 4 {
+			k0, k1, k2, k3 := k[i], k[i+1], k[i+2], k[i+3]
+			r0, r1, r2, r3 := rows[i][:n], rows[i+1][:n], rows[i+2][:n], rows[i+3][:n]
+			for x, acc := range out {
+				acc += k0 * r0[x]
+				acc += k1 * r1[x]
+				acc += k2 * r2[x]
+				acc += k3 * r3[x]
+				out[x] = acc
+			}
+		}
+		for ; i < len(k); i++ {
+			kv := k[i]
+			for x, s := range rows[i][:n] {
+				out[x] += kv * s
+			}
+		}
+	}
+}
+
 func clampIdx(v, lo, hi int) int {
 	if v < lo {
 		return lo
@@ -230,11 +265,5 @@ func FitWithin(srcW, srcH, maxW, maxH int) (int, int) {
 	r := math.Min(rw, rh)
 	w := int(math.Round(float64(srcW) * r))
 	h := int(math.Round(float64(srcH) * r))
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	return w, h
+	return max(w, 1), max(h, 1)
 }

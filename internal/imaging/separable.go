@@ -4,24 +4,58 @@ import "p3/internal/jpegx"
 
 // Separable is a linear image operator in separable banded form: output
 // sample (x, y) of a plane is Σ_j v[y].w[j] · Σ_i h[x].w[i] · src(h[x].start+i,
-// v[y].start+j). It exists so that Eq. (2) reconstruction applies a whole
-// chain of staged operators — chroma upsample, crop, blur, resize — in one
-// horizontal and one vertical pass straight from a component's own
-// resolution, instead of materialising a full-resolution plane per stage. The
-// staged Apply methods remain the definition; a Separable agrees with them up
-// to float re-association.
+// v[y].start+j). ApplyPlanes folds each run of chroma upsample, crop, blur and
+// resize into one, so the run costs one pass per axis. It agrees with the
+// naive per-stage loops (the test oracles) up to float re-association.
 type Separable struct {
 	srcW, srcH int
 	h, v       []weightRange // one row per output column / output row
+}
+
+// ApplyPlanes applies op to src, every plane read at its own resolution: a
+// plane smaller than src's Width×Height is read through the chroma upsample
+// jpegx's ToPlanar applies (see Upsampled). It is the one place a linear
+// separable stage runs: the leading stages FoldSeparable accepts become one
+// pass per axis per plane, the stage that stops the fold (Sharpen, Gamma)
+// runs its own Apply on that output, and the stages after it start over. It
+// panics on an op that OutputSize(op, src.Width, src.Height) refuses.
+func ApplyPlanes(op Op, src *jpegx.NativePlanes) *jpegx.PlanarImage {
+	if _, _, err := OutputSize(op, src.Width, src.Height); err != nil {
+		panic(err)
+	}
+	sep, rest := FoldSeparable(op, src.Width, src.Height)
+	out := &jpegx.PlanarImage{Width: len(sep.h), Height: len(sep.v), Planes: make([][]float64, len(src.Planes))}
+	var ps Separable
+	for i, p := range src.Planes {
+		if i == 0 || p.W != src.Planes[i-1].W || p.H != src.Planes[i-1].H { // Cb and Cr share theirs
+			ps = sep.Upsampled(p.W, p.H)
+		}
+		out.Planes[i] = ps.apply(p.Pix)
+	}
+	switch len(rest) {
+	case 0:
+		return out
+	case 1:
+		return rest[0].Apply(out)
+	}
+	return rest[1:].Apply(rest[0].Apply(out))
+}
+
+// native views img's planes as full-size native planes, sharing their samples.
+func native(img *jpegx.PlanarImage) *jpegx.NativePlanes {
+	np := &jpegx.NativePlanes{Width: img.Width, Height: img.Height, Planes: make([]jpegx.NativePlane, len(img.Planes))}
+	for i, p := range img.Planes {
+		np.Planes[i] = jpegx.NativePlane{W: img.Width, H: img.Height, Pix: p}
+	}
+	return np
 }
 
 // FoldSeparable composes the leading separable stages of op — Identity, Crop,
 // GaussianBlur and Resize, with nested Composes flattened — as applied to a
 // w×h image, into one weight list per axis. rest holds the stages from the
 // first one that does not fold (Sharpen is a sum of two separable operators,
-// not one; Gamma is not linear), to be run by rest.Apply on the folded map's
-// output; it is empty when everything folded. As with Apply, an op built from
-// outside input must have passed OutputSize(op, w, h).
+// not one; Gamma is not linear); it is empty when everything folded. op must
+// have passed OutputSize(op, w, h).
 func FoldSeparable(op Op, w, h int) (sep Separable, rest Compose) {
 	sep = Separable{srcW: w, srcH: h, h: identityWeights(w), v: identityWeights(h)}
 	stages := flatten(nil, op)
@@ -38,7 +72,7 @@ func FoldSeparable(op Op, w, h int) (sep Separable, rest Compose) {
 				sep.h, sep.v = composeWeights(blurWeights(w, k), sep.h), composeWeights(blurWeights(h, k), sep.v)
 			}
 		case Resize:
-			if o.W != w || o.H != h { // Resize.Apply copies at identity size
+			if o.W != w || o.H != h { // a same-size resize is the identity
 				sep.h, sep.v = composeWeights(buildWeights(w, o.W, o.Filter), sep.h), composeWeights(buildWeights(h, o.H, o.Filter), sep.v)
 				w, h = o.W, o.H
 			}
@@ -73,13 +107,10 @@ func (s Separable) Upsampled(cw, ch int) Separable {
 	return s
 }
 
-// OutputSize reports the dimensions of the planes Apply produces.
-func (s Separable) OutputSize() (w, h int) { return len(s.h), len(s.v) }
-
-// Apply maps one srcW×srcH plane to a new len(h)×len(v) one. The horizontal
+// apply maps one srcW×srcH plane to a new len(h)×len(v) one. The horizontal
 // pass covers only the source rows the vertical weights read, so a crop or a
 // thumbnail of a crop never touches the rest of the plane.
-func (s Separable) Apply(src []float64) []float64 {
+func (s Separable) apply(src []float64) []float64 {
 	dw, dh := len(s.h), len(s.v)
 	y0, y1 := weightSpan(s.v)
 	mid := make([]float64, dw*(y1-y0))
@@ -142,8 +173,9 @@ func identityWeights(n int) []weightRange {
 	return out
 }
 
-// blurWeights is convolveH/convolveV's kernel k over n samples as weight
-// rows: a tap clamped to the border adds its weight to the edge sample's.
+// blurWeights is the edge-replicating convolution with kernel k over n
+// samples as weight rows: a tap clamped to the border adds its weight to the
+// edge sample's.
 func blurWeights(n int, k []float64) []weightRange {
 	r := len(k) / 2
 	out := make([]weightRange, n)

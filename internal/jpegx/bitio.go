@@ -203,18 +203,6 @@ func (br *bitReader) receiveExtend(s uint) int32 {
 	return v
 }
 
-// peek8 returns the next 8 bits without consuming them.
-func (br *bitReader) peek8() uint32 {
-	if br.n < 8 {
-		br.fill()
-	}
-	return uint32(br.acc>>(br.n-8)) & 0xFF
-}
-
-func (br *bitReader) consume(n uint) {
-	br.n -= n
-}
-
 // pendingMarker reports a marker byte hit during entropy decoding (0 if
 // none). The decoder checks this at restart boundaries.
 func (br *bitReader) pendingMarker() byte { return br.marker }

@@ -33,13 +33,3 @@ func clamp8(v float64) uint8 {
 	}
 	return uint8(v + 0.5)
 }
-
-func clampInt8(v int32) uint8 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
-}

@@ -2,7 +2,6 @@ package jpegx
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 
@@ -1122,8 +1121,6 @@ func (d *decoder) refineNonZeroes(br *bitReader, b *Block, zig, se, nz int, delt
 	}
 	return zig, nil
 }
-
-var errNoQuant = errors.New("jpegx: component references missing quantization table")
 
 // ToPlanar converts the coefficient image to full-resolution planar pixels:
 // dequantize, inverse DCT, level shift, and chroma upsample (triangle filter

@@ -58,9 +58,6 @@ type CoeffImage struct {
 	Markers       []MarkerSegment
 }
 
-// NumComponents returns the number of color components (1 or 3 here).
-func (im *CoeffImage) NumComponents() int { return len(im.Components) }
-
 // MaxSampling returns the maximum sampling factors across components.
 func (im *CoeffImage) MaxSampling() (hMax, vMax int) {
 	for i := range im.Components {

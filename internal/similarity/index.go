@@ -68,7 +68,6 @@ type Option func(*idxConfig)
 
 type idxConfig struct {
 	registry *metrics.Registry
-	name     string
 	workers  int
 	queue    int
 }
@@ -77,11 +76,6 @@ type idxConfig struct {
 // registry instead of metrics.Default.
 func WithRegistry(r *metrics.Registry) Option {
 	return func(c *idxConfig) { c.registry = r }
-}
-
-// WithName sets the index="..." metric label (default "similarity").
-func WithName(name string) Option {
-	return func(c *idxConfig) { c.name = name }
 }
 
 // WithWorkers sets the number of background hash workers (default 4;
@@ -127,7 +121,7 @@ type Index struct {
 
 // NewIndex builds an empty index and starts its ingest workers.
 func NewIndex(opts ...Option) *Index {
-	cfg := idxConfig{registry: metrics.Default, name: "similarity", workers: 4, queue: 256}
+	cfg := idxConfig{registry: metrics.Default, workers: 4, queue: 256}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -136,7 +130,7 @@ func NewIndex(opts ...Option) *Index {
 		jobs: make(chan job, cfg.queue),
 	}
 	r := cfg.registry
-	labels := []metrics.Label{{Key: "index", Value: cfg.name}}
+	labels := []metrics.Label{{Key: "index", Value: "similarity"}}
 	ix.ingests = r.Counter("p3_similarity_ingests_total",
 		"Public parts hashed into the similarity index.", labels...)
 	ix.ingestErrors = r.Counter("p3_similarity_ingest_errors_total",

@@ -132,7 +132,8 @@ func (t Transform) splitRemap() (linear imaging.Op, remap imaging.Invertible, ok
 // Apply runs the transform over a decoded image in the pixel domain,
 // clamping the result to the displayable [0, 255] range. This is what a PSP
 // does to a photo between upload and download; tests and simulations use it
-// to fabricate served variants.
+// to fabricate served variants. It panics on a transform that JoinProcessed
+// would refuse for this image with a *TransformError.
 func (t Transform) Apply(im *Image) *Image {
 	if im == nil || im.pix == nil {
 		return nil
