@@ -225,8 +225,8 @@ func (c *Codec) JoinProcessedBytes(publicJPEG, secretBlob []byte, t Transform) (
 
 // JoinProcessedMulti reconstructs several served renditions of one photo —
 // the shape of a feed prefetch (thumbnail + small + full) — decoding the
-// sealed secret part ONCE and deriving its reconstruction planes once,
-// instead of paying the secret decode + IDCT per rendition as repeated
+// sealed secret part ONCE and folding it into its effective secret once,
+// instead of paying the secret decode + fold per rendition as repeated
 // JoinProcessed calls would. publicJPEGs[i] is the rendition served after
 // the provider applied ts[i]; results align with the inputs. Every
 // transform must be linear (resize/crop/blur/sharpen compositions); for a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,8 +198,9 @@ func TestReconstructRemapped(t *testing.T) {
 	}
 }
 
-// TestSecretPlanesZeroForFlatSecret: the difference image must be zero
-// wherever the original had no DC energy and no above-threshold ACs.
+// TestSecretPlanesZeroForFlatSecret: an original with no DC energy and no
+// above-threshold ACs has an empty effective secret — no frequency row at
+// all — and a difference image of zeros.
 func TestSecretPlanesZeroForFlatSecret(t *testing.T) {
 	luma, _ := jpegx.StandardQuantTables(90)
 	im := &jpegx.CoeffImage{Width: 16, Height: 16}
@@ -212,8 +214,12 @@ func TestSecretPlanesZeroForFlatSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range DeriveSecretPlanesPool(sec, 10, nil).d.Planes[0].Pix {
-		if math.Abs(v) > 1e-9 {
+	sp := DeriveSecretPlanesPool(sec, 10, nil)
+	if rows := sp.f.Planes[0].Rows; len(rows) != 0 {
+		t.Fatalf("flat secret holds %d frequency rows, want none", len(rows))
+	}
+	for i, v := range sp.difference(imaging.Identity{}).Planes[0] {
+		if v != 0 {
 			t.Fatalf("difference image not zero at %d: %v", i, v)
 		}
 	}
@@ -329,8 +335,9 @@ func TestSplitJPEGDefaults(t *testing.T) {
 }
 
 // TestReconstructPixelsMultiMatchesSingle pins the shared-planes batch path
-// to the per-variant path bit for bit: deriving the planes once and applying N
-// operators must equal N independent ReconstructPixels calls.
+// to the per-variant path bit for bit: deriving the effective secret once —
+// sequentially or banded over a pool — and applying N operators must equal N
+// independent sequential ReconstructPixels calls.
 func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := naturalImage(t, rng, 96, 80, jpegx.Sub444)
@@ -354,20 +361,22 @@ func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
 		}
 		publics[i] = op.Apply(pubPix)
 	}
-	multi, err := ReconstructPixelsMulti(publics, sec, threshold, ops, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range ops {
-		single, err := ReconstructPixels(publics[i], sec, threshold, op)
+	for _, pool := range []*work.Pool{nil, work.New(3)} {
+		multi, err := ReconstructPixelsMulti(publics, sec, threshold, ops, pool)
 		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
+			t.Fatal(err)
 		}
-		for ci := range single.Planes {
-			for pi := range single.Planes[ci] {
-				if single.Planes[ci][pi] != multi[i].Planes[ci][pi] {
-					t.Fatalf("op %d plane %d sample %d: multi %v, single %v",
-						i, ci, pi, multi[i].Planes[ci][pi], single.Planes[ci][pi])
+		for i, op := range ops {
+			single, err := ReconstructPixels(publics[i], sec, threshold, op)
+			if err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			for ci := range single.Planes {
+				for pi, v := range single.Planes[ci] {
+					if got := multi[i].Planes[ci][pi]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("pool size %d, op %d plane %d sample %d: multi %v, single %v",
+							pool.Size(), i, ci, pi, got, v)
+					}
 				}
 			}
 		}
@@ -431,7 +440,8 @@ func TestReconstructRejectsPlaneCountMismatch(t *testing.T) {
 // correctionImage is the reference derivation of Eq. (1)'s (Ss − Ss²)·w
 // term as its own coefficient image: −2T at every AC position where the
 // secret part is negative, zero elsewhere. Production code folds it into the
-// secret part (EffectiveSecret); the tests keep it apart as the oracle.
+// secret part's frequency rows (DeriveSecretPlanesPool); the tests keep it
+// apart as the oracle.
 func correctionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
 	corr := sec.Clone()
 	for ci := range corr.Components {
@@ -448,6 +458,25 @@ func correctionImage(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
 	return corr
 }
 
+// EffectiveSecret is the reference derivation of the fold SecretPlanes holds,
+// as a coefficient image of sec's shape and tables: e[0] = s[0], and for
+// k ≥ 1, e[k] = s[k] − 2T where s[k] < 0 and s[k] elsewhere, so that
+// y = pub + e coefficient for coefficient. sec is not modified.
+func EffectiveSecret(sec *jpegx.CoeffImage, threshold int) *jpegx.CoeffImage {
+	eff := sec.Clone()
+	for ci := range eff.Components {
+		for bi := range eff.Components[ci].Blocks {
+			e := &eff.Components[ci].Blocks[bi]
+			for k := 1; k < 64; k++ {
+				if e[k] < 0 {
+					e[k] -= int32(2 * threshold)
+				}
+			}
+		}
+	}
+	return eff
+}
+
 // unshift removes the +128 JPEG level shift that ToPlanar applies, turning
 // a decoded plane into a pure linear term.
 func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
@@ -460,13 +489,62 @@ func unshift(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 }
 
 // fullGridDifference is what SecretPlanes.difference is held to: materialise
-// the effective secret's planes the way jpegx.ToPlanar does (IDCT, then its
-// own chroma upsample loop to the full grid), unshift them, and apply op to
-// those. The composed pass folds the upsample into op's weights instead.
-// op's stages themselves are held to their naive definitions in
-// internal/imaging (TestOperatorsMatchNaiveReference).
+// the effective secret's difference image at full resolution and apply op to
+// it. Each block of EffectiveSecret is dequantised and run through the float
+// 8×8 IDCT (jpegx.IDCT8x8) into its component's own plane, which is
+// upsampled to the full grid tap by tap (jpegx.UpsampleTap, pinned to the
+// decoder's own loop by TestUpsampleTapMatchesUpsamplePlane). The composed
+// pass folds the IDCT and the upsample into op's weights instead. op's
+// stages themselves are held to their naive definitions in internal/imaging
+// (TestOperatorsMatchNaiveReference).
 func fullGridDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
-	return op.Apply(unshift(EffectiveSecret(sec, threshold, nil).ToPlanar()))
+	eff := EffectiveSecret(sec, threshold)
+	w, h := eff.Width, eff.Height
+	full := jpegx.NewPlanarImage(w, h, len(eff.Components))
+	for ci := range eff.Components {
+		c := &eff.Components[ci]
+		q := eff.Quant[c.TqIndex]
+		cw, ch := eff.ComponentSize(ci)
+		plane := make([]float64, cw*ch)
+		var coeffs, pix [64]float64
+		for y := 0; y < ch; y += 8 {
+			for x := 0; x < cw; x += 8 {
+				b := c.Block(x/8, y/8)
+				for k := range coeffs {
+					coeffs[k] = float64(b[k]) * float64(q[k])
+				}
+				jpegx.IDCT8x8(&coeffs, &pix)
+				for j := 0; j < min(8, ch-y); j++ {
+					copy(plane[(y+j)*cw+x:][:min(8, cw-x)], pix[8*j:])
+				}
+			}
+		}
+		for y := 0; y < h; y++ {
+			ny, fy := jpegx.UpsampleTap(y, ch, h)
+			for x := 0; x < w; x++ {
+				nx, fx := jpegx.UpsampleTap(x, cw, w)
+				near := 0.75*plane[ny*cw+nx] + 0.25*plane[ny*cw+fx]
+				far := 0.75*plane[fy*cw+nx] + 0.25*plane[fy*cw+fx]
+				full.Planes[ci][y*w+x] = 0.75*near + 0.25*far
+			}
+		}
+	}
+	return op.Apply(full)
+}
+
+// fullGridGap is how far the composed difference image lies from
+// fullGridDifference, as a fraction of the reference's largest |sample|
+// (at least 1): float re-association moves a sum of products by ~1e-16 of
+// it, a wrong weight by far more than 1e-9.
+func fullGridGap(sec *jpegx.CoeffImage, threshold int, op imaging.Op, composed *jpegx.PlanarImage) float64 {
+	want := fullGridDifference(sec, threshold, op)
+	scale := 1.0
+	for _, p := range want.Planes {
+		for _, v := range p {
+			scale = math.Max(scale, math.Abs(v))
+		}
+	}
+	return worstGap(want, composed) / scale
 }
 
 // twoChainDifference is the reference derivation of Eq. (2)'s secret-side
@@ -497,13 +575,15 @@ func worstGap(a, b *jpegx.PlanarImage) float64 {
 // TestFusedMatchesTwoChainOracle is the differential test for both folds of
 // the secret-side term, run through the path Reconstruct runs. Over natural
 // photos, every chroma layout, even and odd geometry, the operator shapes the
-// proxy builds:
-//   - the effective-secret fold: the one-chain difference image agrees with
-//     the two-chain reference to within half a sample before clamping (they
-//     differ only in where the fixed-point IDCT rounds);
-//   - the composed operator: reading each component at its own resolution,
-//     it agrees with the same operator applied to materialised full-grid
-//     planes to within 1e-9 samples (float re-association only);
+// proxy builds, and thresholds down to T = 1, where the secret is dense:
+//   - the effective-secret fold: the difference image agrees with the
+//     two-chain reference — secret and correction images each through the
+//     decoder's fixed-point IDCT — to within half a sample before clamping
+//     (they differ only in IDCT rounding);
+//   - the composed operator: reading each component's frequency rows, it
+//     agrees with the same operator applied to materialised full-grid
+//     planes of the float IDCT to within 1e-9 of the largest sample (float
+//     re-association only);
 //
 // and identity reconstruction keeps its PSNR floor.
 func TestFusedMatchesTwoChainOracle(t *testing.T) {
@@ -571,7 +651,7 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, threshold := range []int{5, 20} {
+				for _, threshold := range []int{1, 5, 20} {
 					pub, sec, err := Split(im, threshold)
 					if err != nil {
 						t.Fatal(err)
@@ -591,8 +671,8 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 							t.Errorf("%s/%s: composed difference image is %.3f samples from the two-chain oracle, want <= 0.5",
 								name, tc.name, gap)
 						}
-						if gap := worstGap(fullGridDifference(sec, threshold, tc.op), composed); gap > 1e-9 {
-							t.Errorf("%s/%s: composed difference image is %.3g samples from the full-grid operator, want <= 1e-9",
+						if gap := fullGridGap(sec, threshold, tc.op, composed); !(gap <= 1e-9) {
+							t.Errorf("%s/%s: composed difference image is %.3g of its scale from the full-grid operator, want <= 1e-9",
 								name, tc.name, gap)
 						}
 					}
@@ -604,7 +684,8 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 
 // FuzzComposedOperator holds the composed pass to the full-grid operator on
 // geometry nobody wrote a table row for: any size from 1×1 up, every chroma
-// layout, and a random crop → blur → resize chain with any stage absent.
+// layout, and a random crop → blur → resize chain with any stage absent, to
+// within 1e-9 of the largest sample (see fullGridGap).
 func FuzzComposedOperator(f *testing.F) {
 	f.Add(uint8(96), uint8(71), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(3), uint8(47), uint8(35))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(9), uint8(9), uint8(5), uint8(2), uint8(4), uint8(2))
@@ -641,17 +722,19 @@ func FuzzComposedOperator(f *testing.F) {
 			op = append(op, imaging.Resize{W: int(tw), H: int(th), Filter: imaging.Filters()[int(filter)%len(imaging.Filters())]})
 		}
 		composed := DeriveSecretPlanesPool(sec, 10, nil).difference(op)
-		if gap := worstGap(fullGridDifference(sec, 10, op), composed); gap > 1e-9 {
-			t.Fatalf("%dx%d %s %s: composed is %.3g samples from full-grid", w, h, sub, op, gap)
+		if gap := fullGridGap(sec, 10, op, composed); !(gap <= 1e-9) {
+			t.Fatalf("%dx%d %s %s: composed is %.3g of its scale from full-grid", w, h, sub, op, gap)
 		}
 	})
 }
 
-// FuzzEffectiveSecret checks the coefficient fold against its definition on
-// arbitrary blocks and thresholds: e == sec + correctionImage(sec)
-// coefficient for coefficient with every DC untouched, the result has
-// sec's shape and quantisation tables, the banded run equals the sequential
-// one, and sec itself is not modified.
+// FuzzEffectiveSecret checks the fold DeriveSecretPlanesPool writes against
+// its definition on arbitrary blocks and thresholds: the oracle
+// EffectiveSecret is sec + correctionImage(sec) coefficient for coefficient
+// with every DC untouched; the frequency rows are that image, dequantised,
+// laid out coefficient by coefficient (denseFreqPlanes); the derivation
+// banded over a pool equals the sequential one; and sec itself is not
+// modified.
 func FuzzEffectiveSecret(f *testing.F) {
 	f.Add([]byte{}, uint16(15), false)
 	f.Add([]byte{0x80, 0x00, 0xff, 0xff, 0x00, 0x01, 0x7f, 0xff}, uint16(1), true)
@@ -679,18 +762,10 @@ func FuzzEffectiveSecret(f *testing.F) {
 			}
 		}
 		before := sec.Clone()
-		eff := EffectiveSecret(sec, threshold, nil)
-		banded := EffectiveSecret(sec, threshold, work.New(3))
+		seq := DeriveSecretPlanesPool(sec, threshold, nil).f
+		banded := DeriveSecretPlanesPool(sec, threshold, work.New(3)).f
+		eff := EffectiveSecret(sec, threshold)
 		corr := correctionImage(sec, threshold)
-
-		if err := compatible(sec, eff); err != nil {
-			t.Fatalf("shape not shared: %v", err)
-		}
-		for i, q := range sec.Quant {
-			if e := eff.Quant[i]; (q == nil) != (e == nil) || q != nil && *q != *e {
-				t.Fatalf("quantisation table %d differs", i)
-			}
-		}
 		for ci := range sec.Components {
 			for bi := range sec.Components[ci].Blocks {
 				s, e := &sec.Components[ci].Blocks[bi], &eff.Components[ci].Blocks[bi]
@@ -706,10 +781,39 @@ func FuzzEffectiveSecret(f *testing.F) {
 							ci, bi, k, e[k], want, s[k], threshold)
 					}
 				}
-				if *e != banded.Components[ci].Blocks[bi] {
-					t.Fatalf("component %d block %d: banded fold differs from sequential", ci, bi)
-				}
 			}
 		}
+		if !reflect.DeepEqual(seq, denseFreqPlanes(eff)) {
+			t.Fatalf("T = %d: frequency rows differ from the effective secret laid out by definition", threshold)
+		}
+		if !reflect.DeepEqual(banded, seq) {
+			t.Fatalf("T = %d: banded derivation differs from sequential", threshold)
+		}
 	})
+}
+
+// denseFreqPlanes lays im out as frequency rows by definition, visiting every
+// coefficient of every block the IDCT shows: coefficient (u, v) of block
+// (bx, by), dequantised, at row 8·by+v, column 8·bx+u, when it is non-zero.
+func denseFreqPlanes(im *jpegx.CoeffImage) *imaging.FreqPlanes {
+	f := &imaging.FreqPlanes{Width: im.Width, Height: im.Height, Planes: make([]imaging.FreqPlane, len(im.Components))}
+	for ci := range im.Components {
+		c, p := &im.Components[ci], &f.Planes[ci]
+		q := im.Quant[c.TqIndex]
+		p.W, p.H = im.ComponentSize(ci)
+		for y := 0; y < (p.H+7)&^7; y++ {
+			row := imaging.FreqRow{Y: y}
+			for x := 0; x < (p.W+7)&^7; x++ {
+				k := 8*(y%8) + x%8
+				if v := c.Block(x/8, y/8)[k]; v != 0 {
+					row.X = append(row.X, int32(x))
+					row.Val = append(row.Val, float64(v)*float64(q[k]))
+				}
+			}
+			if len(row.X) > 0 {
+				p.Rows = append(p.Rows, row)
+			}
+		}
+	}
+	return f
 }

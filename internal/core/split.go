@@ -230,40 +230,6 @@ func ReconstructCoeffsInto(pub, sec *jpegx.CoeffImage, threshold int, dst *jpegx
 	return out, nil
 }
 
-// EffectiveSecret folds the (Ss − Ss²)·w correction term of Eq. (1) into the
-// secret part: e[0] = s[0], and for k ≥ 1, e[k] = s[k] − 2T where s[k] < 0
-// and s[k] elsewhere — so that y = pub + e coefficient for coefficient. The
-// correction depends only on the secret part (§3.3) and lives on the secret
-// part's own quantisation grid, and Eq. (2)'s operator, the IDCT and the
-// chroma upsample are all linear, so pixel-domain reconstruction transforms
-// this one image instead of the secret and correction images separately.
-// The result shares sec's geometry and quantisation tables; sec is not
-// modified. The fold runs as bands of block rows on pool.
-func EffectiveSecret(sec *jpegx.CoeffImage, threshold int, pool *work.Pool) *jpegx.CoeffImage {
-	t := int32(threshold)
-	eff := sec.CloneShapeInto(nil)
-	bands := blockBands(sec, pool.Size())
-	_ = pool.Do(len(bands), func(i int) error {
-		b := bands[i]
-		eb := eff.Components[b.ci].Blocks
-		sb := sec.Components[b.ci].Blocks
-		bx := sec.Components[b.ci].BlocksX
-		for bi := b.r0 * bx; bi < b.r1*bx; bi++ {
-			e, s := &eb[bi], &sb[bi]
-			e[0] = s[0]
-			for k := 1; k < 64; k++ {
-				v := s[k]
-				if v < 0 {
-					v -= 2 * t
-				}
-				e[k] = v
-			}
-		}
-		return nil
-	})
-	return eff
-}
-
 // GuessThreshold mounts the paper's threshold-guessing attack (§3.4). The
 // paper frames it as "assume T is the most frequent non-zero value"; for
 // natural images, whose AC magnitudes are Laplacian-distributed (magnitude

@@ -234,7 +234,7 @@ func TestEffectiveSecretMatchesEquation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eff := EffectiveSecret(sec, threshold, nil)
+	eff := EffectiveSecret(sec, threshold)
 	for ci := range im.Components {
 		for bi := range im.Components[ci].Blocks {
 			y := &im.Components[ci].Blocks[bi]

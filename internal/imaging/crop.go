@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"fmt"
+	"math"
 
 	"p3/internal/jpegx"
 )
@@ -21,11 +22,30 @@ func (Crop) Linear() bool { return true }
 func (c Crop) String() string { return fmt.Sprintf("crop(%d,%d,%dx%d)", c.X, c.Y, c.W, c.H) }
 
 // within clamps the rectangle to a w×h image, returning [x0, x1) × [y0, y1);
-// the result is empty when the rectangle misses the image.
+// the result is empty when the rectangle misses the image. A far edge past
+// the int range counts as past the image, not wrapped around to before it.
 func (c Crop) within(w, h int) (x0, y0, x1, y1 int) {
 	x0, y0 = clampIdx(c.X, 0, w), clampIdx(c.Y, 0, h)
-	x1, y1 = clampIdx(c.X+c.W, x0, w), clampIdx(c.Y+c.H, y0, h)
+	x1, y1 = clampIdx(addSaturated(c.X, c.W), x0, w), clampIdx(addSaturated(c.Y, c.H), y0, h)
 	return x0, y0, x1, y1
+}
+
+// Clamped returns the part of the rectangle inside a w×h image; its W or H
+// is zero when the rectangle misses the image.
+func (c Crop) Clamped(w, h int) Crop {
+	x0, y0, x1, y1 := c.within(w, h)
+	return Crop{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
+}
+
+// addSaturated returns a + b, held at the int range's end it would overflow.
+func addSaturated(a, b int) int {
+	if s := a + b; (s < a) == (b < 0) {
+		return s
+	}
+	if b < 0 {
+		return math.MinInt
+	}
+	return math.MaxInt
 }
 
 // Apply implements Op. The crop rectangle is clamped to the image bounds; a
@@ -43,15 +63,4 @@ func (c Crop) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
 		}
 	}
 	return dst
-}
-
-// AlignToBlocks returns a copy of the crop snapped outward to 8×8 block
-// boundaries, the granularity at which a PSP could crop losslessly in the
-// coefficient domain.
-func (c Crop) AlignToBlocks() Crop {
-	x0 := c.X &^ 7
-	y0 := c.Y &^ 7
-	x1 := (c.X + c.W + 7) &^ 7
-	y1 := (c.Y + c.H + 7) &^ 7
-	return Crop{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
 }

@@ -42,7 +42,7 @@ func (g GaussianBlur) Kernel1D() []float64 {
 // Apply implements Op with edge replication through ApplyPlanes, which sums
 // the weights of taps clamped to an edge before they multiply the edge sample.
 func (g GaussianBlur) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	return ApplyPlanes(g, native(src))
+	return ApplyPlanes(g, src)
 }
 
 // Sharpen is an unsharp mask: out = src + Amount·(src − blur_σ(src)).

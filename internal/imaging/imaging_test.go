@@ -221,14 +221,25 @@ func TestOutputSize(t *testing.T) {
 	}
 }
 
-func TestCropAlignToBlocks(t *testing.T) {
-	c := Crop{X: 13, Y: 9, W: 10, H: 10}.AlignToBlocks()
-	if c.X != 8 || c.Y != 8 || c.W != 16 || c.H != 16 {
-		t.Errorf("aligned = %+v", c)
-	}
-	already := Crop{X: 8, Y: 16, W: 24, H: 8}.AlignToBlocks()
-	if already != (Crop{X: 8, Y: 16, W: 24, H: 8}) {
-		t.Errorf("aligned crop changed: %+v", already)
+// TestCropClampedPastIntRange: a far edge beyond the int range lies past the
+// image, so the rectangle clamps to it instead of wrapping round to a
+// negative edge and missing it; one that misses stays refused.
+func TestCropClampedPastIntRange(t *testing.T) {
+	for _, tc := range []struct {
+		in, want Crop
+	}{
+		{Crop{X: 5, Y: 5, W: math.MaxInt, H: 10}, Crop{X: 5, Y: 5, W: 715, H: 10}},
+		{Crop{X: 100, Y: 0, W: 1e18, H: math.MaxInt}, Crop{X: 100, Y: 0, W: 620, H: 540}},
+		{Crop{X: math.MaxInt, Y: 0, W: math.MaxInt, H: 10}, Crop{X: 720, Y: 0, W: 0, H: 10}},
+		{Crop{X: -9, Y: 0, W: math.MinInt, H: 10}, Crop{X: 0, Y: 0, W: 0, H: 10}},
+	} {
+		if got := tc.in.Clamped(720, 540); got != tc.want {
+			t.Errorf("%s.Clamped(720, 540) = %s, want %s", tc.in, got, tc.want)
+		}
+		w, h, err := OutputSize(tc.in, 720, 540)
+		if empty := tc.want.W == 0 || tc.want.H == 0; empty != (err != nil) || !empty && (w != tc.want.W || h != tc.want.H) {
+			t.Errorf("OutputSize(%s, 720, 540) = %dx%d, %v; want %s", tc.in, w, h, err, tc.want)
+		}
 	}
 }
 

@@ -140,9 +140,9 @@ func refApply(op Op, src *jpegx.PlanarImage) *jpegx.PlanarImage {
 }
 
 // kernelPlane fills a w×h plane with values that make a summation-order
-// slip visible: a wide dynamic range of both signs (the difference planes
-// reconstruction feeds these kernels are far outside [0,255]), plus exact
-// and negative zeros, whose sum depends on the leading 0 + k·s.
+// slip visible: a wide dynamic range of both signs (the sums reconstruction
+// runs through these kernels are far outside [0,255]), plus exact and
+// negative zeros, whose sum depends on the leading 0 + k·s.
 func kernelPlane(rng *rand.Rand, w, h int) []float64 {
 	p := make([]float64, w*h)
 	for i := range p {
@@ -278,7 +278,7 @@ func TestKernelsBitIdenticalToReference(t *testing.T) {
 // edge, sharpen alone, mid-chain and opening a chain, and the nested shape
 // the proxy hands over. Sizes run from 1×1 to production-sized; samples mix
 // ±0 with values up to 1e9, far outside [0, 255] as reconstruction's
-// difference planes are.
+// difference images are.
 func TestOperatorsMatchNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, sz := range [][2]int{{1, 1}, {3, 5}, {17, 9}, {130, 98}} {

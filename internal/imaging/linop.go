@@ -46,7 +46,7 @@ type Compose []Op
 
 // Apply implements Op through ApplyPlanes: each run of separable stages is
 // one pass per axis.
-func (c Compose) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(c, native(src)) }
+func (c Compose) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(c, src) }
 
 // Linear implements Op: a composition is linear iff every stage is.
 func (c Compose) Linear() bool {

@@ -94,7 +94,7 @@ func (r Resize) String() string {
 }
 
 // Apply implements Op through ApplyPlanes: a horizontal pass, then a vertical.
-func (r Resize) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(r, native(src)) }
+func (r Resize) Apply(src *jpegx.PlanarImage) *jpegx.PlanarImage { return ApplyPlanes(r, src) }
 
 // weightRange holds normalized contribution weights of source samples
 // [start, start+len(w)) for one destination sample.

@@ -4,33 +4,37 @@ import "p3/internal/jpegx"
 
 // Separable is a linear image operator in separable banded form: output
 // sample (x, y) of a plane is Σ_j v[y].w[j] · Σ_i h[x].w[i] · src(h[x].start+i,
-// v[y].start+j). ApplyPlanes folds each run of chroma upsample, crop, blur and
-// resize into one, so the run costs one pass per axis. It agrees with the
-// naive per-stage loops (the test oracles) up to float re-association.
+// v[y].start+j). ApplyPlanes and ApplyFreq fold each run of IDCT, chroma
+// upsample, crop, blur and resize into one, so the run costs one pass per
+// axis. It agrees with the naive per-stage loops (the test oracles) up to
+// float re-association.
 type Separable struct {
 	srcW, srcH int
 	h, v       []weightRange // one row per output column / output row
 }
 
-// ApplyPlanes applies op to src, every plane read at its own resolution: a
-// plane smaller than src's Width×Height is read through the chroma upsample
-// jpegx's ToPlanar applies (see Upsampled). It is the one place a linear
+// ApplyPlanes applies op to src. With ApplyFreq it is the one place a linear
 // separable stage runs: the leading stages FoldSeparable accepts become one
 // pass per axis per plane, the stage that stops the fold (Sharpen, Gamma)
 // runs its own Apply on that output, and the stages after it start over. It
 // panics on an op that OutputSize(op, src.Width, src.Height) refuses.
-func ApplyPlanes(op Op, src *jpegx.NativePlanes) *jpegx.PlanarImage {
-	if _, _, err := OutputSize(op, src.Width, src.Height); err != nil {
+func ApplyPlanes(op Op, src *jpegx.PlanarImage) *jpegx.PlanarImage {
+	return applyFolded(op, src.Width, src.Height, len(src.Planes), func(i int, sep Separable) []float64 {
+		return sep.apply(src.Planes[i])
+	})
+}
+
+// applyFolded is the frame ApplyPlanes and ApplyFreq share: fold op's leading
+// separable stages for a w×h image, run each of the n planes through them
+// with plane, then run the stages that stopped the fold on the result.
+func applyFolded(op Op, w, h, n int, plane func(i int, sep Separable) []float64) *jpegx.PlanarImage {
+	if _, _, err := OutputSize(op, w, h); err != nil {
 		panic(err)
 	}
-	sep, rest := FoldSeparable(op, src.Width, src.Height)
-	out := &jpegx.PlanarImage{Width: len(sep.h), Height: len(sep.v), Planes: make([][]float64, len(src.Planes))}
-	var ps Separable
-	for i, p := range src.Planes {
-		if i == 0 || p.W != src.Planes[i-1].W || p.H != src.Planes[i-1].H { // Cb and Cr share theirs
-			ps = sep.Upsampled(p.W, p.H)
-		}
-		out.Planes[i] = ps.apply(p.Pix)
+	sep, rest := FoldSeparable(op, w, h)
+	out := &jpegx.PlanarImage{Width: len(sep.h), Height: len(sep.v), Planes: make([][]float64, n)}
+	for i := range out.Planes {
+		out.Planes[i] = plane(i, sep)
 	}
 	switch len(rest) {
 	case 0:
@@ -39,15 +43,6 @@ func ApplyPlanes(op Op, src *jpegx.NativePlanes) *jpegx.PlanarImage {
 		return rest[0].Apply(out)
 	}
 	return rest[1:].Apply(rest[0].Apply(out))
-}
-
-// native views img's planes as full-size native planes, sharing their samples.
-func native(img *jpegx.PlanarImage) *jpegx.NativePlanes {
-	np := &jpegx.NativePlanes{Width: img.Width, Height: img.Height, Planes: make([]jpegx.NativePlane, len(img.Planes))}
-	for i, p := range img.Planes {
-		np.Planes[i] = jpegx.NativePlane{W: img.Width, H: img.Height, Pix: p}
-	}
-	return np
 }
 
 // FoldSeparable composes the leading separable stages of op — Identity, Crop,

@@ -23,6 +23,11 @@ func init() {
 	}
 }
 
+// DCTBasis is the 1-D 8-point IDCT as data, the factor IDCT8x8 applies per
+// axis: sample x of a block row holds Σ_u DCTBasis(u, x) · F(u) of that
+// row's dequantised frequencies F.
+func DCTBasis(u, x int) float64 { return dctMat[u][x] }
+
 // FDCT8x8 computes the forward 8×8 DCT of the level-shifted samples in src
 // (row-major, values typically in [-128, 127]) into dst (natural order).
 func FDCT8x8(src *[64]float64, dst *[64]float64) {

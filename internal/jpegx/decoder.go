@@ -1134,98 +1134,56 @@ func (im *CoeffImage) ToPlanar() *PlanarImage {
 // row range of the sample plane, so the result is bit-identical to the
 // sequential conversion. A nil pool runs sequentially.
 func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
-	return im.ToNativePlanesPool(128, pool).upsampled()
-}
-
-// NativePlanes is a decoded image before chroma upsampling: every component
-// at its own resolution. Width×Height is the grid the components upsample to.
-type NativePlanes struct {
-	Width, Height int
-	Planes        []NativePlane
-}
-
-// NativePlane is one component's W×H samples, row-major.
-type NativePlane struct {
-	W, H int
-	Pix  []float64
-}
-
-// ToNativePlanesPool is ToPlanarPool stopped short of the chroma upsample,
-// with the level shift a parameter: dequantization + 8×8 IDCT over every
-// component, samples IDCT + level, so level 128 gives pixels and level 0 the
-// pure linear term P3's pixel-domain reconstruction adds to a served public
-// part. Upsampling each plane to Width×Height (see UpsampleTap) yields
-// ToPlanarPool's image, shifted by level − 128. Bands of block rows run on
-// pool when it allows.
-func (im *CoeffImage) ToNativePlanesPool(level float64, pool *work.Pool) *NativePlanes {
-	hMax, vMax := im.MaxSampling()
-	out := &NativePlanes{
-		Width:  im.Width,
-		Height: im.Height,
-		Planes: make([]NativePlane, len(im.Components)),
-	}
+	out := &PlanarImage{Width: im.Width, Height: im.Height, Planes: make([][]float64, len(im.Components))}
 	for ci := range im.Components {
 		c := &im.Components[ci]
-		p := NativePlane{
-			W: (im.Width*c.H + hMax - 1) / hMax,
-			H: (im.Height*c.V + vMax - 1) / vMax,
+		w, h := im.ComponentSize(ci)
+		pix := make([]float64, w*h)
+		// validate() prevents a missing table for encoder-produced images;
+		// decoded images always carry theirs. Produce zeros rather than
+		// panicking.
+		if q := im.Quant[c.TqIndex]; q != nil {
+			bh := (h + 7) / 8
+			bands := min(pool.Size(), bh)
+			if bands <= 1 {
+				idctRows(pix, w, h, c, q, 0, bh)
+			} else {
+				// Band errors are impossible; ignore Do's error.
+				_ = pool.Do(bands, func(i int) error {
+					idctRows(pix, w, h, c, q, bh*i/bands, bh*(i+1)/bands)
+					return nil
+				})
+			}
 		}
-		p.Pix = make([]float64, p.W*p.H)
-		out.Planes[ci] = p
-		q := im.Quant[c.TqIndex]
-		if q == nil {
-			// validate() prevents this for encoder-produced images; decoded
-			// images always carry their tables. Produce zeros rather than
-			// panicking.
+		// A full-size component (luma, or 4:4:4 chroma) is adopted as it
+		// is; only a subsampled one is upsampled into a copy.
+		if w == im.Width && h == im.Height {
+			out.Planes[ci] = pix
 			continue
 		}
-		bh := (p.H + 7) / 8
-		bands := min(pool.Size(), bh)
-		if bands <= 1 {
-			idctRows(p, c, q, level, 0, bh)
-			continue
-		}
-		// Band errors are impossible; ignore Do's error.
-		_ = pool.Do(bands, func(i int) error {
-			idctRows(p, c, q, level, bh*i/bands, bh*(i+1)/bands)
-			return nil
-		})
-	}
-	return out
-}
-
-// upsampled brings every plane to Width×Height. A full-size component (luma,
-// or 4:4:4 chroma) is adopted as it is; only a subsampled one is copied.
-func (np *NativePlanes) upsampled() *PlanarImage {
-	out := &PlanarImage{Width: np.Width, Height: np.Height, Planes: make([][]float64, len(np.Planes))}
-	for i, p := range np.Planes {
-		if p.W == np.Width && p.H == np.Height {
-			out.Planes[i] = p.Pix
-			continue
-		}
-		out.Planes[i] = make([]float64, np.Width*np.Height)
-		upsamplePlane(p.Pix, p.W, p.H, out.Planes[i], np.Width, np.Height)
+		out.Planes[ci] = make([]float64, im.Width*im.Height)
+		upsamplePlane(pix, w, h, out.Planes[ci], im.Width, im.Height)
 	}
 	return out
 }
 
 // idctRows dequantizes and inverse-transforms block rows [by0, by1) of c,
-// written as IDCT + level to the matching rows of plane, not clamped. Each
-// block row owns sample rows [8·by, min(8·by+8, plane.H)), so concurrent
-// bands never overlap.
-func idctRows(plane NativePlane, c *Component, q *QuantTable, level float64, by0, by1 int) {
+// written as level-shifted samples to the matching rows of the w×h plane
+// pix, not clamped. Each block row owns sample rows [8·by, min(8·by+8, h)),
+// so concurrent bands never overlap.
+func idctRows(pix []float64, w, h int, c *Component, q *QuantTable, by0, by1 int) {
 	var coeffs, pixels [64]int32
-	bw := (plane.W + 7) / 8
+	bw := (w + 7) / 8
 	for by := by0; by < by1; by++ {
 		for bx := 0; bx < bw; bx++ {
 			dequantizeBlockInt(c.Block(bx, by), q, &coeffs)
 			IDCT8x8Int(&coeffs, &pixels)
 			// The last block row and column may hang over the plane's edge.
-			rows, cols := min(8, plane.H-by*8), min(8, plane.W-bx*8)
+			rows, cols := min(8, h-by*8), min(8, w-bx*8)
 			for y := 0; y < rows; y++ {
-				dst := plane.Pix[(by*8+y)*plane.W+bx*8:][:cols]
+				dst := pix[(by*8+y)*w+bx*8:][:cols]
 				for x, v := range pixels[y*8:][:cols] {
-					dst[x] = float64(v)*0.125 + level
+					dst[x] = float64(v)*0.125 + 128
 				}
 			}
 		}

@@ -71,6 +71,15 @@ func (im *CoeffImage) MaxSampling() (hMax, vMax int) {
 	return hMax, vMax
 }
 
+// ComponentSize returns the samples component ci holds per axis, the
+// resolution the IDCT leaves it at before the chroma upsample: its sampling
+// factor's share of Width×Height, rounded up.
+func (im *CoeffImage) ComponentSize(ci int) (w, h int) {
+	hMax, vMax := im.MaxSampling()
+	c := &im.Components[ci]
+	return (im.Width*c.H + hMax - 1) / hMax, (im.Height*c.V + vMax - 1) / vMax
+}
+
 // mcuDims returns the MCU grid dimensions.
 func (im *CoeffImage) mcuDims() (mcusX, mcusY int) {
 	hMax, vMax := im.MaxSampling()

@@ -730,8 +730,9 @@ func (p *Proxy) DownloadPixels(ctx context.Context, id string, q url.Values) (_ 
 // reconstructWith fetches both parts of one variant and reverses the PSP's
 // transform per Eq. (2) under the given calibrated parameters — always an
 // epoch snapshot's, so the caller's cache key and operator agree. The secret
-// side is one full-resolution IDCT, then one composed pass per axis from
-// each component's own plane to the served grid, whatever the rendition.
+// side is one scan of its coefficients, then one composed pass per axis from
+// each component's non-zero coefficients to the served grid, whatever the
+// rendition.
 func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams, id string, variant p3.PhotoVariant) (*jpegx.PlanarImage, error) {
 	publicBytes, err := p.photos.FetchPhoto(ctx, id, variant)
 	if err != nil {
@@ -797,13 +798,15 @@ func (p *Proxy) buildOp(ctx context.Context, id string, variant p3.PhotoVariant,
 }
 
 // mapCrop maps a crop rectangle from stored-image coordinates (the space
-// crop= queries address) onto the original/secret-part pixel grid. Each
-// edge — left, top, right, bottom — is scaled and rounded to the nearest
-// pixel independently (not X/W pairs, which would let the far edge drift),
-// then clamped to the image. The previous truncating division shifted
-// crops by up to a pixel and shrank the window at non-integral scale
-// factors.
+// crop= queries address) onto the original/secret-part pixel grid. The
+// rectangle is first clamped to the stored image, so no edge a client sends
+// can overflow the scaling. Each edge — left, top, right, bottom — is then
+// scaled and rounded to the nearest pixel independently (not X/W pairs,
+// which would let the far edge drift), then clamped to the image. The
+// previous truncating division shifted crops by up to a pixel and shrank the
+// window at non-integral scale factors.
 func mapCrop(c imaging.Crop, origW, origH, storedW, storedH int) imaging.Crop {
+	c = c.Clamped(storedW, storedH)
 	sx := func(v int) int { return roundDiv(v*origW, storedW) }
 	sy := func(v int) int { return roundDiv(v*origH, storedH) }
 	x := clampInt(sx(c.X), 0, origW-1)

@@ -604,6 +604,46 @@ func TestCropAcrossIngestResize(t *testing.T) {
 	}
 }
 
+// TestOversizedCropMatchesClamped: a crop whose far edge lies far past the
+// stored photo — past the int range, or past what scaling it onto the
+// original grid can hold — reconstructs exactly what the same rectangle
+// clamped to the stored photo does. The scaling used to overflow and map it
+// to a one-pixel-wide column of the original, stretched across the served
+// width; an edge past the int range wrapped negative and was refused as
+// missing the photo.
+func TestOversizedCropMatchesClamped(t *testing.T) {
+	bed := newServingBed(t)
+	jpegBytes, _ := photoJPEG(t, 41, 800, 600) // stored at 720×540
+	id, err := bed.proxy.Upload(ctx, jpegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ oversized, clamped string }{
+		{"100,0,1000000000000000000,1000000000000000000", "100,0,620,540"},
+		{"5,5,9223372036854775807,10", "5,5,715,10"},
+	} {
+		got, err := bed.proxy.DownloadPixels(ctx, id, url.Values{"crop": {tc.oversized}})
+		if err != nil {
+			t.Fatalf("crop=%s: %v", tc.oversized, err)
+		}
+		want, err := bed.proxy.DownloadPixels(ctx, id, url.Values{"crop": {tc.clamped}})
+		if err != nil {
+			t.Fatalf("crop=%s: %v", tc.clamped, err)
+		}
+		if got.Width != want.Width || got.Height != want.Height {
+			t.Fatalf("crop=%s reconstructs %dx%d, crop=%s %dx%d", tc.oversized, got.Width, got.Height, tc.clamped, want.Width, want.Height)
+		}
+		for pi := range want.Planes {
+			for i, v := range want.Planes[pi] {
+				if got.Planes[pi][i] != v {
+					t.Fatalf("crop=%s differs from crop=%s: plane %d sample %d is %v, want %v",
+						tc.oversized, tc.clamped, pi, i, got.Planes[pi][i], v)
+				}
+			}
+		}
+	}
+}
+
 // lenientPhotos is a PSP that never refuses a crop: a rectangle that misses
 // the w×h stored photo is ignored and the uncropped rendition served, so the
 // rectangle reaches the proxy's own operator construction unchecked.
