@@ -117,7 +117,11 @@ func freqRows(c *jpegx.Component, q *jpegx.QuantTable, t int32, bw, by0, by1 int
 // Reconstruct applies Eq. (2) for one served variant: op maps the planes'
 // (upsampled) resolution onto the served public part's, exactly as it maps
 // the original photo onto that rendition, and the transformed difference
-// image is added to the public part and clamped for display.
+// image is added to the public part and clamped for display. The IDCT, the
+// chroma upsample and op's separable stages run as one composed pass from
+// each component's frequency rows, and that pass adds the public row and
+// clamps as it writes each output row (imaging.ApplyFreq), so the result is
+// written once. publicPix is read, not modified.
 func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op) (*jpegx.PlanarImage, error) {
 	if op == nil {
 		op = imaging.Identity{}
@@ -133,17 +137,7 @@ func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op)
 		return nil, fmt.Errorf("core: transformed secret is %dx%dx%d but public part is %dx%dx%d — wrong operator?",
 			w, h, len(sp.f.Planes), publicPix.Width, publicPix.Height, len(publicPix.Planes))
 	}
-	out := sp.difference(op)
-	imaging.AddInto(out, publicPix, 1)
-	return imaging.Clamp(out), nil
-}
-
-// difference returns A·U·IDCT(e) for A = op, unclamped, in a fresh image: the
-// IDCT, the chroma upsample and op's separable stages run as one composed
-// pass from each component's frequency rows (imaging.ApplyFreq). op must
-// have passed imaging.OutputSize.
-func (sp *SecretPlanes) difference(op imaging.Op) *jpegx.PlanarImage {
-	return imaging.ApplyFreq(op, sp.f)
+	return imaging.ApplyFreq(op, sp.f, publicPix), nil
 }
 
 // ReconstructPixelsMulti reconstructs several served variants of one photo

@@ -553,8 +553,49 @@ func fullGridGap(sec *jpegx.CoeffImage, threshold int, op imaging.Op, composed *
 // summed afterwards, unclamped.
 func twoChainDifference(sec *jpegx.CoeffImage, threshold int, op imaging.Op) *jpegx.PlanarImage {
 	out := op.Apply(unshift(sec.ToPlanar()))
-	imaging.AddInto(out, op.Apply(unshift(correctionImage(sec, threshold).ToPlanar())), 1)
+	addInto(out, op.Apply(unshift(correctionImage(sec, threshold).ToPlanar())))
 	return out
+}
+
+// difference returns A·U·IDCT(e) for A = op, unclamped: the composed pass
+// Reconstruct runs, without its add-and-clamp epilogue.
+func (sp *SecretPlanes) difference(op imaging.Op) *jpegx.PlanarImage {
+	return imaging.ApplyFreq(op, sp.f, nil)
+}
+
+// addInto is dst += src sample by sample, the sum Eq. (2) adds the public
+// part with. Shapes must match.
+func addInto(dst, src *jpegx.PlanarImage) {
+	for pi := range dst.Planes {
+		d, s := dst.Planes[pi], src.Planes[pi][:len(dst.Planes[pi])]
+		for i := range d {
+			d[i] += s[i]
+		}
+	}
+}
+
+// oracleReconstruct is Reconstruct by its definition: the difference image in
+// a fresh image, the public part added in one sweep, then a clamping sweep.
+func oracleReconstruct(sp *SecretPlanes, publicPix *jpegx.PlanarImage, op imaging.Op) *jpegx.PlanarImage {
+	out := sp.difference(op)
+	addInto(out, publicPix)
+	return imaging.Clamp(out)
+}
+
+// sameBits reports the first sample where a and b differ in
+// math.Float64bits, or ok when they agree everywhere in one shape.
+func sameBits(a, b *jpegx.PlanarImage) (plane, sample int, ok bool) {
+	if a.Width != b.Width || a.Height != b.Height || len(a.Planes) != len(b.Planes) {
+		return -1, -1, false
+	}
+	for pi := range a.Planes {
+		for i, v := range a.Planes[pi] {
+			if math.Float64bits(v) != math.Float64bits(b.Planes[pi][i]) {
+				return pi, i, false
+			}
+		}
+	}
+	return 0, 0, true
 }
 
 // worstGap is the largest sample difference between two images of one shape;
@@ -584,6 +625,11 @@ func worstGap(a, b *jpegx.PlanarImage) float64 {
 //     agrees with the same operator applied to materialised full-grid
 //     planes of the float IDCT to within 1e-9 of the largest sample (float
 //     re-association only);
+//   - the epilogue: Reconstruct, which adds the public part and clamps in
+//     the composed pass (or after a Sharpen that stops the fold), equals
+//     Clamp(addInto(difference, public)) in math.Float64bits and leaves the
+//     public part as it was; so does the gamma path, ReconstructRemapped,
+//     against the same oracle between its remaps;
 //
 // and identity reconstruction keeps its PSNR floor.
 func TestFusedMatchesTwoChainOracle(t *testing.T) {
@@ -602,6 +648,12 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 		{"444", false, jpegx.Sub444},
 		{"gray", true, jpegx.Sub444},
 	}
+	// The shape of a calibrated pipeline whose sharpen stops the fold.
+	sharpened := imaging.Compose{
+		imaging.GaussianBlur{Sigma: 0.8},
+		imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
+		imaging.Sharpen{Sigma: 1, Amount: 0.5},
+	}
 	for _, g := range geometries {
 		w, h := g[0], g[1]
 		cases := []struct {
@@ -614,11 +666,7 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 				imaging.Crop{X: 9, Y: 5, W: 64, H: 48},
 				imaging.Resize{W: 32, H: 24, Filter: imaging.CatmullRom},
 			}},
-			{"blur-resize-sharpen", imaging.Compose{
-				imaging.GaussianBlur{Sigma: 0.8},
-				imaging.Resize{W: 40, H: 30, Filter: imaging.Triangle},
-				imaging.Sharpen{Sigma: 1, Amount: 0.5},
-			}},
+			{"blur-resize-sharpen", sharpened},
 			// The shape proxy.buildOp hands over: a crop, then the calibrated
 			// pipeline as a nested Compose. The crop runs off the right and
 			// bottom edges and is clamped to them.
@@ -665,7 +713,21 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 						t.Errorf("%s: identity reconstruction PSNR %.1f dB, want >= 55", name, got)
 					}
 					sp := DeriveSecretPlanesPool(sec, threshold, nil)
+					pubPix := pub.ToPlanar()
 					for _, tc := range cases {
+						served := tc.op.Apply(pubPix)
+						kept := served.Clone()
+						got, err := sp.Reconstruct(served, tc.op)
+						if err != nil {
+							t.Fatalf("%s/%s: %v", name, tc.name, err)
+						}
+						if pi, i, ok := sameBits(got, oracleReconstruct(sp, served, tc.op)); !ok {
+							t.Errorf("%s/%s: reconstruction differs from Clamp(addInto(difference, public)) at plane %d sample %d",
+								name, tc.name, pi, i)
+						}
+						if pi, i, ok := sameBits(served, kept); !ok {
+							t.Errorf("%s/%s: Reconstruct wrote the public part at plane %d sample %d", name, tc.name, pi, i)
+						}
 						composed := sp.difference(tc.op)
 						if gap := worstGap(twoChainDifference(sec, threshold, tc.op), composed); gap > 0.5 {
 							t.Errorf("%s/%s: composed difference image is %.3f samples from the two-chain oracle, want <= 0.5",
@@ -675,6 +737,22 @@ func TestFusedMatchesTwoChainOracle(t *testing.T) {
 							t.Errorf("%s/%s: composed difference image is %.3g of its scale from the full-grid operator, want <= 1e-9",
 								name, tc.name, gap)
 						}
+					}
+					// The gamma path: the linear half ends in a Sharpen, so its
+					// epilogue runs after the fold, between the two remaps.
+					g := imaging.Gamma{G: 2.2}
+					served := imaging.Clamp(g.Apply(sharpened.Apply(pubPix)))
+					kept := served.Clone()
+					got, err := ReconstructRemapped(served, sec, threshold, sharpened, g)
+					if err != nil {
+						t.Fatalf("%s/gamma: %v", name, err)
+					}
+					want := imaging.Clamp(g.Apply(oracleReconstruct(sp, g.Inverse().Apply(served), sharpened)))
+					if pi, i, ok := sameBits(got, want); !ok {
+						t.Errorf("%s/gamma: remapped reconstruction differs from its oracle at plane %d sample %d", name, pi, i)
+					}
+					if pi, i, ok := sameBits(served, kept); !ok {
+						t.Errorf("%s/gamma: ReconstructRemapped wrote the public part at plane %d sample %d", name, pi, i)
 					}
 				}
 			}

@@ -36,18 +36,24 @@ type FreqRow struct {
 // component's 8×8 IDCT, unshifted, read through the chroma upsample jpegx's
 // ToPlanar applies — without materialising it: the IDCT folds into op's
 // weights like any other separable stage (overFrequencies), and each plane's
-// pass scatters only its non-zero entries (scatter). It panics on an op that
-// OutputSize(op, src.Width, src.Height) refuses.
-func ApplyFreq(op Op, src *FreqPlanes) *jpegx.PlanarImage {
+// pass scatters only its non-zero entries (scatter).
+//
+// With onto non-nil it returns Eq. (2)'s reconstruction instead: that image
+// plus onto, clamped to [0, 255], each output row summed and clamped as the
+// scatter finishes it (or, when a stage such as Sharpen stops the fold, in
+// one sweep after the last stage). onto must have the output's shape and is
+// not modified. It panics on an op that OutputSize(op, src.Width,
+// src.Height) refuses.
+func ApplyFreq(op Op, src *FreqPlanes, onto *jpegx.PlanarImage) *jpegx.PlanarImage {
 	var ps Separable
 	var ht []weightRange
-	return applyFolded(op, src.Width, src.Height, len(src.Planes), func(i int, sep Separable) []float64 {
+	return applyFolded(op, src.Width, src.Height, len(src.Planes), onto, func(i int, sep Separable, onto []float64) []float64 {
 		p := &src.Planes[i]
 		if i == 0 || p.W != src.Planes[i-1].W || p.H != src.Planes[i-1].H { // Cb and Cr share theirs
 			ps = sep.Upsampled(p.W, p.H).overFrequencies()
 			ht = transposeWeights(ps.h, ps.srcW)
 		}
-		return ps.scatter(p.Rows, ht)
+		return ps.scatter(p.Rows, ht, onto)
 	})
 }
 
@@ -120,8 +126,10 @@ func transposeWeights(rows []weightRange, n int) []weightRange {
 // non-zero entry of a row the vertical weights read adds its transposed
 // horizontal weights, scaled, into that row of a buffer holding only those
 // rows; each output row then accumulates the buffered rows its vertical
-// weights name. Rows and columns with no entry cost nothing.
-func (s Separable) scatter(rows []FreqRow, ht []weightRange) []float64 {
+// weights name and, with onto non-nil, adds onto's row and clamps
+// (addClamp) while it is still in cache. Rows and columns with no entry cost
+// nothing.
+func (s Separable) scatter(rows []FreqRow, ht []weightRange, onto []float64) []float64 {
 	dw, dh := len(s.h), len(s.v)
 	y0, y1 := weightSpan(s.v)
 	rows = rows[searchRows(rows, y0):searchRows(rows, y1)]
@@ -146,7 +154,11 @@ func (s Separable) scatter(rows []FreqRow, ht []weightRange) []float64 {
 			src = append(src, mid[i*dw:][:dw])
 			k = append(k, wr.w[rows[i].Y-wr.start])
 		}
-		accumulateRows(dst[y*dw:][:dw], src, k)
+		d := dst[y*dw:][:dw]
+		accumulateRows(d, src, k)
+		if onto != nil {
+			addClamp(d, onto[y*dw:][:dw])
+		}
 	}
 	return dst
 }

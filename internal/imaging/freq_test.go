@@ -73,11 +73,34 @@ func denseFromFreq(f *FreqPlanes) *jpegx.PlanarImage {
 	return out
 }
 
+// randomOnto builds a w×h three-plane image to add a reconstruction onto:
+// samples in [-100, 355], so the sum lands either side of both clamp bounds,
+// with a sprinkling of ±0 and NaN.
+func randomOnto(rng *rand.Rand, w, h int) *jpegx.PlanarImage {
+	out := jpegx.NewPlanarImage(w, h, 3)
+	for _, p := range out.Planes {
+		for i := range p {
+			switch rng.Intn(40) {
+			case 0:
+				p[i] = math.Copysign(0, -1)
+			case 1:
+				p[i] = math.NaN()
+			default:
+				p[i] = rng.Float64()*455 - 100
+			}
+		}
+	}
+	return out
+}
+
 // TestApplyFreqMatchesDense holds the composed IDCT and the sparse scatter to
-// their definition: ApplyFreq(op, f) agrees with the naive per-stage chain
-// (refApply) over f's materialised full-grid planes to within 1e-9 of the
-// largest sample, over sizes from 1×1 up, 4:2:0, 4:4:4 and odd chroma,
+// their definition: ApplyFreq(op, f, nil) agrees with the naive per-stage
+// chain (refApply) over f's materialised full-grid planes to within 1e-9 of
+// the largest sample, over sizes from 1×1 up, 4:2:0, 4:4:4 and odd chroma,
 // densities from empty to full, and the operator shapes a cold view runs.
+// The reconstruction epilogue equals its oracle bit for bit:
+// ApplyFreq(op, f, onto) is Clamp(addInto(ApplyFreq(op, f, nil), onto)),
+// whether the fold runs whole or stops at a Sharpen, and onto is untouched.
 func TestApplyFreqMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, sz := range [][4]int{{1, 1, 1, 1}, {9, 7, 5, 4}, {17, 9, 17, 9}, {130, 98, 65, 49}, {103, 75, 52, 38}} {
@@ -100,10 +123,24 @@ func TestApplyFreqMatchesDense(t *testing.T) {
 				Compose{Crop{X: w / 4, Y: h / 4, W: w/2 + 1, H: h/2 + 1}, Compose{GaussianBlur{Sigma: 0.5}, Resize{W: 7, H: 5, Filter: Box}}},
 			} {
 				name := fmt.Sprintf("%s of %dx%d (chroma %dx%d) at density %g", op, w, h, cw, ch, density)
-				got, want := ApplyFreq(op, f), refApply(op, dense)
+				got, want := ApplyFreq(op, f, nil), refApply(op, dense)
 				if got.Width != want.Width || got.Height != want.Height || len(got.Planes) != len(want.Planes) {
 					t.Fatalf("%s: shape %dx%dx%d, reference %dx%dx%d", name,
 						got.Width, got.Height, len(got.Planes), want.Width, want.Height, len(want.Planes))
+				}
+				onto := randomOnto(rng, got.Width, got.Height)
+				kept := onto.Clone()
+				oracle := got.Clone()
+				addInto(oracle, onto, 1)
+				Clamp(oracle)
+				rec := ApplyFreq(op, f, onto)
+				for pi := range rec.Planes {
+					if i, bad := diffBits(rec.Planes[pi], oracle.Planes[pi]); bad {
+						t.Fatalf("%s: reconstruction plane %d sample %d = %x, Clamp(addInto) %x", name, pi, i, rec.Planes[pi][i], oracle.Planes[pi][i])
+					}
+					if i, bad := diffBits(onto.Planes[pi], kept.Planes[pi]); bad {
+						t.Fatalf("%s: ApplyFreq wrote onto plane %d sample %d", name, pi, i)
+					}
 				}
 				for pi := range got.Planes {
 					for i, v := range got.Planes[pi] {
@@ -115,6 +152,23 @@ func TestApplyFreqMatchesDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestApplyFreqOntoShapeMismatchPanics: adding the reconstruction onto an
+// image of another shape is a caller's bug (Reconstruct checks the shape
+// first), so it panics rather than reading past a plane.
+func TestApplyFreqOntoShapeMismatchPanics(t *testing.T) {
+	f := randomFreqPlanes(rand.New(rand.NewSource(31)), 16, 16, 8, 8, 0.1)
+	for _, onto := range []*jpegx.PlanarImage{jpegx.NewPlanarImage(16, 15, 3), jpegx.NewPlanarImage(16, 16, 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("onto %dx%dx%d: ApplyFreq did not panic", onto.Width, onto.Height, len(onto.Planes))
+				}
+			}()
+			ApplyFreq(Identity{}, f, onto)
+		}()
 	}
 }
 

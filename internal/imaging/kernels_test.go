@@ -11,7 +11,7 @@ import (
 
 // The reference kernels below are the naive loops that define the
 // operators: a tap-by-tap clamped convolution per axis for the blur, one
-// weighted sum per output for the resample, and Clone + AddInto + AddInto for
+// weighted sum per output for the resample, and Clone + addInto + addInto for
 // the unsharp mask. resampleRows and resampleCols reproduce their summation
 // order bit for bit; every Op, run through ApplyPlanes, agrees with them to
 // within 1e-9 of the largest input sample.
@@ -103,9 +103,25 @@ func refResize(r Resize, src *jpegx.PlanarImage) *jpegx.PlanarImage {
 // refSharpen is out = src + a·src − a·blurred, with blurred the σ-blur of src.
 func refSharpen(s Sharpen, src, blurred *jpegx.PlanarImage) *jpegx.PlanarImage {
 	out := src.Clone()
-	AddInto(out, src, s.Amount)
-	AddInto(out, blurred, -s.Amount)
+	addInto(out, src, s.Amount)
+	addInto(out, blurred, -s.Amount)
 	return out
+}
+
+// addInto accumulates src into dst (dst += scale·src), the naive sum the
+// sharpen and the reconstruction epilogue (addClamp) are held to. It panics
+// if the shapes differ.
+func addInto(dst, src *jpegx.PlanarImage, scale float64) {
+	if dst.Width != src.Width || dst.Height != src.Height || len(dst.Planes) != len(src.Planes) {
+		panic(fmt.Sprintf("addInto: shape mismatch %dx%dx%d vs %dx%dx%d",
+			dst.Width, dst.Height, len(dst.Planes), src.Width, src.Height, len(src.Planes)))
+	}
+	for pi := range dst.Planes {
+		d, s := dst.Planes[pi], src.Planes[pi]
+		for i := range d {
+			d[i] += scale * s[i]
+		}
+	}
 }
 
 // refApply is the naive definition of op: each stage in turn, through the
@@ -329,7 +345,7 @@ func assertSameImage(t *testing.T, name string, got, want *jpegx.PlanarImage) {
 }
 
 // TestSharpenFusedBitIdentical: the one-pass unsharp mask equals Clone +
-// AddInto + AddInto over the same blur, bit for bit.
+// addInto + addInto over the same blur, bit for bit.
 func TestSharpenFusedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, sz := range [][2]int{{1, 1}, {5, 3}, {130, 98}} {

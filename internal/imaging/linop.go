@@ -129,29 +129,6 @@ type Invertible interface {
 	Inverse() Op
 }
 
-// AddInto accumulates src into dst (dst += scale·src). Panics if shapes
-// differ; P3 reconstruction only combines images it produced with matching
-// geometry.
-func AddInto(dst, src *jpegx.PlanarImage, scale float64) {
-	if dst.Width != src.Width || dst.Height != src.Height || len(dst.Planes) != len(src.Planes) {
-		panic(fmt.Sprintf("imaging: AddInto shape mismatch %dx%dx%d vs %dx%dx%d",
-			dst.Width, dst.Height, len(dst.Planes), src.Width, src.Height, len(src.Planes)))
-	}
-	for pi := range dst.Planes {
-		d, s := dst.Planes[pi], src.Planes[pi]
-		for i := range d {
-			d[i] += scale * s[i]
-		}
-	}
-}
-
-// Sub returns a - b as a new image.
-func Sub(a, b *jpegx.PlanarImage) *jpegx.PlanarImage {
-	out := a.Clone()
-	AddInto(out, b, -1)
-	return out
-}
-
 // Clamp limits all samples to [0, 255] in place and returns the image.
 func Clamp(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 	for _, p := range img.Planes {
@@ -164,4 +141,20 @@ func Clamp(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 		}
 	}
 	return img
+}
+
+// addClamp sets dst[i] to dst[i] + src[i] limited to [0, 255]: Eq. (2)'s
+// sum and the clamp for display in one sweep, rounding exactly as the sum
+// followed by Clamp would (NaN and −0 pass unchanged).
+func addClamp(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range dst {
+		v += src[i]
+		if v < 0 {
+			v = 0
+		} else if v > 255 {
+			v = 255
+		}
+		dst[i] = v
+	}
 }

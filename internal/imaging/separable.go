@@ -1,6 +1,10 @@
 package imaging
 
-import "p3/internal/jpegx"
+import (
+	"fmt"
+
+	"p3/internal/jpegx"
+)
 
 // Separable is a linear image operator in separable banded form: output
 // sample (x, y) of a plane is Σ_j v[y].w[j] · Σ_i h[x].w[i] · src(h[x].start+i,
@@ -19,30 +23,50 @@ type Separable struct {
 // runs its own Apply on that output, and the stages after it start over. It
 // panics on an op that OutputSize(op, src.Width, src.Height) refuses.
 func ApplyPlanes(op Op, src *jpegx.PlanarImage) *jpegx.PlanarImage {
-	return applyFolded(op, src.Width, src.Height, len(src.Planes), func(i int, sep Separable) []float64 {
+	return applyFolded(op, src.Width, src.Height, len(src.Planes), nil, func(i int, sep Separable, _ []float64) []float64 {
 		return sep.apply(src.Planes[i])
 	})
 }
 
 // applyFolded is the frame ApplyPlanes and ApplyFreq share: fold op's leading
 // separable stages for a w×h image, run each of the n planes through them
-// with plane, then run the stages that stopped the fold on the result.
-func applyFolded(op Op, w, h, n int, plane func(i int, sep Separable) []float64) *jpegx.PlanarImage {
-	if _, _, err := OutputSize(op, w, h); err != nil {
+// with plane, then run the stages that stopped the fold on the result. With
+// onto non-nil the result is instead that image plus onto, clamped to
+// [0, 255] (addClamp), computed once after the last stage: when everything
+// folded, plane receives onto's plane and finishes each output row with it;
+// otherwise plane receives nil and the sweep runs after the rest. onto must
+// have the output's shape; it is not modified.
+func applyFolded(op Op, w, h, n int, onto *jpegx.PlanarImage, plane func(i int, sep Separable, onto []float64) []float64) *jpegx.PlanarImage {
+	ow, oh, err := OutputSize(op, w, h)
+	if err != nil {
 		panic(err)
+	}
+	if onto != nil && (onto.Width != ow || onto.Height != oh || len(onto.Planes) != n) {
+		panic(fmt.Sprintf("imaging: adding a %dx%dx%d image onto a %dx%dx%d one",
+			ow, oh, n, onto.Width, onto.Height, len(onto.Planes)))
 	}
 	sep, rest := FoldSeparable(op, w, h)
 	out := &jpegx.PlanarImage{Width: len(sep.h), Height: len(sep.v), Planes: make([][]float64, n)}
 	for i := range out.Planes {
-		out.Planes[i] = plane(i, sep)
+		var base []float64
+		if onto != nil && len(rest) == 0 {
+			base = onto.Planes[i]
+		}
+		out.Planes[i] = plane(i, sep, base)
 	}
-	switch len(rest) {
-	case 0:
+	if len(rest) == 0 {
 		return out
-	case 1:
-		return rest[0].Apply(out)
 	}
-	return rest[1:].Apply(rest[0].Apply(out))
+	out = rest[0].Apply(out)
+	if len(rest) > 1 {
+		out = rest[1:].Apply(out)
+	}
+	if onto != nil {
+		for i, p := range out.Planes {
+			addClamp(p, onto.Planes[i])
+		}
+	}
+	return out
 }
 
 // FoldSeparable composes the leading separable stages of op — Identity, Crop,

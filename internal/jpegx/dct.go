@@ -3,10 +3,13 @@ package jpegx
 import "math"
 
 // The forward and inverse 8×8 type-II DCT used by JPEG, implemented as
-// separable matrix transforms over float64. Correctness is favored over raw
-// speed: the transform is exercised once per block per encode/decode, and a
-// matrix formulation keeps the orthogonality invariant (idct(fdct(x)) ≈ x)
-// easy to property-test. BenchmarkAblation_ReconDomain measures its cost.
+// separable matrix transforms over float64. No encode or decode runs them:
+// the pixel path uses the fixed-point transforms of dct_int.go, and the
+// secret side of reconstruction reads only the 1-D basis (DCTBasis),
+// composed into its operator. They stay as the exact references the tests
+// pin those against, so correctness is favored over speed: a matrix
+// formulation keeps the orthogonality invariant (idct(fdct(x)) ≈ x) easy to
+// property-test.
 
 // dctMat[u][x] = C(u)/2 * cos((2x+1)uπ/16), the 1-D DCT-II basis.
 var dctMat [8][8]float64

@@ -1,5 +1,7 @@
 package jpegx
 
+import "math/bits"
+
 // Fixed-point DCT/IDCT, the production transforms of the pixel pipeline. The
 // algorithm is the Loeffler–Ligtenberg–Moshovitz factorization in 13-bit
 // fixed point (libjpeg's jfdctint/jidctint): 12 multiplications per 1-D
@@ -236,16 +238,35 @@ func dequantizeBlockInt(in *Block, q *QuantTable, out *[64]int32) {
 	}
 }
 
+// quantizer is a quantisation table as quantizeBlockInt applies it to
+// 8×-scaled FDCT8x8Int output: per coefficient, half the divisor d = 8·q
+// (the rounding offset) and the multiplier ⌈2^64/d⌉ that divides by d.
+type quantizer struct {
+	half, recip [64]uint64
+}
+
+func newQuantizer(q *QuantTable) *quantizer {
+	z := new(quantizer)
+	for k, v := range q {
+		d := 8 * uint64(v)
+		z.half[k], z.recip[k] = d>>1, ^uint64(0)/d+1
+	}
+	return z
+}
+
 // quantizeBlockInt converts 8×-scaled FDCT8x8Int output to quantized
-// integers, rounding half away from zero as the float path does.
-func quantizeBlockInt(coeffs *[64]int32, q *QuantTable, out *Block) {
-	for i := 0; i < 64; i++ {
-		d := int64(q[i]) * 8
-		r := d >> 1
-		if v := int64(coeffs[i]); v >= 0 {
-			out[i] = int32((v + r) / d)
-		} else {
-			out[i] = int32(-((-v + r) / d))
-		}
+// integers, rounding half away from zero as the float path does: the
+// quotient (|v| + d/2) / d, signed like v. It divides by multiplying: for
+// every numerator n < 2^32 and divisor d < 2^32, ⌊n/d⌋ is the high word of
+// n·⌈2^64/d⌉ (Lemire, Kaser & Kurz, "Faster remainder by direct
+// computation", 2019), and |v| + d/2 stays below 2^32 for every int32 v and
+// 16-bit table entry.
+func quantizeBlockInt(coeffs *[64]int32, z *quantizer, out *Block) {
+	for k, c := range coeffs {
+		v := int64(c)
+		s := v >> 63 // 0, or −1 for a negative v
+		n := uint64((v^s)-s) + z.half[k]
+		quo, _ := bits.Mul64(n, z.recip[k])
+		out[k] = int32((int64(quo) ^ s) - s)
 	}
 }

@@ -81,7 +81,7 @@ func TestFDCTIntVsFloat(t *testing.T) {
 		FDCT8x8(&fsamples, &fcoeffs)
 		quantizeBlock(&fcoeffs, &luma, &fq)
 		FDCT8x8Int(&isamples, &icoeffs)
-		quantizeBlockInt(&icoeffs, &luma, &iq)
+		quantizeBlockInt(&icoeffs, newQuantizer(&luma), &iq)
 		for i := range fq {
 			d := fq[i] - iq[i]
 			if d < -1 || d > 1 {

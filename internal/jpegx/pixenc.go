@@ -48,6 +48,14 @@ func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error
 	if p.Width <= 0 || p.Height <= 0 {
 		return nil, fmt.Errorf("jpegx: invalid image dimensions %dx%d", p.Width, p.Height)
 	}
+	if n := len(p.Planes); n != 1 && n != 3 {
+		return nil, fmt.Errorf("jpegx: image has %d planes, want 1 (gray) or 3 (YCbCr)", n)
+	}
+	for i, pl := range p.Planes {
+		if len(pl) < p.Width*p.Height {
+			return nil, fmt.Errorf("jpegx: plane %d holds %d samples, fewer than %dx%d", i, len(pl), p.Width, p.Height)
+		}
+	}
 	luma, chroma := StandardQuantTables(quality)
 	im := &CoeffImage{Width: p.Width, Height: p.Height}
 	im.Quant[0] = &luma
@@ -79,60 +87,90 @@ func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error
 		if cw != p.Width || ch != p.Height {
 			plane = downsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch)
 		}
-		fdctPlane(plane, cw, ch, c, im.Quant[c.TqIndex])
+		fdctPlane(plane, cw, ch, c, newQuantizer(im.Quant[c.TqIndex]))
 	}
 	return im, nil
 }
 
-// downsamplePlane box-averages a w×h plane to cw×ch (factors 1 or 2).
+// downsamplePlane box-averages a w×h plane to cw×ch (factors 1 or 2): each
+// output is the sum of its box's samples, left to right and top to bottom
+// from zero, over the box's size. Interior boxes are one expression per
+// output; a box hanging over the last odd row or column repeats the edge
+// sample (downsampleEdge).
 func downsamplePlane(src []float64, w, h, cw, ch int) []float64 {
 	dst := make([]float64, cw*ch)
 	fx, fy := (w+cw-1)/cw, (h+ch-1)/ch
-	for y := 0; y < ch; y++ {
-		for x := 0; x < cw; x++ {
-			var sum float64
-			var n int
-			for dy := 0; dy < fy; dy++ {
-				sy := y*fy + dy
-				if sy >= h {
-					sy = h - 1
-				}
-				for dx := 0; dx < fx; dx++ {
-					sx := x*fx + dx
-					if sx >= w {
-						sx = w - 1
-					}
-					sum += src[sy*w+sx]
-					n++
-				}
+	iw, ih := w/fx, h/fy // outputs whose box lies inside the plane
+	for y := 0; y < ih; y++ {
+		r0, r1 := src[y*fy*w:][:w], src[(y*fy+fy-1)*w:][:w]
+		out := dst[y*cw:][:iw]
+		// The leading 0 is the empty sum the box starts from: it turns a box
+		// of −0 samples into +0, as summing from zero does.
+		switch {
+		case fx == 2 && fy == 2:
+			for x := range out {
+				out[x] = (0 + r0[2*x] + r0[2*x+1] + r1[2*x] + r1[2*x+1]) / 4
 			}
-			dst[y*cw+x] = sum / float64(n)
+		case fx == 2:
+			for x := range out {
+				out[x] = (0 + r0[2*x] + r0[2*x+1]) / 2
+			}
+		default: // fx == 1, fy == 2
+			for x := range out {
+				out[x] = (0 + r0[x] + r1[x]) / 2
+			}
+		}
+	}
+	for y := 0; y < ch; y++ {
+		x0 := iw
+		if y >= ih {
+			x0 = 0
+		}
+		for x := x0; x < cw; x++ {
+			dst[y*cw+x] = downsampleEdge(src, w, h, fx, fy, x, y)
 		}
 	}
 	return dst
 }
 
+// downsampleEdge is output (x, y) of downsamplePlane summed tap by tap, each
+// tap clamped to the plane.
+func downsampleEdge(src []float64, w, h, fx, fy, x, y int) float64 {
+	var sum float64
+	for dy := 0; dy < fy; dy++ {
+		sy := min(y*fy+dy, h-1)
+		for dx := 0; dx < fx; dx++ {
+			sum += src[sy*w+min(x*fx+dx, w-1)]
+		}
+	}
+	return sum / float64(fx*fy)
+}
+
 // fdctPlane level-shifts, pads, transforms and quantizes a component plane
-// into its coefficient blocks.
-func fdctPlane(plane []float64, cw, ch int, c *Component, q *QuantTable) {
+// into its coefficient blocks. A block inside the plane reads its eight rows
+// as slices; one past the right or bottom edge repeats the edge samples.
+func fdctPlane(plane []float64, cw, ch int, c *Component, z *quantizer) {
 	var samples, coeffs [64]int32
 	for by := 0; by < c.BlocksY; by++ {
 		for bx := 0; bx < c.BlocksX; bx++ {
-			for y := 0; y < 8; y++ {
-				sy := by*8 + y
-				if sy >= ch {
-					sy = ch - 1
-				}
-				for x := 0; x < 8; x++ {
-					sx := bx*8 + x
-					if sx >= cw {
-						sx = cw - 1
+			x0, y0 := 8*bx, 8*by
+			if x0+8 <= cw && y0+8 <= ch {
+				for y := 0; y < 8; y++ {
+					row, s := plane[(y0+y)*cw+x0:][:8], samples[8*y:][:8]
+					for x, v := range row {
+						s[x] = int32(math.Round(v - 128))
 					}
-					samples[y*8+x] = int32(math.Round(plane[sy*cw+sx] - 128))
+				}
+			} else {
+				for y := 0; y < 8; y++ {
+					sy := min(y0+y, ch-1)
+					for x := 0; x < 8; x++ {
+						samples[8*y+x] = int32(math.Round(plane[sy*cw+min(x0+x, cw-1)] - 128))
+					}
 				}
 			}
 			FDCT8x8Int(&samples, &coeffs)
-			quantizeBlockInt(&coeffs, q, c.Block(bx, by))
+			quantizeBlockInt(&coeffs, z, c.Block(bx, by))
 		}
 	}
 }

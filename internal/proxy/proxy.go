@@ -68,6 +68,7 @@ import (
 	"net/url"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"p3"
@@ -586,7 +587,7 @@ func (p *Proxy) Upload(ctx context.Context, jpegBytes []byte) (_ string, err err
 		}
 		return "", perr
 	}
-	p.secrets.Put(id, out.SecretBlob)
+	p.secrets.Put(id, exact(out.SecretBlob))
 	if storedW > 0 && storedH > 0 {
 		p.dims.Put(id, [2]int{storedW, storedH})
 	}
@@ -618,7 +619,8 @@ func (p *Proxy) deletePublicPart(ctx context.Context, id string) (cleaned bool, 
 // into a single blob-store fetch.
 func (p *Proxy) fetchSecret(ctx context.Context, id string) ([]byte, error) {
 	return p.secrets.GetOrLoad(ctx, id, func(ctx context.Context) ([]byte, error) {
-		return p.store.GetSecret(ctx, id)
+		b, err := p.store.GetSecret(ctx, id)
+		return exact(b), err
 	})
 }
 
@@ -685,18 +687,40 @@ func (p *Proxy) Download(ctx context.Context, id string, q url.Values) (_ []byte
 	})
 }
 
+// encodeBufs recycles encodeVariant's growing buffers across cold views.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // encodeVariant serializes a reconstructed rendition as the JPEG the
-// application receives (and the variant cache holds).
+// application receives (and the variant cache holds), in a slice of exactly
+// its length: the cache charges len, so it must hold no spare capacity.
 func encodeVariant(pix *jpegx.PlanarImage) ([]byte, error) {
 	coeffs, err := pix.ToCoeffs(95, jpegx.Sub420)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := jpegx.EncodeCoeffs(&buf, coeffs, &jpegx.EncodeOptions{OptimizeHuffman: true}); err != nil {
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	defer encodeBufs.Put(buf)
+	buf.Reset()
+	if err := jpegx.EncodeCoeffs(buf, coeffs, &jpegx.EncodeOptions{OptimizeHuffman: true}); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, buf.Len())
+	copy(out, buf.Bytes())
+	return out, nil
+}
+
+// exact returns b with no spare capacity. The secret and variant caches
+// charge a value's len, so every value they hold goes through it
+// (encodeVariant's are exact already). Spare capacity of at most an eighth
+// of len(b), the order of the allocator's own rounding of an exact-size
+// allocation (an erasure-coded blob's stripe padding, os.ReadFile's extra
+// byte), is cut off in place; more, as a grown buffer leaves, is shed by
+// copying.
+func exact(b []byte) []byte {
+	if cap(b)-len(b) <= len(b)/8 {
+		return b[:len(b):len(b)]
+	}
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // DownloadPixels is Download without the final JPEG encode. Pixel results

@@ -110,8 +110,8 @@ func (p *Proxy) UploadVideo(ctx context.Context, streamBytes []byte) (_ string, 
 		}
 		return "", 0, perr
 	}
-	p.secrets.Put(id+videoPubSuffix, out.PublicMJPEG)
-	p.secrets.Put(id+videoSecSuffix, out.SecretBlob)
+	p.secrets.Put(id+videoPubSuffix, exact(out.PublicMJPEG))
+	p.secrets.Put(id+videoSecSuffix, exact(out.SecretBlob))
 	return id, out.Frames, nil
 }
 
@@ -132,13 +132,15 @@ func (p *Proxy) deleteVideoBlob(ctx context.Context, name string) (cleaned bool,
 // repeat views hit memory and concurrent misses coalesce per blob.
 func (p *Proxy) videoParts(ctx context.Context, id string) (pub, sec []byte, err error) {
 	pub, err = p.secrets.GetOrLoad(ctx, id+videoPubSuffix, func(ctx context.Context) ([]byte, error) {
-		return p.store.GetSecret(ctx, id+videoPubSuffix)
+		b, err := p.store.GetSecret(ctx, id+videoPubSuffix)
+		return exact(b), err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	sec, err = p.secrets.GetOrLoad(ctx, id+videoSecSuffix, func(ctx context.Context) ([]byte, error) {
-		return p.store.GetSecret(ctx, id+videoSecSuffix)
+		b, err := p.store.GetSecret(ctx, id+videoSecSuffix)
+		return exact(b), err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -192,10 +194,13 @@ func (p *Proxy) DownloadVideo(ctx context.Context, id string, q url.Values) (_ [
 		if err != nil {
 			return nil, err
 		}
+		var b []byte
 		if frame < 0 {
-			return p.codec.JoinVideoBytes(pub, sec)
+			b, err = p.codec.JoinVideoBytes(pub, sec)
+		} else {
+			b, err = p.codec.JoinVideoFrame(pub, sec, frame)
 		}
-		return p.codec.JoinVideoFrame(pub, sec, frame)
+		return exact(b), err
 	})
 }
 
