@@ -82,7 +82,6 @@ type SplitScratch struct {
 	pubIm, secIm   *jpegx.CoeffImage
 	srcIm          *jpegx.CoeffImage
 	dec            jpegx.DecoderScratch
-	pubNZ, secNZ   [][]uint64
 }
 
 // SplitJPEGScratch is SplitJPEG reusing s across calls, so a long-lived
@@ -166,28 +165,23 @@ func splitJPEGInto(jpegBytes []byte, key Key, opts *Options, s *SplitScratch) (*
 // splitSlow is the reference split pipeline for stream shapes the fused
 // capture does not mirror (progressive sources, multi-scan or non-canonical
 // baseline layouts): split the decoded coefficients into public and secret
-// images, then encode each. The split walk derives each output's AC nonzero
-// maps for free and hands them to the encoders, sparing their statistics
-// passes the per-block coefficient scan. Outputs are byte-identical to the
-// fused path for any stream both can handle.
+// images, then encode each. Outputs are byte-identical to the fused path for
+// any stream both can handle.
 func (s *SplitScratch) splitSlow(im *jpegx.CoeffImage, t int, opts *Options, pool *work.Pool) error {
-	s.pubNZ = nzMaps(im, s.pubNZ)
-	s.secNZ = nzMaps(im, s.secNZ)
-	pub, sec, err := splitIntoMasked(im, t, s.pubIm, s.secIm, pool, s.pubNZ, s.secNZ)
+	pub, sec, err := SplitInto(im, t, s.pubIm, s.secIm, pool)
 	if err != nil {
 		return err
 	}
 	s.pubIm, s.secIm = pub, sec
-	pubEnc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool, NZHint: s.pubNZ}
-	secEnc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool, NZHint: s.secNZ}
+	enc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool}
 	return pool.Do(2, func(i int) error {
 		if i == 0 {
-			if err := jpegx.EncodeCoeffs(&s.pubBuf, pub, pubEnc); err != nil {
+			if err := jpegx.EncodeCoeffs(&s.pubBuf, pub, enc); err != nil {
 				return fmt.Errorf("core: encoding public part: %w", err)
 			}
 			return nil
 		}
-		if err := jpegx.EncodeCoeffs(&s.secBuf, sec, secEnc); err != nil {
+		if err := jpegx.EncodeCoeffs(&s.secBuf, sec, enc); err != nil {
 			return fmt.Errorf("core: encoding secret part: %w", err)
 		}
 		return nil

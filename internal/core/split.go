@@ -73,15 +73,6 @@ func blockBands(im *jpegx.CoeffImage, per int) []blockBand {
 // coefficient of both outputs is written by exactly one band, so the result
 // is byte-identical whatever the parallelism.
 func SplitInto(im *jpegx.CoeffImage, threshold int, pubDst, secDst *jpegx.CoeffImage, pool *work.Pool) (pub, sec *jpegx.CoeffImage, err error) {
-	return splitIntoMasked(im, threshold, pubDst, secDst, pool, nil, nil)
-}
-
-// splitIntoMasked is SplitInto optionally recording, for every block of both
-// outputs, the nonzero map of its AC coefficients in zigzag positions (the
-// format of jpegx.EncodeOptions.NZHint). The split touches every coefficient
-// anyway, so deriving the maps here spares the encoder's statistics pass its
-// 63-slot scan of every block. pubNZ and secNZ must be nil or sized by nzMaps.
-func splitIntoMasked(im *jpegx.CoeffImage, threshold int, pubDst, secDst *jpegx.CoeffImage, pool *work.Pool, pubNZ, secNZ [][]uint64) (pub, sec *jpegx.CoeffImage, err error) {
 	if im == nil {
 		return nil, nil, errors.New("core: nil image")
 	}
@@ -95,49 +86,14 @@ func splitIntoMasked(im *jpegx.CoeffImage, threshold int, pubDst, secDst *jpegx.
 	bands := blockBands(im, pool.Size())
 	t := int32(threshold)
 	_ = pool.Do(len(bands), func(i int) error {
-		b := bands[i]
-		var pm, sm []uint64
-		if pubNZ != nil {
-			pm, sm = pubNZ[b.ci], secNZ[b.ci]
-		}
-		splitBand(im, pub, sec, t, b, pm, sm)
+		splitBand(im, pub, sec, t, bands[i])
 		return nil
 	})
 	return pub, sec, nil
 }
 
-// nzMaps sizes per-component nonzero-map storage for im's geometry, reusing
-// prev's allocations when they suffice.
-func nzMaps(im *jpegx.CoeffImage, prev [][]uint64) [][]uint64 {
-	if cap(prev) >= len(im.Components) {
-		prev = prev[:len(im.Components)]
-	} else {
-		prev = make([][]uint64, len(im.Components))
-	}
-	for ci := range im.Components {
-		n := len(im.Components[ci].Blocks)
-		if cap(prev[ci]) >= n {
-			prev[ci] = prev[ci][:n]
-		} else {
-			prev[ci] = make([]uint64, n)
-		}
-	}
-	return prev
-}
-
-// acZigzagPos[k] is the zigzag position of natural-order index k, the bit
-// position of coefficient k in the per-block nonzero maps.
-var acZigzagPos [64]uint
-
-func init() {
-	for k := range acZigzagPos {
-		acZigzagPos[k] = uint(jpegx.Unzigzag(k))
-	}
-}
-
-// splitBand applies the threshold rule to one band; pm and sm, when non-nil,
-// receive the AC nonzero maps of the band's public and secret blocks.
-func splitBand(im, pub, sec *jpegx.CoeffImage, t int32, b blockBand, pm, sm []uint64) {
+// splitBand applies the threshold rule to one band.
+func splitBand(im, pub, sec *jpegx.CoeffImage, t int32, b blockBand) {
 	src := &im.Components[b.ci]
 	pb := pub.Components[b.ci].Blocks
 	sb := sec.Components[b.ci].Blocks
@@ -147,32 +103,21 @@ func splitBand(im, pub, sec *jpegx.CoeffImage, t int32, b blockBand, pm, sm []ui
 		// DC extraction.
 		p[0] = 0
 		s[0] = y[0]
-		var pmask, smask uint64
 		for k := 1; k < 64; k++ {
 			v := y[k]
 			if uint32(v+t) <= uint32(2*t) { // |v| ≤ t: the common case, one compare
 				p[k] = v
 				s[k] = 0
-				// Branchless nonzero bit: v|−v has its sign bit set iff v ≠ 0.
-				pmask |= uint64(uint32(v|-v)>>31) << acZigzagPos[k]
 				continue
 			}
 			// Clipped: public gets T (≥ 1, always nonzero), secret gets the
 			// nonzero remainder sign(v)·(|v|−T).
-			bit := uint64(1) << acZigzagPos[k]
-			pmask |= bit
-			smask |= bit
+			p[k] = t // sign is withheld from the public part
 			if v > t {
-				p[k] = t
 				s[k] = v - t
 			} else {
-				p[k] = t // sign is withheld from the public part
 				s[k] = v + t
 			}
-		}
-		if pm != nil {
-			pm[bi] = pmask
-			sm[bi] = smask
 		}
 	}
 }

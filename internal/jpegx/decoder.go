@@ -659,67 +659,11 @@ func (d *decoder) decodeBaselineScan(scomps []scanComp) error {
 		tee = nil
 	}
 
-	sr := d.newScanRestarts(br)
-	if len(scomps) > 1 {
-		mcusX, mcusY := d.img.mcuDims()
-		for my := 0; my < mcusY; my++ {
-			for mx := 0; mx < mcusX; mx++ {
-				for si, sc := range scomps {
-					c := &d.img.Components[sc.ci]
-					for v := 0; v < c.V; v++ {
-						for h := 0; h < c.H; h++ {
-							b := &c.Blocks[(my*c.V+v)*c.BlocksX+mx*c.H+h]
-							var err error
-							if tee != nil {
-								err = decodeBaselineBlockSplit(br, dcs[si], acs[si], b, &dcPred[sc.ci], tee, min(si, 1), sc.ci)
-							} else {
-								err = decodeBaselineBlock(br, dcs[si], acs[si], b, &dcPred[sc.ci])
-							}
-							if err != nil {
-								return err
-							}
-						}
-					}
-				}
-				if my == mcusY-1 && mx == mcusX-1 {
-					break // no restart after the final MCU
-				}
-				if restarted, err := sr.check(); err != nil {
-					return err
-				} else if restarted {
-					clear(dcPred)
-				}
-			}
-		}
-	} else {
-		sc := scomps[0]
-		c := &d.img.Components[sc.ci]
-		bw, bh := d.compScanDims(c)
-		for by := 0; by < bh; by++ {
-			for bx := 0; bx < bw; bx++ {
-				b := &c.Blocks[by*c.BlocksX+bx]
-				var err error
-				if tee != nil {
-					err = decodeBaselineBlockSplit(br, dcs[0], acs[0], b, &dcPred[sc.ci], tee, 0, sc.ci)
-				} else {
-					err = decodeBaselineBlock(br, dcs[0], acs[0], b, &dcPred[sc.ci])
-				}
-				if err != nil {
-					return err
-				}
-				if by == bh-1 && bx == bw-1 {
-					break
-				}
-				if restarted, err := sr.check(); err != nil {
-					return err
-				} else if restarted {
-					clear(dcPred)
-				}
-			}
-		}
+	visit := func(si int, b *Block) error {
+		ci := scomps[si].ci
+		return decodeBaselineBlock(br, dcs[si], acs[si], b, &dcPred[ci], tee, min(si, 1), ci)
 	}
-	d.finishScan(br)
-	return nil
+	return d.forEachScanUnit(scomps, br, visit, func() { clear(dcPred) })
 }
 
 // decodeBaselineBlock decodes one baseline block: a DC category plus
@@ -730,7 +674,19 @@ func (d *decoder) decodeBaselineScan(scomps []scanComp) error {
 // rare >8-bit codes fall back to the canonical walk. The accumulator and bit
 // count live in locals (registers) for the whole block, synced back to the
 // reader only around refills and the slow path.
-func decodeBaselineBlock(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int32) error {
+//
+// With a non-nil split capture c the block also feeds both parts' token
+// streams (see DecodeBytesSplit); slot is the parts' entropy-table slot for
+// the component (0 luma, 1 chroma) and ci its component index. Only the
+// common token, an unclipped public coefficient with no ZRL before it, is
+// recorded inline; the rest goes through the capture's methods. c is a
+// concrete pointer, not an interface or a type parameter, so a nil capture
+// costs the plain decode no indirect call, but not nothing: a nil check at
+// the start and end of every block, on every ZRL and on every non-zero, the
+// register that holds c (the loop spills and reloads a little more) and
+// three more arguments per block. DESIGN.md ("LUT Huffman decoding") gives
+// the measured cost.
+func decodeBaselineBlock(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int32, c *SplitCapture, slot, ci int) error {
 	acc, n := br.acc, br.n
 	if n < 24 {
 		br.acc, br.n = acc, n
@@ -766,8 +722,14 @@ func decodeBaselineBlock(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int
 		*pred += v
 	}
 	b[0] = *pred
+	if c != nil {
+		if err := c.startBlock(*pred, slot, ci); err != nil {
+			return err
+		}
+	}
 
-	for k := 1; k < 64; {
+	k := 1
+	for k < 64 {
 		if n < 24 {
 			br.acc, br.n = acc, n
 			br.fill()
@@ -790,6 +752,9 @@ func decodeBaselineBlock(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int
 				break // EOB
 			}
 			k += 16 // ZRL
+			if c != nil {
+				c.zrl++
+			}
 			continue
 		}
 		k += int(sym >> 4)
@@ -803,14 +768,30 @@ func decodeBaselineBlock(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int
 			acc, n = br.acc, br.n
 		}
 		n -= s
-		v := int32(acc>>n) & (1<<s - 1)
+		raw := uint32(acc>>n) & (1<<s - 1)
+		v := int32(raw)
 		if v < 1<<(s-1) {
 			v += -1<<s + 1
 		}
 		b[zigzag[k]&63] = v
+		if c != nil {
+			// Unclipped and with no ZRL before it, the public coefficient's
+			// token is the source's: same symbol, and the raw value bits are
+			// the public value bits (JPEG's one's-complement encoding).
+			if t := c.threshold; uint32(v+t) <= uint32(2*t) && c.zrl == 0 {
+				c.pubAC[sym]++
+				c.pub.tokens = append(c.pub.tokens, token(c.slot, tokKindAC, sym, raw, s))
+			} else if err := c.coefficient(k, sym, v); err != nil {
+				br.acc, br.n = acc, n
+				return err
+			}
+		}
 		k++
 	}
 	br.acc, br.n = acc, n
+	if c != nil {
+		c.endBlock(k)
+	}
 	return nil
 }
 
@@ -881,9 +862,10 @@ func (d *decoder) finishScan(br *bitReader) {
 // forEachScanUnit walks the scan's block order (interleaved MCU order for
 // multi-component scans, component raster order otherwise), handling restart
 // markers: after every restart interval it consumes an RST marker, resets
-// the bit reader and calls onRestart. The baseline decoder has its own
-// specialized walk; this generic one serves the progressive scans.
-func (d *decoder) forEachScanUnit(scomps []scanComp, br *bitReader, visit func(sc scanComp, bx, by int) error, onRestart func()) error {
+// the bit reader and calls onRestart. visit gets the block and its
+// component's index si within the scan, so it can pick the scan's
+// per-component tables. Baseline and progressive scans share this walk.
+func (d *decoder) forEachScanUnit(scomps []scanComp, br *bitReader, visit func(si int, b *Block) error, onRestart func()) error {
 	sr := d.newScanRestarts(br)
 	checkRestart := func() error {
 		restarted, err := sr.check()
@@ -897,11 +879,11 @@ func (d *decoder) forEachScanUnit(scomps []scanComp, br *bitReader, visit func(s
 		mcusX, mcusY := d.img.mcuDims()
 		for my := 0; my < mcusY; my++ {
 			for mx := 0; mx < mcusX; mx++ {
-				for _, sc := range scomps {
+				for si, sc := range scomps {
 					c := &d.img.Components[sc.ci]
 					for v := 0; v < c.V; v++ {
 						for h := 0; h < c.H; h++ {
-							if err := visit(sc, mx*c.H+h, my*c.V+v); err != nil {
+							if err := visit(si, c.Block(mx*c.H+h, my*c.V+v)); err != nil {
 								return err
 							}
 						}
@@ -921,7 +903,7 @@ func (d *decoder) forEachScanUnit(scomps []scanComp, br *bitReader, visit func(s
 		bw, bh := d.compScanDims(c)
 		for by := 0; by < bh; by++ {
 			for bx := 0; bx < bw; bx++ {
-				if err := visit(sc, bx, by); err != nil {
+				if err := visit(0, c.Block(bx, by)); err != nil {
 					return err
 				}
 				if by == bh-1 && bx == bw-1 {
@@ -962,9 +944,8 @@ func (d *decoder) decodeProgressiveScan(scomps []scanComp, ss, se, ah, al int) e
 	d.eobRun = 0
 	dcPred := d.s.predBuf(len(d.img.Components))
 
-	visit := func(sc scanComp, bx, by int) error {
-		c := &d.img.Components[sc.ci]
-		b := c.Block(bx, by)
+	visit := func(si int, b *Block) error {
+		sc := scomps[si]
 		switch {
 		case ss == 0 && ah == 0: // DC first
 			dc := d.dcTab[sc.dcSel]
@@ -991,11 +972,7 @@ func (d *decoder) decodeProgressiveScan(scomps []scanComp, ss, se, ah, al int) e
 		}
 		return nil
 	}
-	return d.forEachScanUnit(scomps, br, visit, func() {
-		for i := range dcPred {
-			dcPred[i] = 0
-		}
-	})
+	return d.forEachScanUnit(scomps, br, visit, func() { clear(dcPred) })
 }
 
 func (d *decoder) decodeACFirst(br *bitReader, b *Block, sc scanComp, ss, se, al int) error {

@@ -31,17 +31,6 @@ type EncodeOptions struct {
 	// summed across bands, so the derived tables — and therefore the output
 	// bytes — are identical to a sequential encode. nil runs sequentially.
 	Workers *work.Pool
-
-	// NZHint, when non-nil, supplies per-component nonzero maps for the AC
-	// coefficients: NZHint[ci][bi] has bit zz set when zigzag position zz of
-	// component ci's block bi may hold a nonzero coefficient (bit 0, the DC
-	// term, is ignored). A clear bit must guarantee the coefficient is zero;
-	// set bits are re-checked, so supersets are safe. Producers that already
-	// touch every coefficient — P3's threshold split does — hand these maps
-	// to the baseline encoder so its per-block walk visits only the (sparse)
-	// nonzero positions instead of scanning all 63 AC slots. Components whose
-	// map length does not match their block count fall back to scanning.
-	NZHint [][]uint64
 }
 
 // EncodeCoeffs serializes a coefficient image to a JPEG stream without any
@@ -523,29 +512,10 @@ func (e *encoder) baselineStats() ([]*emitter, []*[]uint32, error) {
 	return parts, bufps, nil
 }
 
-// scanHints resolves the per-component nonzero maps for a scan's components,
-// dropping any whose length does not match the component's block count (the
-// caller then falls back to scanning those blocks).
-func (e *encoder) scanHints(scomps []scanComp) [4][]uint64 {
-	var hints [4][]uint64
-	if e.opts.NZHint == nil {
-		return hints
-	}
-	for i, sc := range scomps {
-		if sc.ci < len(e.opts.NZHint) {
-			if h := e.opts.NZHint[sc.ci]; len(h) == len(e.img.Components[sc.ci].Blocks) {
-				hints[i] = h
-			}
-		}
-	}
-	return hints
-}
-
 // baselineStatsRows feeds MCU rows [my0, my1) to a statistics emitter,
 // assuming no restart markers.
 func (e *encoder) baselineStatsRows(em *emitter, my0, my1 int) error {
 	scomps := e.allComponentsScan()
-	hints := e.scanHints(scomps)
 	dcPred := make([]int32, len(e.img.Components))
 	for i := range dcPred {
 		c := &e.img.Components[i]
@@ -558,20 +528,12 @@ func (e *encoder) baselineStatsRows(em *emitter, my0, my1 int) error {
 	mcusX, _ := e.img.mcuDims()
 	for my := my0; my < my1; my++ {
 		for mx := 0; mx < mcusX; mx++ {
-			for si, sc := range scomps {
+			for _, sc := range scomps {
 				c := &e.img.Components[sc.ci]
-				hint := hints[si]
 				for v := 0; v < c.V; v++ {
 					for h := 0; h < c.H; h++ {
-						bi := (my*c.V+v)*c.BlocksX + mx*c.H + h
-						b := &c.Blocks[bi]
-						var nz uint64
-						if hint != nil {
-							nz = hint[bi]
-						} else {
-							nz = blockNZ(b)
-						}
-						if err := encodeBaselineBlock(em, sc.dcSel, b, &dcPred[sc.ci], nz); err != nil {
+						b := &c.Blocks[(my*c.V+v)*c.BlocksX+mx*c.H+h]
+						if err := encodeBaselineBlock(em, sc.dcSel, b, &dcPred[sc.ci]); err != nil {
 							return err
 						}
 					}
@@ -585,7 +547,6 @@ func (e *encoder) baselineStatsRows(em *emitter, my0, my1 int) error {
 // baselineScan runs the MCU walk once, feeding the emitter.
 func (e *encoder) baselineScan(em *emitter) error {
 	scomps := e.allComponentsScan()
-	hints := e.scanHints(scomps)
 	dcPred := make([]int32, len(e.img.Components))
 	ri := e.opts.RestartInterval
 	mcusX, mcusY := e.img.mcuDims()
@@ -593,21 +554,12 @@ func (e *encoder) baselineScan(em *emitter) error {
 	rst := 0
 	for my := 0; my < mcusY; my++ {
 		for mx := 0; mx < mcusX; mx++ {
-			for si, sc := range scomps {
+			for _, sc := range scomps {
 				c := &e.img.Components[sc.ci]
-				hint := hints[si]
-				slot := sc.dcSel
 				for v := 0; v < c.V; v++ {
 					for h := 0; h < c.H; h++ {
-						bi := (my*c.V+v)*c.BlocksX + mx*c.H + h
-						b := &c.Blocks[bi]
-						var nz uint64
-						if hint != nil {
-							nz = hint[bi]
-						} else {
-							nz = blockNZ(b)
-						}
-						if err := encodeBaselineBlock(em, slot, b, &dcPred[sc.ci], nz); err != nil {
+						b := &c.Blocks[(my*c.V+v)*c.BlocksX+mx*c.H+h]
+						if err := encodeBaselineBlock(em, sc.dcSel, b, &dcPred[sc.ci]); err != nil {
 							return err
 						}
 					}
@@ -637,8 +589,7 @@ func (e *encoder) baselineScan(em *emitter) error {
 
 // blockNZ builds the nonzero map of a block's AC coefficients in zigzag
 // positions, branchlessly in one sequential sweep (v|−v has its sign bit set
-// iff v ≠ 0). Producers with EncodeOptions.NZHint make this sweep — the bulk
-// of the statistics pass for sparse blocks — unnecessary.
+// iff v ≠ 0).
 func blockNZ(b *Block) uint64 {
 	var m uint64
 	for u := 1; u < 64; u++ {
@@ -648,11 +599,11 @@ func blockNZ(b *Block) uint64 {
 	return m
 }
 
-// encodeBaselineBlock emits one block given its AC nonzero map (exact or a
-// superset; bit 0 is ignored). Zero runs fall out of TrailingZeros64 gaps
-// instead of a 63-iteration test-and-branch walk — most AC coefficients are
-// zero, and for P3's sparse secret parts nearly all of them are.
-func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32, nz uint64) error {
+// encodeBaselineBlock emits one block. Zero runs fall out of
+// TrailingZeros64 gaps in the block's nonzero map instead of a 63-iteration
+// test-and-branch walk — most AC coefficients are zero, and for P3's sparse
+// secret parts nearly all of them are.
+func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
 	diff := b[0] - *pred
 	*pred = b[0]
 	n, val := magnitude(diff)
@@ -661,15 +612,12 @@ func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32, nz uint64
 	}
 	em.dcSym(slot, byte(n), val, n)
 
-	m := nz &^ 1
+	m := blockNZ(b)
 	prev := 0
 	for m != 0 {
 		k := bits.TrailingZeros64(m)
 		m &= m - 1
 		v := b[zigzag[k]]
-		if v == 0 {
-			continue // spurious hint bit: part of the zero run
-		}
 		run := k - prev - 1
 		prev = k
 		for run > 15 {

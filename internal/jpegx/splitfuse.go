@@ -12,12 +12,16 @@ import (
 // the structure of both output parts is fully determined by the source's
 // entropy stream as it decodes: every nonzero source coefficient yields a
 // nonzero public coefficient at the same position (value clipped to ±T), so
-// the public part's run lengths, ZRLs and EOBs mirror the source symbol for
-// symbol, and the sparse secret coefficients fall out of the same walk. A
-// SplitCapture therefore records, during a single decode, the complete
-// entropy-coding token streams and symbol frequencies of both parts; encoding
-// a part is then table derivation plus a linear token replay — no coefficient
-// images for the parts, no separate split walk, no statistics pass.
+// the public part's zero runs are the source's, and the sparse secret
+// coefficients fall out of the same walk. The public runs are re-coded the
+// way the encoder codes them, not copied: a ZRL is emitted only before a
+// non-zero, and an EOB exactly when the last non-zero is not at k = 63, so a
+// source that spends redundant ZRLs still yields the reference bytes.
+// decodeBaselineBlock therefore records, during a single decode, the complete
+// entropy-coding token streams and symbol frequencies of both parts into a
+// SplitCapture; encoding a part is then table derivation plus a linear token
+// replay — no coefficient images for the parts, no separate split walk, no
+// statistics pass.
 
 // SplitCapture holds the per-part token streams and symbol statistics
 // captured by DecodeBytesSplit. The two parts serialize independently with
@@ -35,6 +39,15 @@ type SplitCapture struct {
 	// DC equals the source DC, but the output stream has no restart markers,
 	// so its predictor must run continuously even when the source's resets.
 	secDCPred [4]int32
+	// The current block: its entropy-table slot and the public part's AC
+	// frequencies for that slot (held here rather than in the decoder's
+	// loop, which is short of registers), the source ZRLs decoded since its
+	// last non-zero, and the zig-zag position of its last secret non-zero
+	// (0 before the first).
+	slot    int
+	pubAC   *[256]int64
+	zrl     int
+	secPrev int
 
 	// bad marks a stream shape the fused walk does not mirror (progressive,
 	// multiple scans, non-canonical scan order); the capture is abandoned.
@@ -131,158 +144,71 @@ func DecodeBytesSplit(data []byte, threshold int, dst *CoeffImage, s *DecoderScr
 	return dst, cap, nil
 }
 
-// decodeBaselineBlockSplit is decodeBaselineBlock with the split capture
-// fused in: as each symbol decodes, the matching public token (same run
-// structure, value clipped to ±T) and any secret token (clipped excess, own
-// run accounting) are recorded. slot is the output entropy-table slot for the
-// component (0 luma, 1 chroma), ci its component index.
-func decodeBaselineBlockSplit(br *bitReader, dc, ac *huffDecoder, b *Block, pred *int32, c *SplitCapture, slot, ci int) error {
-	t := c.threshold
-	acc, n := br.acc, br.n
-	if n < 24 {
-		br.acc, br.n = acc, n
-		br.fill()
-		acc, n = br.acc, br.n
-	}
-	var sym byte
-	if e := dc.lut[uint8(acc>>(n-8))]; e != 0 {
-		n -= uint(e & 0xFF)
-		sym = byte(e >> 8)
-	} else {
-		br.acc, br.n = acc, n
-		var err error
-		if sym, err = dc.decodeSlow(br); err != nil {
-			return err
-		}
-		acc, n = br.acc, br.n
-	}
-	if sym > 15 {
-		return FormatError("DC magnitude category > 15")
-	}
-	if s := uint(sym); s != 0 {
-		if n < s {
-			br.acc, br.n = acc, n
-			br.fill()
-			acc, n = br.acc, br.n
-		}
-		n -= s
-		v := int32(acc>>n) & (1<<s - 1)
-		if v < 1<<(s-1) {
-			v += -1<<s + 1 // EXTEND (T.81 F.2.2.1)
-		}
-		*pred += v
-	}
-	b[0] = *pred
-
-	// Public DC is always zero (category 0, no value bits); secret DC carries
-	// the source DC on its own prediction chain.
-	diff := *pred - c.secDCPred[ci]
-	c.secDCPred[ci] = *pred
+// startBlock records a block's DC. The public DC is always zero (category
+// 0, no value bits); the secret DC is the source DC on its own prediction
+// chain.
+func (c *SplitCapture) startBlock(dc int32, slot, ci int) error {
+	diff := dc - c.secDCPred[ci]
+	c.secDCPred[ci] = dc
 	dn, dval := magnitude(diff)
 	if dn > 11 {
 		return fmt.Errorf("jpegx: DC difference %d out of baseline range", diff)
 	}
 	c.sec.dcSym(slot, byte(dn), dval, dn)
+	c.pub.dcSym(slot, 0, 0, 0)
+	c.slot, c.pubAC, c.zrl, c.secPrev = slot, c.pub.acFreq[slot], 0, 0
+	return nil
+}
 
-	// The public emissions are the per-coefficient hot path, so they bypass
-	// the emitter methods: the token stream and the per-slot frequency array
-	// are held in locals, synced back at block end.
-	pubT := c.pub.tokens
-	pubAF := c.pub.acFreq[slot]
-	c.pub.dcFreq[slot][0]++
-	pubT = append(pubT, token(slot, tokKindDC, 0, 0, 0))
-
-	secPrev := 0
-	sawEOB := false
-	for k := 1; k < 64; {
-		if n < 24 {
-			br.acc, br.n = acc, n
-			br.fill()
-			acc, n = br.acc, br.n
-		}
-		if e := ac.lut[uint8(acc>>(n-8))]; e != 0 {
-			n -= uint(e & 0xFF)
-			sym = byte(e >> 8)
-		} else {
-			br.acc, br.n = acc, n
-			var err error
-			if sym, err = ac.decodeSlow(br); err != nil {
-				c.pub.tokens = pubT
-				return err
-			}
-			acc, n = br.acc, br.n
-		}
-		s := uint(sym & 0x0F)
-		if s == 0 {
-			if sym != 0xF0 {
-				sawEOB = true
-				break // EOB
-			}
-			k += 16 // ZRL: the public part has the same zero run
-			pubAF[0xF0]++
-			pubT = append(pubT, token(slot, tokKindAC, 0xF0, 0, 0))
-			continue
-		}
-		k += int(sym >> 4)
-		if k > 63 {
-			br.acc, br.n = acc, n
-			c.pub.tokens = pubT
-			return FormatError("AC coefficient index out of range")
-		}
-		if n < s {
-			br.acc, br.n = acc, n
-			br.fill()
-			acc, n = br.acc, br.n
-		}
-		n -= s
-		raw := uint32(acc>>n) & (1<<s - 1)
-		v := int32(raw)
-		if v < 1<<(s-1) {
-			v += -1<<s + 1
-		}
-		b[zigzag[k]&63] = v
-
-		// Public coefficient: v clipped to ±T at the same position, so the
-		// source symbol's run carries over. Unclipped, the source's raw value
-		// bits ARE the public value bits (JPEG's one's-complement encoding);
-		// clipped, the public value is always +T, categorized once per image.
-		if uint32(v+t) <= uint32(2*t) {
-			pubAF[sym]++
-			pubT = append(pubT, token(slot, tokKindAC, sym, raw, s))
-		} else {
-			psym := sym&0xF0 | byte(c.tn)
-			pubAF[psym]++
-			pubT = append(pubT, token(slot, tokKindAC, psym, c.tval, c.tn))
-			sv := v - t
-			if v < 0 {
-				sv = v + t
-			}
-			srun := k - secPrev - 1
-			secPrev = k
-			for srun > 15 {
-				c.sec.acSym(slot, 0xF0, 0, 0)
-				srun -= 16
-			}
-			sn, sval := magnitude(sv)
-			if sn > 10 {
-				br.acc, br.n = acc, n
-				c.pub.tokens = pubT
-				return fmt.Errorf("jpegx: AC coefficient %d out of baseline range", v)
-			}
-			c.sec.acSym(slot, byte(srun<<4)|byte(sn), sval, sn)
-		}
-		k++
+// coefficient records a non-zero source coefficient v at zig-zag position k
+// that the decoder's inline path does not: one after a ZRL, or one clipped
+// to ±T. The ZRLs are held back until this non-zero, so a public run never
+// ends in ZRLs however the source coded its trailing zeros; a source run
+// nibble is at most 15, so the ZRL count is the canonical one. A clipped
+// coefficient becomes +T in the public part, under the source symbol's run,
+// and its excess sign(v)·(|v|−T) goes to the secret part on the secret's
+// own run accounting.
+func (c *SplitCapture) coefficient(k int, sym byte, v int32) error {
+	slot := c.slot
+	for ; c.zrl > 0; c.zrl-- {
+		c.pub.acSym(slot, 0xF0, 0, 0)
 	}
-	br.acc, br.n = acc, n
-	if sawEOB {
-		pubAF[0]++
-		pubT = append(pubT, token(slot, tokKindAC, 0, 0, 0))
+	t := c.threshold
+	if uint32(v+t) <= uint32(2*t) {
+		n, val := magnitude(v)
+		c.pub.acSym(slot, sym, val, n)
+		return nil
 	}
-	c.pub.tokens = pubT
-	if secPrev != 63 {
+	sv := v - t
+	if v < 0 {
+		sv = v + t
+	}
+	sn, sval := magnitude(sv)
+	if sn > 10 {
+		return fmt.Errorf("jpegx: AC coefficient %d out of baseline range", v)
+	}
+	c.pub.acSym(slot, sym&0xF0|byte(c.tn), c.tval, c.tn)
+	run := k - c.secPrev - 1
+	c.secPrev = k
+	for ; run > 15; run -= 16 {
+		c.sec.acSym(slot, 0xF0, 0, 0)
+	}
+	c.sec.acSym(slot, byte(run<<4)|byte(sn), sval, sn)
+	return nil
+}
+
+// endBlock closes both parts' blocks with an EOB unless their last non-zero
+// sits at k = 63, the encoder's rule. k is where the decoder's walk ended:
+// 64 or past it after a final non-zero at 63 or a final ZRL, below 64 at
+// an EOB.
+func (c *SplitCapture) endBlock(k int) {
+	slot := c.slot
+	if k < 64 || c.zrl != 0 {
+		c.pub.acSym(slot, 0x00, 0, 0)
+	}
+	if c.secPrev != 63 {
 		c.sec.acSym(slot, 0x00, 0, 0)
 	}
-	return nil
 }
 
 // EncodePublic serializes the captured public part as a baseline JPEG.
