@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,25 +18,30 @@ import (
 // ErasureSecretStore stores each sealed secret as a Reed-Solomon coded
 // stripe across its child shards: k data shares plus n-k parity shares,
 // placed on n distinct ring shards, so any k surviving shares reconstruct
-// the blob byte-identically. It is the RADON-shaped successor to plain
-// N-way replication (ShardedSecretStore): the same loss tolerance as 3
-// replicas at roughly n/k× storage (1.5× for the default 4-of-6 scheme)
-// instead of 3×.
+// the blob byte-identically. Replication is the same store with k = 1: the
+// systematic code's one parity row is all ones, so every share of a 1-of-r
+// stripe is a full copy (NewShardedSecretStore builds that layout). The
+// default 4-of-6 survives two shard deaths at 1.5× storage, where three
+// replicas pay 3×.
 //
-//   - Reads fan out to all n share locations concurrently and return as
-//     soon as ANY k valid shares of one write epoch arrive — the healthy
-//     path reassembles data shares with no field arithmetic, and a dead or
-//     slow shard degrades the read into a reconstruction, never a failure.
+// Every quorum follows from (k, n):
+//
 //   - Writes encode and store all n shares concurrently and succeed once k
 //     shares are durable; shares that miss a down shard are parked locally
 //     (hinted handoff) and delivered when the shard revives.
+//   - Deletes write epoch-versioned tombstones over the n share slots and
+//     succeed once min(k, n-k+1) are durable, so a shard that slept through
+//     a delete cannot resurrect the secret.
+//   - Reads fan out to all n slots and return the newest epoch holding k
+//     shares once n-k+1 slots have answered. For n < 2k that is the first k
+//     matching shares (a dead or slow shard degrades the read into a
+//     reconstruction, never a failure); for k = 1 it is every replica's
+//     answer, and the read repairs the replicas holding an older record,
+//     nothing, or garbage (read-repair).
 //   - A background scrubber (see StartRepair/ScrubOnce) walks share
 //     inventories, detects missing or bit-rotten shares by checksum, and
 //     re-encodes them onto their home shards — proactive repair, so a dying
 //     shard decays loudly and briefly instead of silently until read.
-//   - Deletions write epoch-versioned tombstones over the share slots
-//     (shared machinery with ShardedSecretStore), so a shard that slept
-//     through a delete cannot resurrect the secret.
 //   - Rebalance moves shares onto a new shard set through the same scrub
 //     machinery when shards join or leave the ring permanently.
 //
@@ -51,7 +57,7 @@ type ErasureSecretStore struct {
 	epochs epochSource
 	hints  *hintLog
 
-	counters []erasureShardCounters
+	counters []shardCounters
 	repairC  repairCounters
 
 	inflightMu sync.Mutex
@@ -82,17 +88,27 @@ const hintBytes = 64 << 20
 type ErasureOption func(*ErasureSecretStore)
 
 // WithErasureScheme sets the coding scheme: k data shares (all needed to
-// reconstruct) out of n total. Requires 1 <= k < n < 2k, with n at most
-// the shard count. The n < 2k bound (more data than parity shares) is a
-// correctness requirement, not a tuning preference: it guarantees at most
-// one epoch can ever hold k of the n share slots, so a read that returns
-// on the first k matching shares cannot assemble a stale epoch that a
-// successful overwrite already superseded. Schemes that want to survive
-// more failures than that should raise k and n together (8-of-12 has the
-// same 1.5x overhead and 4-failure tolerance); pure mirroring lives in
-// ShardedSecretStore.
+// reconstruct) out of n total, with n at most the shard count. It requires
+// k = 1 (replication: n full copies) or k < n < 2k. The n < 2k bound is
+// what lets a read return on the first k matching shares: at most one
+// epoch can ever hold k of the n share slots, so those k cannot belong to
+// a write that a successful overwrite already superseded. With k = 1 many
+// epochs can each hold a slot, so reads wait for every slot instead.
+// Schemes that want to survive more failures should raise k and n together
+// (8-of-12 has the same 1.5x overhead and 4-failure tolerance).
 func WithErasureScheme(k, n int) ErasureOption {
 	return func(s *ErasureSecretStore) { s.k, s.n = k, n }
+}
+
+// WithShardReplicas stores each blob as r full copies on r distinct shards:
+// the 1-of-r scheme, WithErasureScheme(1, r).
+func WithShardReplicas(r int) ErasureOption { return WithErasureScheme(1, r) }
+
+// NewShardedSecretStore builds the replicated layout: one copy of each blob
+// (or r with WithShardReplicas) spread over the shards by consistent
+// hashing.
+func NewShardedSecretStore(shards []SecretStore, opts ...ErasureOption) (*ErasureSecretStore, error) {
+	return NewErasureSecretStore(shards, slices.Concat([]ErasureOption{WithShardReplicas(1)}, opts)...)
 }
 
 // WithScrubInterval starts the background repair daemon with the given
@@ -116,20 +132,16 @@ func NewErasureSecretStore(shards []SecretStore, opts ...ErasureOption) (*Erasur
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.k < 1 || s.n <= s.k || s.n > erasure.MaxShares {
-		return nil, fmt.Errorf("p3: erasure scheme k=%d n=%d invalid (need 1 <= k < n <= %d)",
+	if s.n > erasure.MaxShares || !(s.k == 1 && s.n >= 1 || s.k < s.n && s.n < 2*s.k) {
+		return nil, fmt.Errorf("p3: erasure scheme k=%d n=%d invalid: need k = 1 <= n, or k < n < 2k, with n <= %d (see WithErasureScheme)",
 			s.k, s.n, erasure.MaxShares)
-	}
-	if s.n >= 2*s.k {
-		return nil, fmt.Errorf("p3: erasure scheme k=%d n=%d invalid: need n < 2k so no two epochs can both hold k slots (see WithErasureScheme)",
-			s.k, s.n)
 	}
 	if len(shards) < s.n {
 		return nil, fmt.Errorf("p3: erasure scheme %d-of-%d needs at least %d shards, have %d",
 			s.k, s.n, s.n, len(shards))
 	}
 	s.ring = newHashRing(len(shards))
-	s.counters = make([]erasureShardCounters, len(shards))
+	s.counters = make([]shardCounters, len(shards))
 	s.startRepairDaemon()
 	return s, nil
 }
@@ -180,48 +192,51 @@ func parseShareKey(key string) (id string, index int, ok bool) {
 
 // --- Stats -------------------------------------------------------------
 
-// erasureShardCounters is one shard's cumulative share-operation counts.
-type erasureShardCounters struct {
-	shareReads        atomic.Uint64
-	shareReadFailures atomic.Uint64
-	sharePuts         atomic.Uint64
-	sharePutFailures  atomic.Uint64
-	shareRepairs      atomic.Uint64
+// shardCounters is one shard's cumulative slot-operation counts, kept with
+// atomics so the serving path never takes a lock for accounting.
+type shardCounters struct {
+	reads        atomic.Uint64
+	readFailures atomic.Uint64
+	puts         atomic.Uint64
+	putFailures  atomic.Uint64
+	repairs      atomic.Uint64
 }
 
-// ErasureShardStats is a point-in-time snapshot of one shard's share
-// traffic, exposed per shard on /metrics as p3_erasure_*_total{shard="i"}.
-type ErasureShardStats struct {
-	// ShareReads counts share fetches routed to this shard (each GetSecret
-	// fans one fetch per share slot).
-	ShareReads uint64 `json:"share_reads"`
-	// ShareReadFailures counts share fetches this shard failed or answered
-	// "not found" — the degraded-read signal.
-	ShareReadFailures uint64 `json:"share_read_failures"`
-	// SharePuts counts share (and tombstone) writes routed to this shard.
-	SharePuts uint64 `json:"share_puts"`
-	// SharePutFailures counts share writes this shard failed (each parks a
-	// hint when the hint log has room).
-	SharePutFailures uint64 `json:"share_put_failures"`
-	// ShareRepairs counts shares the scrubber or hint drain restored onto
-	// this shard.
-	ShareRepairs uint64 `json:"share_repairs"`
+// ShardStats is a point-in-time snapshot of one shard's traffic, exposed
+// per shard on /metrics as p3_shard_*_total{shard="i"} (the naming scheme
+// is documented in ARCHITECTURE.md).
+type ShardStats struct {
+	// Reads counts slot fetches routed to this shard (each GetSecret fans
+	// one fetch per share slot).
+	Reads uint64 `json:"reads"`
+	// ReadFailures counts slot fetches this shard failed or answered "not
+	// found" — the degraded-read signal.
+	ReadFailures uint64 `json:"read_failures"`
+	// Puts counts share and tombstone writes routed to this shard, repairs
+	// included.
+	Puts uint64 `json:"puts"`
+	// PutFailures counts writes this shard failed (each failed upload or
+	// delete write parks a hint when the hint log has room).
+	PutFailures uint64 `json:"put_failures"`
+	// Repairs counts shares read-repair, the scrubber or the hint drain
+	// restored onto this shard.
+	Repairs uint64 `json:"repairs"`
 }
 
-// ErasureShardStats returns a snapshot of every shard's counters, indexed
-// like the shard list the store was built with.
-func (s *ErasureSecretStore) ErasureShardStats() []ErasureShardStats {
+// ShardStats returns a snapshot of every shard's counters, indexed like
+// the shard list the store was built with.
+func (s *ErasureSecretStore) ShardStats() []ShardStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]ErasureShardStats, len(s.counters))
+	out := make([]ShardStats, len(s.counters))
 	for i := range s.counters {
 		c := &s.counters[i]
-		out[i] = ErasureShardStats{
-			ShareReads:        c.shareReads.Load(),
-			ShareReadFailures: c.shareReadFailures.Load(),
-			SharePuts:         c.sharePuts.Load(),
-			SharePutFailures:  c.sharePutFailures.Load(),
-			ShareRepairs:      c.shareRepairs.Load(),
+		out[i] = ShardStats{
+			Reads:        c.reads.Load(),
+			ReadFailures: c.readFailures.Load(),
+			Puts:         c.puts.Load(),
+			PutFailures:  c.putFailures.Load(),
+			Repairs:      c.repairs.Load(),
 		}
 	}
 	return out
@@ -250,7 +265,8 @@ type repairCounters struct {
 type RepairStats struct {
 	// ScrubCycles counts completed scrub passes (manual and daemon alike).
 	ScrubCycles uint64 `json:"scrub_cycles"`
-	// ObjectsScanned counts objects examined across all scrub passes.
+	// ObjectsScanned counts objects examined across all scrub passes and
+	// read-repairs.
 	ObjectsScanned uint64 `json:"objects_scanned"`
 	// SharesChecked counts share slots verified healthy during scrubs.
 	SharesChecked uint64 `json:"shares_checked"`
@@ -271,8 +287,8 @@ type RepairStats struct {
 	// LostObjects counts objects a scrub found with fewer than k intact
 	// shares and no tombstone — genuine data loss, the alarm metric.
 	LostObjects uint64 `json:"lost_objects"`
-	// DegradedReads counts GetSecret calls that needed parity
-	// reconstruction because a data share was unavailable.
+	// DegradedReads counts GetSecret calls served without share 0's
+	// stripe: a parity reconstruction, or a non-preferred replica.
 	DegradedReads uint64 `json:"degraded_reads"`
 	// HintsParked counts shares parked locally because their home shard was
 	// down at write time (hinted handoff).
@@ -397,7 +413,7 @@ func (h *hintLog) clear() {
 // indexing a counters slice that no longer matches its shard list.
 type storeLayout struct {
 	shards   []SecretStore
-	counters []erasureShardCounters
+	counters []shardCounters
 	ring     hashRing
 	k, n     int
 }
@@ -424,7 +440,8 @@ type objectWriteLock struct {
 	refs int
 }
 
-// beginWrite marks an object as having a write (put or delete) in flight —
+// beginWrite marks an object as having a write (put, delete, read-repair or
+// legacy migration) in flight —
 // so a concurrent scrub pass does not mistake its half-written stripe for
 // damage, or worse, for data loss — and serializes writers for the same
 // id. Serialization is load-bearing: two concurrent epochs racing slot by
@@ -460,7 +477,7 @@ func (s *ErasureSecretStore) writeInFlight(id string) bool {
 	return s.inflight[id] != nil
 }
 
-// PutSecret implements SecretStore: the blob is encoded into k+m shares
+// PutSecret implements SecretStore: the blob is encoded into n shares
 // written to their n home shards concurrently. The write succeeds once at
 // least k shares are durable (enough to reconstruct); shares that missed a
 // down shard are parked as hints and delivered when it revives.
@@ -468,206 +485,54 @@ func (s *ErasureSecretStore) PutSecret(ctx context.Context, id string, blob []by
 	s.beginWrite(id)
 	defer s.endWrite(id)
 	lay, placement := s.placementFor(id)
-	k, n := lay.k, lay.n
 	epoch := s.epochs.next()
-	shs, err := erasure.Encode(id, epoch, blob, k, n)
+	shs, err := erasure.Encode(id, epoch, blob, lay.k, lay.n)
 	if err != nil {
 		return fmt.Errorf("p3: erasure store encoding %q: %w", id, err)
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			shard := placement[i]
-			key := shareKey(id, i)
-			rec := shs[i].Marshal()
-			lay.counters[shard].sharePuts.Add(1)
-			if err := lay.shards[shard].PutSecret(ctx, key, rec); err != nil {
-				lay.counters[shard].sharePutFailures.Add(1)
-				errs[i] = fmt.Errorf("shard %d share %d: %w", shard, i, err)
-				if s.hints.park(shard, key, rec) {
-					s.repairC.hintsParked.Add(1)
-				} else {
-					s.repairC.hintsDropped.Add(1)
-				}
-			} else {
-				// The slot now holds this epoch; a hint parked by an older
-				// write must not stand in for the slot on a later read.
-				s.hints.removeSuperseded(shard, key, epoch)
-			}
-		}(i)
-	}
-	wg.Wait()
-	stored := 0
-	for _, e := range errs {
-		if e == nil {
-			stored++
-		}
-	}
-	if stored < k {
-		return fmt.Errorf("p3: erasure store: only %d/%d shares stored for %q, need %d: %w",
-			stored, n, id, k, errors.Join(errs...))
-	}
-	return nil
-}
-
-// shareFetch is one share slot's answer during the GetSecret fan-out.
-type shareFetch struct {
-	index     int
-	share     erasure.Share
-	valid     bool
-	tombEpoch uint64
-	tomb      bool
-	err       error
-	missing   bool
-}
-
-// GetSecret implements SecretStore with a concurrent fan-out over all n
-// share slots, returning as soon as any k valid shares of one write epoch
-// arrive (the remaining fetches are cancelled). A missing data share
-// degrades the read into a parity reconstruction rather than an error;
-// parked hints stand in for shares on unreachable shards. Tombstones win
-// over shares at or below their epoch.
-//
-// Returning on the first k matching shares without waiting for the
-// stragglers is safe only because of two write-side invariants: the
-// scheme bound n < 2k means a superseded epoch retains at most n-k < k
-// slots after a successful overwrite, and the DeleteSecret quorum of
-// n-k+1 tombstones leaves at most k-1 share slots behind a successful
-// delete — so any k same-epoch shares are necessarily the committed
-// newest write, and the slow shards can hold nothing that outranks them.
-func (s *ErasureSecretStore) GetSecret(ctx context.Context, id string) ([]byte, error) {
-	lay, placement := s.placementFor(id)
-	k, n := lay.k, lay.n
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan shareFetch, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			shard := placement[i]
-			key := shareKey(id, i)
-			lay.counters[shard].shareReads.Add(1)
-			raw, err := lay.shards[shard].GetSecret(fctx, key)
-			if err != nil {
-				lay.counters[shard].shareReadFailures.Add(1)
-				// A parked hint is as good as the shard's own copy.
-				if rec, ok := s.hints.lookup(shard, key); ok {
-					raw, err = rec, nil
-				} else {
-					ch <- shareFetch{index: i, err: err, missing: IsNotFound(err)}
-					return
-				}
-			}
-			ch <- parseShareBytes(i, id, raw)
-		}(i)
-	}
-
-	groups := map[uint64][]erasure.Share{}
-	var tombMax uint64
-	haveTomb := false
-	var maxShareEpoch uint64
-	var errs []error
-	missing, invalid := 0, 0
-	for received := 0; received < n; received++ {
-		var f shareFetch
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case f = <-ch:
-		}
-		switch {
-		case f.tomb:
-			haveTomb = true
-			tombMax = max(tombMax, f.tombEpoch)
-		case f.valid:
-			e := f.share.Epoch
-			maxShareEpoch = max(maxShareEpoch, e)
-			groups[e] = append(groups[e], f.share)
-			if g := groups[e]; len(g) >= g[0].K && (!haveTomb || e > tombMax) {
-				blob, err := erasure.Reconstruct(g)
-				if err == nil {
-					cancel()
-					for _, sh := range g[:g[0].K] {
-						if sh.Index >= sh.K {
-							s.repairC.degradedReads.Add(1)
-							break
-						}
-					}
-					return blob, nil
-				}
-				// Inconsistent group (should not happen); keep collecting.
-				errs = append(errs, err)
-			}
-		case f.err != nil:
-			if f.missing {
-				missing++
-			} else {
-				errs = append(errs, fmt.Errorf("share %d (shard %d): %w", f.index, placement[f.index], f.err))
-			}
-		default:
-			invalid++
-		}
-	}
-	// All n answered without k consistent shares of a live epoch.
-	if haveTomb && tombMax >= maxShareEpoch {
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
-	if missing == n {
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
-	if len(groups) == 0 && len(errs) == 0 && invalid == 0 {
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
-	return nil, fmt.Errorf("p3: erasure store: cannot reconstruct %q (need %d shares, %d missing, %d invalid): %w",
-		id, k, missing, invalid, errors.Join(errs...))
-}
-
-// parseShareBytes classifies raw bytes read from a share slot: a tombstone
-// record, a valid share for this object, or garbage.
-func parseShareBytes(index int, id string, raw []byte) shareFetch {
-	if kind, epoch, _ := decodeRecord(raw); kind == recordTombstone {
-		return shareFetch{index: index, tomb: true, tombEpoch: epoch}
-	}
-	sh, err := erasure.ParseShare(raw)
-	if err != nil || sh.ID != id || sh.Index != index {
-		return shareFetch{index: index}
-	}
-	return shareFetch{index: index, share: sh, valid: true}
+	return s.writeSlots(ctx, lay, placement, id, epoch, lay.k, "shares stored",
+		func(i int) []byte { return shs[i].Marshal() })
 }
 
 // DeleteSecret implements SecretDeleter by writing epoch-versioned
 // tombstones over every share slot concurrently. The delete succeeds once
-// tombstones are durable on n-k+1 slots — a quorum chosen so at most k-1
-// slots can still hold pre-delete shares, which (with the n < 2k scheme
-// bound) means no read can ever assemble k stale shares and resurrect a
-// secret whose DeleteSecret returned success, even if the tombstoned
-// shards answer slowly. Slots that missed the quorum park tombstone hints
-// and the scrubber propagates the marker to them. Within the scheme's
-// fault tolerance the quorum is always reachable: with at most n-k shards
-// down, at least k >= n-k+1 remain up. Shards need not implement
-// SecretDeleter.
+// min(k, n-k+1) tombstones are durable. For n < 2k that is n-k+1, which
+// leaves at most k-1 slots holding pre-delete shares, so no first-k-wins
+// read can assemble them and resurrect the secret, however slowly the
+// tombstoned shards answer. For k = 1 it is one tombstone, which outvotes
+// every older copy because 1-of-r reads hear every replica. Within the
+// scheme's fault tolerance the quorum is always reachable. Slots that
+// missed the quorum park tombstone hints, and read-repair and the scrubber
+// propagate the marker to them. Shards need not implement SecretDeleter.
 func (s *ErasureSecretStore) DeleteSecret(ctx context.Context, id string) error {
 	s.beginWrite(id)
 	defer s.endWrite(id)
 	lay, placement := s.placementFor(id)
-	n := lay.n
 	epoch := s.epochs.next()
 	rec := encodeRecord(recordTombstone, epoch, nil)
-	errs := make([]error, n)
+	return s.writeSlots(ctx, lay, placement, id, epoch, min(lay.k, lay.n-lay.k+1), "tombstones durable",
+		func(int) []byte { return rec })
+}
+
+// writeSlots writes rec(i) to share slot i on its home shard, all n slots
+// concurrently, and fails unless at least quorum writes land. A slot whose
+// shard refuses the write parks the record as a hint; a slot that takes it
+// drops any hint an older write parked there, which must not stand in for
+// the slot on a later read.
+func (s *ErasureSecretStore) writeSlots(ctx context.Context, lay storeLayout, placement []int, id string,
+	epoch uint64, quorum int, what string, rec func(i int) []byte) error {
+	errs := make([]error, lay.n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < lay.n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			shard := placement[i]
-			key := shareKey(id, i)
-			lay.counters[shard].sharePuts.Add(1)
-			if err := lay.shards[shard].PutSecret(ctx, key, rec); err != nil {
-				lay.counters[shard].sharePutFailures.Add(1)
-				errs[i] = fmt.Errorf("shard %d: %w", shard, err)
-				if s.hints.park(shard, key, rec) {
+			shard, key, r := placement[i], shareKey(id, i), rec(i)
+			lay.counters[shard].puts.Add(1)
+			if err := lay.shards[shard].PutSecret(ctx, key, r); err != nil {
+				lay.counters[shard].putFailures.Add(1)
+				errs[i] = fmt.Errorf("shard %d slot %d: %w", shard, i, err)
+				if s.hints.park(shard, key, r) {
 					s.repairC.hintsParked.Add(1)
 				} else {
 					s.repairC.hintsDropped.Add(1)
@@ -684,9 +549,251 @@ func (s *ErasureSecretStore) DeleteSecret(ctx context.Context, id string) error 
 			durable++
 		}
 	}
-	if quorum := n - lay.k + 1; durable < quorum {
-		return fmt.Errorf("p3: erasure store: only %d/%d tombstones durable for %q, need %d: %w",
-			durable, n, id, quorum, errors.Join(errs...))
+	if durable < quorum {
+		return fmt.Errorf("p3: erasure store: only %d/%d %s for %q, need %d: %w",
+			durable, lay.n, what, id, quorum, errors.Join(errs...))
 	}
 	return nil
+}
+
+// shareFetch is one share slot's answer during the GetSecret fan-out.
+type shareFetch struct {
+	index     int
+	share     erasure.Share
+	valid     bool
+	tombEpoch uint64
+	tomb      bool
+	err       error
+	missing   bool
+}
+
+// GetSecret implements SecretStore with a concurrent fan-out over all n
+// share slots. Once n-k+1 slots have answered, it returns the newest epoch
+// holding k valid shares, unless a tombstone at or above that epoch has
+// been seen; the remaining fetches are cancelled. A missing data share
+// degrades the read into a parity reconstruction rather than an error, and
+// parked hints stand in for shares on unreachable shards.
+//
+// Waiting for n-k+1 answers is what makes the early return safe. For
+// n < 2k it is implied by k matching shares: a superseded epoch keeps at
+// most n-k < k slots after a successful overwrite, and a successful delete
+// leaves at most k-1 share slots behind, so any k same-epoch shares are
+// the committed newest write. For k = 1 it is every slot, because a write
+// or delete acknowledged by one replica may have reached only that one.
+//
+// A 1-of-r read, which always hears every slot, repairs the slots that
+// answered with an older record, nothing, or garbage before it returns
+// (see repairObject). An n < 2k read hears every slot only when the k-th
+// matching share happens to come last, so it leaves repair to the
+// scrubber rather than repairing by answer order.
+func (s *ErasureSecretStore) GetSecret(ctx context.Context, id string) ([]byte, error) {
+	lay, placement := s.placementFor(id)
+	k, n := lay.k, lay.n
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	ch := make(chan shareFetch, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			shard := placement[i]
+			key := shareKey(id, i)
+			lay.counters[shard].reads.Add(1)
+			raw, err := lay.shards[shard].GetSecret(fctx, key)
+			if err != nil {
+				lay.counters[shard].readFailures.Add(1)
+				// A parked hint is as good as the shard's own copy.
+				if rec, ok := s.hints.lookup(shard, key); ok {
+					raw, err = rec, nil
+				} else {
+					ch <- shareFetch{index: i, err: err, missing: IsNotFound(err)}
+					return
+				}
+			}
+			ch <- parseShareBytes(i, id, raw)
+		}(i)
+	}
+
+	heard := make([]shareFetch, 0, n)
+	groups := map[uint64][]erasure.Share{}
+	var tombMax uint64
+	haveTomb := false
+	var maxShareEpoch uint64
+	var errs []error
+	missing, invalid := 0, 0
+	for len(heard) < n {
+		var f shareFetch
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case f = <-ch:
+		}
+		heard = append(heard, f)
+		switch {
+		case f.tomb:
+			haveTomb = true
+			tombMax = max(tombMax, f.tombEpoch)
+		case f.valid:
+			e := f.share.Epoch
+			maxShareEpoch = max(maxShareEpoch, e)
+			groups[e] = append(groups[e], f.share)
+		case f.err != nil:
+			if f.missing {
+				missing++
+			} else {
+				errs = append(errs, fmt.Errorf("share %d (shard %d): %w", f.index, placement[f.index], f.err))
+			}
+		default:
+			invalid++
+		}
+		if len(heard) < n-k+1 {
+			continue
+		}
+		e, ok := newestComplete(groups)
+		if !ok || (haveTomb && e <= tombMax) {
+			continue
+		}
+		// Lowest indices first: data shares skip the field arithmetic, and
+		// a replica set serves from its preferred copy.
+		g := groups[e]
+		slices.SortFunc(g, func(a, b erasure.Share) int { return a.Index - b.Index })
+		blob, err := erasure.Reconstruct(g)
+		if err != nil {
+			// Inconsistent group (should not happen); keep collecting.
+			errs = append(errs, err)
+			delete(groups, e)
+			continue
+		}
+		cancel()
+		if g[g[0].K-1].Index >= g[0].K {
+			s.repairC.degradedReads.Add(1)
+		}
+		if k == 1 && holdsStale(heard, e, true) {
+			s.repairObject(ctx, lay, id)
+		}
+		return blob, nil
+	}
+	// All n answered without k consistent shares of a live epoch.
+	if haveTomb && tombMax >= maxShareEpoch {
+		if k == 1 && holdsStale(heard, tombMax, false) {
+			s.repairObject(ctx, lay, id)
+		}
+		return nil, &NotFoundError{Kind: "secret", ID: id}
+	}
+	if missing == n {
+		if k == 1 {
+			return s.readLegacy(ctx, lay, placement, id)
+		}
+		return nil, &NotFoundError{Kind: "secret", ID: id}
+	}
+	if len(groups) == 0 && len(errs) == 0 && invalid == 0 {
+		return nil, &NotFoundError{Kind: "secret", ID: id}
+	}
+	return nil, fmt.Errorf("p3: erasure store: cannot reconstruct %q (need %d shares, %d missing, %d invalid): %w",
+		id, k, missing, invalid, errors.Join(errs...))
+}
+
+// newestComplete returns the newest epoch whose group holds enough shares
+// to reconstruct.
+func newestComplete(groups map[uint64][]erasure.Share) (epoch uint64, ok bool) {
+	for e, g := range groups {
+		if len(g) >= g[0].K && (!ok || e > epoch) {
+			epoch, ok = e, true
+		}
+	}
+	return epoch, ok
+}
+
+// holdsStale reports whether a slot that answered holds something older
+// than the winning epoch: garbage, an older share or tombstone, or — when
+// a blob won — nothing at all. Unreachable slots are the scrubber's.
+func holdsStale(heard []shareFetch, win uint64, blobWon bool) bool {
+	for _, f := range heard {
+		switch {
+		case f.tomb:
+			if f.tombEpoch < win {
+				return true
+			}
+		case f.valid:
+			if f.share.Epoch < win {
+				return true
+			}
+		case f.missing:
+			if blobWon {
+				return true
+			}
+		case f.err == nil:
+			return true
+		}
+	}
+	return false
+}
+
+// parseShareBytes classifies raw bytes read from a share slot: a tombstone
+// record, a valid share for this object, or garbage.
+func parseShareBytes(index int, id string, raw []byte) shareFetch {
+	if kind, epoch, _ := decodeRecord(raw); kind == recordTombstone {
+		return shareFetch{index: index, tomb: true, tombEpoch: epoch}
+	}
+	sh, err := erasure.ParseShare(raw)
+	if err != nil || sh.ID != id || sh.Index != index {
+		return shareFetch{index: index}
+	}
+	return shareFetch{index: index, share: sh, valid: true}
+}
+
+// readLegacy serves an object the pre-share replicated layout wrote: an
+// epoch-versioned record, or before that the raw blob, stored under the
+// bare id on the id's ring placements — the same shards, in the same
+// order, as its share slots. It runs only for 1-of-r stores and only once
+// every slot has answered NotFound, and it rewrites the newest record
+// (blob or tombstone) into the slots that are still empty, so each legacy
+// object pays the extra fan-out once. It holds the object's write lock, so
+// a write that lands meanwhile is never overwritten.
+func (s *ErasureSecretStore) readLegacy(ctx context.Context, lay storeLayout, placement []int, id string) ([]byte, error) {
+	s.beginWrite(id)
+	defer s.endWrite(id)
+	found := false
+	var kind recordKind
+	var epoch uint64
+	var payload []byte
+	for _, shard := range placement {
+		raw, err := lay.shards[shard].GetSecret(ctx, id)
+		if err != nil {
+			continue
+		}
+		// The newest record wins; on an epoch tie, the tombstone.
+		kd, e, p := decodeRecord(raw)
+		if !found || e > epoch || e == epoch && kd == recordTombstone {
+			found, kind, epoch, payload = true, kd, e, p
+		}
+	}
+	if !found {
+		return nil, &NotFoundError{Kind: "secret", ID: id}
+	}
+	rec := encodeRecord(recordTombstone, epoch, nil)
+	var shs []erasure.Share
+	if kind == recordBlob {
+		var err error
+		if shs, err = erasure.Encode(id, epoch, payload, lay.k, lay.n); err != nil {
+			return nil, err
+		}
+	}
+	for i, shard := range placement {
+		key := shareKey(id, i)
+		if _, err := lay.shards[shard].GetSecret(ctx, key); !IsNotFound(err) {
+			continue // a write landed meanwhile, or the shard is down
+		}
+		if shs != nil {
+			rec = shs[i].Marshal()
+		}
+		lay.counters[shard].puts.Add(1)
+		if err := lay.shards[shard].PutSecret(ctx, key, rec); err != nil {
+			lay.counters[shard].putFailures.Add(1)
+		} else {
+			lay.counters[shard].repairs.Add(1)
+		}
+	}
+	if kind == recordTombstone {
+		return nil, &NotFoundError{Kind: "secret", ID: id}
+	}
+	return payload, nil
 }

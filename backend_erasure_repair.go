@@ -118,11 +118,27 @@ func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore) (Sc
 			s.accumulateScrub(rep)
 			return rep, err
 		}
+		if s.writeInFlight(id) {
+			continue // half-written stripe; the writer owns it, next pass verifies
+		}
 		s.scrubObject(ctx, lay, id, inv[id], &rep)
 	}
 	s.accumulateScrub(rep)
 	s.repairC.scrubCycles.Add(1)
 	return rep, nil
+}
+
+// repairObject is read-repair: one object's scrub, run by a 1-of-r read
+// that heard a replica answer with an older record, nothing, or garbage.
+// It holds the object's write lock, so a write that lands after the read
+// is re-read rather than overwritten with the older record, and its
+// findings accumulate into RepairStats.
+func (s *ErasureSecretStore) repairObject(ctx context.Context, lay storeLayout, id string) {
+	s.beginWrite(id)
+	defer s.endWrite(id)
+	var rep ScrubReport
+	s.scrubObject(ctx, lay, id, nil, &rep)
+	s.accumulateScrub(rep)
 }
 
 // containsStore reports whether stores holds exactly this store value
@@ -170,9 +186,6 @@ type misplacedCopy struct {
 
 // scrubObject verifies and repairs one object's share slots.
 func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, id string, locs map[int][]scrubSource, rep *ScrubReport) {
-	if s.writeInFlight(id) {
-		return // half-written stripe; the writer owns it, next pass verifies
-	}
 	rep.Objects++
 	k, n := lay.k, lay.n
 	placement := lay.ring.placements(id, n)
@@ -260,9 +273,9 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 				continue
 			}
 			shard := placement[i]
-			lay.counters[shard].sharePuts.Add(1)
+			lay.counters[shard].puts.Add(1)
 			if err := lay.shards[shard].PutSecret(ctx, shareKey(id, i), rec); err != nil {
-				lay.counters[shard].sharePutFailures.Add(1)
+				lay.counters[shard].putFailures.Add(1)
 			} else {
 				rep.TombstonesPropagated++
 			}
@@ -331,12 +344,12 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 		repairFailed := false
 		for _, i := range unhealthy {
 			shard := placement[i]
-			lay.counters[shard].sharePuts.Add(1)
+			lay.counters[shard].puts.Add(1)
 			if err := lay.shards[shard].PutSecret(ctx, shareKey(id, i), shs[i].Marshal()); err != nil {
-				lay.counters[shard].sharePutFailures.Add(1)
+				lay.counters[shard].putFailures.Add(1)
 				repairFailed = true
 			} else {
-				lay.counters[shard].shareRepairs.Add(1)
+				lay.counters[shard].repairs.Add(1)
 				rep.SharesRepaired++
 			}
 		}
@@ -414,12 +427,12 @@ func (s *ErasureSecretStore) drainHints(ctx context.Context, lay storeLayout) in
 		case err != nil && !IsNotFound(err):
 			continue // shard still down; keep the hint
 		}
-		lay.counters[hk.shard].sharePuts.Add(1)
+		lay.counters[hk.shard].puts.Add(1)
 		if err := lay.shards[hk.shard].PutSecret(ctx, hk.key, rec); err != nil {
-			lay.counters[hk.shard].sharePutFailures.Add(1)
+			lay.counters[hk.shard].putFailures.Add(1)
 			continue
 		}
-		lay.counters[hk.shard].shareRepairs.Add(1)
+		lay.counters[hk.shard].repairs.Add(1)
 		s.hints.remove(hk)
 		s.repairC.hintsDrained.Add(1)
 		drained++
@@ -445,7 +458,7 @@ func (s *ErasureSecretStore) Rebalance(ctx context.Context, newShards []SecretSt
 	old := s.shards
 	s.shards = newShards
 	s.ring = newHashRing(len(newShards))
-	s.counters = make([]erasureShardCounters, len(newShards))
+	s.counters = make([]shardCounters, len(newShards))
 	s.mu.Unlock()
 	// Parked hints address shards by index in the old layout; drop them and
 	// let the migration scrub restore redundancy from the data itself.

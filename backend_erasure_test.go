@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -129,125 +130,142 @@ func TestErasureSecretStoreRoundTripAndOverhead(t *testing.T) {
 	}
 }
 
-func TestErasureSecretStoreSurvivesAnyTwoShardKills(t *testing.T) {
+// faultSchemes are the layouts the shared fault tests run over, each on six
+// shards: replication with two and three copies, and the default 4-of-6.
+var faultSchemes = [][2]int{{1, 2}, {1, 3}, {DefaultErasureK, DefaultErasureN}}
+
+// forEachScheme runs test once per fault scheme, as a subtest.
+func forEachScheme(t *testing.T, test func(t *testing.T, k, n int)) {
+	for _, kn := range faultSchemes {
+		t.Run(fmt.Sprintf("%d-of-%d", kn[0], kn[1]), func(t *testing.T) { test(t, kn[0], kn[1]) })
+	}
+}
+
+// flakyShards builds a k-of-n store over six memory shards behind kill
+// switches.
+func flakyShards(t *testing.T, k, n int) (*ErasureSecretStore, []*flakyStore) {
+	t.Helper()
 	backing := make([]*flakyStore, 6)
 	shards := make([]SecretStore, 6)
 	for i := range shards {
 		backing[i] = &flakyStore{inner: NewMemorySecretStore()}
 		shards[i] = backing[i]
 	}
-	s, err := NewErasureSecretStore(shards)
+	s, err := NewErasureSecretStore(shards, WithErasureScheme(k, n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := erasureCorpus(t, s, 14)
+	return s, backing
+}
 
-	// 4-of-6 tolerates ANY two dead shards: all C(6,2) pairs, every blob
-	// byte-identical.
-	for a := 0; a < 6; a++ {
-		for b := a + 1; b < 6; b++ {
-			backing[a].down.Store(true)
-			backing[b].down.Store(true)
-			verifyCorpus(t, s, corpus, fmt.Sprintf("shards %d+%d down", a, b))
-			backing[a].down.Store(false)
-			backing[b].down.Store(false)
+func TestErasureSecretStoreSurvivesAnyTwoShardKills(t *testing.T) {
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		s, backing := flakyShards(t, k, n)
+		corpus := erasureCorpus(t, s, 14)
+
+		// A k-of-n store tolerates ANY n-k dead shards: every such subset of
+		// the six (all 15 pairs for 4-of-6), every blob byte-identical.
+		for down := 0; down < 1<<len(backing); down++ {
+			if bits.OnesCount(uint(down)) != n-k {
+				continue
+			}
+			for i := range backing {
+				backing[i].down.Store(down&(1<<i) != 0)
+			}
+			verifyCorpus(t, s, corpus, fmt.Sprintf("shards %06b down", down))
 		}
-	}
-	if s.RepairStats().DegradedReads == 0 {
-		t.Error("no degraded reads counted across 15 double-shard outages")
-	}
-	if s.RepairStats().LostObjects != 0 {
-		t.Error("lost objects counted with recoverable outages only")
-	}
+		for i := range backing {
+			backing[i].down.Store(false)
+		}
+		if s.RepairStats().DegradedReads == 0 {
+			t.Error("no degraded reads counted across the outages")
+		}
+		if s.RepairStats().LostObjects != 0 {
+			t.Error("lost objects counted with recoverable outages only")
+		}
+	})
 }
 
 func TestErasureSecretStoreHintedHandoff(t *testing.T) {
-	backing := make([]*flakyStore, 6)
-	shards := make([]SecretStore, 6)
-	for i := range shards {
-		backing[i] = &flakyStore{inner: NewMemorySecretStore()}
-		shards[i] = backing[i]
-	}
-	s, err := NewErasureSecretStore(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		s, backing := flakyShards(t, k, n)
+		_, placement := s.placementFor("hh")
+		hinted := placement[n-1]
 
-	// Write while shard 3 is down: the write succeeds on 5/6 shards and the
-	// sixth share parks as a hint.
-	backing[3].down.Store(true)
-	blob := bytes.Repeat([]byte("hinted"), 700)
-	if err := s.PutSecret(storeCtx, "hh", blob); err != nil {
-		t.Fatalf("put with one shard down: %v", err)
-	}
-	if st := s.RepairStats(); st.HintsParked != 1 {
-		t.Fatalf("HintsParked = %d, want 1", st.HintsParked)
-	}
-	if got, err := s.GetSecret(storeCtx, "hh"); err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("read during outage: %v", err)
-	}
+		// Write while one home shard is down: the write succeeds on the
+		// others and the missed share parks as a hint.
+		backing[hinted].down.Store(true)
+		blob := bytes.Repeat([]byte("hinted"), 700)
+		if err := s.PutSecret(storeCtx, "hh", blob); err != nil {
+			t.Fatalf("put with one shard down: %v", err)
+		}
+		if st := s.RepairStats(); st.HintsParked != 1 {
+			t.Fatalf("HintsParked = %d, want 1", st.HintsParked)
+		}
+		if got, err := s.GetSecret(storeCtx, "hh"); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("read during outage: %v", err)
+		}
 
-	// Revive and scrub: the parked share is delivered to its home shard.
-	backing[3].down.Store(false)
-	rep, err := s.ScrubOnce(storeCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HintsDrained != 1 {
-		t.Fatalf("HintsDrained = %d, want 1 (report %+v)", rep.HintsDrained, rep)
-	}
+		// Revive and scrub: the parked share is delivered to its home shard.
+		backing[hinted].down.Store(false)
+		rep, err := s.ScrubOnce(storeCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.HintsDrained != 1 {
+			t.Fatalf("HintsDrained = %d, want 1 (report %+v)", rep.HintsDrained, rep)
+		}
 
-	// The delivered share now carries reads: kill two OTHER shards, leaving
-	// only 4 alive including shard 3 — reconstruction needs its share.
-	backing[0].down.Store(true)
-	backing[1].down.Store(true)
-	if got, err := s.GetSecret(storeCtx, "hh"); err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("read after hint drain with two shards down: %v", err)
-	}
+		// The delivered share now carries reads: kill n-k OTHER home shards,
+		// leaving only k alive including the revived one — reconstruction
+		// needs its share.
+		for _, shard := range placement[:n-k] {
+			backing[shard].down.Store(true)
+		}
+		if got, err := s.GetSecret(storeCtx, "hh"); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("read after hint drain with %d shards down: %v", n-k, err)
+		}
+	})
 }
 
 func TestErasureSecretStoreDeleteTombstone(t *testing.T) {
-	backing := make([]*flakyStore, 6)
-	shards := make([]SecretStore, 6)
-	for i := range shards {
-		backing[i] = &flakyStore{inner: NewMemorySecretStore()}
-		shards[i] = backing[i]
-	}
-	s, err := NewErasureSecretStore(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutSecret(storeCtx, "gone", []byte("secret")); err != nil {
-		t.Fatal(err)
-	}
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		s, backing := flakyShards(t, k, n)
+		if err := s.PutSecret(storeCtx, "gone", []byte("secret")); err != nil {
+			t.Fatal(err)
+		}
 
-	// Delete while a shard sleeps through it.
-	backing[2].down.Store(true)
-	if err := s.DeleteSecret(storeCtx, "gone"); err != nil {
-		t.Fatalf("delete with one shard down: %v", err)
-	}
-	backing[2].down.Store(false)
+		// Delete while a home shard sleeps through it.
+		_, placement := s.placementFor("gone")
+		sleeper := placement[n-1]
+		backing[sleeper].down.Store(true)
+		if err := s.DeleteSecret(storeCtx, "gone"); err != nil {
+			t.Fatalf("delete with one shard down: %v", err)
+		}
+		backing[sleeper].down.Store(false)
 
-	// The revived shard still holds its stale share; the tombstones must
-	// outvote it.
-	if _, err := s.GetSecret(storeCtx, "gone"); !IsNotFound(err) {
-		t.Fatalf("deleted object err = %v, want NotFoundError", err)
-	}
+		// The revived shard still holds its stale share; the tombstones must
+		// outvote it.
+		if _, err := s.GetSecret(storeCtx, "gone"); !IsNotFound(err) {
+			t.Fatalf("deleted object err = %v, want NotFoundError", err)
+		}
 
-	// A scrub propagates the tombstone over the stale share, so the delete
-	// survives even when ONLY the revived shard is reachable.
-	if _, err := s.ScrubOnce(storeCtx); err != nil {
-		t.Fatal(err)
-	}
-	for i := range backing {
-		backing[i].down.Store(i != 2)
-	}
-	if _, err := s.GetSecret(storeCtx, "gone"); !IsNotFound(err) {
-		t.Errorf("after scrub, delete lost with only revived shard up: err = %v, want NotFoundError", err)
-	}
-	for i := range backing {
-		backing[i].down.Store(false)
-	}
+		// A scrub propagates the tombstone over the stale share (a 1-of-r
+		// read already did), so the delete survives even when ONLY the
+		// revived shard is reachable.
+		if _, err := s.ScrubOnce(storeCtx); err != nil {
+			t.Fatal(err)
+		}
+		for i := range backing {
+			backing[i].down.Store(i != sleeper)
+		}
+		if _, err := s.GetSecret(storeCtx, "gone"); !IsNotFound(err) {
+			t.Errorf("after scrub, delete lost with only revived shard up: err = %v, want NotFoundError", err)
+		}
+		for i := range backing {
+			backing[i].down.Store(false)
+		}
+	})
 }
 
 // TestErasureSecretStoreScrubPreservesNewerSharesOverTombstone is the
@@ -359,53 +377,96 @@ func TestErasureSecretStoreDeleteQuorum(t *testing.T) {
 }
 
 // TestErasureSecretStoreConcurrentPutsSameID hammers one id from many
-// goroutines: writers must serialize so the final stripe is one complete
-// epoch, never an unreadable interleaving where no epoch keeps k shares.
+// goroutines while others read it: writers must serialize so the final
+// stripe is one complete epoch, never an unreadable interleaving where no
+// epoch keeps k shares, and a 1-of-r read-repair racing the writers must
+// never put an older copy back over a newer one.
 func TestErasureSecretStoreConcurrentPutsSameID(t *testing.T) {
-	shards := make([]SecretStore, 6)
-	for i := range shards {
-		shards[i] = NewMemorySecretStore()
-	}
-	s, err := NewErasureSecretStore(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers = 8
-	blobs := make([][]byte, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		blobs[w] = bytes.Repeat([]byte{byte('a' + w)}, 2048)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := s.PutSecret(storeCtx, "race", blobs[w]); err != nil {
-				t.Errorf("writer %d: %v", w, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	got, err := s.GetSecret(storeCtx, "race")
-	if err != nil {
-		t.Fatalf("read after concurrent puts: %v", err)
-	}
-	winner := -1
-	for w := range blobs {
-		if bytes.Equal(got, blobs[w]) {
-			winner = w
-			break
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		shards := make([]SecretStore, 6)
+		for i := range shards {
+			shards[i] = NewMemorySecretStore()
 		}
-	}
-	if winner < 0 {
-		t.Fatalf("read returned %d bytes matching no writer's blob", len(got))
-	}
-	rep, err := s.ScrubOnce(storeCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LostObjects != 0 {
-		t.Fatalf("scrub counts %d lost objects after concurrent same-id puts", rep.LostObjects)
-	}
+		s, err := NewErasureSecretStore(shards, WithErasureScheme(k, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writers, readers = 8, 4
+		blobs := make([][]byte, writers)
+		isBlob := func(got []byte) bool {
+			for _, b := range blobs {
+				if bytes.Equal(got, b) {
+					return true
+				}
+			}
+			return false
+		}
+		for w := range blobs {
+			blobs[w] = bytes.Repeat([]byte{byte('a' + w)}, 2048)
+		}
+		var wg, rg sync.WaitGroup
+		done := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if got, err := s.GetSecret(storeCtx, "race"); err == nil && !isBlob(got) {
+						t.Errorf("concurrent read returned %d bytes matching no writer's blob", len(got))
+						return
+					}
+				}
+			}()
+		}
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := s.PutSecret(storeCtx, "race", blobs[w]); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(done)
+		rg.Wait()
+
+		// The last acknowledged write holds every slot: each home slot
+		// carries the newest epoch.
+		got, err := s.GetSecret(storeCtx, "race")
+		if err != nil {
+			t.Fatalf("read after concurrent puts: %v", err)
+		}
+		if !isBlob(got) {
+			t.Fatalf("read returned %d bytes matching no writer's blob", len(got))
+		}
+		lay, placement := s.placementFor("race")
+		var epochs []uint64
+		for i, shard := range placement {
+			raw, err := lay.shards[shard].GetSecret(storeCtx, shareKey("race", i))
+			if err != nil {
+				t.Fatalf("slot %d: %v", i, err)
+			}
+			epochs = append(epochs, recordEpochOf(raw))
+		}
+		for _, e := range epochs {
+			if e != epochs[0] {
+				t.Fatalf("slot epochs %v after every write returned, want one epoch", epochs)
+			}
+		}
+		rep, err := s.ScrubOnce(storeCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LostObjects != 0 {
+			t.Fatalf("scrub counts %d lost objects after concurrent same-id puts", rep.LostObjects)
+		}
+	})
 }
 
 func TestErasureSecretStoreScrubRepairsCorruptShare(t *testing.T) {
@@ -466,88 +527,93 @@ func TestErasureSecretStoreScrubRepairsCorruptShare(t *testing.T) {
 
 // TestErasureSecretStoreScrubRestoresWipedShard is the crash-style drill:
 // a whole disk shard loses its contents mid-run; reads keep working
-// through the outage and a scrub pass rebuilds the shard.
+// through the outage, and repair rebuilds the shard — the scrub pass, or
+// for replicas the reads themselves.
 func TestErasureSecretStoreScrubRestoresWipedShard(t *testing.T) {
-	dir := t.TempDir()
-	backing := make([]*flakyStore, 6)
-	shards := make([]SecretStore, 6)
-	for i := range shards {
-		disk, err := NewDiskSecretStore(filepath.Join(dir, fmt.Sprintf("shard%d", i)))
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		dir := t.TempDir()
+		backing := make([]*flakyStore, 6)
+		shards := make([]SecretStore, 6)
+		for i := range shards {
+			disk, err := NewDiskSecretStore(filepath.Join(dir, fmt.Sprintf("shard%d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			backing[i] = &flakyStore{inner: disk}
+			shards[i] = backing[i]
+		}
+		s, err := NewErasureSecretStore(shards, WithErasureScheme(k, n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		backing[i] = &flakyStore{inner: disk}
-		shards[i] = backing[i]
-	}
-	s, err := NewErasureSecretStore(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := erasureCorpus(t, s, 10)
+		corpus := erasureCorpus(t, s, 10)
 
-	// Wipe shard 4's blobs on disk — bit-for-bit loss of one store.
-	shard4 := backing[4].inner.(*DiskSecretStore)
-	wiped, err := filepath.Glob(filepath.Join(shard4.Dir(), "*"+blobSuffix))
-	if err != nil || len(wiped) == 0 {
-		t.Fatalf("nothing to wipe on shard 4 (%v)", err)
-	}
-	for _, f := range wiped {
-		if err := os.Remove(f); err != nil {
+		// Wipe shard 4's blobs on disk — bit-for-bit loss of one store.
+		shard4 := backing[4].inner.(*DiskSecretStore)
+		wiped, err := filepath.Glob(filepath.Join(shard4.Dir(), "*"+blobSuffix))
+		if err != nil || len(wiped) == 0 {
+			t.Fatalf("nothing to wipe on shard 4 (%v)", err)
+		}
+		for _, f := range wiped {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Serving never blinks: the wiped shard just degrades reads.
+		verifyCorpus(t, s, corpus, "during wipe")
+
+		if _, err := s.ScrubOnce(storeCtx); err != nil {
 			t.Fatal(err)
 		}
-	}
+		if st := s.RepairStats(); st.SharesMissing != uint64(len(wiped)) || st.SharesRepaired != uint64(len(wiped)) {
+			t.Fatalf("repair stats %+v, want %d missing and repaired", st, len(wiped))
+		}
+		if got, err := shard4.Len(); err != nil || got != len(wiped) {
+			t.Fatalf("shard 4 holds %d blobs after scrub (err %v), want %d", got, err, len(wiped))
+		}
 
-	// Serving never blinks: the wiped shard just degrades reads.
-	verifyCorpus(t, s, corpus, "during wipe")
-
-	rep, err := s.ScrubOnce(storeCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SharesMissing != len(wiped) || rep.SharesRepaired != len(wiped) {
-		t.Fatalf("scrub report %+v, want %d missing and repaired", rep, len(wiped))
-	}
-	if n, err := shard4.Len(); err != nil || n != len(wiped) {
-		t.Fatalf("shard 4 holds %d blobs after scrub (err %v), want %d", n, err, len(wiped))
-	}
-
-	// The rebuilt shard is load-bearing again: lose two other shards.
-	backing[0].down.Store(true)
-	backing[1].down.Store(true)
-	verifyCorpus(t, s, corpus, "after repair with two other shards down")
+		// The rebuilt shard is load-bearing again: lose n-k other shards.
+		for i := 0; i < n-k; i++ {
+			backing[i].down.Store(true)
+		}
+		verifyCorpus(t, s, corpus, "after repair with other shards down")
+	})
 }
 
 func TestErasureSecretStoreRebalance(t *testing.T) {
-	old := make([]SecretStore, 6)
-	for i := range old {
-		old[i] = NewMemorySecretStore()
-	}
-	s, err := NewErasureSecretStore(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := erasureCorpus(t, s, 12)
-
-	// Swap the last two shards for fresh stores (a planned leave + join).
-	fresh := []SecretStore{NewMemorySecretStore(), NewMemorySecretStore()}
-	newShards := append(append([]SecretStore{}, old[:4]...), fresh...)
-	if err := s.Rebalance(storeCtx, newShards); err != nil {
-		t.Fatal(err)
-	}
-	verifyCorpus(t, s, corpus, "after rebalance")
-
-	// The replacement shards carry real load and the departed shards were
-	// drained of their copies.
-	for i, f := range fresh {
-		if ids, _ := f.(*MemorySecretStore).ListSecrets(storeCtx); len(ids) == 0 {
-			t.Errorf("replacement shard %d holds nothing after rebalance", i)
+	forEachScheme(t, func(t *testing.T, k, n int) {
+		old := make([]SecretStore, 6)
+		for i := range old {
+			old[i] = NewMemorySecretStore()
 		}
-	}
-	for i := 4; i < 6; i++ {
-		if ids, _ := old[i].(*MemorySecretStore).ListSecrets(storeCtx); len(ids) != 0 {
-			t.Errorf("departed shard %d still holds %d shares", i, len(ids))
+		s, err := NewErasureSecretStore(old, WithErasureScheme(k, n))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		corpus := erasureCorpus(t, s, 12)
+
+		// Swap the last two shards for fresh stores (a planned leave + join).
+		fresh := []SecretStore{NewMemorySecretStore(), NewMemorySecretStore()}
+		newShards := append(append([]SecretStore{}, old[:4]...), fresh...)
+		if err := s.Rebalance(storeCtx, newShards); err != nil {
+			t.Fatal(err)
+		}
+		verifyCorpus(t, s, corpus, "after rebalance")
+
+		// The replacement shards carry real load and the departed shards were
+		// drained of their copies.
+		for i, f := range fresh {
+			if ids, _ := f.(*MemorySecretStore).ListSecrets(storeCtx); len(ids) == 0 {
+				t.Errorf("replacement shard %d holds nothing after rebalance", i)
+			}
+		}
+		for i := 4; i < 6; i++ {
+			if ids, _ := old[i].(*MemorySecretStore).ListSecrets(storeCtx); len(ids) != 0 {
+				t.Errorf("departed shard %d still holds %d shares", i, len(ids))
+			}
+		}
+	})
 }
 
 func TestErasureSecretStoreValidation(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -256,7 +257,7 @@ func TestShardedSecretStoreReadRepair(t *testing.T) {
 	id := ""
 	for i := 0; i < 1000; i++ {
 		cand := fmt.Sprintf("p%08d", i)
-		if s.replicasFor(cand)[0] == 0 {
+		if s.ring.placements(cand, 2)[0] == 0 {
 			id = cand
 			break
 		}
@@ -429,6 +430,181 @@ func TestShardedSecretStorePutFansOutConcurrently(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("PutSecret stuck: replica writes are not concurrent")
+	}
+}
+
+// TestShardedSecretStoreRejectsCorruptReplica: a replica whose bytes rot on
+// disk must not be served as the secret part — the MAC check in OpenSecret
+// would then fail a photo whose healthy copy sits on the other shard. The
+// checksum rejects the rotten copy, the other replica serves the read, and
+// read-repair rewrites the bad slot.
+func TestShardedSecretStoreRejectsCorruptReplica(t *testing.T) {
+	mems := []*MemorySecretStore{NewMemorySecretStore(), NewMemorySecretStore()}
+	s, err := NewShardedSecretStore([]SecretStore{mems[0], mems[1]}, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "p00000007"
+	blob := bytes.Repeat([]byte("sealed secret part "), 40)
+	if err := s.PutSecret(storeCtx, id, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip the last byte of the copy on the preferred shard.
+	m := mems[s.ring.placements(id, 2)[0]]
+	keys, _ := m.ListSecrets(storeCtx)
+	if len(keys) != 1 {
+		t.Fatalf("preferred shard holds %d keys, want 1", len(keys))
+	}
+	m.mu.Lock()
+	pristine := append([]byte(nil), m.blobs[keys[0]]...)
+	m.blobs[keys[0]][len(pristine)-1] ^= 0x01
+	m.mu.Unlock()
+
+	got, err := s.GetSecret(storeCtx, id)
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("read with a corrupt replica = %d bytes (equal %v), %v; want the healthy copy",
+			len(got), bytes.Equal(got, blob), err)
+	}
+	m.mu.RLock()
+	repaired := bytes.Equal(m.blobs[keys[0]], pristine)
+	m.mu.RUnlock()
+	if !repaired {
+		t.Error("read-repair did not rewrite the corrupt replica")
+	}
+}
+
+// gatedStore holds the first PutSecret after arming until released.
+type gatedStore struct {
+	SecretStore
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) PutSecret(ctx context.Context, id string, blob []byte) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.SecretStore.PutSecret(ctx, id, blob)
+}
+
+// TestShardedSecretStoreReadRepairKeepsNewerWrite lands a write between a
+// read-repair's look at the replicas and its fix of the stale one. The
+// repair holds the object's write lock, so the write waits for it and
+// then overwrites both replicas; a repair without the lock would put the
+// older copy back over the newer one.
+func TestShardedSecretStoreReadRepairKeepsNewerWrite(t *testing.T) {
+	a := &flakyStore{inner: NewMemorySecretStore()}
+	bDown := &flakyStore{inner: NewMemorySecretStore()}
+	b := &gatedStore{SecretStore: bDown, entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := NewShardedSecretStore([]SecretStore{a, b}, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "p00000001"
+	v1, v2 := []byte("first version"), []byte("second version")
+	bDown.down.Store(true)
+	if err := s.PutSecret(storeCtx, id, v1); err != nil {
+		t.Fatal(err)
+	}
+	bDown.down.Store(false)
+	s.hints.clear() // as after a restart: b's replica is simply missing
+
+	b.armed.Store(true)
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := s.GetSecret(storeCtx, id)
+		readDone <- err
+	}()
+	select {
+	case <-b.entered: // the read is repairing b with v1
+	case err := <-readDone:
+		t.Fatalf("read returned (%v) without repairing b's missing replica", err)
+	}
+	putDone := make(chan error, 1)
+	go func() { putDone <- s.PutSecret(storeCtx, id, v2) }()
+	select {
+	case err := <-putDone: // the write did not wait for the repair
+		putDone <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(b.release)
+	if err := <-readDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-putDone; err != nil {
+		t.Fatal(err)
+	}
+
+	// b must hold v2: with a down, it serves the read alone.
+	a.down.Store(true)
+	if got, err := s.GetSecret(storeCtx, id); err != nil || !bytes.Equal(got, v2) {
+		t.Errorf("after a write raced read-repair, b serves %q, %v; want %q", got, err, v2)
+	}
+}
+
+// TestShardedSecretStoreReadsLegacyShards seeds shards the way the
+// replicated store wrote them before it became the 1-of-r scheme — an
+// epoch-versioned record under the bare id, and before that the raw blob —
+// and checks that they read back byte-identical, move into share slots on
+// first read, and stay deleted once deleted.
+func TestShardedSecretStoreReadsLegacyShards(t *testing.T) {
+	mems := []*MemorySecretStore{NewMemorySecretStore(), NewMemorySecretStore(), NewMemorySecretStore()}
+	s, err := NewShardedSecretStore([]SecretStore{mems[0], mems[1], mems[2]}, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seed writes one legacy record per replica, in ring-preference order.
+	seed := func(id string, recs ...[]byte) {
+		for i, shard := range s.ring.placements(id, 2) {
+			if err := mems[shard].PutSecret(storeCtx, id, recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	enveloped := bytes.Repeat([]byte("enveloped "), 30)
+	raw := bytes.Repeat([]byte{0xc3, 0x5a}, 200)
+	newer := []byte("the newer copy wins")
+	seed("enveloped", encodeRecord(recordBlob, 100, enveloped), encodeRecord(recordBlob, 100, enveloped))
+	seed("raw", raw, raw)
+	seed("diverged", encodeRecord(recordBlob, 100, []byte("older")), encodeRecord(recordBlob, 200, newer))
+	seed("deleted", encodeRecord(recordBlob, 100, raw), encodeRecord(recordTombstone, 200, nil))
+	seed("unread", encodeRecord(recordBlob, 100, raw), encodeRecord(recordBlob, 100, raw))
+
+	want := map[string][]byte{"enveloped": enveloped, "raw": raw, "diverged": newer}
+	for id, blob := range want {
+		got, err := s.GetSecret(storeCtx, id)
+		if err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("legacy %s = %q, %v; want the original bytes", id, got, err)
+		}
+		// The read rewrote the object into share slots: one checksummed
+		// copy per replica.
+		for i, shard := range s.ring.placements(id, 2) {
+			rec, err := mems[shard].GetSecret(storeCtx, shareKey(id, i))
+			if err != nil {
+				t.Fatalf("%s: slot %d not rewritten: %v", id, i, err)
+			}
+			if f := parseShareBytes(i, id, rec); !f.valid {
+				t.Fatalf("%s: slot %d holds no valid share", id, i)
+			}
+		}
+	}
+	if _, err := s.GetSecret(storeCtx, "deleted"); !IsNotFound(err) {
+		t.Errorf("legacy object deleted by a newer tombstone = %v, want NotFoundError", err)
+	}
+
+	// Deleting a legacy object, migrated or not, must not resurrect it off
+	// the records still sitting under its bare id.
+	for _, id := range []string{"enveloped", "unread"} {
+		if err := s.DeleteSecret(storeCtx, id); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if _, err := s.GetSecret(storeCtx, id); !IsNotFound(err) {
+				t.Errorf("deleted legacy %s read %d = %v, want NotFoundError", id, pass, err)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 	"p3/internal/trace"
 )
 
-// shardBackend is what a shard under the composite stores offers; the disk
+// shardBackend is what a shard under the composite store offers; the disk
 // shards the harness creates implement all of it.
 type shardBackend interface {
 	p3.SecretStore
@@ -34,8 +34,9 @@ type shardBackend interface {
 
 // faultyStore wraps a shard with a kill switch for the shard outage: while
 // down, every operation fails with a non-NotFound error, so the composite
-// store treats it as a degraded replica (fall through + repair later), not
-// a missing blob — and as unlistable, exactly like a real outage.
+// store treats it as an unreachable slot (degraded read, hinted write,
+// repair later), not a missing share — and as unlistable, exactly like a
+// real outage.
 type faultyStore struct {
 	inner shardBackend
 	down  atomic.Bool
@@ -120,10 +121,10 @@ func newHarness(sc scenario) (_ *harness, err error) {
 	for i := range dirs {
 		dirs[i] = "disk:" + filepath.Join(h.shardRoot, fmt.Sprintf("shard%d", i))
 	}
-	cfg.Store, cfg.Replicas = strings.Join(dirs, ","), sc.replicas
+	cfg.Store, cfg.Replicas, cfg.ScrubInterval = strings.Join(dirs, ","), sc.replicas, sc.scrubInterval
 	if sc.erasure {
 		cfg.Store = fmt.Sprintf("erasure:k=%d,n=%d,%s", p3.DefaultErasureK, p3.DefaultErasureN, cfg.Store)
-		cfg.Replicas, cfg.ScrubInterval = 1, sc.scrubInterval
+		cfg.Replicas = 1
 	}
 	if sc.coldSecrets {
 		cfg.SecretCacheBytes = 1
@@ -344,17 +345,20 @@ func (h *harness) verify() (*result, error) {
 		// Drive explicit scrub passes until one finds nothing left to fix
 		// (the daemon may have done most of the work mid-run already).
 		repairStart := time.Now()
-		for pass := 0; pass < 100; pass++ {
+		res.scrubPending = true
+		for pass := 0; pass < maxScrubPasses && res.scrubPending; pass++ {
 			rep, err := ec.ScrubOnce(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("post-run scrub: %w", err)
 			}
-			if rep.SharesMissing+rep.SharesCorrupt+rep.SharesRepaired+
-				rep.SharesRemoved+rep.TombstonesPropagated+rep.HintsDrained == 0 {
-				break
-			}
+			res.scrubPending = rep.SharesMissing+rep.SharesCorrupt+rep.SharesRepaired+
+				rep.SharesRemoved+rep.TombstonesPropagated+rep.HintsDrained > 0
 		}
-		fmt.Printf("p3load: post-run scrub converged in %.2fs\n", time.Since(repairStart).Seconds())
+		if res.scrubPending {
+			fmt.Printf("p3load: !! post-run scrub still repairing after %d passes\n", maxScrubPasses)
+		} else {
+			fmt.Printf("p3load: post-run scrub converged in %.2fs\n", time.Since(repairStart).Seconds())
+		}
 	}
 	if ix := h.st.Similarity; ix != nil {
 		ix.Flush()

@@ -8,8 +8,9 @@
 //
 // The stack under test is the one operators run: internal/stack builds it
 // from the same Config (and the same -store spec grammar) as cmd/p3proxy —
-// a Facebook-like PSP over HTTP, disk shards under a ShardedSecretStore or
-// an ErasureSecretStore, each behind a kill switch (Config.WrapShard), and
+// a Facebook-like PSP over HTTP, disk shards under the striped secret
+// store (replicated or 4-of-6 erasure-coded), each behind a kill switch
+// (Config.WrapShard), and
 // the proxy with admission, dedup and similarity where the drill needs them.
 //
 // A drill is one row of the table in scenario.go — workload shape, stack
@@ -27,16 +28,17 @@
 //	go run ./cmd/p3load -preset dup-heavy      # duplicate-skewed corpus through dedup
 //
 // One scheduler goroutine injects the row's timeline; after the run the
-// harness verifies what the drill is about (erasure: scrub to convergence,
-// then every photo re-downloaded through cold caches; dedup: byte-identity
+// harness verifies what the drill is about (every multi-shard store, the
+// replicated ones included: scrub to convergence within 100 passes, then
+// every photo re-downloaded through cold caches; dedup: byte-identity
 // within every content group and intact refcounts). -gate arms the row's
 // gates (smoke and storm arm themselves); any failing gate fails the run.
 //
 // A few flags override single fields of a row: -duration, -photos and
-// -workers scale it; -store-kind erasure swaps in the 4-of-6 erasure-coded
-// store (-scrub-interval sets its repair daemon); -shard-kill adds the shard
-// outage to any row, taking down -kill-shards shards with the proxy's
-// secret-cache retention off so reads reach the degraded store;
+// -workers scale it; -store-kind erasure swaps in the 4-of-6 scheme;
+// -scrub-interval starts the store's repair daemon; -shard-kill adds the
+// shard outage to any row, taking down -kill-shards shards with the
+// proxy's secret-cache retention off so reads reach the degraded store;
 // -max-download-p99 adds a download-tail budget; -seed seeds every draw.
 // The dedup-under-partial-outage drill, for one, is
 //
@@ -77,7 +79,7 @@ func parseFlags(args []string) (scenario, error) {
 	workers := fs.Int("workers", 0, "closed-loop workers")
 	photos := fs.Int("photos", 0, "pre-populated corpus size")
 	storeKind := fs.String("store-kind", "", "secret store layout: sharded (replication) or erasure (4-of-6)")
-	scrubInterval := fs.Duration("scrub-interval", 0, "erasure store scrub daemon period (0 disables)")
+	scrubInterval := fs.Duration("scrub-interval", 0, "secret store scrub daemon period (0 disables)")
 	shardKill := fs.Bool("shard-kill", false, "kill shard(s) at 40% of the run, revive at 70%, secret-cache retention off")
 	killN := fs.Int("kill-shards", 0, "shards the outage takes down at once")
 	gate := fs.Bool("gate", false, "fail the run on any of the preset's gates")

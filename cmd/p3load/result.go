@@ -77,10 +77,13 @@ type result struct {
 	recalFlips   uint64
 	warmHits     uint64
 
-	// The post-run corpus walk through cold caches (erasure and dedup runs):
-	// photos re-downloaded, photos gone, and photos whose bytes differ from
-	// the first copy of their content group.
+	// The post-run corpus walk through cold caches (multi-shard and dedup
+	// runs): photos re-downloaded, photos gone, and photos whose bytes
+	// differ from the first copy of their content group.
 	verified, lost, mismatches int
+	// scrubPending: the post-run scrub loop's last pass still found work,
+	// so repair had not converged after maxScrubPasses passes.
+	scrubPending bool
 
 	storm *stormResult // storm driver only
 	dedup *dedupResult // dedup stacks only
@@ -116,15 +119,22 @@ func failIf(broken bool, format string, args ...any) error {
 	return nil
 }
 
-// servingGates hold for every drill but storm: no op may fail, and no object
-// may be lost — the erasure contract is byte-perfect survival of the
-// configured fault (vacuous unless the run verified its corpus).
+// maxScrubPasses bounds the post-run scrub loop.
+const maxScrubPasses = 100
+
+// servingGates hold for every drill but storm: no op may fail, no object
+// may be lost — the store's contract is byte-perfect survival of the
+// configured fault (vacuous unless the run verified its corpus) — and the
+// post-run scrub must have healed everything the faults left behind.
 var servingGates = []gate{
 	{"op-errors", func(r *result) error {
 		return failIf(r.opErrors > 0, "saw %d op errors", r.opErrors)
 	}},
 	{"data-loss", func(r *result) error {
 		return failIf(r.lost > 0, "lost %d/%d corpus objects", r.lost, r.verified)
+	}},
+	{"scrub-converged", func(r *result) error {
+		return failIf(r.scrubPending, "post-run scrub still repairing after %d passes", maxScrubPasses)
 	}},
 }
 
@@ -241,13 +251,8 @@ func (h *harness) report(res *result) {
 		fmt.Printf("similarity: %+v\n", *st.Similarity)
 	}
 	fmt.Printf("caches: variants %+v\n        secrets %+v\n", st.Variants, st.Secrets)
-	switch store := h.st.Store.(type) {
-	case *p3.ShardedSecretStore:
+	if store, ok := h.st.Store.(*p3.ErasureSecretStore); ok {
 		for i, sh := range store.ShardStats() {
-			fmt.Printf("shard %d: %+v\n", i, sh)
-		}
-	case *p3.ErasureSecretStore:
-		for i, sh := range store.ErasureShardStats() {
 			fmt.Printf("shard %d: %+v\n", i, sh)
 		}
 		fmt.Printf("repair: %+v\n", store.RepairStats())

@@ -46,6 +46,7 @@ func TestGates(t *testing.T) {
 	}{
 		{"op-errors", func(r *result) { r.opErrors = 1 }},
 		{"data-loss", func(r *result) { r.lost = 1 }},
+		{"scrub-converged", func(r *result) { r.scrubPending = true }},
 		{"storm-victim-errors", func(r *result) { r.storm.victimStorm.Errors = 1 }},
 		{"storm-victim-errors", func(r *result) { r.storm.victimSteady.Errors = 3 }},
 		{"storm-clamped", func(r *result) { r.storm.stormSheds = 0 }},

@@ -43,9 +43,10 @@ type scenario struct {
 	// also as a near-duplicate re-encode; 0 is the plain three-image pool.
 	dupUnique int
 
-	// Stack shape, handed to internal/stack: three disk shards under a
-	// ShardedSecretStore with replicas copies, or — erasure — six under a
-	// 4-of-6 ErasureSecretStore scrubbing every scrubInterval.
+	// Stack shape, handed to internal/stack: three disk shards under the
+	// striped store keeping replicas copies (the 1-of-replicas scheme), or —
+	// erasure — six under its 4-of-6 scheme; either scrubs every
+	// scrubInterval (0: only the post-run passes).
 	erasure       bool
 	replicas      int
 	scrubInterval time.Duration
@@ -157,8 +158,9 @@ var scenarios = []scenario{
 		photos: 1, zipf: 1.2, mix: [numOps]float64{opVideoUpload: 1, opVideoDownload: 30},
 		clips: 6, clipFramesMin: 4, clipFramesMax: 12, frameZipf: 1.3, fullClip: 0.1,
 		replicas: 2, gates: servingGates},
-	// Replication under a one-shard outage: replicas absorb the reads,
-	// read-repair heals blobs uploaded while the shard was down.
+	// Replication under a one-shard outage: replicas absorb the reads, and
+	// the writes the dead shard missed park as hints that the post-run
+	// scrub delivers (or read-repair restores) once it revives.
 	{name: "shardkill", driver: "closed", duration: 12 * time.Second, workers: 8,
 		photos: 16, zipf: 1.2, mix: photoMix(1, 20), dynamic: 0.3,
 		replicas: 2, coldSecrets: true, faults: shardOutage, killShards: 1,

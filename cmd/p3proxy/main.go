@@ -7,23 +7,26 @@
 //
 // The -store flag accepts an HTTP blob store (http://...), a local
 // directory (disk:/path), or a comma-separated list of either, which is
-// served as one consistent-hash sharded store with -replicas copies of
-// each blob:
+// served as one consistent-hash store keeping -replicas full copies of
+// each blob (the 1-of-r scheme):
 //
 //	p3proxy -store disk:/mnt/a,disk:/mnt/b,http://nas:8081/blobs -replicas 2
 //
-// Prefixing the list with erasure: serves it as an erasure-coded,
-// self-healing store instead: each secret part is Reed-Solomon striped
-// into k data + (n-k) parity shares on n distinct shards, so any n-k
-// shards can die with zero data loss at n/k× storage (1.5× for the
-// default 4-of-6 scheme, versus 3× for 3 replicas), and a background
-// scrubber (-scrub-interval) re-encodes missing or corrupt shares onto
-// revived shards:
+// Prefixing the list with erasure: Reed-Solomon stripes each secret part
+// into k data + (n-k) parity shares on n distinct shards instead, so any
+// n-k shards can die with zero data loss at n/k× storage (1.5× for the
+// default 4-of-6 scheme, versus 3× for 3 replicas):
 //
 //	p3proxy -store erasure:k=4,n=6,disk:/mnt/a,disk:/mnt/b,disk:/mnt/c,disk:/mnt/d,disk:/mnt/e,disk:/mnt/f
 //
 // (-replicas above 1 is refused with an erasure: spec — its redundancy is
-// the k-of-n scheme.)
+// the k-of-n scheme.) Both layouts are the same store: every share or
+// replica is checksummed, writes that miss a down shard park as hints
+// until it revives, and a background scrubber (-scrub-interval)
+// re-encodes missing or corrupt shares onto their shards. A replicated
+// list written by earlier releases, which kept whole blobs under the bare
+// photo id, still reads: each such blob is rewritten into share slots the
+// first time it is read.
 //
 // Besides photos, the proxy serves P3MJ video clips (§4.2) end to end:
 // POST /video/upload splits every frame and stores both parts in the blob
@@ -116,7 +119,7 @@ func registerFlags(fs *flag.FlagSet, cfg *stack.Config) (addr, keyPath *string) 
 		"blob store(s): http(s)://... or disk:/path, comma-separated for sharding, erasure:k=4,n=6,... for erasure coding")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies of each secret part across shards")
 	fs.DurationVar(&cfg.ScrubInterval, "scrub-interval", cfg.ScrubInterval,
-		"erasure store: period of the background repair scrubber (0 disables)")
+		"multi-store -store: period of the background repair scrubber (0 disables)")
 	fs.IntVar(&cfg.Threshold, "t", cfg.Threshold, "splitting threshold T")
 	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "PSP and blob store request timeout")
 	fs.Int64Var(&cfg.SecretCacheBytes, "secret-cache-bytes", cfg.SecretCacheBytes,
@@ -204,14 +207,14 @@ func run(args []string) error {
 
 // describe prints which optional layers the built stack carries.
 func describe(cfg stack.Config, st *stack.Stack) {
-	switch store := st.Store.(type) {
-	case *p3.ShardedSecretStore:
-		fmt.Printf("p3proxy: sharding secret parts over %d stores (%d replicas)\n",
-			store.Shards(), store.Replicas())
-	case *p3.ErasureSecretStore:
-		k, n := store.Scheme()
-		fmt.Printf("p3proxy: erasure coding secret parts %d-of-%d over %d stores (scrub every %s)\n",
-			k, n, store.Shards(), cfg.ScrubInterval)
+	if store, ok := st.Store.(*p3.ErasureSecretStore); ok {
+		if k, n := store.Scheme(); k == 1 {
+			fmt.Printf("p3proxy: replicating secret parts over %d stores (%d replicas, scrub every %s)\n",
+				store.Shards(), n, cfg.ScrubInterval)
+		} else {
+			fmt.Printf("p3proxy: erasure coding secret parts %d-of-%d over %d stores (scrub every %s)\n",
+				k, n, store.Shards(), cfg.ScrubInterval)
+		}
 	}
 	if st.Admission != nil {
 		fmt.Printf("p3proxy: admission control on (max-inflight %d, queue depth %d, client rps %g, storm clamp %g)\n",

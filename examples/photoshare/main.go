@@ -62,8 +62,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	_, replicas := store.Scheme()
 	fmt.Printf("blob store: %d disk shards under %s, %d replicas per secret part\n",
-		store.Shards(), shardRoot, store.Replicas())
+		store.Shards(), shardRoot, replicas)
 
 	// Alice and Bob share a key out of band; each runs a local proxy built
 	// over the public backend interfaces.

@@ -20,6 +20,7 @@
 package erasure
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,7 +83,7 @@ func (s Share) Marshal() []byte {
 
 // ParseShare deserializes and integrity-checks a marshalled share. Bytes
 // that are not a share return ErrNotShare; a share whose checksum does not
-// cover its content returns ErrChecksum.
+// cover its content returns ErrChecksum. The share's Payload aliases b.
 func ParseShare(b []byte) (Share, error) {
 	const fixed = 4 + 4 + 4 + 8 + 8
 	if len(b) < fixed || string(b[:4]) != shareMagic {
@@ -107,7 +108,7 @@ func ParseShare(b []byte) (Share, error) {
 		return Share{}, ErrNotShare
 	}
 	s.ID = string(rest[n : n+int(idLen)])
-	s.Payload = append([]byte(nil), rest[n+int(idLen):]...)
+	s.Payload = rest[n+int(idLen):]
 	if err := validateScheme(s.K, s.N); err != nil {
 		return Share{}, err
 	}
@@ -117,10 +118,12 @@ func ParseShare(b []byte) (Share, error) {
 	return s, nil
 }
 
-// validateScheme checks a (k, n) pair.
+// validateScheme checks a (k, n) pair. Besides 1 <= k < n, it accepts the
+// degenerate 1-of-1: a single checksummed copy, which is what one replica
+// of a 1-of-r store holds.
 func validateScheme(k, n int) error {
-	if k < 1 || n <= k || n > MaxShares {
-		return fmt.Errorf("erasure: invalid scheme k=%d n=%d (need 1 <= k < n <= %d)", k, n, MaxShares)
+	if k < 1 || n < k || (n == k && k > 1) || n > MaxShares {
+		return fmt.Errorf("erasure: invalid scheme k=%d n=%d (need 1 <= k < n <= %d, or k = n = 1)", k, n, MaxShares)
 	}
 	return nil
 }
@@ -157,24 +160,31 @@ func codingMatrix(k, n int) (matrix, error) {
 
 // Encode stripes data into n shares under the given identity: k data
 // stripes (zero-padded to equal length) and n-k parity stripes. Any k of
-// the returned shares reconstruct data byte-identically.
+// the returned shares reconstruct data byte-identically. Full data stripes
+// alias data, and for k = 1, whose coding coefficients are all 1, so do
+// the parity stripes: every share of a 1-of-n code is a copy.
 func Encode(id string, epoch uint64, data []byte, k, n int) ([]Share, error) {
 	mat, err := codingMatrix(k, n)
 	if err != nil {
 		return nil, err
 	}
 	stripe := (len(data) + k - 1) / k
-	backing := make([]byte, n*stripe)
 	rows := make([][]byte, n)
-	for i := range rows {
-		rows[i] = backing[i*stripe : (i+1)*stripe]
-	}
 	for i := 0; i < k; i++ {
 		lo := min(i*stripe, len(data))
 		hi := min(lo+stripe, len(data))
-		copy(rows[i], data[lo:hi])
+		rows[i] = data[lo:hi:hi]
+		if hi-lo < stripe {
+			rows[i] = make([]byte, stripe)
+			copy(rows[i], data[lo:hi])
+		}
 	}
 	for p := k; p < n; p++ {
+		if k == 1 {
+			rows[p] = rows[0]
+			continue
+		}
+		rows[p] = make([]byte, stripe)
 		for i := 0; i < k; i++ {
 			mulAddSlice(rows[p], rows[i], mat[p][i])
 		}
@@ -224,19 +234,18 @@ func Reconstruct(shares []Share) ([]byte, error) {
 		return nil, fmt.Errorf("erasure: %d distinct shares of %q, need %d", len(have), ref.ID, ref.K)
 	}
 
-	data := make([]byte, ref.K*stripe)
+	stripes := make([][]byte, ref.K)
 	missingData := false
-	for i := 0; i < ref.K; i++ {
-		if p, ok := have[i]; ok {
-			copy(data[i*stripe:(i+1)*stripe], p)
-		} else {
-			missingData = true
-		}
+	for i := range stripes {
+		p, ok := have[i]
+		stripes[i], missingData = p, missingData || !ok
 	}
 	if !missingData {
-		// Systematic fast path: all data stripes present.
-		return data[:ref.DataLen], nil
+		// Systematic fast path: all data stripes present. Join does not
+		// zero the buffer it then fills.
+		return bytes.Join(stripes, nil)[:ref.DataLen], nil
 	}
+	data := make([]byte, ref.K*stripe)
 
 	// Solve for the data stripes from k available rows of the coding matrix.
 	mat, err := codingMatrix(ref.K, ref.N)
@@ -260,7 +269,6 @@ func Reconstruct(shares []Share) ([]byte, error) {
 	}
 	for i := 0; i < ref.K; i++ {
 		row := data[i*stripe : (i+1)*stripe]
-		clear(row)
 		for r, idx := range idxs {
 			mulAddSlice(row, have[idx], inv[i][r])
 		}

@@ -194,7 +194,7 @@ func TestMetricsErrorsCounted(t *testing.T) {
 }
 
 // TestMetricsErasureStore checks that a proxy over an erasure-coded store
-// registers the p3_erasure_* per-shard series and the p3_repair_*
+// registers the p3_shard_* per-shard series and the p3_repair_*
 // self-healing series, and that share traffic actually moves them.
 func TestMetricsErasureStore(t *testing.T) {
 	key, err := p3.NewKey()
@@ -230,9 +230,9 @@ func TestMetricsErasureStore(t *testing.T) {
 
 	series := scrape(t, p)
 	wantSeries := []string{
-		`p3_erasure_share_reads_total{shard="0"}`,
-		`p3_erasure_share_puts_total{shard="5"}`,
-		`p3_erasure_share_repairs_total{shard="3"}`,
+		`p3_shard_reads_total{shard="0"}`,
+		`p3_shard_puts_total{shard="5"}`,
+		`p3_shard_repairs_total{shard="3"}`,
 		`p3_repair_scrub_cycles_total`,
 		`p3_repair_objects_scanned_total`,
 		`p3_repair_lost_objects_total`,
@@ -246,7 +246,7 @@ func TestMetricsErasureStore(t *testing.T) {
 	}
 	var puts float64
 	for i := 0; i < 6; i++ {
-		puts += series[fmt.Sprintf(`p3_erasure_share_puts_total{shard="%d"}`, i)]
+		puts += series[fmt.Sprintf(`p3_shard_puts_total{shard="%d"}`, i)]
 	}
 	// The uploaded photo's secret part stripes into 6 shares.
 	if puts < 6 {

@@ -289,81 +289,45 @@ func registerCacheMetrics[V any](r *metrics.Registry, proxyName, cacheName strin
 		func() float64 { return float64(c.Stats().Bytes) }, labels...)
 }
 
-// shardStatser is what a sharded secret store exposes; satisfied by
-// *p3.ShardedSecretStore without the proxy naming the concrete type.
-type shardStatser interface {
+// storeStatser is what the striped secret store exposes; satisfied by
+// *p3.ErasureSecretStore (replicated or erasure-coded) without the proxy
+// naming the concrete type.
+type storeStatser interface {
 	Shards() int
 	ShardStats() []p3.ShardStats
+	RepairStats() p3.RepairStats
 }
 
-// registerShardMetrics exposes each shard's counters as scrape-time funcs
-// labeled {shard="i"}. Shard series carry no proxy label: the store is
-// shared state, and two proxies over one store would report identical
-// numbers.
-func registerShardMetrics(r *metrics.Registry, sh shardStatser) {
-	for i := 0; i < sh.Shards(); i++ {
+// registerStoreMetrics exposes the store's per-shard traffic as
+// p3_shard_*_total{shard="i"} and its store-level self-healing counters as
+// p3_repair_*_total. They carry no proxy label: the store is shared state,
+// and two proxies over one store would report identical numbers.
+func registerStoreMetrics(r *metrics.Registry, st storeStatser) {
+	for i := 0; i < st.Shards(); i++ {
 		labels := []metrics.Label{{Key: "shard", Value: fmt.Sprint(i)}}
 		counter := func(name, help string, read func(p3.ShardStats) uint64) {
 			idx := i
 			r.SetCounterFunc(name, help, func() uint64 {
-				stats := sh.ShardStats()
+				stats := st.ShardStats()
 				if idx >= len(stats) {
 					return 0
 				}
 				return read(stats[idx])
 			}, labels...)
 		}
-		counter("p3_shard_reads_total", "GetSecret attempts routed to this shard.",
+		counter("p3_shard_reads_total", "Slot fetches routed to this shard.",
 			func(s p3.ShardStats) uint64 { return s.Reads })
-		counter("p3_shard_read_failures_total", "GetSecret attempts this shard failed (degraded reads).",
+		counter("p3_shard_read_failures_total", "Slot fetches this shard failed or missed (degraded reads).",
 			func(s p3.ShardStats) uint64 { return s.ReadFailures })
-		counter("p3_shard_read_repairs_total", "Blobs healed onto this shard by read-repair.",
-			func(s p3.ShardStats) uint64 { return s.ReadRepairs })
-		counter("p3_shard_puts_total", "PutSecret attempts routed to this shard.",
+		counter("p3_shard_puts_total", "Share and tombstone writes routed to this shard.",
 			func(s p3.ShardStats) uint64 { return s.Puts })
-		counter("p3_shard_put_failures_total", "PutSecret attempts this shard failed.",
+		counter("p3_shard_put_failures_total", "Writes this shard failed.",
 			func(s p3.ShardStats) uint64 { return s.PutFailures })
-	}
-}
-
-// erasureStatser is what an erasure-coded secret store exposes; satisfied
-// by *p3.ErasureSecretStore without the proxy naming the concrete type.
-type erasureStatser interface {
-	Shards() int
-	ErasureShardStats() []p3.ErasureShardStats
-	RepairStats() p3.RepairStats
-}
-
-// registerErasureMetrics exposes the erasure store's per-shard share
-// traffic as p3_erasure_*_total{shard="i"} and its store-level
-// self-healing counters as p3_repair_*_total. Like the shard series, they
-// carry no proxy label: the store is shared state.
-func registerErasureMetrics(r *metrics.Registry, es erasureStatser) {
-	for i := 0; i < es.Shards(); i++ {
-		labels := []metrics.Label{{Key: "shard", Value: fmt.Sprint(i)}}
-		counter := func(name, help string, read func(p3.ErasureShardStats) uint64) {
-			idx := i
-			r.SetCounterFunc(name, help, func() uint64 {
-				stats := es.ErasureShardStats()
-				if idx >= len(stats) {
-					return 0
-				}
-				return read(stats[idx])
-			}, labels...)
-		}
-		counter("p3_erasure_share_reads_total", "Share fetches routed to this shard.",
-			func(s p3.ErasureShardStats) uint64 { return s.ShareReads })
-		counter("p3_erasure_share_read_failures_total", "Share fetches this shard failed or missed.",
-			func(s p3.ErasureShardStats) uint64 { return s.ShareReadFailures })
-		counter("p3_erasure_share_puts_total", "Share and tombstone writes routed to this shard.",
-			func(s p3.ErasureShardStats) uint64 { return s.SharePuts })
-		counter("p3_erasure_share_put_failures_total", "Share writes this shard failed.",
-			func(s p3.ErasureShardStats) uint64 { return s.SharePutFailures })
-		counter("p3_erasure_share_repairs_total", "Shares restored onto this shard by repair.",
-			func(s p3.ErasureShardStats) uint64 { return s.ShareRepairs })
+		counter("p3_shard_repairs_total", "Shares restored onto this shard by read-repair, scrub or hint drain.",
+			func(s p3.ShardStats) uint64 { return s.Repairs })
 	}
 	repair := func(name, help string, read func(p3.RepairStats) uint64) {
-		r.SetCounterFunc(name, help, func() uint64 { return read(es.RepairStats()) })
+		r.SetCounterFunc(name, help, func() uint64 { return read(st.RepairStats()) })
 	}
 	repair("p3_repair_scrub_cycles_total", "Completed scrub passes.",
 		func(s p3.RepairStats) uint64 { return s.ScrubCycles })
@@ -383,7 +347,7 @@ func registerErasureMetrics(r *metrics.Registry, es erasureStatser) {
 		func(s p3.RepairStats) uint64 { return s.TombstonesPropagated })
 	repair("p3_repair_lost_objects_total", "Objects found unrecoverable (alarm metric).",
 		func(s p3.RepairStats) uint64 { return s.LostObjects })
-	repair("p3_repair_degraded_reads_total", "Reads that needed parity reconstruction.",
+	repair("p3_repair_degraded_reads_total", "Reads served without share 0 (parity or a non-preferred replica).",
 		func(s p3.RepairStats) uint64 { return s.DegradedReads })
 	repair("p3_repair_hints_parked_total", "Shares parked for down shards (hinted handoff).",
 		func(s p3.RepairStats) uint64 { return s.HintsParked })
@@ -433,11 +397,8 @@ func New(codec *p3.Codec, photos p3.PhotoService, secrets p3.SecretStore, opts .
 	registerCacheMetrics(cfg.registry, cfg.name, "secrets", p.secrets)
 	registerCacheMetrics(cfg.registry, cfg.name, "dims", p.dims)
 	registerCacheMetrics(cfg.registry, cfg.name, "variants", p.variants)
-	if sh, ok := secrets.(shardStatser); ok {
-		registerShardMetrics(cfg.registry, sh)
-	}
-	if es, ok := secrets.(erasureStatser); ok {
-		registerErasureMetrics(cfg.registry, es)
+	if st, ok := secrets.(storeStatser); ok {
+		registerStoreMetrics(cfg.registry, st)
 	}
 	if cfg.recalInterval > 0 {
 		p.startRecalibrationLoop(cfg.recalInterval)

@@ -35,7 +35,7 @@ func WithSimilarity(ix *similarity.Index) ProxyOption {
 }
 
 // dedupStatser detects a dedup layer in the photos backend; satisfied
-// by *dedup.Store. Mirrors shardStatser/erasureStatser: the proxy never
+// by *dedup.Store. Mirrors storeStatser: the proxy never
 // names the concrete backend, it only asks whether stats exist.
 type dedupStatser interface {
 	DedupStats() dedup.Stats

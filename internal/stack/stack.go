@@ -10,8 +10,8 @@
 // WrapShard, which p3load uses to put a kill switch in front of each
 // shard.
 //
-// Build order: shard backends → composite store (the erasure scrub daemon
-// starts here) → codec → admission controller → PSP client → dedup layer →
+// Build order: shard backends → composite store (the scrub daemon starts
+// here) → codec → admission controller → PSP client → dedup layer →
 // similarity index (hash workers start here) → proxy (the background
 // recalibration loop starts here). Close runs the other way: the proxy's
 // loop stops first, while the index and the store it reads through are
@@ -47,10 +47,11 @@ type Config struct {
 	Timeout time.Duration // -timeout: per PSP / HTTP blob store request
 
 	// Store is the -store spec: one backend (disk:/path or http(s)://...), a
-	// comma-separated list of them served as a ShardedSecretStore with
-	// Replicas copies of each blob, or "erasure:[k=K,][n=N,]<list>" served
-	// as an ErasureSecretStore whose repair daemon runs every
-	// ScrubInterval (0 leaves repair to explicit ScrubOnce calls).
+	// comma-separated list of them served as an ErasureSecretStore keeping
+	// Replicas copies of each blob (the 1-of-Replicas scheme), or
+	// "erasure:[k=K,][n=N,]<list>" served with the k-of-n scheme. Either
+	// store's repair daemon runs every ScrubInterval (0 leaves repair to
+	// explicit ScrubOnce calls).
 	Store         string
 	Replicas      int           // -replicas
 	ScrubInterval time.Duration // -scrub-interval
@@ -103,9 +104,9 @@ func DefaultConfig() Config {
 
 // Stack is a built serving stack. Proxy is the http.Handler to serve;
 // Store is the composite secret store behind it (type-assert to
-// *p3.ShardedSecretStore or *p3.ErasureSecretStore for their stats and
-// scrub controls). Dedup, Similarity and Admission are nil unless the
-// Config turned them on.
+// *p3.ErasureSecretStore for its stats and scrub controls; a single
+// backend is served as itself). Dedup, Similarity and Admission are nil
+// unless the Config turned them on.
 type Stack struct {
 	Proxy      *proxy.Proxy
 	Store      p3.SecretStore
@@ -175,7 +176,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 }
 
 // Close stops everything Build started — the proxy's recalibration loop,
-// the similarity workers, the erasure scrub daemon — in reverse build
+// the similarity workers, the store's scrub daemon — in reverse build
 // order, waiting for each to exit. The caller must have stopped sending
 // requests first (p3proxy: http.Server.Shutdown). Close is idempotent.
 func (s *Stack) Close() {
@@ -219,19 +220,13 @@ func (s *Stack) openStore(cfg Config) (p3.SecretStore, error) {
 		}
 		shards = append(shards, backend)
 	}
+	var scheme p3.ErasureOption
 	switch {
 	case erasure:
 		if cfg.Replicas > 1 {
 			return nil, fmt.Errorf("-replicas %d contradicts an erasure: spec (redundancy comes from the k-of-n scheme)", cfg.Replicas)
 		}
-		es, err := p3.NewErasureSecretStore(shards,
-			p3.WithErasureScheme(k, n), p3.WithScrubInterval(cfg.ScrubInterval))
-		if err != nil {
-			return nil, err
-		}
-		// Close only stops the daemon; it has no failure to report.
-		s.closers = append(s.closers, func() { es.Close() })
-		return es, nil
+		scheme = p3.WithErasureScheme(k, n)
 	case len(shards) == 0:
 		return nil, fmt.Errorf("no stores in %q", cfg.Store)
 	case len(shards) == 1:
@@ -240,8 +235,15 @@ func (s *Stack) openStore(cfg Config) (p3.SecretStore, error) {
 		}
 		return shards[0], nil
 	default:
-		return p3.NewShardedSecretStore(shards, p3.WithShardReplicas(cfg.Replicas))
+		scheme = p3.WithShardReplicas(cfg.Replicas)
 	}
+	es, err := p3.NewErasureSecretStore(shards, scheme, p3.WithScrubInterval(cfg.ScrubInterval))
+	if err != nil {
+		return nil, err
+	}
+	// Close only stops the daemon; it has no failure to report.
+	s.closers = append(s.closers, func() { es.Close() })
+	return es, nil
 }
 
 // openBackend turns one -store list element into a SecretStore.

@@ -42,8 +42,10 @@ func TestParseStoreSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh, ok := sharded.(*p3.ShardedSecretStore); !ok || sh.Replicas() != 2 {
-		t.Errorf("multi backend = %T (replicas?), want 2-replica *p3.ShardedSecretStore", sharded)
+	if sh, ok := sharded.(*p3.ErasureSecretStore); !ok {
+		t.Errorf("multi backend = %T (replicas?), want 2-replica *p3.ErasureSecretStore", sharded)
+	} else if k, n := sh.Scheme(); k != 1 || n != 2 {
+		t.Errorf("multi backend scheme = %d-of-%d, want 1-of-2", k, n)
 	}
 
 	ecSpec := "erasure:k=2,n=3," + disk("a") + "," + disk("b") + "," + disk("c")

@@ -14,10 +14,10 @@ import (
 // the per-shard load imbalance under a few percent for realistic N.
 const shardVnodes = 64
 
-// hashRing is a consistent-hash ring over shard indices, shared by the
-// replicated (ShardedSecretStore) and erasure-coded (ErasureSecretStore)
-// stores: each ID hashes to a point on the ring, and the blobs or shares it
-// owns live on the next distinct shards clockwise from that point. Adding
+// hashRing is a consistent-hash ring over shard indices, the placement of
+// ErasureSecretStore's share slots (replicas included): each ID hashes to a
+// point on the ring, and its n share slots live on the next n distinct
+// shards clockwise from that point. Adding
 // or removing a shard only remaps the keys adjacent to its ring points, not
 // the whole keyspace — which is what makes planned rebalance proportional
 // to the data moved, not the data stored.
@@ -79,17 +79,18 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// --- Versioned on-shard records ---------------------------------------
+// --- Tombstones and legacy records ------------------------------------
 //
-// The multi-shard stores never write a caller's bytes to a child shard
-// raw: every record is enveloped with a write epoch and a kind, so
-// replicas that diverge during an outage can be reconciled
-// deterministically — the newest record wins, and a deletion is itself a
-// record (a tombstone) rather than an absence. Absence cannot be
-// replicated; a tombstone can, which is what stops read-repair from
-// resurrecting deleted blobs off a shard that was down during the delete.
+// A deletion is itself a record in each share slot — a tombstone carrying
+// its write epoch — rather than an absence. Absence cannot be replicated;
+// a tombstone can, which is what stops repair from resurrecting a deleted
+// blob off a shard that was down during the delete.
+//
+// The same envelope with kind 'B' is how the pre-share replicated layout
+// stored blobs under the bare object id. ErasureSecretStore.readLegacy
+// still reads those, and the envelope-less raw blobs from before them.
 
-// recordKind distinguishes the two on-shard record types.
+// recordKind distinguishes the two enveloped record types.
 type recordKind byte
 
 const (
@@ -111,8 +112,8 @@ func encodeRecord(kind recordKind, epoch uint64, payload []byte) []byte {
 
 // decodeRecord splits an on-shard record. Bytes without the envelope are
 // treated as a legacy epoch-0 blob, so a store pointed at shards holding
-// pre-envelope data still serves it (and upgrades it on the next write or
-// repair).
+// pre-envelope data still serves it (readLegacy rewrites it into share
+// slots on its first read).
 //
 // The migration is sniffed, not versioned: a pre-envelope blob that
 // happens to begin with the 5-byte prefix "p3r1B" or "p3r1T" is misparsed
@@ -127,16 +128,6 @@ func decodeRecord(b []byte) (kind recordKind, epoch uint64, payload []byte) {
 		return recordKind(b[4]), binary.BigEndian.Uint64(b[5:13]), b[13:]
 	}
 	return recordBlob, 0, b
-}
-
-// supersedes reports whether a record (kind a, epoch ea) wins over (kind b,
-// epoch eb). Higher epochs win; on an exact epoch tie the tombstone wins,
-// because serving a deleted blob is the worse failure.
-func supersedes(a recordKind, ea uint64, b recordKind, eb uint64) bool {
-	if ea != eb {
-		return ea > eb
-	}
-	return a == recordTombstone && b != recordTombstone
 }
 
 // epochSource issues strictly increasing write epochs, seeded from the wall
