@@ -295,15 +295,6 @@ func assertTransformErrors(t *testing.T, trs []Transform) {
 		if _, err := codec.JoinProcessedBytes(split.PublicJPEG, split.SecretBlob, tr); !errors.As(err, &te) {
 			t.Errorf("JoinProcessedBytes(%s) returned %v, want a *TransformError", tr, err)
 		}
-		if !tr.Linear() {
-			continue
-		}
-		ok := Resize(48, 32, FilterTriangle)
-		_, err = codec.JoinProcessedMulti(
-			[][]byte{fabricateServed(t, split.PublicJPEG, ok), split.PublicJPEG}, split.SecretBlob, []Transform{ok, tr})
-		if !errors.As(err, &te) {
-			t.Errorf("JoinProcessedMulti(%s) returned %v, want a *TransformError", tr, err)
-		}
 	}
 }
 

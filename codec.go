@@ -10,7 +10,6 @@ import (
 
 	"p3/internal/core"
 	"p3/internal/imaging"
-	"p3/internal/jpegx"
 	"p3/internal/work"
 )
 
@@ -53,22 +52,15 @@ type Codec struct {
 }
 
 // scratch holds the per-call working set a Codec recycles: the streaming
-// read buffers, the core split and join scratches (decoder state,
-// coefficient images, encode buffers), and the decode state of the
-// processed-join path.
+// read buffers and the core split and join scratches (decoder state,
+// coefficient images, pixel planes, encode buffers; a processed join's
+// reconstructed planes escape to the caller fresh).
 type scratch struct {
 	in    bytes.Buffer // Split input
 	pub   bytes.Buffer // Join/JoinProcessed public-part input
 	sec   bytes.Buffer // Join/JoinProcessed secret-part input
 	split core.SplitScratch
-	join  core.JoinScratch
-
-	// JoinProcessed decode state: the two parts decode into reusable images
-	// through reusable decoder scratches (the pixel planes derived from them
-	// escape to the caller and are allocated fresh).
-	pubIm, secIm   *jpegx.CoeffImage
-	pubDec, secDec jpegx.DecoderScratch
-	pubRd, secRd   bytes.Reader
+	join  core.ViewScratch
 }
 
 // New builds a Codec for key. With no options it uses the paper's
@@ -223,74 +215,6 @@ func (c *Codec) JoinProcessedBytes(publicJPEG, secretBlob []byte, t Transform) (
 	return c.joinProcessed(publicJPEG, secretBlob, t, s)
 }
 
-// JoinProcessedMulti reconstructs several served renditions of one photo —
-// the shape of a feed prefetch (thumbnail + small + full) — decoding the
-// sealed secret part ONCE and folding it into its effective secret once,
-// instead of paying the secret decode + fold per rendition as repeated
-// JoinProcessed calls would. publicJPEGs[i] is the rendition served after
-// the provider applied ts[i]; results align with the inputs. Every
-// transform must be linear (resize/crop/blur/sharpen compositions); for a
-// trailing gamma use JoinProcessed per rendition.
-func (c *Codec) JoinProcessedMulti(publicJPEGs [][]byte, secretBlob []byte, ts []Transform) ([]*Image, error) {
-	defer observeSince(joinProcessedSeconds, time.Now())
-	if len(publicJPEGs) != len(ts) {
-		return nil, fmt.Errorf("p3: %d public renditions but %d transforms", len(publicJPEGs), len(ts))
-	}
-	threshold, secJPEG, err := core.OpenSecret(c.key, secretBlob)
-	if err != nil {
-		return nil, err
-	}
-	if len(publicJPEGs) == 0 {
-		return nil, nil
-	}
-	ops := make([]imaging.Op, len(ts))
-	for i, t := range ts {
-		op := t.op()
-		if !op.Linear() {
-			return nil, fmt.Errorf("p3: transform %s is not linear; use JoinProcessed for remapped renditions", t)
-		}
-		ops[i] = op
-	}
-	// The secret part and every public rendition decode concurrently; the
-	// decoded images escape into the reconstruction, so none use the pooled
-	// scratch.
-	var sec *jpegx.CoeffImage
-	publics := make([]*jpegx.PlanarImage, len(publicJPEGs))
-	err = c.pool.Do(len(publicJPEGs)+1, func(i int) error {
-		if i == 0 {
-			im, err := jpegx.DecodeBytes(secJPEG)
-			if err != nil {
-				return fmt.Errorf("p3: decoding secret part: %w", err)
-			}
-			sec = im
-			return nil
-		}
-		im, err := jpegx.DecodeBytes(publicJPEGs[i-1])
-		if err != nil {
-			return fmt.Errorf("p3: decoding rendition %d: %w", i-1, err)
-		}
-		publics[i-1] = im.ToPlanarPool(nil)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range ts {
-		if err := checkTransform(t, sec); err != nil {
-			return nil, err
-		}
-	}
-	pixes, err := core.ReconstructPixelsMulti(publics, sec, threshold, ops, c.pool)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Image, len(pixes))
-	for i, pix := range pixes {
-		out[i] = &Image{pix: pix}
-	}
-	return out, nil
-}
-
 // TransformError reports a transform that cannot apply to the photo it was
 // given for: a crop that misses the image, or a resize to a non-positive
 // size. Returned by the JoinProcessed methods; test with errors.As.
@@ -308,62 +232,17 @@ func (e *TransformError) Error() string {
 // Unwrap returns the stage-level cause.
 func (e *TransformError) Unwrap() error { return e.Err }
 
-// checkTransform verifies t has something to produce from the photo whose
-// secret part is sec, so a bad rectangle or size from the caller surfaces as
-// an error instead of a panic inside the pixel pipeline.
-func checkTransform(t Transform, sec *jpegx.CoeffImage) error {
-	if _, _, err := imaging.OutputSize(t.op(), sec.Width, sec.Height); err != nil {
-		return &TransformError{Transform: t, Width: sec.Width, Height: sec.Height, Err: err}
-	}
-	return nil
-}
-
 func (c *Codec) joinProcessed(publicJPEG, secretBlob []byte, t Transform, s *scratch) (*Image, error) {
 	defer observeSince(joinProcessedSeconds, time.Now())
-	threshold, secJPEG, err := core.OpenSecret(c.key, secretBlob)
-	if err != nil {
-		return nil, err
-	}
-	// The two parts decode concurrently, each through its own pooled
-	// decoder scratch.
-	err = c.pool.Do(2, func(i int) error {
-		if i == 0 {
-			s.pubRd.Reset(publicJPEG)
-			im, err := jpegx.DecodeInto(&s.pubRd, s.pubIm, &s.pubDec)
-			if err != nil {
-				return fmt.Errorf("p3: decoding public part: %w", err)
-			}
-			s.pubIm = im
-			return nil
-		}
-		s.secRd.Reset(secJPEG)
-		im, err := jpegx.DecodeInto(&s.secRd, s.secIm, &s.secDec)
-		if err != nil {
-			return fmt.Errorf("p3: decoding secret part: %w", err)
-		}
-		s.secIm = im
-		return nil
-	})
-	// Release the caller's public part and the decrypted secret plaintext;
-	// the pooled scratch must not keep either reachable between calls.
-	s.pubRd.Reset(nil)
-	s.secRd.Reset(nil)
-	if err != nil {
-		return nil, err
-	}
-	pubIm, sec := s.pubIm, s.secIm
-	if err := checkTransform(t, sec); err != nil {
-		return nil, err
-	}
 	op := t.op()
-	var pix *jpegx.PlanarImage
-	if op.Linear() {
-		pix, err = core.ReconstructPixelsPool(pubIm.ToPlanarPool(c.pool), sec, threshold, op, c.pool)
-	} else if linear, remap, ok := t.splitRemap(); ok {
-		pix, err = core.ReconstructRemappedPool(pubIm.ToPlanarPool(c.pool), sec, threshold, linear, remap, c.pool)
-	} else {
-		return nil, fmt.Errorf("p3: transform %s is neither linear nor linear-plus-invertible-remap", t)
-	}
+	pix, err := s.join.Join(c.key, publicJPEG, secretBlob, func(w, h, _, _ int) (imaging.Op, error) {
+		// A bad rectangle or size from the caller surfaces as an error
+		// instead of a panic inside the pixel pipeline.
+		if _, _, err := imaging.OutputSize(op, w, h); err != nil {
+			return nil, &TransformError{Transform: t, Width: w, Height: h, Err: err}
+		}
+		return op, nil
+	}, true, c.pool)
 	if err != nil {
 		return nil, err
 	}

@@ -263,3 +263,31 @@ func TestHTTPBackendErrorSnippet(t *testing.T) {
 		t.Errorf("get error %v misses body snippet", err)
 	}
 }
+
+// TestJoinProcessedResultsOutliveLaterJoins: a JoinProcessedBytes result is
+// the caller's alone. The Codec reconstructs through recycled cold-view
+// scratches, so later joins of other sizes and of the same one must not
+// write over an image it already returned.
+func TestJoinProcessedResultsOutliveLaterJoins(t *testing.T) {
+	jpegBytes, _ := testJPEG(t, 23, 240, 180, jpegx.Sub420)
+	codec := newTestCodec(t, WithParallelism(2))
+	split, err := codec.SplitBytes(jpegBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := []Transform{Resize(120, 90, FilterTriangle), Transform{}, Crop(20, 10, 100, 80).Then(Resize(50, 40, FilterLanczos)), Resize(120, 90, FilterTriangle)}
+	var got, kept []*Image
+	for _, tr := range trs {
+		img, err := codec.JoinProcessedBytes(fabricateServed(t, split.PublicJPEG, tr), split.SecretBlob, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, img)
+		kept = append(kept, &Image{pix: img.pix.Clone()})
+	}
+	for i := range got {
+		if !imagesIdentical(got[i], kept[i]) {
+			t.Errorf("result %d (%s) changed under later joins", i, trs[i])
+		}
+	}
+}

@@ -194,69 +194,26 @@ func (s *SplitScratch) splitSlow(im *jpegx.CoeffImage, t int, opts *Options, poo
 // image's.
 func JoinJPEG(publicJPEG, secretBlob []byte, key Key) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := JoinJPEGTo(&buf, publicJPEG, secretBlob, key); err != nil {
+	if err := JoinJPEGToScratch(&buf, publicJPEG, secretBlob, key, nil, nil); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// JoinJPEGTo is JoinJPEG streaming: the reconstructed JPEG is encoded
-// directly into w, so callers piping to a file or socket never hold the
-// output in memory.
-func JoinJPEGTo(w io.Writer, publicJPEG, secretBlob []byte, key Key) error {
-	return JoinJPEGToScratch(w, publicJPEG, secretBlob, key, nil, nil)
-}
-
-// JoinScratch is the reusable working set of JoinJPEGToScratch: the decode
-// destinations and decoder state for the two parts and the reconstructed
-// coefficient image. The zero value is ready to use. A scratch must not be
-// shared by concurrent joins.
-type JoinScratch struct {
-	pubIm, secIm, outIm *jpegx.CoeffImage
-	pubDec, secDec      jpegx.DecoderScratch
-}
-
-// JoinJPEGToScratch is JoinJPEGTo reusing s across calls (nil allocates
-// fresh state) and running the pipeline on opts.Workers: the two parts
-// decode concurrently (each with its own decoder scratch), the coefficient
-// recombination runs as bands of block rows, and the final encode
-// parallelizes its statistics pass. Output bytes are identical to the
-// sequential join.
-func JoinJPEGToScratch(w io.Writer, publicJPEG, secretBlob []byte, key Key, opts *Options, s *JoinScratch) error {
+// JoinJPEGToScratch is JoinJPEG streaming into w, reusing s across calls (nil
+// allocates fresh state) and running the pipeline on opts.Workers
+// (JoinCoeffs). Output bytes are identical to the sequential join.
+func JoinJPEGToScratch(w io.Writer, publicJPEG, secretBlob []byte, key Key, opts *Options, s *ViewScratch) error {
 	if s == nil {
-		s = new(JoinScratch)
+		s = new(ViewScratch)
 	}
 	var pool *work.Pool
 	if opts != nil {
 		pool = opts.Workers
 	}
-	threshold, secJPEG, err := OpenSecret(key, secretBlob)
+	threshold, secretJPEG, err := s.open(key, secretBlob)
 	if err != nil {
 		return err
 	}
-	err = pool.Do(2, func(i int) error {
-		if i == 0 {
-			im, err := jpegx.DecodeBytesInto(publicJPEG, s.pubIm, &s.pubDec)
-			if err != nil {
-				return fmt.Errorf("core: decoding public part: %w", err)
-			}
-			s.pubIm = im
-			return nil
-		}
-		im, err := jpegx.DecodeBytesInto(secJPEG, s.secIm, &s.secDec)
-		if err != nil {
-			return fmt.Errorf("core: decoding secret part: %w", err)
-		}
-		s.secIm = im
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	orig, err := ReconstructCoeffsInto(s.pubIm, s.secIm, threshold, s.outIm, pool)
-	if err != nil {
-		return err
-	}
-	s.outIm = orig
-	return jpegx.EncodeCoeffs(w, orig, &jpegx.EncodeOptions{OptimizeHuffman: true, Workers: pool})
+	return s.JoinCoeffs(w, publicJPEG, secretJPEG, threshold, pool)
 }

@@ -119,52 +119,41 @@ func freqRows(c *jpegx.Component, q *jpegx.QuantTable, t int32, bw, by0, by1 int
 // the original photo onto that rendition, and the transformed difference
 // image is added to the public part and clamped for display. The IDCT, the
 // chroma upsample and op's separable stages run as one composed pass from
-// each component's frequency rows, and that pass adds the public row and
-// clamps as it writes each output row (imaging.ApplyFreq), so the result is
-// written once. publicPix is read, not modified.
+// each component's frequency rows, and that pass adds each output row onto a
+// copy of the public part's and clamps it as it goes (imaging.ApplyFreqOnto),
+// so the result is written once. publicPix is read, not modified.
 func (sp *SecretPlanes) Reconstruct(publicPix *jpegx.PlanarImage, op imaging.Op) (*jpegx.PlanarImage, error) {
-	if op == nil {
-		op = imaging.Identity{}
+	return sp.reconstructOnto(publicPix.Clone(), op, nil, new(imaging.FreqScratch))
+}
+
+// reconstructOnto is Eq. (2) for the linear operator (nil for the identity)
+// followed by remap (nil for none) written over pub: linear, the
+// reconstruction replaces pub's samples in place (imaging.ApplyFreqOnto,
+// through f's buffers) and pub is returned; remapped, pub is read and a new
+// image returned, as in ReconstructRemapped.
+func (sp *SecretPlanes) reconstructOnto(pub *jpegx.PlanarImage, linear imaging.Op, remap imaging.Invertible, f *imaging.FreqScratch) (*jpegx.PlanarImage, error) {
+	if linear == nil {
+		linear = imaging.Identity{}
 	}
-	if !op.Linear() {
-		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", op)
+	if !linear.Linear() {
+		return nil, fmt.Errorf("core: operator %s is not linear; see ReconstructRemapped", linear)
 	}
-	w, h, err := imaging.OutputSize(op, sp.f.Width, sp.f.Height)
+	w, h, err := imaging.OutputSize(linear, sp.f.Width, sp.f.Height)
 	if err != nil {
 		return nil, fmt.Errorf("core: transforming the secret part: %w", err)
 	}
-	if w != publicPix.Width || h != publicPix.Height || len(sp.f.Planes) != len(publicPix.Planes) {
+	if w != pub.Width || h != pub.Height || len(sp.f.Planes) != len(pub.Planes) {
 		return nil, fmt.Errorf("core: transformed secret is %dx%dx%d but public part is %dx%dx%d — wrong operator?",
-			w, h, len(sp.f.Planes), publicPix.Width, publicPix.Height, len(publicPix.Planes))
+			w, h, len(sp.f.Planes), pub.Width, pub.Height, len(pub.Planes))
 	}
-	return imaging.ApplyFreq(op, sp.f, publicPix), nil
-}
-
-// ReconstructPixelsMulti reconstructs several served variants of one photo
-// from a single secret part: the effective secret derives once, then every
-// (publics[i], ops[i]) pair applies its own operator to it.
-// All operators must be linear. Results align with the inputs.
-func ReconstructPixelsMulti(publics []*jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, ops []imaging.Op, pool *work.Pool) ([]*jpegx.PlanarImage, error) {
-	if len(publics) != len(ops) {
-		return nil, fmt.Errorf("core: %d public variants but %d operators", len(publics), len(ops))
+	if remap != nil {
+		pub = remap.Inverse().Apply(pub)
 	}
-	if len(publics) == 0 {
-		return nil, nil
+	rec := imaging.ApplyFreqOnto(linear, sp.f, pub, f)
+	if remap != nil {
+		rec = imaging.Clamp(remap.Apply(rec))
 	}
-	sp := DeriveSecretPlanesPool(sec, threshold, pool)
-	out := make([]*jpegx.PlanarImage, len(publics))
-	err := pool.Do(len(publics), func(i int) error {
-		im, err := sp.Reconstruct(publics[i], ops[i])
-		if err != nil {
-			return fmt.Errorf("core: variant %d: %w", i, err)
-		}
-		out[i] = im
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return rec, nil
 }
 
 // ReconstructPixels recombines in the pixel domain. publicPix is the decoded
@@ -194,18 +183,7 @@ func ReconstructPixelsPool(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, 
 // non-linear pointwise remaps (e.g. gamma): invert the remap on the public
 // part, reconstruct with the remaining linear operator, then re-apply the
 // remap. Some loss is expected (the paper leaves quantifying it to future
-// work); tests measure it.
+// work); tests measure it. publicPix is read, not modified.
 func ReconstructRemapped(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, linear imaging.Op, remap imaging.Invertible) (*jpegx.PlanarImage, error) {
-	return ReconstructRemappedPool(publicPix, sec, threshold, linear, remap, nil)
-}
-
-// ReconstructRemappedPool is ReconstructRemapped running its inner linear
-// reconstruction on pool.
-func ReconstructRemappedPool(publicPix *jpegx.PlanarImage, sec *jpegx.CoeffImage, threshold int, linear imaging.Op, remap imaging.Invertible, pool *work.Pool) (*jpegx.PlanarImage, error) {
-	unmapped := remap.Inverse().Apply(publicPix)
-	rec, err := ReconstructPixelsPool(unmapped, sec, threshold, linear, pool)
-	if err != nil {
-		return nil, err
-	}
-	return imaging.Clamp(remap.Apply(rec)), nil
+	return DeriveSecretPlanesPool(sec, threshold, nil).reconstructOnto(publicPix, linear, remap, new(imaging.FreqScratch))
 }

@@ -334,11 +334,10 @@ func TestSplitJPEGDefaults(t *testing.T) {
 	}
 }
 
-// TestReconstructPixelsMultiMatchesSingle pins the shared-planes batch path
-// to the per-variant path bit for bit: deriving the effective secret once —
-// sequentially or banded over a pool — and applying N operators must equal N
-// independent sequential ReconstructPixels calls.
-func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
+// TestReconstructPixelsPoolMatchesSequential: deriving the effective secret
+// banded over a pool and applying an operator equals the sequential
+// reconstruction bit for bit.
+func TestReconstructPixelsPoolMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	im := naturalImage(t, rng, 96, 80, jpegx.Sub444)
 	threshold := 15
@@ -346,39 +345,24 @@ func TestReconstructPixelsMultiMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := []imaging.Op{
-		nil, // identity
+	pubPix := pub.ToPlanar()
+	for i, op := range []imaging.Op{
+		imaging.Identity{},
 		imaging.Resize{W: 48, H: 40, Filter: imaging.Triangle},
 		imaging.Crop{X: 16, Y: 8, W: 40, H: 48},
 		imaging.GaussianBlur{Sigma: 1.1},
-	}
-	pubPix := pub.ToPlanar()
-	publics := make([]*jpegx.PlanarImage, len(ops))
-	for i, op := range ops {
-		if op == nil {
-			publics[i] = pubPix.Clone()
-			continue
-		}
-		publics[i] = op.Apply(pubPix)
-	}
-	for _, pool := range []*work.Pool{nil, work.New(3)} {
-		multi, err := ReconstructPixelsMulti(publics, sec, threshold, ops, pool)
+	} {
+		served := op.Apply(pubPix)
+		single, err := ReconstructPixels(served, sec, threshold, op)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("op %d: %v", i, err)
 		}
-		for i, op := range ops {
-			single, err := ReconstructPixels(publics[i], sec, threshold, op)
-			if err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			for ci := range single.Planes {
-				for pi, v := range single.Planes[ci] {
-					if got := multi[i].Planes[ci][pi]; math.Float64bits(got) != math.Float64bits(v) {
-						t.Fatalf("pool size %d, op %d plane %d sample %d: multi %v, single %v",
-							pool.Size(), i, ci, pi, got, v)
-					}
-				}
-			}
+		banded, err := ReconstructPixelsPool(served, sec, threshold, op, work.New(3))
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if pi, j, ok := sameBits(banded, single); !ok {
+			t.Fatalf("op %d plane %d sample %d: banded %v, sequential %v", i, pi, j, banded.Planes[pi][j], single.Planes[pi][j])
 		}
 	}
 }
@@ -400,10 +384,6 @@ func TestSecretPlanesErrors(t *testing.T) {
 	op := imaging.Resize{W: 24, H: 24, Filter: imaging.Triangle}
 	if _, err := sp.Reconstruct(pub.ToPlanar(), op); err == nil {
 		t.Error("mismatched public/operator dimensions accepted")
-	}
-	if _, err := ReconstructPixelsMulti(
-		[]*jpegx.PlanarImage{pub.ToPlanar()}, sec, 15, nil, nil); err == nil {
-		t.Error("variant/operator count mismatch accepted")
 	}
 }
 

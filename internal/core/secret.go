@@ -80,6 +80,12 @@ func SealSecret(key Key, threshold int, secretJPEG []byte) ([]byte, error) {
 // OpenSecret authenticates and decrypts a secret container, returning the
 // threshold and the secret-part JPEG bytes.
 func OpenSecret(key Key, blob []byte) (threshold int, secretJPEG []byte, err error) {
+	return openSecretInto(key, blob, nil)
+}
+
+// openSecretInto is OpenSecret decrypting into buf, reallocated only when too
+// small; the returned secretJPEG is buf's storage when it fit.
+func openSecretInto(key Key, blob, buf []byte) (threshold int, secretJPEG []byte, err error) {
 	if len(blob) < secretHdrLen+secretMACLen {
 		return 0, nil, ErrAuth
 	}
@@ -98,7 +104,10 @@ func OpenSecret(key Key, blob []byte) (threshold int, secretJPEG []byte, err err
 	threshold = int(binary.BigEndian.Uint16(blob[5:7]))
 	iv := blob[7 : 7+aes.BlockSize]
 	ct := body[secretHdrLen:]
-	secretJPEG = make([]byte, len(ct))
+	if cap(buf) < len(ct) {
+		buf = make([]byte, len(ct))
+	}
+	secretJPEG = buf[:len(ct)]
 	block, err := aes.NewCipher(key.derive("p3-enc"))
 	if err != nil {
 		return 0, nil, err

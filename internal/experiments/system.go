@@ -111,6 +111,32 @@ func ReconstructionAccuracy(maxImages int) (*Table, error) {
 		Title:  "§5.3: reconstruction accuracy (PSNR, dB)",
 		Header: []string{"scenario", "avg PSNR"},
 	}
+	key, err := core.NewKey()
+	if err != nil {
+		return nil, err
+	}
+	// Every row reconstructs the way a P3 recipient does: the sealed secret
+	// and the served public part through core's one cold-view join path.
+	var view core.ViewScratch
+	reconstruct := func(im *jpegx.CoeffImage, served func(pub *jpegx.CoeffImage) ([]byte, error), opFor core.ViewOp) (*jpegx.PlanarImage, error) {
+		pub, sec, err := core.Split(im, threshold)
+		if err != nil {
+			return nil, err
+		}
+		var secBuf bytes.Buffer
+		if err := jpegx.EncodeCoeffs(&secBuf, sec, nil); err != nil {
+			return nil, err
+		}
+		blob, err := core.SealSecret(key, threshold, secBuf.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		servedBytes, err := served(pub)
+		if err != nil {
+			return nil, err
+		}
+		return view.Join(key, servedBytes, blob, opFor, false, nil)
+	}
 
 	// Known transform: the recipient knows A exactly. The served public
 	// part still rides through a real JPEG re-encode, which is where the
@@ -118,24 +144,15 @@ func ReconstructionAccuracy(maxImages int) (*Table, error) {
 	known := imaging.Resize{W: 128, H: 128, Filter: imaging.CatmullRom}
 	var knownSum float64
 	for _, im := range images {
-		pub, sec, err := core.Split(im, threshold)
-		if err != nil {
-			return nil, err
-		}
-		servedPix := imaging.Clamp(known.Apply(pub.ToPlanar()))
-		servedCo, err := servedPix.ToCoeffs(95, jpegx.Sub444)
-		if err != nil {
-			return nil, err
-		}
-		var servedBuf bytes.Buffer
-		if err := jpegx.EncodeCoeffs(&servedBuf, servedCo, nil); err != nil {
-			return nil, err
-		}
-		servedIm, err := jpegx.Decode(bytes.NewReader(servedBuf.Bytes()))
-		if err != nil {
-			return nil, err
-		}
-		rec, err := core.ReconstructPixels(servedIm.ToPlanar(), sec, threshold, known)
+		rec, err := reconstruct(im, func(pub *jpegx.CoeffImage) ([]byte, error) {
+			servedCo, err := imaging.Clamp(known.Apply(pub.ToPlanar())).ToCoeffs(95, jpegx.Sub444)
+			if err != nil {
+				return nil, err
+			}
+			var servedBuf bytes.Buffer
+			err = jpegx.EncodeCoeffs(&servedBuf, servedCo, nil)
+			return servedBuf.Bytes(), err
+		}, func(int, int, int, int) (imaging.Op, error) { return known, nil })
 		if err != nil {
 			return nil, err
 		}
@@ -179,28 +196,17 @@ func ReconstructionAccuracy(maxImages int) (*Table, error) {
 
 		var sum float64
 		for _, im := range images {
-			pub, sec, err := core.Split(im, threshold)
+			rec, err := reconstruct(im, func(pub *jpegx.CoeffImage) ([]byte, error) {
+				var pubBuf bytes.Buffer
+				if err := jpegx.EncodeCoeffs(&pubBuf, pub, nil); err != nil {
+					return nil, err
+				}
+				return tc.pipeline.Render(pubBuf.Bytes(), nil, 128, 128)
+			}, func(_, _, w, h int) (imaging.Op, error) { return params.Instantiate(w, h), nil })
 			if err != nil {
 				return nil, err
 			}
-			var pubBuf bytes.Buffer
-			if err := jpegx.EncodeCoeffs(&pubBuf, pub, nil); err != nil {
-				return nil, err
-			}
-			servedBytes, err := tc.pipeline.Render(pubBuf.Bytes(), nil, 128, 128)
-			if err != nil {
-				return nil, err
-			}
-			served, err := jpegx.Decode(bytes.NewReader(servedBytes))
-			if err != nil {
-				return nil, err
-			}
-			op := params.Instantiate(served.Width, served.Height)
-			rec, err := core.ReconstructPixels(served.ToPlanar(), sec, threshold, op)
-			if err != nil {
-				return nil, err
-			}
-			want := imaging.Clamp(tc.pipeline.Op(served.Width, served.Height).Apply(im.ToPlanar()))
+			want := imaging.Clamp(tc.pipeline.Op(rec.Width, rec.Height).Apply(im.ToPlanar()))
 			p, err := vision.PSNR(want, rec)
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package imaging
 
 import (
+	"slices"
 	"sort"
 
 	"p3/internal/jpegx"
@@ -39,12 +40,32 @@ type FreqRow struct {
 // pass scatters only its non-zero entries (scatter).
 //
 // With onto non-nil it returns Eq. (2)'s reconstruction instead: that image
-// plus onto, clamped to [0, 255], each output row summed and clamped as the
-// scatter finishes it (or, when a stage such as Sharpen stops the fold, in
-// one sweep after the last stage). onto must have the output's shape and is
-// not modified. It panics on an op that OutputSize(op, src.Width,
-// src.Height) refuses.
+// plus onto, clamped to [0, 255], as ApplyFreqOnto computes it over a copy of
+// onto. onto must have the output's shape and is not modified. It panics on
+// an op that OutputSize(op, src.Width, src.Height) refuses.
 func ApplyFreq(op Op, src *FreqPlanes, onto *jpegx.PlanarImage) *jpegx.PlanarImage {
+	if onto != nil {
+		onto = onto.Clone()
+	}
+	return ApplyFreqOnto(op, src, onto, new(FreqScratch))
+}
+
+// FreqScratch holds the buffers ApplyFreqOnto's scatter reuses: the rows it
+// buffers between its two passes and the output row it sums before adding
+// it on. The zero value is ready to use; a FreqScratch must not be shared by
+// concurrent calls.
+type FreqScratch struct {
+	mid, row []float64
+}
+
+// ApplyFreqOnto is ApplyFreq writing Eq. (2)'s reconstruction over onto, in
+// place: each output row of the transformed image is summed into a one-row
+// buffer and then added onto onto's row and clamped (addClamp) as the scatter
+// finishes it, or, when a stage such as Sharpen stops the fold, every plane
+// is added on in one sweep after the last stage. IEEE addition commutes, so
+// the samples are ApplyFreq's bit for bit. It returns onto; with onto nil it
+// is ApplyFreq's transformed image alone. s holds the scatter's buffers.
+func ApplyFreqOnto(op Op, src *FreqPlanes, onto *jpegx.PlanarImage, s *FreqScratch) *jpegx.PlanarImage {
 	var ps Separable
 	var ht []weightRange
 	return applyFolded(op, src.Width, src.Height, len(src.Planes), onto, func(i int, sep Separable, onto []float64) []float64 {
@@ -53,7 +74,7 @@ func ApplyFreq(op Op, src *FreqPlanes, onto *jpegx.PlanarImage) *jpegx.PlanarIma
 			ps = sep.Upsampled(p.W, p.H).overFrequencies()
 			ht = transposeWeights(ps.h, ps.srcW)
 		}
-		return ps.scatter(p.Rows, ht, onto)
+		return ps.scatter(p.Rows, ht, onto, s)
 	})
 }
 
@@ -126,14 +147,16 @@ func transposeWeights(rows []weightRange, n int) []weightRange {
 // non-zero entry of a row the vertical weights read adds its transposed
 // horizontal weights, scaled, into that row of a buffer holding only those
 // rows; each output row then accumulates the buffered rows its vertical
-// weights name and, with onto non-nil, adds onto's row and clamps
-// (addClamp) while it is still in cache. Rows and columns with no entry cost
-// nothing.
-func (s Separable) scatter(rows []FreqRow, ht []weightRange, onto []float64) []float64 {
+// weights name. With onto non-nil the row is summed in buf's one-row buffer
+// and added onto onto's row and clamped (addClamp) while it is still in
+// cache, and onto is returned. Rows and columns with no entry cost nothing.
+func (s Separable) scatter(rows []FreqRow, ht []weightRange, onto []float64, buf *FreqScratch) []float64 {
 	dw, dh := len(s.h), len(s.v)
 	y0, y1 := weightSpan(s.v)
 	rows = rows[searchRows(rows, y0):searchRows(rows, y1)]
-	mid := make([]float64, dw*len(rows))
+	buf.mid = slices.Grow(buf.mid[:0], dw*len(rows))[:dw*len(rows)]
+	mid := buf.mid
+	clear(mid)
 	for i, r := range rows {
 		m := mid[i*dw:][:dw]
 		for j, x := range r.X {
@@ -144,7 +167,11 @@ func (s Separable) scatter(rows []FreqRow, ht []weightRange, onto []float64) []f
 			}
 		}
 	}
-	dst := make([]float64, dw*dh)
+	dst := onto
+	if onto == nil {
+		dst = make([]float64, dw*dh)
+	}
+	buf.row = slices.Grow(buf.row[:0], dw)[:dw]
 	var src [][]float64
 	var k []float64
 	for y := range s.v {
@@ -155,9 +182,11 @@ func (s Separable) scatter(rows []FreqRow, ht []weightRange, onto []float64) []f
 			k = append(k, wr.w[rows[i].Y-wr.start])
 		}
 		d := dst[y*dw:][:dw]
-		accumulateRows(d, src, k)
-		if onto != nil {
-			addClamp(d, onto[y*dw:][:dw])
+		if onto == nil {
+			accumulateRows(d, src, k)
+		} else {
+			accumulateRows(buf.row, src, k)
+			addClamp(d, buf.row)
 		}
 	}
 	return dst

@@ -129,6 +129,21 @@ type Invertible interface {
 	Inverse() Op
 }
 
+// SplitRemap splits op, nested Composes flattened, into the linear stages
+// before a trailing invertible pointwise remap and that remap: the shape the
+// §3.3 extension reconstructs. ok is false when op has any other non-linear
+// structure.
+func SplitRemap(op Op) (linear Compose, remap Invertible, ok bool) {
+	stages := flatten(nil, op)
+	if n := len(stages); n > 0 {
+		remap, ok = stages[n-1].(Invertible)
+		if ok && stages[:n-1].Linear() {
+			return stages[:n-1], remap, true
+		}
+	}
+	return nil, nil, false
+}
+
 // Clamp limits all samples to [0, 255] in place and returns the image.
 func Clamp(img *jpegx.PlanarImage) *jpegx.PlanarImage {
 	for _, p := range img.Planes {

@@ -28,14 +28,14 @@ func ApplyPlanes(op Op, src *jpegx.PlanarImage) *jpegx.PlanarImage {
 	})
 }
 
-// applyFolded is the frame ApplyPlanes and ApplyFreq share: fold op's leading
-// separable stages for a w×h image, run each of the n planes through them
-// with plane, then run the stages that stopped the fold on the result. With
-// onto non-nil the result is instead that image plus onto, clamped to
-// [0, 255] (addClamp), computed once after the last stage: when everything
-// folded, plane receives onto's plane and finishes each output row with it;
-// otherwise plane receives nil and the sweep runs after the rest. onto must
-// have the output's shape; it is not modified.
+// applyFolded is the frame ApplyPlanes and ApplyFreqOnto share: fold op's
+// leading separable stages for a w×h image, run each of the n planes through
+// them with plane, then run the stages that stopped the fold on the result.
+// With onto non-nil the result is instead added onto onto in place, clamped
+// to [0, 255] (addClamp), once after the last stage, and onto is returned:
+// when everything folded, plane receives onto's plane and finishes each
+// output row onto it; otherwise plane receives nil and the sweep runs after
+// the rest. onto must have the output's shape.
 func applyFolded(op Op, w, h, n int, onto *jpegx.PlanarImage, plane func(i int, sep Separable, onto []float64) []float64) *jpegx.PlanarImage {
 	ow, oh, err := OutputSize(op, w, h)
 	if err != nil {
@@ -46,13 +46,15 @@ func applyFolded(op Op, w, h, n int, onto *jpegx.PlanarImage, plane func(i int, 
 			ow, oh, n, onto.Width, onto.Height, len(onto.Planes)))
 	}
 	sep, rest := FoldSeparable(op, w, h)
+	if onto != nil && len(rest) == 0 {
+		for i, p := range onto.Planes {
+			plane(i, sep, p)
+		}
+		return onto
+	}
 	out := &jpegx.PlanarImage{Width: len(sep.h), Height: len(sep.v), Planes: make([][]float64, n)}
 	for i := range out.Planes {
-		var base []float64
-		if onto != nil && len(rest) == 0 {
-			base = onto.Planes[i]
-		}
-		out.Planes[i] = plane(i, sep, base)
+		out.Planes[i] = plane(i, sep, nil)
 	}
 	if len(rest) == 0 {
 		return out
@@ -61,12 +63,13 @@ func applyFolded(op Op, w, h, n int, onto *jpegx.PlanarImage, plane func(i int, 
 	if len(rest) > 1 {
 		out = rest[1:].Apply(out)
 	}
-	if onto != nil {
-		for i, p := range out.Planes {
-			addClamp(p, onto.Planes[i])
-		}
+	if onto == nil {
+		return out
 	}
-	return out
+	for i, p := range onto.Planes {
+		addClamp(p, out.Planes[i])
+	}
+	return onto
 }
 
 // FoldSeparable composes the leading separable stages of op — Identity, Crop,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
 	"p3/internal/work"
 )
@@ -1103,23 +1104,49 @@ func (d *decoder) refineNonZeroes(br *bitReader, b *Block, zig, se, nz int, delt
 // dequantize, inverse DCT, level shift, and chroma upsample (triangle filter
 // for 2× factors, matching libjpeg's "fancy" upsampling).
 func (im *CoeffImage) ToPlanar() *PlanarImage {
-	return im.ToPlanarPool(nil)
+	return im.ToPlanarInto(nil, nil, nil)
 }
 
-// ToPlanarPool is ToPlanar with the per-block IDCT fanned out over bands of
-// block rows on pool. Blocks are independent and each band writes a disjoint
-// row range of the sample plane, so the result is bit-identical to the
-// sequential conversion. A nil pool runs sequentially.
-func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
-	out := &PlanarImage{Width: im.Width, Height: im.Height, Planes: make([][]float64, len(im.Components))}
+// PlanarScratch holds ToPlanarInto's temporaries: a subsampled component's
+// samples before the upsample, and the upsample's horizontal pass. The zero
+// value is ready to use.
+type PlanarScratch struct {
+	native, hor []float64
+}
+
+// ToPlanarInto is ToPlanar writing into dst's planes, reused when large
+// enough (dst nil allocates a new image), with the chroma temporaries taken
+// from s (nil allocates them) and the per-block IDCT fanned out over bands
+// of block rows on pool (nil runs sequentially). Each band writes a disjoint
+// row range, so the samples are ToPlanar's whatever the pool and whatever
+// dst and s held before.
+func (im *CoeffImage) ToPlanarInto(dst *PlanarImage, s *PlanarScratch, pool *work.Pool) *PlanarImage {
+	if dst == nil {
+		dst = new(PlanarImage)
+	}
+	if s == nil {
+		s = new(PlanarScratch)
+	}
+	dst.Width, dst.Height = im.Width, im.Height
+	dst.Planes = slices.Grow(dst.Planes[:0], len(im.Components))[:len(im.Components)]
 	for ci := range im.Components {
 		c := &im.Components[ci]
 		w, h := im.ComponentSize(ci)
-		pix := make([]float64, w*h)
+		out := slices.Grow(dst.Planes[ci][:0], im.Width*im.Height)[:im.Width*im.Height]
+		dst.Planes[ci] = out
+		// A full-size component (luma, or 4:4:4 chroma) is transformed into
+		// its plane; only a subsampled one goes through the temporary.
+		pix, sub := out, w != im.Width || h != im.Height
+		if sub {
+			s.native = slices.Grow(s.native[:0], w*h)[:w*h]
+			pix = s.native
+		}
 		// validate() prevents a missing table for encoder-produced images;
 		// decoded images always carry theirs. Produce zeros rather than
 		// panicking.
-		if q := im.Quant[c.TqIndex]; q != nil {
+		if q := im.Quant[c.TqIndex]; q == nil {
+			clear(pix)
+		} else {
 			bh := (h + 7) / 8
 			bands := min(pool.Size(), bh)
 			if bands <= 1 {
@@ -1132,16 +1159,11 @@ func (im *CoeffImage) ToPlanarPool(pool *work.Pool) *PlanarImage {
 				})
 			}
 		}
-		// A full-size component (luma, or 4:4:4 chroma) is adopted as it
-		// is; only a subsampled one is upsampled into a copy.
-		if w == im.Width && h == im.Height {
-			out.Planes[ci] = pix
-			continue
+		if sub {
+			s.hor = upsamplePlane(pix, w, h, out, im.Width, im.Height, s.hor)
 		}
-		out.Planes[ci] = make([]float64, im.Width*im.Height)
-		upsamplePlane(pix, w, h, out.Planes[ci], im.Width, im.Height)
 	}
-	return out
+	return dst
 }
 
 // idctRows dequantizes and inverse-transforms block rows [by0, by1) of c,
@@ -1184,30 +1206,30 @@ func UpsampleTap(x, cn, n int) (near, far int) {
 }
 
 // upsamplePlane resizes a subsampled chroma plane (cw×ch) to (w×h) using a
-// triangle filter for integer 2× factors and nearest otherwise.
-func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int) {
+// triangle filter for integer 2× factors and nearest otherwise. buf holds the
+// horizontal pass, reallocated only when too small, and is returned for the
+// next call.
+func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int, buf []float64) []float64 {
 	// Horizontal pass.
-	var hor []float64
-	if cw == w {
-		hor = src
-	} else if 2*cw >= w {
-		hor = make([]float64, w*ch)
+	hor := src
+	if cw != w {
+		buf = slices.Grow(buf[:0], w*ch)[:w*ch]
+		hor = buf
 		for y := 0; y < ch; y++ {
-			upsampleRow(src[y*cw:y*cw+cw], hor[y*w:y*w+w])
-		}
-	} else {
-		hor = make([]float64, w*ch)
-		for y := 0; y < ch; y++ {
-			for x := 0; x < w; x++ {
-				sx := x * cw / w
-				hor[y*w+x] = src[y*cw+sx]
+			row, orow := src[y*cw:][:cw], hor[y*w:][:w]
+			if 2*cw >= w {
+				upsampleRow(row, orow)
+				continue
+			}
+			for x := range orow {
+				orow[x] = row[x*cw/w]
 			}
 		}
 	}
 	// Vertical pass.
 	if ch == h {
 		copy(dst, hor)
-		return
+		return buf
 	}
 	if 2*ch >= h {
 		for y := 0; y < h; y++ {
@@ -1233,12 +1255,13 @@ func upsamplePlane(src []float64, cw, ch int, dst []float64, w, h int) {
 				drow[x] = 0.75*near[x] + 0.25*far[x]
 			}
 		}
-		return
+		return buf
 	}
 	for y := 0; y < h; y++ {
 		sy := y * ch / h
 		copy(dst[y*w:y*w+w], hor[sy*w:sy*w+w])
 	}
+	return buf
 }
 
 // upsampleRow doubles one row with the triangle filter: each output is 3/4

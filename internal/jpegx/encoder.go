@@ -31,6 +31,13 @@ type EncodeOptions struct {
 	// summed across bands, so the derived tables — and therefore the output
 	// bytes — are identical to a sequential encode. nil runs sequentially.
 	Workers *work.Pool
+
+	// Tokens, when set, is the token buffer of a sequential statistics
+	// pass, grown in place and left to the caller, instead of one from the
+	// package's sync.Pool: a caller recycling its own working set then gets
+	// the same buffer back whichever goroutine encodes. A banded pass
+	// (Workers) still takes its bands' buffers from the pool.
+	Tokens *[]uint32
 }
 
 // EncodeCoeffs serializes a coefficient image to a JPEG stream without any
@@ -194,6 +201,14 @@ func token(slot int, kind uint32, sym byte, val uint32, nb uint) uint32 {
 // tokenBufs recycles statistics-pass token buffers (~4 B per coded symbol)
 // across encodes.
 var tokenBufs = sync.Pool{New: func() any { return new([]uint32) }}
+
+// putTokens returns a statistics-pass token buffer to the pool unless it is
+// the caller's own (EncodeOptions.Tokens).
+func (e *encoder) putTokens(bufp *[]uint32) {
+	if bufp != e.opts.Tokens {
+		tokenBufs.Put(bufp)
+	}
+}
 
 // emitter either writes entropy-coded bits or, in statistics mode, counts
 // symbol frequencies and records replay tokens for optimal-table encoding.
@@ -382,7 +397,7 @@ func (e *encoder) encodeBaseline() error {
 		defer func() {
 			for i, bufp := range bufps {
 				*bufp = parts[i].tokens // return the grown buffer, not the pre-append one
-				tokenBufs.Put(bufp)
+				e.putTokens(bufp)
 			}
 		}()
 		sum := parts[0]
@@ -481,12 +496,15 @@ func (e *encoder) baselineStats() ([]*emitter, []*[]uint32, error) {
 	if bands <= 1 || e.opts.RestartInterval > 0 {
 		// Restart markers reset predictors on a global MCU counter, which
 		// crosses band boundaries; keep that rare path sequential.
-		bufp := tokenBufs.Get().(*[]uint32)
+		bufp := e.opts.Tokens
+		if bufp == nil {
+			bufp = tokenBufs.Get().(*[]uint32)
+		}
 		em := newStatsEmitter(*bufp)
 		err := e.baselineScan(em)
 		*bufp = em.tokens
 		if err != nil {
-			tokenBufs.Put(bufp)
+			e.putTokens(bufp)
 			return nil, nil, err
 		}
 		return []*emitter{em}, []*[]uint32{bufp}, nil

@@ -2,6 +2,7 @@ package jpegx
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,8 +12,11 @@ import (
 // The band-parallel paths must be byte-identical to their sequential
 // counterparts: parallelism is a performance knob, never an output change.
 
+// TestEncodeParallelStatsIdentical also runs the sequential pass on a
+// caller's token buffer (EncodeOptions.Tokens), reused across the cases.
 func TestEncodeParallelStatsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var tokens []uint32
 	for _, tc := range []struct {
 		w, h int
 		gray bool
@@ -34,6 +38,13 @@ func TestEncodeParallelStatsIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 			t.Errorf("%dx%d gray=%v sub=%v: parallel encode differs from sequential", tc.w, tc.h, tc.gray, tc.sub)
+		}
+		var own bytes.Buffer
+		if err := EncodeCoeffs(&own, im, &EncodeOptions{OptimizeHuffman: true, Tokens: &tokens}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seq.Bytes(), own.Bytes()) || cap(tokens) == 0 {
+			t.Errorf("%dx%d gray=%v sub=%v: encode on the caller's token buffer differs or dropped it", tc.w, tc.h, tc.gray, tc.sub)
 		}
 	}
 }
@@ -68,7 +79,7 @@ func TestToPlanarPoolIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	im := randomCoeffImage(rng, 120, 88, false, Sub420)
 	seq := im.ToPlanar()
-	par := im.ToPlanarPool(work.New(4))
+	par := im.ToPlanarInto(nil, nil, work.New(4))
 	if seq.Width != par.Width || seq.Height != par.Height || len(seq.Planes) != len(par.Planes) {
 		t.Fatal("geometry mismatch")
 	}
@@ -77,6 +88,53 @@ func TestToPlanarPoolIdentical(t *testing.T) {
 			if seq.Planes[pi][i] != par.Planes[pi][i] {
 				t.Fatalf("plane %d sample %d: %v != %v", pi, i, seq.Planes[pi][i], par.Planes[pi][i])
 			}
+		}
+	}
+}
+
+// TestIntoVariantsReuseMatchFresh: ToPlanarInto and ToCoeffsInto, run through
+// one destination and one set of temporaries over alternating geometries,
+// gray and colour, 4:2:0 and 4:4:4, give the samples and coefficients of a
+// fresh ToPlanar and ToCoeffs, whatever the buffers held before.
+func TestIntoVariantsReuseMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var planes PlanarImage
+	var ps PlanarScratch
+	var coeffs CoeffImage
+	var down []float64
+	for trial := 0; trial < 8; trial++ {
+		sub := []Subsampling{Sub420, Sub444}[trial%2]
+		im := randomCoeffImage(rng, 40+24*(trial%3), 24+16*(trial%4), trial%3 == 2, sub)
+		want := im.ToPlanar()
+		got := im.ToPlanarInto(&planes, &ps, work.New(trial%3+1))
+		if got != &planes || got.Width != want.Width || got.Height != want.Height || len(got.Planes) != len(want.Planes) {
+			t.Fatalf("trial %d: ToPlanarInto gave a %dx%dx%d image, want %dx%dx%d in dst",
+				trial, got.Width, got.Height, len(got.Planes), want.Width, want.Height, len(want.Planes))
+		}
+		for pi := range want.Planes {
+			for i, v := range want.Planes[pi] {
+				if math.Float64bits(got.Planes[pi][i]) != math.Float64bits(v) {
+					t.Fatalf("trial %d: ToPlanarInto plane %d sample %d = %v, ToPlanar %v", trial, pi, i, got.Planes[pi][i], v)
+				}
+			}
+		}
+		wantCo, err := want.ToCoeffs(90, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCo, err := got.ToCoeffsInto(&coeffs, 90, sub, &down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantJPEG, gotJPEG bytes.Buffer
+		if err := EncodeCoeffs(&wantJPEG, wantCo, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeCoeffs(&gotJPEG, gotCo, nil); err != nil {
+			t.Fatal(err)
+		}
+		if gotCo != &coeffs || !coeffImagesEqual(wantCo, gotCo) || !bytes.Equal(wantJPEG.Bytes(), gotJPEG.Bytes()) {
+			t.Fatalf("trial %d: ToCoeffsInto differs from ToCoeffs", trial)
 		}
 	}
 }

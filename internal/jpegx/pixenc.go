@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // PixelEncodeOptions configures lossy encoding of pixels into a JPEG.
@@ -39,6 +40,16 @@ func EncodePixels(w io.Writer, img *PlanarImage, opts *PixelEncodeOptions) error
 // downsampling, 8×8 forward DCT and quantization — producing the
 // coefficient-domain image that P3's splitter consumes.
 func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error) {
+	return p.ToCoeffsInto(nil, quality, sub, nil)
+}
+
+// ToCoeffsInto is ToCoeffs writing into dst, whose component headers and
+// coefficient blocks (from an earlier decode or encode) are reused when
+// large enough; dst nil allocates a new image. A downsampled chroma plane
+// goes through *down, reallocated only when too small (down nil allocates
+// one per component). The coefficients are those of ToCoeffs whatever dst
+// held before.
+func (p *PlanarImage) ToCoeffsInto(dst *CoeffImage, quality int, sub Subsampling, down *[]float64) (*CoeffImage, error) {
 	if quality == 0 {
 		quality = DefaultQuality
 	}
@@ -56,20 +67,26 @@ func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error
 			return nil, fmt.Errorf("jpegx: plane %d holds %d samples, fewer than %dx%d", i, len(pl), p.Width, p.Height)
 		}
 	}
+	im := dst
+	if im == nil {
+		im = new(CoeffImage)
+	}
+	if down == nil {
+		down = new([]float64)
+	}
 	luma, chroma := StandardQuantTables(quality)
-	im := &CoeffImage{Width: p.Width, Height: p.Height}
+	resetForDecode(im)
+	im.Width, im.Height = p.Width, p.Height
 	im.Quant[0] = &luma
-
-	if p.Gray() {
-		im.Components = []Component{{ID: 1, H: 1, V: 1, TqIndex: 0}}
-	} else {
+	n := len(p.Planes)
+	im.Components = slices.Grow(im.Components, n)[:n]
+	for ci := range im.Components { // Blocks is reused below
+		c := &im.Components[ci]
+		c.ID, c.H, c.V, c.TqIndex = byte(ci+1), 1, 1, min(ci, 1)
+	}
+	if n == 3 {
 		im.Quant[1] = &chroma
-		lh, lv := sub.factors()
-		im.Components = []Component{
-			{ID: 1, H: lh, V: lv, TqIndex: 0},
-			{ID: 2, H: 1, V: 1, TqIndex: 1},
-			{ID: 3, H: 1, V: 1, TqIndex: 1},
-		}
+		im.Components[0].H, im.Components[0].V = sub.factors()
 	}
 	mcusX, mcusY := im.mcuDims()
 	hMax, vMax := im.MaxSampling()
@@ -77,7 +94,9 @@ func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error
 		c := &im.Components[ci]
 		c.BlocksX = mcusX * c.H
 		c.BlocksY = mcusY * c.V
-		c.Blocks = make([]Block, c.BlocksX*c.BlocksY)
+		// fdctPlane writes every coefficient of every block, so reused
+		// blocks need no clearing.
+		c.Blocks = slices.Grow(c.Blocks[:0], c.BlocksX*c.BlocksY)[:c.BlocksX*c.BlocksY]
 
 		// Component-resolution plane: downsample chroma if needed, then pad
 		// (edge-replicate) to the full block extent.
@@ -85,20 +104,22 @@ func (p *PlanarImage) ToCoeffs(quality int, sub Subsampling) (*CoeffImage, error
 		ch := (p.Height*c.V + vMax - 1) / vMax
 		plane := p.Planes[ci]
 		if cw != p.Width || ch != p.Height {
-			plane = downsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch)
+			*down = downsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch, *down)
+			plane = *down
 		}
 		fdctPlane(plane, cw, ch, c, newQuantizer(im.Quant[c.TqIndex]))
 	}
 	return im, nil
 }
 
-// downsamplePlane box-averages a w×h plane to cw×ch (factors 1 or 2): each
-// output is the sum of its box's samples, left to right and top to bottom
-// from zero, over the box's size. Interior boxes are one expression per
-// output; a box hanging over the last odd row or column repeats the edge
-// sample (downsampleEdge).
-func downsamplePlane(src []float64, w, h, cw, ch int) []float64 {
-	dst := make([]float64, cw*ch)
+// downsamplePlane box-averages a w×h plane to cw×ch (factors 1 or 2) into
+// dst, reallocated only when too small, and returns it: each output is the
+// sum of its box's samples, left to right and top to bottom from zero, over
+// the box's size. Interior boxes are one expression per output; a box
+// hanging over the last odd row or column repeats the edge sample
+// (downsampleEdge).
+func downsamplePlane(src []float64, w, h, cw, ch int, dst []float64) []float64 {
+	dst = slices.Grow(dst[:0], cw*ch)[:cw*ch]
 	fx, fy := (w+cw-1)/cw, (h+ch-1)/ch
 	iw, ih := w/fx, h/fy // outputs whose box lies inside the plane
 	for y := 0; y < ih; y++ {

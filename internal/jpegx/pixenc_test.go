@@ -98,7 +98,7 @@ func checkToCoeffs(t testing.TB, p *PlanarImage, quality int, sub Subsampling) {
 		plane := p.Planes[ci]
 		if cw != p.Width || ch != p.Height {
 			plane = refDownsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch)
-			got := downsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch)
+			got := downsamplePlane(p.Planes[ci], p.Width, p.Height, cw, ch, nil)
 			for i, v := range plane {
 				if math.Float64bits(got[i]) != math.Float64bits(v) {
 					t.Fatalf("%dx%d %v component %d: downsampled sample %d = %v, oracle %v", p.Width, p.Height, sub, ci, i, got[i], v)

@@ -96,7 +96,7 @@ func checkUpsample(t testing.TB, seed int64, cw, ch, w, h int) {
 		}
 	}
 	got, want := make([]float64, w*h), make([]float64, w*h)
-	upsamplePlane(src, cw, ch, got, w, h)
+	upsamplePlane(src, cw, ch, got, w, h, nil)
 	refUpsamplePlane(src, cw, ch, want, w, h)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -136,7 +136,7 @@ func TestUpsampleTapMatchesUpsamplePlane(t *testing.T) {
 			src[j] = (rng.Float64() - 0.5) * 1024
 		}
 		want := make([]float64, w*h)
-		upsamplePlane(src, cw, ch, want, w, h)
+		upsamplePlane(src, cw, ch, want, w, h, nil)
 		for y := 0; y < h; y++ {
 			ny, fy := UpsampleTap(y, ch, h)
 			for x := 0; x < w; x++ {
@@ -192,7 +192,9 @@ func BenchmarkUpsamplePlane(b *testing.B) {
 	for _, side := range []struct {
 		name string
 		fn   func(src []float64, cw, ch int, dst []float64, w, h int)
-	}{{"ref", refUpsamplePlane}, {"new", upsamplePlane}} {
+	}{{"ref", refUpsamplePlane}, {"new", func(src []float64, cw, ch int, dst []float64, w, h int) {
+		upsamplePlane(src, cw, ch, dst, w, h, nil)
+	}}} {
 		b.Run(fmt.Sprintf("%dx%d/%s", w, h, side.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				side.fn(src, cw, ch, dst, w, h)

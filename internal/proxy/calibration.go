@@ -483,11 +483,7 @@ func (p *Proxy) prewarm(ctx context.Context, ep *core.CalibrationEpoch, hot []ca
 	p.calibPool.Do(len(targets), func(i int) error {
 		key := variantKeyFor(ep.Epoch, targets[i].id, targets[i].v)
 		_, err := p.variants.GetOrLoad(ctx, key, func(ctx context.Context) ([]byte, error) {
-			pix, err := p.reconstructWith(ctx, &ep.Params, targets[i].id, targets[i].v)
-			if err != nil {
-				return nil, err
-			}
-			return encodeVariant(pix)
+			return p.serveVariant(ctx, &ep.Params, targets[i].id, targets[i].v)
 		})
 		if err == nil {
 			warmedKeys.Store(key, struct{}{})

@@ -56,7 +56,7 @@ func effectiveFreq(sec *jpegx.CoeffImage, threshold int) *imaging.FreqPlanes {
 // oracleVariant is what Download serves for variant, by definition: the
 // served public part decoded, the effective secret's difference image
 // through the variant's operator, the public part added in its own sweep
-// and the sum clamped in another, then encodeVariant.
+// and the sum clamped in another, then encoded under variantEncoding.
 func oracleVariant(t *testing.T, p *Proxy, id string, variant p3.PhotoVariant) []byte {
 	t.Helper()
 	publicBytes, err := p.photos.FetchPhoto(ctx, id, variant)
@@ -93,7 +93,7 @@ func oracleVariant(t *testing.T, p *Proxy, id string, variant p3.PhotoVariant) [
 			plane[i] += pub.Planes[pi][i]
 		}
 	}
-	out, err := encodeVariant(imaging.Clamp(rec))
+	out, err := new(core.ViewScratch).Encode(imaging.Clamp(rec), &variantEncoding)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -640,39 +640,65 @@ func (p *Proxy) Download(ctx context.Context, id string, q url.Values) (_ []byte
 	defer release()
 	p.calib.noteWarmHit(p.variants, key)
 	return p.variants.GetOrLoad(ctx, key, func(ctx context.Context) ([]byte, error) {
-		pix, err := p.reconstructWith(ctx, &ep.Params, id, variant)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariant(pix)
+		return p.serveVariant(ctx, &ep.Params, id, variant)
 	})
 }
 
-// encodeBufs recycles encodeVariant's growing buffers across cold views.
-var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// views keeps idle cold-view working sets (core.ViewScratch), at most one
+// per CPU, and hands out the most recently used first. A sync.Pool made
+// reuse hang on scheduling and collection: each loader runs on a goroutine
+// of its own (cache.GetOrLoad), which often missed the scratch left in
+// another P's private slot, and collections emptied the pool. The price:
+// idle scratches, sized by the largest view each served (about 100 MB at
+// 1600×1200), stay live for the process's lifetime.
+var views struct {
+	sync.Mutex
+	idle []*core.ViewScratch
+}
 
-// encodeVariant serializes a reconstructed rendition as the JPEG the
-// application receives (and the variant cache holds), in a slice of exactly
-// its length: the cache charges len, so it must hold no spare capacity.
-func encodeVariant(pix *jpegx.PlanarImage) ([]byte, error) {
-	coeffs, err := pix.ToCoeffs(95, jpegx.Sub420)
+// getView returns the most recently put scratch, or a new one.
+func getView() *core.ViewScratch {
+	views.Lock()
+	defer views.Unlock()
+	n := len(views.idle)
+	if n == 0 {
+		return new(core.ViewScratch)
+	}
+	s := views.idle[n-1]
+	views.idle[n-1], views.idle = nil, views.idle[:n-1]
+	return s
+}
+
+// putView keeps s for the next view unless one per CPU are idle already.
+func putView(s *core.ViewScratch) {
+	views.Lock()
+	defer views.Unlock()
+	if len(views.idle) < runtime.GOMAXPROCS(0) {
+		views.idle = append(views.idle, s)
+	}
+}
+
+// variantEncoding is how a reconstructed rendition is served (and the
+// variant cache holds it): baseline, q95, 4:2:0, optimised Huffman tables,
+// in a slice of exactly its length (ViewScratch.Encode).
+var variantEncoding = jpegx.PixelEncodeOptions{Quality: 95, Subsampling: jpegx.Sub420, EncodeOptions: jpegx.EncodeOptions{OptimizeHuffman: true}}
+
+// serveVariant is a cold view's bytes: the reconstruction on a recycled
+// scratch, serialized under variantEncoding through that scratch's
+// coefficient blocks and buffers.
+func (p *Proxy) serveVariant(ctx context.Context, params *core.PipelineParams, id string, variant p3.PhotoVariant) ([]byte, error) {
+	s := getView()
+	defer putView(s)
+	pix, err := p.reconstructWith(ctx, params, id, variant, s, false)
 	if err != nil {
 		return nil, err
 	}
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	defer encodeBufs.Put(buf)
-	buf.Reset()
-	if err := jpegx.EncodeCoeffs(buf, coeffs, &jpegx.EncodeOptions{OptimizeHuffman: true}); err != nil {
-		return nil, err
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
+	return s.Encode(pix, &variantEncoding)
 }
 
 // exact returns b with no spare capacity. The secret and variant caches
 // charge a value's len, so every value they hold goes through it
-// (encodeVariant's are exact already). Spare capacity of at most an eighth
+// (serveVariant's are exact already). Spare capacity of at most an eighth
 // of len(b), the order of the allocator's own rounding of an exact-size
 // allocation (an erasure-coded blob's stripe padding, os.ReadFile's extra
 // byte), is cut off in place; more, as a grown buffer leaves, is shed by
@@ -709,51 +735,30 @@ func (p *Proxy) DownloadPixels(ctx context.Context, id string, q url.Values) (_ 
 		return nil, err
 	}
 	defer release()
-	return p.reconstructWith(ctx, &ep.Params, id, variant)
+	s := getView()
+	defer putView(s)
+	return p.reconstructWith(ctx, &ep.Params, id, variant, s, true)
 }
 
 // reconstructWith fetches both parts of one variant and reverses the PSP's
 // transform per Eq. (2) under the given calibrated parameters — always an
-// epoch snapshot's, so the caller's cache key and operator agree. The secret
-// side is one scan of its coefficients, then one composed pass per axis from
+// epoch snapshot's, so the caller's cache key and operator agree — on s
+// (core.ViewScratch.Join; fresh when the planes outlive s). The secret side
+// is one scan of its coefficients, then one composed pass per axis from
 // each component's non-zero coefficients to the served grid, whatever the
 // rendition.
-func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams, id string, variant p3.PhotoVariant) (*jpegx.PlanarImage, error) {
+func (p *Proxy) reconstructWith(ctx context.Context, params *core.PipelineParams, id string, variant p3.PhotoVariant, s *core.ViewScratch, fresh bool) (*jpegx.PlanarImage, error) {
 	publicBytes, err := p.photos.FetchPhoto(ctx, id, variant)
 	if err != nil {
 		return nil, err
-	}
-	pubIm, err := jpegx.Decode(bytes.NewReader(publicBytes))
-	if err != nil {
-		return nil, fmt.Errorf("proxy: decoding served public part: %w", err)
 	}
 	secretBlob, err := p.fetchSecret(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	threshold, secretJPEG, err := core.OpenSecret(p.key(), secretBlob)
-	if err != nil {
-		return nil, err
-	}
-	sec, err := jpegx.Decode(bytes.NewReader(secretJPEG))
-	if err != nil {
-		return nil, fmt.Errorf("proxy: decoding secret part: %w", err)
-	}
-	op, err := p.buildOp(ctx, id, variant, params, sec.Width, sec.Height, pubIm.Width, pubIm.Height)
-	if err != nil {
-		return nil, err
-	}
-	if op.Linear() {
-		return core.ReconstructPixels(pubIm.ToPlanar(), sec, threshold, op)
-	}
-	// Calibrated gamma: strip the trailing remap and use the §3.3 inversion
-	// path.
-	linear := *params
-	linear.Gamma = 1
-	var lop imaging.Compose
-	lop = append(lop, op[:len(op)-1]...)
-	lop = append(lop, linear.Instantiate(pubIm.Width, pubIm.Height))
-	return core.ReconstructRemapped(pubIm.ToPlanar(), sec, threshold, lop, imaging.Gamma{G: params.Gamma})
+	return s.Join(p.key(), publicBytes, secretBlob, func(origW, origH, servedW, servedH int) (imaging.Op, error) {
+		return p.buildOp(ctx, id, variant, params, origW, origH, servedW, servedH)
+	}, fresh, nil)
 }
 
 // buildOp builds the operator mapping the original public part to the served

@@ -227,7 +227,6 @@ type SplitResult struct {
 // encode buffers. Recycled through a per-call sync.Pool so a clip costs
 // one scratch per *worker*, not per frame.
 type splitScratch struct {
-	rd             bytes.Reader
 	dec            jpegx.DecoderScratch
 	src, pub, sec  *jpegx.CoeffImage
 	pubBuf, secBuf bytes.Buffer
@@ -262,9 +261,7 @@ func SplitStream(streamBytes []byte, key core.Key, opts *core.Options) (*SplitRe
 			fs = new(splitScratch)
 		}
 		defer scratches.Put(fs)
-		fs.rd.Reset(s.Frames[i])
-		im, err := jpegx.DecodeInto(&fs.rd, fs.src, &fs.dec)
-		fs.rd.Reset(nil)
+		im, err := jpegx.DecodeBytesInto(s.Frames[i], fs.src, &fs.dec)
 		if err != nil {
 			return fmt.Errorf("video: decoding frame %d: %w", i, err)
 		}
@@ -311,40 +308,19 @@ func SplitStream(streamBytes []byte, key core.Key, opts *core.Options) (*SplitRe
 }
 
 // joinScratch is one worker's reusable per-frame working set for
-// JoinStream: decoder state for both parts, the reconstructed coefficient
-// image, and the encode buffer.
+// JoinStream: core's join scratch (decoder state for both parts, the
+// reconstructed coefficient image) and the encode buffer.
 type joinScratch struct {
-	pubRd, secRd        bytes.Reader
-	pubDec, secDec      jpegx.DecoderScratch
-	pubIm, secIm, outIm *jpegx.CoeffImage
-	buf                 bytes.Buffer
+	view core.ViewScratch
+	buf  bytes.Buffer
 }
 
 // joinFrame reconstructs one frame exactly in the coefficient domain and
 // re-encodes it.
 func (fs *joinScratch) joinFrame(pubFrame, secFrame []byte, threshold int, i int, pool *work.Pool) ([]byte, error) {
-	fs.pubRd.Reset(pubFrame)
-	pim, err := jpegx.DecodeInto(&fs.pubRd, fs.pubIm, &fs.pubDec)
-	fs.pubRd.Reset(nil)
-	if err != nil {
-		return nil, fmt.Errorf("video: decoding public frame %d: %w", i, err)
-	}
-	fs.pubIm = pim
-	fs.secRd.Reset(secFrame)
-	sim, err := jpegx.DecodeInto(&fs.secRd, fs.secIm, &fs.secDec)
-	fs.secRd.Reset(nil)
-	if err != nil {
-		return nil, fmt.Errorf("video: decoding secret frame %d: %w", i, err)
-	}
-	fs.secIm = sim
-	orig, err := core.ReconstructCoeffsInto(pim, sim, threshold, fs.outIm, pool)
-	if err != nil {
-		return nil, fmt.Errorf("video: frame %d: %w", i, err)
-	}
-	fs.outIm = orig
 	fs.buf.Reset()
-	if err := jpegx.EncodeCoeffs(&fs.buf, orig, &jpegx.EncodeOptions{OptimizeHuffman: true, Workers: pool}); err != nil {
-		return nil, fmt.Errorf("video: encoding frame %d: %w", i, err)
+	if err := fs.view.JoinCoeffs(&fs.buf, pubFrame, secFrame, threshold, pool); err != nil {
+		return nil, fmt.Errorf("video: frame %d: %w", i, err)
 	}
 	return append([]byte(nil), fs.buf.Bytes()...), nil
 }

@@ -76,68 +76,3 @@ func TestSplitBatchPartialFailure(t *testing.T) {
 		}
 	}
 }
-
-// TestJoinProcessedMultiMatchesSingle pins the one-decode multi-variant path
-// to the per-variant path: reconstructing N renditions in one call must be
-// bit-identical to N independent JoinProcessed calls.
-func TestJoinProcessedMultiMatchesSingle(t *testing.T) {
-	jpegBytes, _ := testJPEG(t, 34, 240, 180, jpegx.Sub420)
-	codec := newTestCodec(t, WithThreshold(15))
-	split, err := codec.SplitBytes(jpegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := []Transform{
-		Resize(120, 90, FilterTriangle),
-		Resize(60, 45, FilterCatmullRom),
-		Blur(0.7).Then(Resize(240, 180, FilterTriangle)),
-	}
-	publics := make([][]byte, len(ts))
-	for i, tr := range ts {
-		publics[i] = fabricateServed(t, split.PublicJPEG, tr)
-	}
-	got, err := codec.JoinProcessedMulti(publics, split.SecretBlob, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("%d images for %d transforms", len(got), len(ts))
-	}
-	for i, tr := range ts {
-		want, err := codec.JoinProcessedBytes(publics[i], split.SecretBlob, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Width() != got[i].Width() || want.Height() != got[i].Height() {
-			t.Fatalf("variant %d: %dx%d, want %dx%d", i, got[i].Width(), got[i].Height(), want.Width(), want.Height())
-		}
-		for ci := range want.pix.Planes {
-			for pi := range want.pix.Planes[ci] {
-				if want.pix.Planes[ci][pi] != got[i].pix.Planes[ci][pi] {
-					t.Fatalf("variant %d plane %d sample %d: multi %v, single %v",
-						i, ci, pi, got[i].pix.Planes[ci][pi], want.pix.Planes[ci][pi])
-				}
-			}
-		}
-	}
-}
-
-func TestJoinProcessedMultiErrors(t *testing.T) {
-	jpegBytes, _ := testJPEG(t, 35, 64, 64, jpegx.Sub420)
-	codec := newTestCodec(t)
-	split, err := codec.SplitBytes(jpegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := codec.JoinProcessedMulti([][]byte{jpegBytes}, split.SecretBlob, nil); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	served := fabricateServed(t, split.PublicJPEG, Gamma(2.2))
-	if _, err := codec.JoinProcessedMulti([][]byte{served}, split.SecretBlob, []Transform{Gamma(2.2)}); err == nil {
-		t.Error("non-linear transform accepted; it needs the remapped path")
-	}
-	got, err := codec.JoinProcessedMulti(nil, split.SecretBlob, nil)
-	if err != nil || got != nil {
-		t.Errorf("empty batch: got %v, %v; want nil, nil", got, err)
-	}
-}

@@ -31,7 +31,9 @@ func (m benchPhotos) FetchPhoto(_ context.Context, id string, v p3.PhotoVariant)
 	return m.s.Photo(id, q.Get("size"), q.Get("crop"), q.Get("w"), q.Get("h"))
 }
 
-func newBenchProxy(b *testing.B) (*proxy.Proxy, string) {
+// newBenchProxy calibrates a proxy over a Flickr-like PSP that stores photos
+// up to 1600 pixels whole and uploads one w×h photo through it.
+func newBenchProxy(b *testing.B, w, h int) (*proxy.Proxy, string) {
 	b.Helper()
 	ctx := context.Background()
 	key, err := p3.NewKey()
@@ -42,11 +44,13 @@ func newBenchProxy(b *testing.B) (*proxy.Proxy, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := proxy.New(codec, benchPhotos{s: psp.NewServer(psp.FlickrLike())}, p3.NewMemorySecretStore())
+	pspServer := psp.NewServer(psp.FlickrLike())
+	pspServer.MaxStored = 1600
+	p := proxy.New(codec, benchPhotos{s: pspServer}, p3.NewMemorySecretStore())
 	if _, err := p.Calibrate(ctx); err != nil {
 		b.Fatal(err)
 	}
-	img := dataset.Natural(77, 320, 240)
+	img := dataset.Natural(77, w, h)
 	coeffs, err := img.ToCoeffs(92, jpegx.Sub420)
 	if err != nil {
 		b.Fatal(err)
@@ -62,13 +66,14 @@ func newBenchProxy(b *testing.B) (*proxy.Proxy, string) {
 	return p, id
 }
 
-// BenchmarkProxy_DownloadCold is the miss path: every iteration starts with
-// empty caches and pays fetch + decrypt + reconstruct + encode.
-func BenchmarkProxy_DownloadCold(b *testing.B) {
-	p, id := newBenchProxy(b)
+// benchDownloadCold is the miss path: every iteration starts with empty
+// caches and pays fetch + decrypt + reconstruct + encode for the view q of a
+// w×h photo.
+func benchDownloadCold(b *testing.B, w, h int, q url.Values) {
+	p, id := newBenchProxy(b, w, h)
 	ctx := context.Background()
-	q := url.Values{"size": {"small"}}
 	var n int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.InvalidateCaches()
@@ -81,10 +86,24 @@ func BenchmarkProxy_DownloadCold(b *testing.B) {
 	b.SetBytes(int64(n))
 }
 
+// BenchmarkProxy_DownloadCold is a cold view of the small rendition of a
+// 320×240 photo.
+func BenchmarkProxy_DownloadCold(b *testing.B) {
+	benchDownloadCold(b, 320, 240, url.Values{"size": {"small"}})
+}
+
+// BenchmarkProxy_DownloadColdLarge is a cold full-size view of a 1600×1200
+// photo: a working set the small view hides — both parts' coefficients, the
+// public part's planes, the re-encode — runs through the recycled view
+// scratch.
+func BenchmarkProxy_DownloadColdLarge(b *testing.B) {
+	benchDownloadCold(b, 1600, 1200, url.Values{})
+}
+
 // BenchmarkProxy_DownloadHot is the hit path: the variant cache serves the
 // reconstructed bytes directly.
 func BenchmarkProxy_DownloadHot(b *testing.B) {
-	p, id := newBenchProxy(b)
+	p, id := newBenchProxy(b, 320, 240)
 	ctx := context.Background()
 	q := url.Values{"size": {"small"}}
 	out, err := p.Download(ctx, id, q) // prime the variant cache

@@ -110,25 +110,6 @@ func (t Transform) op() imaging.Op {
 	return imaging.Compose(t.ops)
 }
 
-// splitRemap decomposes the transform into a linear prefix and a trailing
-// invertible pointwise remap, the shape ReconstructRemapped handles. ok is
-// false when the transform has some other non-linear structure.
-func (t Transform) splitRemap() (linear imaging.Op, remap imaging.Invertible, ok bool) {
-	if len(t.ops) == 0 {
-		return nil, nil, false
-	}
-	last := t.ops[len(t.ops)-1]
-	inv, isInv := last.(imaging.Invertible)
-	if !isInv {
-		return nil, nil, false
-	}
-	prefix := imaging.Compose(t.ops[:len(t.ops)-1])
-	if !prefix.Linear() {
-		return nil, nil, false
-	}
-	return prefix, inv, true
-}
-
 // Apply runs the transform over a decoded image in the pixel domain,
 // clamping the result to the displayable [0, 255] range. This is what a PSP
 // does to a photo between upload and download; tests and simulations use it
