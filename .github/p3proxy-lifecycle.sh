@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # p3proxy lifecycle smoke: boot pspsim and p3proxy on loopback over a disk
 # store, with the background recalibration loop and the similarity workers
-# running; read /stats, upload one photo and view it through the proxy; then
-# SIGTERM the proxy and require a clean exit (status 0, "stopped" logged)
-# within 10 s. Run from the repository root: bash .github/p3proxy-lifecycle.sh
+# running; read /stats, upload one photo and view it through the proxy; scrape
+# /metrics and require the view counted and the cache, calibration and
+# similarity families present; then SIGTERM the proxy and require a clean
+# exit (status 0, "stopped" logged) within 10 s. Run from the repository
+# root: bash .github/p3proxy-lifecycle.sh
 set -euo pipefail
 
 psp_addr=127.0.0.1:18090
@@ -91,6 +93,12 @@ id="$(get -X POST --data-binary @"$tmp/photo.jpg" "http://$proxy_addr/upload" |
 get "http://$proxy_addr/photo/$id?size=thumb" -o "$tmp/thumb.jpg" || fail "view of $id failed"
 [ -s "$tmp/thumb.jpg" ] || fail "view of $id was empty"
 ls "$tmp/store" | grep -q . || fail "no secret part reached the disk store"
+get "http://$proxy_addr/metrics" > "$tmp/metrics.txt" || fail "GET /metrics failed"
+downloads="$(sed -n 's/^p3_proxy_requests_total{proxy="proxy",op="download"} \([0-9]*\)$/\1/p' "$tmp/metrics.txt")"
+[ "${downloads:-0}" -ge 1 ] || fail "/metrics counts ${downloads:-no} downloads, want >= 1"
+for family in p3_cache_ p3_calibration_ p3_similarity_; do
+  grep -q "^# TYPE $family" "$tmp/metrics.txt" || fail "/metrics has no ${family}* family"
+done
 
 kill -TERM "$proxy_pid"
 for _ in $(seq 100); do

@@ -202,25 +202,25 @@ type shardCounters struct {
 	repairs      atomic.Uint64
 }
 
-// ShardStats is a point-in-time snapshot of one shard's traffic, exposed
-// per shard on /metrics as p3_shard_*_total{shard="i"} (the naming scheme
-// is documented in ARCHITECTURE.md).
+// ShardStats is a point-in-time snapshot of one shard's traffic. Its
+// tagged fields are the p3_shard_*_total{shard="i"} series a serving stack
+// exports per shard through metrics.Export (ARCHITECTURE.md § Observability).
 type ShardStats struct {
 	// Reads counts slot fetches routed to this shard (each GetSecret fans
 	// one fetch per share slot).
-	Reads uint64 `json:"reads"`
+	Reads uint64 `json:"reads" metric:"counter" help:"Slot fetches routed to this shard."`
 	// ReadFailures counts slot fetches this shard failed or answered "not
 	// found" — the degraded-read signal.
-	ReadFailures uint64 `json:"read_failures"`
+	ReadFailures uint64 `json:"read_failures" metric:"counter" help:"Slot fetches this shard failed or missed (degraded reads)."`
 	// Puts counts share and tombstone writes routed to this shard, repairs
 	// included.
-	Puts uint64 `json:"puts"`
+	Puts uint64 `json:"puts" metric:"counter" help:"Share and tombstone writes routed to this shard."`
 	// PutFailures counts writes this shard failed (each failed upload or
 	// delete write parks a hint when the hint log has room).
-	PutFailures uint64 `json:"put_failures"`
+	PutFailures uint64 `json:"put_failures" metric:"counter" help:"Writes this shard failed."`
 	// Repairs counts shares read-repair, the scrubber or the hint drain
 	// restored onto this shard.
-	Repairs uint64 `json:"repairs"`
+	Repairs uint64 `json:"repairs" metric:"counter" help:"Shares restored onto this shard by read-repair, scrub or hint drain."`
 }
 
 // ShardStats returns a snapshot of every shard's counters, indexed like
@@ -260,45 +260,46 @@ type repairCounters struct {
 }
 
 // RepairStats is a point-in-time snapshot of the store's self-healing
-// activity, exposed on /metrics as p3_repair_* (naming scheme in
-// ARCHITECTURE.md).
+// activity. Its tagged fields are the store-wide p3_repair_*_total series
+// a serving stack exports through metrics.Export (ARCHITECTURE.md
+// § Observability).
 type RepairStats struct {
 	// ScrubCycles counts completed scrub passes (manual and daemon alike).
-	ScrubCycles uint64 `json:"scrub_cycles"`
+	ScrubCycles uint64 `json:"scrub_cycles" metric:"counter" help:"Completed scrub passes."`
 	// ObjectsScanned counts objects examined across all scrub passes and
 	// read-repairs.
-	ObjectsScanned uint64 `json:"objects_scanned"`
+	ObjectsScanned uint64 `json:"objects_scanned" metric:"counter" help:"Objects examined by scrub passes."`
 	// SharesChecked counts share slots verified healthy during scrubs.
-	SharesChecked uint64 `json:"shares_checked"`
+	SharesChecked uint64 `json:"shares_checked" metric:"counter" help:"Share slots verified healthy."`
 	// SharesMissing counts share slots found empty on their home shard.
-	SharesMissing uint64 `json:"shares_missing"`
+	SharesMissing uint64 `json:"shares_missing" metric:"counter" help:"Share slots found empty on their home shard."`
 	// SharesCorrupt counts shares whose checksum failed — bit rot caught
 	// before it cost a read.
-	SharesCorrupt uint64 `json:"shares_corrupt"`
+	SharesCorrupt uint64 `json:"shares_corrupt" metric:"counter" help:"Shares failing their checksum (bit rot)."`
 	// SharesRepaired counts shares re-encoded and written back to their
 	// home shard by the scrubber.
-	SharesRepaired uint64 `json:"shares_repaired"`
+	SharesRepaired uint64 `json:"shares_repaired" metric:"counter" help:"Shares re-encoded onto their home shard."`
 	// SharesRemoved counts stale or misplaced share copies cleaned up
 	// (after a rebalance, or superseded epochs).
-	SharesRemoved uint64 `json:"shares_removed"`
+	SharesRemoved uint64 `json:"shares_removed" metric:"counter" help:"Stale or misplaced share copies cleaned up."`
 	// TombstonesPropagated counts deletion markers the scrubber copied over
 	// stale shares so a revived shard cannot resurrect a deleted secret.
-	TombstonesPropagated uint64 `json:"tombstones_propagated"`
+	TombstonesPropagated uint64 `json:"tombstones_propagated" metric:"counter" help:"Tombstones copied over stale shares."`
 	// LostObjects counts objects a scrub found with fewer than k intact
 	// shares and no tombstone — genuine data loss, the alarm metric.
-	LostObjects uint64 `json:"lost_objects"`
+	LostObjects uint64 `json:"lost_objects" metric:"counter" help:"Objects found unrecoverable (alarm metric)."`
 	// DegradedReads counts GetSecret calls served without share 0's
 	// stripe: a parity reconstruction, or a non-preferred replica.
-	DegradedReads uint64 `json:"degraded_reads"`
+	DegradedReads uint64 `json:"degraded_reads" metric:"counter" help:"Reads served without share 0 (parity or a non-preferred replica)."`
 	// HintsParked counts shares parked locally because their home shard was
 	// down at write time (hinted handoff).
-	HintsParked uint64 `json:"hints_parked"`
+	HintsParked uint64 `json:"hints_parked" metric:"counter" help:"Shares parked for down shards (hinted handoff)."`
 	// HintsDropped counts shares that could not be parked because the hint
 	// log was full; the scrubber restores that redundancy instead.
-	HintsDropped uint64 `json:"hints_dropped"`
+	HintsDropped uint64 `json:"hints_dropped" metric:"counter" help:"Shares dropped because the hint log was full."`
 	// HintsDrained counts parked shares delivered to their revived home
 	// shard.
-	HintsDrained uint64 `json:"hints_drained"`
+	HintsDrained uint64 `json:"hints_drained" metric:"counter" help:"Parked shares delivered to revived shards."`
 }
 
 // RepairStats returns a snapshot of the self-healing counters.

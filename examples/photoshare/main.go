@@ -178,8 +178,10 @@ func main() {
 
 	// On exit, dump the process's metrics snapshot — the same Prometheus
 	// text exposition `p3proxy` serves on GET /metrics, covering both
-	// proxies' operations and caches, the codec's split/join timings, and
-	// the per-shard counters (naming scheme in ARCHITECTURE.md).
+	// proxies' operations, caches and calibration, and the codec's
+	// split/join timings (naming scheme in ARCHITECTURE.md). The per-shard
+	// series are exported by internal/stack, which this hand-built pair of
+	// proxies does not use; the shard listing above stands in for them.
 	fmt.Println("\nmetrics snapshot (as served on GET /metrics):")
 	var expo bytes.Buffer
 	if err := metrics.Default.WritePrometheus(&expo); err != nil {

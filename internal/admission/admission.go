@@ -150,11 +150,14 @@ type classState struct {
 	svcDirty int
 	svcP95   time.Duration
 
-	admitted *metrics.Counter
-	queued   *metrics.Counter
+	admitted metrics.Counter
+	queued   metrics.Counter
 	waitHist *metrics.Histogram
 	shed     [4]*metrics.Counter // by reason, indexed by reasonIndex
 }
+
+// reasons lists the shed reasons in reasonIndex order.
+var reasons = [...]string{ReasonClientRate, ReasonStorm, ReasonDeadline, ReasonQueueFull}
 
 func reasonIndex(reason string) int {
 	switch reason {
@@ -182,10 +185,7 @@ type Controller struct {
 	buckets *bucketLRU
 	storm   *detector
 
-	clamps      *metrics.Counter
-	inflightG   *metrics.Gauge
-	shedTotal   [4]uint64 // mirrors the per-reason counters, summed across classes; under mu
-	admittedAll uint64    // under mu
+	clamps *metrics.Counter
 }
 
 // New builds a Controller registering its instruments in r under the given
@@ -224,33 +224,20 @@ func New(cfg Config, r *metrics.Registry, name string) (*Controller, error) {
 	}
 	for cl := Class(0); cl < numClasses; cl++ {
 		cs := &classState{}
-		cs.admitted = r.Counter("p3_admission_admitted_total",
-			"Requests admitted past the admission layer, by class.", labels(cl)...)
-		cs.queued = r.Counter("p3_admission_queued_total",
-			"Admitted requests that had to wait in the class queue first.", labels(cl)...)
 		cs.waitHist = r.Histogram("p3_admission_queue_wait_seconds",
 			"Time admitted requests spent queued, by class.", labels(cl)...)
-		for _, reason := range []string{ReasonClientRate, ReasonStorm, ReasonDeadline, ReasonQueueFull} {
+		for i, reason := range reasons {
 			l := append(labels(cl), metrics.Label{Key: "reason", Value: reason})
-			cs.shed[reasonIndex(reason)] = r.Counter("p3_admission_shed_total",
+			cs.shed[i] = r.Counter("p3_admission_shed_total",
 				"Requests shed by the admission layer, by class and reason.", l...)
 		}
-		cl := cl
-		r.SetGaugeFunc("p3_admission_queue_depth",
-			"Requests currently waiting in the class queue.",
-			func() float64 {
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				return float64(c.classes[cl].queue.Len())
-			}, labels(cl)...)
 		c.classes[cl] = cs
+		metrics.Export(r, "p3_admission", func() ClassStats { return c.classStats(cl) }, labels(cl)...)
 	}
 	c.clamps = r.Counter("p3_admission_clamped_total",
 		"Client keys newly clamped by the storm detector.",
 		metrics.Label{Key: "proxy", Value: name})
-	c.inflightG = r.Gauge("p3_admission_inflight",
-		"Admitted requests currently executing.",
-		metrics.Label{Key: "proxy", Value: name})
+	metrics.Export(r, "p3_admission", c.Stats, metrics.Label{Key: "proxy", Value: name})
 	return c, nil
 }
 
@@ -308,7 +295,6 @@ func (c *Controller) Admit(ctx context.Context, class Class, client string) (rel
 	if c.inflight < c.cfg.MaxInflight {
 		c.inflight++
 		c.mu.Unlock()
-		c.inflightG.Set(int64(c.loadInflight()))
 		cs.admitted.Inc()
 		return c.releaser(cs, now), nil
 	}
@@ -364,7 +350,6 @@ func (c *Controller) releaser(cs *classState, start time.Time) func() {
 				c.inflight--
 			}
 			c.mu.Unlock()
-			c.inflightG.Set(int64(c.loadInflight()))
 		})
 	}
 }
@@ -380,20 +365,11 @@ func (c *Controller) nextWaiterLocked() *waiter {
 	return nil
 }
 
-func (c *Controller) loadInflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
 // shed counts and builds one rejection. RetryAfter is clamped to at least
 // one second: the HTTP header has whole-second resolution and "0" reads as
 // "hammer me again immediately", the opposite of back-pressure.
 func (c *Controller) shed(cs *classState, class Class, reason string, retry time.Duration) error {
 	cs.shed[reasonIndex(reason)].Inc()
-	c.mu.Lock()
-	c.shedTotal[reasonIndex(reason)]++
-	c.mu.Unlock()
 	if retry < time.Second {
 		retry = time.Second
 	}
@@ -429,12 +405,15 @@ func (cs *classState) p95() time.Duration {
 	return cs.svcP95
 }
 
-// ClassStats is one class's slice of the Stats snapshot.
+// ClassStats is one class's slice of the Stats snapshot. The tagged
+// fields are p3_admission_* series labeled with the class
+// (metrics.Export); Shed is the sum of the per-reason
+// p3_admission_shed_total series.
 type ClassStats struct {
-	Admitted     uint64  `json:"admitted"`
-	Queued       uint64  `json:"queued"`
+	Admitted     uint64  `json:"admitted" metric:"counter" help:"Requests admitted past the admission layer, by class."`
+	Queued       uint64  `json:"queued" metric:"counter" help:"Admitted requests that had to wait in the class queue first."`
 	Shed         uint64  `json:"shed"`
-	QueueDepth   int     `json:"queue_depth"`
+	QueueDepth   int     `json:"queue_depth" metric:"gauge" help:"Requests currently waiting in the class queue."`
 	P95ServiceMs float64 `json:"p95_service_ms"`
 }
 
@@ -444,42 +423,42 @@ type Stats struct {
 	Cached       ClassStats        `json:"cached"`
 	Cold         ClassStats        `json:"cold"`
 	Calibrate    ClassStats        `json:"calibrate"`
-	Inflight     int               `json:"inflight"`
+	Inflight     int               `json:"inflight" metric:"gauge" help:"Admitted requests currently executing."`
 	ShedByReason map[string]uint64 `json:"shed_by_reason"`
 	ClampedKeys  int               `json:"clamped_keys"`
 	StormActive  bool              `json:"storm_active"`
 }
 
+// classStats snapshots one class.
+func (c *Controller) classStats(cl Class) ClassStats {
+	cs := c.classes[cl]
+	var shed uint64
+	for _, ctr := range cs.shed {
+		shed += ctr.Value()
+	}
+	c.mu.Lock()
+	depth := cs.queue.Len()
+	c.mu.Unlock()
+	return ClassStats{
+		Admitted:     cs.admitted.Value(),
+		Queued:       cs.queued.Value(),
+		Shed:         shed,
+		QueueDepth:   depth,
+		P95ServiceMs: float64(cs.p95()) / float64(time.Millisecond),
+	}
+}
+
 // Stats snapshots the controller.
 func (c *Controller) Stats() Stats {
-	var s Stats
-	class := func(cl Class) ClassStats {
-		cs := c.classes[cl]
-		var shed uint64
-		for _, ctr := range cs.shed {
-			shed += ctr.Value()
-		}
-		c.mu.Lock()
-		depth := cs.queue.Len()
-		c.mu.Unlock()
-		return ClassStats{
-			Admitted:     cs.admitted.Value(),
-			Queued:       cs.queued.Value(),
-			Shed:         shed,
-			QueueDepth:   depth,
-			P95ServiceMs: float64(cs.p95()) / float64(time.Millisecond),
-		}
-	}
-	s.Cached, s.Cold, s.Calibrate = class(Cached), class(Cold), class(Calibrate)
+	s := Stats{Cached: c.classStats(Cached), Cold: c.classStats(Cold), Calibrate: c.classStats(Calibrate)}
 	c.mu.Lock()
 	s.Inflight = c.inflight
-	shed := c.shedTotal
 	c.mu.Unlock()
-	s.ShedByReason = map[string]uint64{
-		ReasonClientRate: shed[reasonIndex(ReasonClientRate)],
-		ReasonStorm:      shed[reasonIndex(ReasonStorm)],
-		ReasonDeadline:   shed[reasonIndex(ReasonDeadline)],
-		ReasonQueueFull:  shed[reasonIndex(ReasonQueueFull)],
+	s.ShedByReason = make(map[string]uint64, len(reasons))
+	for i, reason := range reasons {
+		for _, cs := range c.classes {
+			s.ShedByReason[reason] += cs.shed[i].Value()
+		}
 	}
 	if c.storm != nil {
 		s.ClampedKeys, s.StormActive = c.storm.snapshot()

@@ -20,21 +20,15 @@ import (
 
 // Stats is a point-in-time snapshot of a cache's counters. Counters are
 // cumulative since construction; Entries and Bytes describe the current
-// contents.
-//
-// Each field corresponds 1:1 to a metric series the proxy registers for
-// its caches (one naming scheme, documented in ARCHITECTURE.md): Hits ↔
-// p3_cache_hits_total, Misses ↔ p3_cache_misses_total, Coalesced ↔
-// p3_cache_coalesced_total, Evictions ↔ p3_cache_evictions_total, Entries
-// ↔ p3_cache_entries, Bytes ↔ p3_cache_bytes — all labeled with the cache
-// name. Renaming a field here means renaming the series there.
+// contents. The tagged fields are the p3_cache_* series the proxy exports
+// per cache through metrics.Export (ARCHITECTURE.md § Observability).
 type Stats struct {
-	Hits      uint64 `json:"hits"`      // GetOrLoad/Get served from the cache
-	Misses    uint64 `json:"misses"`    // GetOrLoad calls that ran the loader
-	Coalesced uint64 `json:"coalesced"` // GetOrLoad calls that joined an in-flight load
-	Evictions uint64 `json:"evictions"` // entries removed to satisfy the byte/entry budget
-	Entries   int    `json:"entries"`   // current entry count
-	Bytes     int64  `json:"bytes"`     // current sum of entry sizes
+	Hits      uint64 `json:"hits" metric:"counter" help:"Cache lookups served from memory."`
+	Misses    uint64 `json:"misses" metric:"counter" help:"Cache lookups that ran the loader."`
+	Coalesced uint64 `json:"coalesced" metric:"counter" help:"Cache lookups that joined an in-flight load."`
+	Evictions uint64 `json:"evictions" metric:"counter" help:"Entries evicted to fit the cache budget."`
+	Entries   int    `json:"entries" metric:"gauge" help:"Entries currently cached."`
+	Bytes     int64  `json:"bytes" metric:"gauge" help:"Bytes currently cached."`
 }
 
 // Cache is a size-bounded LRU keyed by string. The zero value is not

@@ -98,15 +98,15 @@ type Store struct {
 	tombs  []*entry          // dead entries awaiting provider delete
 	seq    uint64            // logical ID minting
 
-	uploads      *metrics.Counter
-	dupHits      *metrics.Counter
-	pspUploads   *metrics.Counter
-	deletes      *metrics.Counter
-	pspDeletes   *metrics.Counter
-	bytesLogical *metrics.Counter
-	bytesStored  *metrics.Counter
-	bytesSaved   *metrics.Counter
-	negativeRefs *metrics.Counter // alarm: must stay zero forever
+	uploads      metrics.Counter
+	dupHits      metrics.Counter
+	pspUploads   metrics.Counter
+	deletes      metrics.Counter
+	pspDeletes   metrics.Counter
+	bytesLogical metrics.Counter
+	bytesStored  metrics.Counter
+	bytesSaved   metrics.Counter
+	negativeRefs metrics.Counter // alarm: must stay zero forever
 }
 
 // New wraps next in a content-addressed dedup layer.
@@ -120,32 +120,7 @@ func New(next p3.PhotoService, opts ...Option) *Store {
 		byHash: make(map[string]*entry),
 		byID:   make(map[string]*entry),
 	}
-	r := cfg.registry
-	labels := []metrics.Label{{Key: "store", Value: "dedup"}}
-	s.uploads = r.Counter("p3_dedup_uploads_total",
-		"Logical public-part uploads through the dedup layer.", labels...)
-	s.dupHits = r.Counter("p3_dedup_dup_hits_total",
-		"Uploads that shared an already-stored content hash.", labels...)
-	s.pspUploads = r.Counter("p3_dedup_provider_uploads_total",
-		"Distinct contents actually uploaded to the provider.", labels...)
-	s.deletes = r.Counter("p3_dedup_deletes_total",
-		"Logical photo deletions (reference drops).", labels...)
-	s.pspDeletes = r.Counter("p3_dedup_provider_deletes_total",
-		"Provider blobs deleted after their last reference dropped.", labels...)
-	s.bytesLogical = r.Counter("p3_dedup_bytes_logical_total",
-		"Public-part bytes uploaded logically (before dedup).", labels...)
-	s.bytesStored = r.Counter("p3_dedup_bytes_stored_total",
-		"Public-part bytes actually sent to the provider.", labels...)
-	s.bytesSaved = r.Counter("p3_dedup_bytes_saved_total",
-		"Public-part bytes dedup kept off the provider.", labels...)
-	s.negativeRefs = r.Counter("p3_dedup_negative_refs_total",
-		"Reference counts observed below zero (alarm metric; must stay 0).", labels...)
-	r.SetGaugeFunc("p3_dedup_unique_blobs", "Distinct contents currently stored.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.byHash)) }, labels...)
-	r.SetGaugeFunc("p3_dedup_logical_photos", "Logical photo IDs currently live.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.byID)) }, labels...)
-	r.SetGaugeFunc("p3_dedup_tombstones", "Dead entries awaiting provider delete.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.tombs)) }, labels...)
+	metrics.Export(cfg.registry, "p3_dedup", s.Stats, metrics.Label{Key: "store", Value: "dedup"})
 	return s
 }
 
@@ -346,20 +321,20 @@ func (s *Store) deleteNext(ctx context.Context, pspID string) error {
 }
 
 // Stats is a snapshot of the dedup layer for /stats and the bench
-// harness. Field names correspond 1:1 to the p3_dedup_* series.
+// harness. The tagged fields are the p3_dedup_* series (metrics.Export).
 type Stats struct {
-	Uploads         uint64 `json:"uploads"`
-	DupHits         uint64 `json:"dup_hits"`
-	ProviderUploads uint64 `json:"provider_uploads"`
-	Deletes         uint64 `json:"deletes"`
-	ProviderDeletes uint64 `json:"provider_deletes"`
-	BytesLogical    uint64 `json:"bytes_logical"`
-	BytesStored     uint64 `json:"bytes_stored"`
-	BytesSaved      uint64 `json:"bytes_saved"`
-	NegativeRefs    uint64 `json:"negative_refs"`
-	UniqueBlobs     int    `json:"unique_blobs"`
-	LogicalPhotos   int    `json:"logical_photos"`
-	Tombstones      int    `json:"tombstones"`
+	Uploads         uint64 `json:"uploads" metric:"counter" help:"Logical public-part uploads through the dedup layer."`
+	DupHits         uint64 `json:"dup_hits" metric:"counter" help:"Uploads that shared an already-stored content hash."`
+	ProviderUploads uint64 `json:"provider_uploads" metric:"counter" help:"Distinct contents actually uploaded to the provider."`
+	Deletes         uint64 `json:"deletes" metric:"counter" help:"Logical photo deletions (reference drops)."`
+	ProviderDeletes uint64 `json:"provider_deletes" metric:"counter" help:"Provider blobs deleted after their last reference dropped."`
+	BytesLogical    uint64 `json:"bytes_logical" metric:"counter" help:"Public-part bytes uploaded logically (before dedup)."`
+	BytesStored     uint64 `json:"bytes_stored" metric:"counter" help:"Public-part bytes actually sent to the provider."`
+	BytesSaved      uint64 `json:"bytes_saved" metric:"counter" help:"Public-part bytes dedup kept off the provider."`
+	NegativeRefs    uint64 `json:"negative_refs" metric:"counter" help:"Reference counts observed below zero (alarm metric; must stay 0)."`
+	UniqueBlobs     int    `json:"unique_blobs" metric:"gauge" help:"Distinct contents currently stored."`
+	LogicalPhotos   int    `json:"logical_photos" metric:"gauge" help:"Logical photo IDs currently live."`
+	Tombstones      int    `json:"tombstones" metric:"gauge" help:"Dead entries awaiting provider delete."`
 }
 
 // Stats returns the current counters and index sizes.
@@ -382,9 +357,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// DedupStats is Stats under a collision-proof name, so wrappers can be
-// detected by interface assertion (the proxy's dedupStatser) without
-// clashing with other backends' Stats methods.
+// DedupStats is Stats under a collision-proof name, so the proxy's /stats
+// view can detect the layer by interface assertion (its dedupStatser)
+// without clashing with other backends' Stats methods. The p3_dedup_*
+// series need no such detection: New exports them from Stats.
 func (s *Store) DedupStats() Stats { return s.Stats() }
 
 // ScrubReport summarizes one Scrub pass.

@@ -11,10 +11,12 @@
 //
 // Instruments are obtained from a Registry by name plus optional labels;
 // repeated lookups of the same (name, labels) return the same instrument,
-// so independently constructed components share series naturally. The
-// package-level Default registry is what cmd/p3proxy serves on GET
-// /metrics; components built for tests can be pointed at a private
-// NewRegistry instead.
+// so independently constructed components share series naturally.
+// Counters and gauges that a subsystem's Stats snapshot already reports
+// are not instruments: Export turns the snapshot's tagged fields into
+// scrape-time series. The package-level Default registry is what
+// cmd/p3proxy serves on GET /metrics; components built for tests can be
+// pointed at a private NewRegistry instead.
 //
 // The one naming scheme used across the repo (documented in
 // ARCHITECTURE.md): metrics are prefixed p3_, cumulative counters end in
@@ -181,11 +183,11 @@ func quantile(counts *[histBuckets + 1]uint64, total uint64, q float64) time.Dur
 }
 
 // CounterFunc is a monotonically increasing count read from elsewhere at
-// scrape time — how existing counters (cache.Stats, shard stats) are
-// exposed without double-counting state.
+// scrape time; Export builds one per tagged counter field.
 type CounterFunc func() uint64
 
-// GaugeFunc is an instantaneous value read from elsewhere at scrape time.
+// GaugeFunc is an instantaneous value read from elsewhere at scrape time;
+// Export builds one per tagged gauge field.
 type GaugeFunc func() float64
 
 // Label is one key=value dimension of a metric series.

@@ -107,20 +107,20 @@ type CalibrationOutcome struct {
 // PSP's rendition of the calibration photo; an exact match, whose PSNR is
 // infinite, reads math.MaxFloat64 because JSON has no infinity.
 type CalibrationStats struct {
-	Epoch         uint64  `json:"epoch"`
+	Epoch         uint64  `json:"epoch" metric:"gauge" help:"Currently served calibration epoch (0 = not yet calibrated)."`
 	Filter        string  `json:"filter"`
 	PreBlur       float64 `json:"pre_blur"`
 	SharpenAmount float64 `json:"sharpen_amount"`
 	Gamma         float64 `json:"gamma"`
 	MatchPSNRdB   float64 `json:"match_psnr_db"`
-	InFlight      bool    `json:"in_flight"`
-	Probes        uint64  `json:"probes"`
-	ProbeHits     uint64  `json:"probe_hits"`
-	Sweeps        uint64  `json:"sweeps"`
-	Rejected      uint64  `json:"rejected_in_flight"`
-	StaleServes   uint64  `json:"stale_serves"`
-	Warmed        uint64  `json:"variants_warmed"`
-	WarmHits      uint64  `json:"warm_hits"`
+	InFlight      bool    `json:"in_flight" metric:"gauge" help:"1 while a calibration pass is running."`
+	Probes        uint64  `json:"probes" metric:"counter" help:"Incremental recalibration probes run (one-photo re-verification)."`
+	ProbeHits     uint64  `json:"probe_hits" metric:"counter" help:"Probes that confirmed the current parameters, skipping the full sweep."`
+	Sweeps        uint64  `json:"sweeps" metric:"counter" help:"Full candidate-grid sweeps run."`
+	Rejected      uint64  `json:"rejected_in_flight" metric:"counter,rejected" help:"Calibration requests rejected because one was already in flight."`
+	StaleServes   uint64  `json:"stale_serves" metric:"counter" help:"Downloads served from the previous epoch while a calibration was in flight."`
+	Warmed        uint64  `json:"variants_warmed" metric:"counter,warmed" help:"Variants re-reconstructed by post-flip pre-warming."`
+	WarmHits      uint64  `json:"warm_hits" metric:"counter" help:"Downloads that landed on a pre-warmed variant entry."`
 	ProbeP50Ms    float64 `json:"probe_p50_ms"`
 	SweepP50Ms    float64 `json:"sweep_p50_ms"`
 }
@@ -145,60 +145,34 @@ type calibState struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	probes      *metrics.Counter
-	probeHits   *metrics.Counter
-	sweeps      *metrics.Counter
-	rejected    *metrics.Counter
-	staleServes *metrics.Counter
-	warmed      *metrics.Counter
-	warmHits    *metrics.Counter
+	probes      metrics.Counter
+	probeHits   metrics.Counter
+	sweeps      metrics.Counter
+	rejected    metrics.Counter
+	staleServes metrics.Counter
+	warmed      metrics.Counter
+	warmHits    metrics.Counter
 	probeHist   *metrics.Histogram
 	sweepHist   *metrics.Histogram
 }
 
-// initCalibMetrics builds the calibration instruments in r, labeled with
-// the proxy instance name (rows documented in ARCHITECTURE.md).
+// initCalibMetrics exports the calibration counters and gauges from the
+// stats snapshot and builds the latency histograms in r, labeled with the
+// proxy instance name (rows documented in ARCHITECTURE.md).
 func (c *calibState) initCalibMetrics(r *metrics.Registry, name string) {
 	labels := []metrics.Label{{Key: "proxy", Value: name}}
-	c.probes = r.Counter("p3_calibration_probes_total",
-		"Incremental recalibration probes run (one-photo re-verification).", labels...)
-	c.probeHits = r.Counter("p3_calibration_probe_hits_total",
-		"Probes that confirmed the current parameters, skipping the full sweep.", labels...)
-	c.sweeps = r.Counter("p3_calibration_sweeps_total",
-		"Full candidate-grid sweeps run.", labels...)
-	c.rejected = r.Counter("p3_calibration_rejected_total",
-		"Calibration requests rejected because one was already in flight.", labels...)
-	c.staleServes = r.Counter("p3_calibration_stale_serves_total",
-		"Downloads served from the previous epoch while a calibration was in flight.", labels...)
-	c.warmed = r.Counter("p3_calibration_warmed_total",
-		"Variants re-reconstructed by post-flip pre-warming.", labels...)
-	c.warmHits = r.Counter("p3_calibration_warm_hits_total",
-		"Downloads that landed on a pre-warmed variant entry.", labels...)
 	c.probeHist = r.Histogram("p3_calibration_probe_seconds",
 		"Wall time of recalibration probes (upload + fetch + verify).", labels...)
 	c.sweepHist = r.Histogram("p3_calibration_sweep_seconds",
 		"Wall time of full candidate-grid sweeps (search only).", labels...)
-	r.SetGaugeFunc("p3_calibration_epoch",
-		"Currently served calibration epoch (0 = not yet calibrated).",
-		func() float64 {
-			if ep := c.cur.Load(); ep != nil {
-				return float64(ep.Epoch)
-			}
-			return 0
-		}, labels...)
+	metrics.Export(r, "p3_calibration", c.stats, labels...)
+	// The match PSNR stays a func: an exact match reads +Inf here, which
+	// the snapshot's JSON field has to clamp.
 	r.SetGaugeFunc("p3_calibration_match_psnr_db",
 		"PSNR (dB) at which the published epoch's pipeline matched the PSP's rendition of the calibration photo (0 = not yet calibrated).",
 		func() float64 {
 			if ep := c.cur.Load(); ep != nil {
 				return ep.Result.PSNR
-			}
-			return 0
-		}, labels...)
-	r.SetGaugeFunc("p3_calibration_in_flight",
-		"1 while a calibration pass is running.",
-		func() float64 {
-			if c.busy.Load() {
-				return 1
 			}
 			return 0
 		}, labels...)

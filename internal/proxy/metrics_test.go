@@ -1,11 +1,12 @@
 package proxy
 
 // End-to-end observability tests: the /metrics exposition parses, covers
-// every instrumented layer (proxy ops, caches, codec, shards), and its
-// cumulative counters only ever increase; /stats agrees with it.
+// every layer the proxy instruments (proxy ops, caches, codec), and its
+// cumulative counters only ever increase; /stats agrees with it. The
+// store's p3_shard_* and p3_repair_* series are exported by the stack
+// builder and tested there (internal/stack).
 
 import (
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"net/url"
@@ -116,8 +117,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`p3_cache_bytes{proxy="metrics-e2e",cache="variants"}`,
 		`p3_codec_split_seconds_count`,
 		`p3_codec_join_processed_seconds_count`,
-		`p3_shard_reads_total{shard="0"}`,
-		`p3_shard_puts_total{shard="2"}`,
 	}
 	for _, s := range wantSeries {
 		if _, ok := first[s]; !ok {
@@ -130,15 +129,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := first[`p3_cache_hits_total{proxy="metrics-e2e",cache="variants"}`]; got != 2 {
 		t.Errorf("variant cache hits = %v, want 2", got)
 	}
-	// Replication: 2 replicas of the photo's secret part.
-	var puts float64
-	for i := 0; i < 3; i++ {
-		puts += first[fmt.Sprintf(`p3_shard_puts_total{shard="%d"}`, i)]
-	}
-	if puts < 2 {
-		t.Errorf("total shard puts = %v, want >= 2", puts)
-	}
-
 	// /stats must agree with the exposition on the op counters.
 	st := p.Stats()
 	if float64(st.Download.Count) != first[`p3_proxy_requests_total{proxy="metrics-e2e",op="download"}`] {
@@ -190,72 +180,5 @@ func TestMetricsErrorsCounted(t *testing.T) {
 	}
 	if after.Errors != before.Errors+1 {
 		t.Errorf("download errors %d -> %d, want +1", before.Errors, after.Errors)
-	}
-}
-
-// TestMetricsErasureStore checks that a proxy over an erasure-coded store
-// registers the p3_shard_* per-shard series and the p3_repair_*
-// self-healing series, and that share traffic actually moves them.
-func TestMetricsErasureStore(t *testing.T) {
-	key, err := p3.NewKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := p3.New(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]p3.SecretStore, 6)
-	for i := range shards {
-		shards[i] = p3.NewMemorySecretStore()
-	}
-	store, err := p3.NewErasureSecretStore(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	photos := &countingPhotos{s: psp.NewServer(psp.FlickrLike())}
-	p := New(codec, photos, store, WithMetricsName("metrics-erasure"))
-	publishTruePipeline(p, photos.s.Pipeline)
-	jpegBytes, _ := photoJPEG(t, 99, 320, 240)
-	id, err := p.Upload(ctx, jpegBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Download(ctx, id, url.Values{"size": {"small"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.ScrubOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	series := scrape(t, p)
-	wantSeries := []string{
-		`p3_shard_reads_total{shard="0"}`,
-		`p3_shard_puts_total{shard="5"}`,
-		`p3_shard_repairs_total{shard="3"}`,
-		`p3_repair_scrub_cycles_total`,
-		`p3_repair_objects_scanned_total`,
-		`p3_repair_lost_objects_total`,
-		`p3_repair_degraded_reads_total`,
-		`p3_repair_hints_parked_total`,
-	}
-	for _, s := range wantSeries {
-		if _, ok := series[s]; !ok {
-			t.Errorf("exposition missing series %s", s)
-		}
-	}
-	var puts float64
-	for i := 0; i < 6; i++ {
-		puts += series[fmt.Sprintf(`p3_shard_puts_total{shard="%d"}`, i)]
-	}
-	// The uploaded photo's secret part stripes into 6 shares.
-	if puts < 6 {
-		t.Errorf("total share puts = %v, want >= 6", puts)
-	}
-	if got := series[`p3_repair_scrub_cycles_total`]; got != 1 {
-		t.Errorf("scrub cycles = %v, want 1", got)
-	}
-	if got := series[`p3_repair_lost_objects_total`]; got != 0 {
-		t.Errorf("lost objects = %v, want 0", got)
 	}
 }

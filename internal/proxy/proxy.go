@@ -42,19 +42,18 @@
 //
 // # Observability
 //
-// The proxy instruments its three operations (download, upload, calibrate)
-// with request/error counters and log-scale latency histograms
-// (internal/metrics), and registers scrape-time views of its caches'
-// counters and — when the secret store is sharded — each shard's
-// read/repair/failure counts. Everything lands in one metrics registry
-// (metrics.Default unless WithMetricsRegistry overrides it) served as
-// Prometheus-style text on GET /metrics; GET /stats serves the same
-// numbers as JSON, summarized per instance. The counter names follow the
-// one scheme documented in ARCHITECTURE.md: cache.Stats field ↔ metric
-// series correspondence is 1:1 (Hits ↔ p3_cache_hits_total, Misses ↔
-// p3_cache_misses_total, Coalesced ↔ p3_cache_coalesced_total, Evictions ↔
-// p3_cache_evictions_total, Entries ↔ p3_cache_entries, Bytes ↔
-// p3_cache_bytes).
+// The proxy instruments its operations (download, upload, calibrate and
+// the rest) with request/error counters and log-scale latency histograms
+// (internal/metrics). Its caches' and the calibration subsystem's counters
+// and gauges are the tagged fields of their Stats snapshots (cache.Stats,
+// CalibrationStats), which New hands to metrics.Export; the store, dedup
+// layer, similarity index and admission controller export their own Stats
+// the same way where they are built. Everything lands in one metrics
+// registry (metrics.Default unless WithMetricsRegistry overrides it)
+// served as Prometheus-style text on GET /metrics; GET /stats serves the
+// same snapshots as JSON. The series names follow the one scheme
+// documented in ARCHITECTURE.md, where a test holds every row to a real
+// series.
 package proxy
 
 import (
@@ -139,8 +138,9 @@ func WithMetricsRegistry(r *metrics.Registry) ProxyOption {
 
 // WithMetricsName sets the value of the proxy="..." label on this
 // instance's metric series (default "proxy"). Two proxies sharing one
-// registry must carry distinct names, or the later one's scrape-time cache
-// views replace the earlier one's.
+// registry must carry distinct names, or the later one's Stats-backed
+// series (cache and calibration counters and gauges) replace the earlier
+// one's, and their operation counters and histograms merge.
 func WithMetricsName(name string) ProxyOption {
 	return func(c *proxyConfig) { c.name = name }
 }
@@ -158,10 +158,10 @@ type OpStats struct {
 }
 
 // Stats is a snapshot of the proxy's serving layer: the three caches and
-// the three operations. Field names mirror the /metrics naming scheme
-// (ARCHITECTURE.md): each cache.Stats counter corresponds 1:1 to a
-// p3_cache_* series labeled with this cache's name, and each OpStats to
-// the p3_proxy_* series labeled with the operation.
+// the operations. Field names mirror the /metrics naming scheme
+// (ARCHITECTURE.md): each tagged cache.Stats field is the p3_cache_*
+// series labeled with this cache's name, and each OpStats summarizes the
+// p3_proxy_* series labeled with the operation.
 type Stats struct {
 	Secrets       cache.Stats      `json:"secrets"`
 	Dims          cache.Stats      `json:"dims"`
@@ -266,97 +266,6 @@ func newOpMetrics(r *metrics.Registry, proxyName, op string) opMetrics {
 	}
 }
 
-// registerCacheMetrics exposes one cache's cumulative counters and current
-// size as scrape-time funcs, labeled {proxy=name, cache=cacheName}. The
-// series names correspond 1:1 to cache.Stats fields (see the package
-// comment).
-func registerCacheMetrics[V any](r *metrics.Registry, proxyName, cacheName string, c *cache.Cache[V]) {
-	labels := []metrics.Label{{Key: "proxy", Value: proxyName}, {Key: "cache", Value: cacheName}}
-	counter := func(name, help string, read func(cache.Stats) uint64) {
-		r.SetCounterFunc(name, help, func() uint64 { return read(c.Stats()) }, labels...)
-	}
-	counter("p3_cache_hits_total", "Cache lookups served from memory.",
-		func(s cache.Stats) uint64 { return s.Hits })
-	counter("p3_cache_misses_total", "Cache lookups that ran the loader.",
-		func(s cache.Stats) uint64 { return s.Misses })
-	counter("p3_cache_coalesced_total", "Cache lookups that joined an in-flight load.",
-		func(s cache.Stats) uint64 { return s.Coalesced })
-	counter("p3_cache_evictions_total", "Entries evicted to fit the cache budget.",
-		func(s cache.Stats) uint64 { return s.Evictions })
-	r.SetGaugeFunc("p3_cache_entries", "Entries currently cached.",
-		func() float64 { return float64(c.Stats().Entries) }, labels...)
-	r.SetGaugeFunc("p3_cache_bytes", "Bytes currently cached.",
-		func() float64 { return float64(c.Stats().Bytes) }, labels...)
-}
-
-// storeStatser is what the striped secret store exposes; satisfied by
-// *p3.ErasureSecretStore (replicated or erasure-coded) without the proxy
-// naming the concrete type.
-type storeStatser interface {
-	Shards() int
-	ShardStats() []p3.ShardStats
-	RepairStats() p3.RepairStats
-}
-
-// registerStoreMetrics exposes the store's per-shard traffic as
-// p3_shard_*_total{shard="i"} and its store-level self-healing counters as
-// p3_repair_*_total. They carry no proxy label: the store is shared state,
-// and two proxies over one store would report identical numbers.
-func registerStoreMetrics(r *metrics.Registry, st storeStatser) {
-	for i := 0; i < st.Shards(); i++ {
-		labels := []metrics.Label{{Key: "shard", Value: fmt.Sprint(i)}}
-		counter := func(name, help string, read func(p3.ShardStats) uint64) {
-			idx := i
-			r.SetCounterFunc(name, help, func() uint64 {
-				stats := st.ShardStats()
-				if idx >= len(stats) {
-					return 0
-				}
-				return read(stats[idx])
-			}, labels...)
-		}
-		counter("p3_shard_reads_total", "Slot fetches routed to this shard.",
-			func(s p3.ShardStats) uint64 { return s.Reads })
-		counter("p3_shard_read_failures_total", "Slot fetches this shard failed or missed (degraded reads).",
-			func(s p3.ShardStats) uint64 { return s.ReadFailures })
-		counter("p3_shard_puts_total", "Share and tombstone writes routed to this shard.",
-			func(s p3.ShardStats) uint64 { return s.Puts })
-		counter("p3_shard_put_failures_total", "Writes this shard failed.",
-			func(s p3.ShardStats) uint64 { return s.PutFailures })
-		counter("p3_shard_repairs_total", "Shares restored onto this shard by read-repair, scrub or hint drain.",
-			func(s p3.ShardStats) uint64 { return s.Repairs })
-	}
-	repair := func(name, help string, read func(p3.RepairStats) uint64) {
-		r.SetCounterFunc(name, help, func() uint64 { return read(st.RepairStats()) })
-	}
-	repair("p3_repair_scrub_cycles_total", "Completed scrub passes.",
-		func(s p3.RepairStats) uint64 { return s.ScrubCycles })
-	repair("p3_repair_objects_scanned_total", "Objects examined by scrub passes.",
-		func(s p3.RepairStats) uint64 { return s.ObjectsScanned })
-	repair("p3_repair_shares_checked_total", "Share slots verified healthy.",
-		func(s p3.RepairStats) uint64 { return s.SharesChecked })
-	repair("p3_repair_shares_missing_total", "Share slots found empty on their home shard.",
-		func(s p3.RepairStats) uint64 { return s.SharesMissing })
-	repair("p3_repair_shares_corrupt_total", "Shares failing their checksum (bit rot).",
-		func(s p3.RepairStats) uint64 { return s.SharesCorrupt })
-	repair("p3_repair_shares_repaired_total", "Shares re-encoded onto their home shard.",
-		func(s p3.RepairStats) uint64 { return s.SharesRepaired })
-	repair("p3_repair_shares_removed_total", "Stale or misplaced share copies cleaned up.",
-		func(s p3.RepairStats) uint64 { return s.SharesRemoved })
-	repair("p3_repair_tombstones_propagated_total", "Tombstones copied over stale shares.",
-		func(s p3.RepairStats) uint64 { return s.TombstonesPropagated })
-	repair("p3_repair_lost_objects_total", "Objects found unrecoverable (alarm metric).",
-		func(s p3.RepairStats) uint64 { return s.LostObjects })
-	repair("p3_repair_degraded_reads_total", "Reads served without share 0 (parity or a non-preferred replica).",
-		func(s p3.RepairStats) uint64 { return s.DegradedReads })
-	repair("p3_repair_hints_parked_total", "Shares parked for down shards (hinted handoff).",
-		func(s p3.RepairStats) uint64 { return s.HintsParked })
-	repair("p3_repair_hints_dropped_total", "Shares dropped because the hint log was full.",
-		func(s p3.RepairStats) uint64 { return s.HintsDropped })
-	repair("p3_repair_hints_drained_total", "Parked shares delivered to revived shards.",
-		func(s p3.RepairStats) uint64 { return s.HintsDrained })
-}
-
 // New builds a proxy that drives the split/reconstruct algorithm through
 // codec and reaches the PSP and blob store through the given backends.
 func New(codec *p3.Codec, photos p3.PhotoService, secrets p3.SecretStore, opts ...ProxyOption) *Proxy {
@@ -394,12 +303,12 @@ func New(codec *p3.Codec, photos p3.PhotoService, secrets p3.SecretStore, opts .
 		similarOp:     newOpMetrics(cfg.registry, cfg.name, "similar"),
 	}
 	p.calib.initCalibMetrics(cfg.registry, cfg.name)
-	registerCacheMetrics(cfg.registry, cfg.name, "secrets", p.secrets)
-	registerCacheMetrics(cfg.registry, cfg.name, "dims", p.dims)
-	registerCacheMetrics(cfg.registry, cfg.name, "variants", p.variants)
-	if st, ok := secrets.(storeStatser); ok {
-		registerStoreMetrics(cfg.registry, st)
+	cacheLabels := func(name string) []metrics.Label {
+		return []metrics.Label{{Key: "proxy", Value: cfg.name}, {Key: "cache", Value: name}}
 	}
+	metrics.Export(cfg.registry, "p3_cache", p.secrets.Stats, cacheLabels("secrets")...)
+	metrics.Export(cfg.registry, "p3_cache", p.dims.Stats, cacheLabels("dims")...)
+	metrics.Export(cfg.registry, "p3_cache", p.variants.Stats, cacheLabels("variants")...)
 	if cfg.recalInterval > 0 {
 		p.startRecalibrationLoop(cfg.recalInterval)
 	}
@@ -856,8 +765,9 @@ func statusFor(err error) int {
 // POST /calibrate[?force=1] runs one calibration pass (503 + Retry-After
 // while one is already in flight); GET /stats exposes the serving-layer
 // counters as JSON, and
-// GET /metrics serves the proxy's metrics registry (proxy, cache, codec
-// and shard series) as Prometheus-style text exposition.
+// GET /metrics serves the proxy's metrics registry (every series registered
+// in it: proxy, cache and calibration, plus whatever the layers built
+// around the proxy export there) as Prometheus-style text exposition.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.admission != nil {
 		// The admission layer keys its buckets and storm rates by client;

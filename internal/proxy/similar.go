@@ -34,9 +34,10 @@ func WithSimilarity(ix *similarity.Index) ProxyOption {
 	return func(c *proxyConfig) { c.similarity = ix }
 }
 
-// dedupStatser detects a dedup layer in the photos backend; satisfied
-// by *dedup.Store. Mirrors storeStatser: the proxy never
-// names the concrete backend, it only asks whether stats exist.
+// dedupStatser detects a dedup layer in the photos backend for the /stats
+// view; satisfied by *dedup.Store. The proxy never names the concrete
+// backend, it only asks whether stats exist. (The layer's /metrics series
+// are its own: dedup.New exports them.)
 type dedupStatser interface {
 	DedupStats() dedup.Stats
 }

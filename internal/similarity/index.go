@@ -112,10 +112,10 @@ type Index struct {
 	closeMu sync.Mutex
 	closed  bool
 
-	ingests      *metrics.Counter
-	ingestErrors *metrics.Counter
-	inline       *metrics.Counter
-	queries      *metrics.Counter
+	ingests      metrics.Counter
+	ingestErrors metrics.Counter
+	inline       metrics.Counter
+	queries      metrics.Counter
 	querySecs    *metrics.Histogram
 }
 
@@ -131,20 +131,9 @@ func NewIndex(opts ...Option) *Index {
 	}
 	r := cfg.registry
 	labels := []metrics.Label{{Key: "index", Value: "similarity"}}
-	ix.ingests = r.Counter("p3_similarity_ingests_total",
-		"Public parts hashed into the similarity index.", labels...)
-	ix.ingestErrors = r.Counter("p3_similarity_ingest_errors_total",
-		"Public parts that failed to hash (undecodable).", labels...)
-	ix.inline = r.Counter("p3_similarity_inline_ingests_total",
-		"Ingests hashed on the caller because the queue was full.", labels...)
-	ix.queries = r.Counter("p3_similarity_queries_total",
-		"Similarity queries served.", labels...)
+	metrics.Export(r, "p3_similarity", ix.Stats, labels...)
 	ix.querySecs = r.Histogram("p3_similarity_query_seconds",
 		"Similarity query latency (hash lookup + BK-tree walk).", labels...)
-	r.SetGaugeFunc("p3_similarity_index_size", "IDs currently indexed.",
-		func() float64 { ix.mu.RLock(); defer ix.mu.RUnlock(); return float64(len(ix.byID)) }, labels...)
-	r.SetGaugeFunc("p3_similarity_queue_depth", "Ingest jobs waiting for a worker.",
-		func() float64 { return float64(len(ix.jobs)) }, labels...)
 	for i := 0; i < cfg.workers; i++ {
 		ix.workers.Add(1)
 		go func() {
@@ -303,16 +292,18 @@ func (ix *Index) QueryID(id string, maxDist int) (matches []Match, ok bool) {
 	return matches, true
 }
 
-// Stats is a snapshot for /stats and the bench harness.
+// Stats is a snapshot for /stats and the bench harness. The tagged
+// fields are the p3_similarity_* series (metrics.Export).
 type Stats struct {
-	Ingests       uint64 `json:"ingests"`
-	IngestErrors  uint64 `json:"ingest_errors"`
-	InlineIngests uint64 `json:"inline_ingests"`
-	Queries       uint64 `json:"queries"`
-	Size          int    `json:"size"`
+	Ingests       uint64 `json:"ingests" metric:"counter" help:"Public parts hashed into the similarity index."`
+	IngestErrors  uint64 `json:"ingest_errors" metric:"counter" help:"Public parts that failed to hash (undecodable)."`
+	InlineIngests uint64 `json:"inline_ingests" metric:"counter" help:"Ingests hashed on the caller because the queue was full."`
+	Queries       uint64 `json:"queries" metric:"counter" help:"Similarity queries served."`
+	Size          int    `json:"size" metric:"gauge,index_size" help:"IDs currently indexed."`
+	QueueDepth    int    `json:"queue_depth" metric:"gauge" help:"Ingest jobs waiting for a worker."`
 }
 
-// Stats returns current counters and index size.
+// Stats returns current counters, index size and ingest queue depth.
 func (ix *Index) Stats() Stats {
 	return Stats{
 		Ingests:       ix.ingests.Value(),
@@ -320,5 +311,6 @@ func (ix *Index) Stats() Stats {
 		InlineIngests: ix.inline.Value(),
 		Queries:       ix.queries.Value(),
 		Size:          ix.Len(),
+		QueueDepth:    len(ix.jobs),
 	}
 }

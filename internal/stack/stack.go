@@ -132,7 +132,7 @@ func Build(cfg Config) (_ *Stack, err error) {
 		reg = metrics.Default
 	}
 
-	if s.Store, err = s.openStore(cfg); err != nil {
+	if s.Store, err = s.openStore(cfg, reg); err != nil {
 		return nil, fmt.Errorf("-store: %w", err)
 	}
 	codec, err := p3.New(cfg.Key, p3.WithThreshold(cfg.Threshold))
@@ -188,8 +188,10 @@ func (s *Stack) Close() {
 }
 
 // openStore turns cfg.Store into the composite SecretStore, registering
-// whatever it starts with s.
-func (s *Stack) openStore(cfg Config) (p3.SecretStore, error) {
+// whatever it starts with s. A striped store exports its per-shard
+// p3_shard_* and store-wide p3_repair_* series into reg; they carry no
+// proxy label, since the store is shared state.
+func (s *Stack) openStore(cfg Config, reg *metrics.Registry) (p3.SecretStore, error) {
 	spec, erasure := strings.CutPrefix(cfg.Store, "erasure:")
 	k, n := p3.DefaultErasureK, p3.DefaultErasureN
 	var shards []p3.SecretStore
@@ -243,6 +245,15 @@ func (s *Stack) openStore(cfg Config) (p3.SecretStore, error) {
 	}
 	// Close only stops the daemon; it has no failure to report.
 	s.closers = append(s.closers, func() { es.Close() })
+	for i := range es.Shards() {
+		metrics.Export(reg, "p3_shard", func() (st p3.ShardStats) {
+			if all := es.ShardStats(); i < len(all) { // a Rebalance may have shrunk the list
+				st = all[i]
+			}
+			return st
+		}, metrics.Label{Key: "shard", Value: strconv.Itoa(i)})
+	}
+	metrics.Export(reg, "p3_repair", es.RepairStats)
 	return es, nil
 }
 

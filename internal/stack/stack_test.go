@@ -22,7 +22,7 @@ import (
 // openSpec runs the -store grammar alone, the way Build does.
 func openSpec(spec string, replicas int) (*Stack, p3.SecretStore, error) {
 	s := &Stack{}
-	store, err := s.openStore(Config{Store: spec, Replicas: replicas, Timeout: time.Second})
+	store, err := s.openStore(Config{Store: spec, Replicas: replicas, Timeout: time.Second}, metrics.NewRegistry())
 	return s, store, err
 }
 
@@ -97,7 +97,7 @@ func TestWrapShardSeesEveryLeafInOrder(t *testing.T) {
 			seen = append(seen, i)
 			return st
 		},
-	})
+	}, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
