@@ -31,7 +31,7 @@ type Options struct {
 	// Workers is the bounded worker pool the split and join pipelines fan
 	// their band work out on: the threshold split and coefficient
 	// recombination run as bands of block rows, the public and secret parts
-	// encode (and decode) concurrently, and the encoder's statistics pass
+	// encode (and decode) concurrently, and the encoder's token pass
 	// parallelizes per band. nil runs everything sequentially with outputs
 	// byte-identical to the parallel runs.
 	Workers *work.Pool
@@ -120,7 +120,7 @@ func splitJPEGInto(jpegBytes []byte, key Key, opts *Options, s *SplitScratch) (*
 	// the decode itself (see jpegx.DecodeBytesSplit): the canonical baseline
 	// shape mirrors the split structure symbol for symbol, so serializing a
 	// part is table derivation plus a linear token replay — no split walk, no
-	// statistics pass, no coefficient images for the parts.
+	// token pass over a part image, no coefficient images for the parts.
 	im, cap, err := jpegx.DecodeBytesSplit(jpegBytes, t, s.srcIm, &s.dec)
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding input: %w", err)

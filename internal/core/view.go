@@ -126,8 +126,8 @@ func (s *ViewScratch) Join(key Key, publicJPEG, secretBlob []byte, opFor ViewOp,
 // JPEG under opts, returned in a slice of exactly its length that does not
 // alias s. The forward transform writes into the public part's coefficient
 // image, which Join no longer needs once the planes are built, and the
-// stream into s's encode buffer; a sequential Huffman statistics pass keeps
-// its tokens in s too.
+// stream into s's encode buffer; a sequential token pass keeps its tokens in
+// s too.
 func (s *ViewScratch) Encode(pix *jpegx.PlanarImage, opts *jpegx.PixelEncodeOptions) ([]byte, error) {
 	im, err := pix.ToCoeffsInto(s.pubIm, opts.Quality, opts.Subsampling, &s.down)
 	if err != nil {

@@ -357,12 +357,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// DedupStats is Stats under a collision-proof name, so the proxy's /stats
-// view can detect the layer by interface assertion (its dedupStatser)
-// without clashing with other backends' Stats methods. The p3_dedup_*
-// series need no such detection: New exports them from Stats.
-func (s *Store) DedupStats() Stats { return s.Stats() }
-
 // ScrubReport summarizes one Scrub pass.
 type ScrubReport struct {
 	Tombstones     int `json:"tombstones"`      // parked tombstones examined

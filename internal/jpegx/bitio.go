@@ -233,19 +233,6 @@ func newBitWriter(w io.Writer) *bitWriter {
 	return &bitWriter{w: w, buf: make([]byte, 0, 4096)}
 }
 
-// reset re-aims the writer at w, keeping the chunk buffer; the progressive
-// encoder reuses one writer across its ten scans.
-func (bw *bitWriter) reset(w io.Writer) {
-	bw.w = w
-	bw.acc, bw.n = 0, 0
-	bw.err = nil
-	if bw.buf == nil {
-		bw.buf = make([]byte, 0, 4096)
-	} else {
-		bw.buf = bw.buf[:0]
-	}
-}
-
 // writeBits emits the low n bits of v, MSB first. n ≤ 32, so a fused
 // Huffman-code-plus-value emission (≤ 16 + 16 bits) is a single call. Bits
 // accumulate until 32 are pending, then drain four bytes at once: a SWAR

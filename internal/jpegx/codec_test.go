@@ -435,6 +435,20 @@ func TestEncodeValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("unexpected error: %v", err)
 	}
+	// A DC difference past category 11 passes checkCoeffRange and fails in
+	// the scan: the encode must fail before it writes a byte.
+	big := randomCoeffImage(rng, 512, 512, false, Sub444)
+	big.Components[0].Blocks[len(big.Components[0].Blocks)-1][0] = 30000
+	for _, optimize := range []bool{false, true} {
+		buf.Reset()
+		err := EncodeCoeffs(&buf, big, &EncodeOptions{OptimizeHuffman: optimize})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("optimize=%v: DC difference past category 11: err %v", optimize, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("optimize=%v: failed encode wrote %d bytes", optimize, buf.Len())
+		}
+	}
 	im2 := randomCoeffImage(rng, 16, 16, false, Sub444)
 	im2.Quant[0] = nil
 	if err := EncodeCoeffs(&buf, im2, nil); err == nil {

@@ -12,9 +12,11 @@ import (
 
 // EncodeOptions configures JPEG serialization.
 type EncodeOptions struct {
-	// OptimizeHuffman computes per-image optimal Huffman tables with a
-	// statistics pass instead of using the Annex-K tables. Progressive
-	// encoding always optimizes (the standard tables lack EOB-run symbols).
+	// OptimizeHuffman derives per-image optimal Huffman tables from the
+	// symbol counts of the token pass that every encode runs, instead of
+	// using the Annex-K tables; either way the tokens are then replayed
+	// through the chosen tables. Progressive encoding always optimizes (the
+	// standard tables lack EOB-run symbols).
 	OptimizeHuffman bool
 
 	// Progressive emits a progressive (SOF2) stream with the conventional
@@ -26,17 +28,18 @@ type EncodeOptions struct {
 	// scans. 0 disables restarts.
 	RestartInterval int
 
-	// Workers fans the Huffman-optimization statistics pass out over bands
-	// of MCU rows (baseline, no restart markers). Symbol frequencies are
-	// summed across bands, so the derived tables — and therefore the output
-	// bytes — are identical to a sequential encode. nil runs sequentially.
+	// Workers fans the token pass out over bands of MCU rows (baseline, no
+	// restart markers). Symbol frequencies are summed across bands, so the
+	// derived tables — and therefore the output bytes — are identical to a
+	// sequential encode. nil runs sequentially.
 	Workers *work.Pool
 
-	// Tokens, when set, is the token buffer of a sequential statistics
-	// pass, grown in place and left to the caller, instead of one from the
+	// Tokens, when set, is the token buffer of a sequential token pass,
+	// grown in place and left to the caller, instead of one from the
 	// package's sync.Pool: a caller recycling its own working set then gets
 	// the same buffer back whichever goroutine encodes. A banded pass
-	// (Workers) still takes its bands' buffers from the pool.
+	// (Workers) records its first band here and takes the other bands'
+	// buffers from the pool.
 	Tokens *[]uint32
 }
 
@@ -163,31 +166,35 @@ func (e *encoder) writeDHT(class, slot int, spec *HuffSpec) error {
 	return e.writeSegment(mDHT, payload)
 }
 
-func (e *encoder) writeSOS(scomps []scanComp, ss, se, ah, al int) error {
-	payload := make([]byte, 0, 4+2*len(scomps))
-	payload = append(payload, byte(len(scomps)))
-	for _, sc := range scomps {
-		c := &e.img.Components[sc.ci]
-		payload = append(payload, c.ID, byte(sc.dcSel<<4|sc.acSel))
+// writeSOS writes a scan header with the conventional table slots: luma
+// uses tables 0, chroma tables 1.
+func (e *encoder) writeSOS(sc *scanSpec) error {
+	payload := make([]byte, 0, 4+2*len(sc.comps))
+	payload = append(payload, byte(len(sc.comps)))
+	for _, ci := range sc.comps {
+		slot := byte(min(ci, 1))
+		payload = append(payload, e.img.Components[ci].ID, slot<<4|slot)
 	}
-	payload = append(payload, byte(ss), byte(se), byte(ah<<4|al))
+	payload = append(payload, byte(sc.ss), byte(sc.se), byte(sc.ah<<4|sc.al))
 	return e.writeSegment(mSOS, payload)
 }
 
-// Statistics-pass tokens. The old encoder walked every block twice when
-// optimizing Huffman tables: once to count symbol frequencies, once to emit
-// bits. The stats pass now also records one compact token per emission, so
-// the second pass is a linear replay of the token stream — no block walk, no
-// re-derivation of magnitudes — through the chosen tables.
+// Tokens. Every encode records its entropy-coded symbols before it writes a
+// byte: one compact token per emission, with each symbol's frequency counted
+// for table derivation. writeCoded then derives the tables and replays the
+// tokens through them, one linear pass with no second block walk and no
+// re-derivation of magnitudes. A failing encode fails while recording, so it
+// writes nothing.
 //
 // Token layout (32 bits): nb(5) | slot(1) | kind(2) | sym(8) | val(16).
 // val holds the raw value bits that follow the symbol and nb their count;
 // nb is explicit because EOBn symbols carry sym>>4 value bits, breaking any
-// nb-from-sym rule. kind Raw carries bare bits with no symbol (progressive
-// correction bits); the restart sentinel token has all other fields zero.
+// nb-from-sym rule. The DC and AC kinds equal their DHT table class. kind Raw
+// carries bare bits with no symbol (progressive correction bits); the
+// restart sentinel token has all other fields zero.
 const (
-	tokKindAC  = 0
-	tokKindDC  = 1
+	tokKindDC  = 0
+	tokKindAC  = 1
 	tokKindRaw = 2
 	tokKindRST = 3
 
@@ -198,89 +205,71 @@ func token(slot int, kind uint32, sym byte, val uint32, nb uint) uint32 {
 	return uint32(nb)<<27 | uint32(slot)<<26 | kind<<24 | uint32(sym)<<16 | val
 }
 
-// tokenBufs recycles statistics-pass token buffers (~4 B per coded symbol)
-// across encodes.
+// tokenBufs recycles token buffers (~4 B per coded symbol) across encodes.
 var tokenBufs = sync.Pool{New: func() any { return new([]uint32) }}
 
-// putTokens returns a statistics-pass token buffer to the pool unless it is
-// the caller's own (EncodeOptions.Tokens).
+// tokenBuf returns the token buffer of a sequential pass: the caller's own
+// (EncodeOptions.Tokens) or a pooled one.
+func (e *encoder) tokenBuf() *[]uint32 {
+	if e.opts.Tokens != nil {
+		return e.opts.Tokens
+	}
+	return tokenBufs.Get().(*[]uint32)
+}
+
+// putTokens returns a token buffer to the pool unless it is the caller's own.
 func (e *encoder) putTokens(bufp *[]uint32) {
 	if bufp != e.opts.Tokens {
 		tokenBufs.Put(bufp)
 	}
 }
 
-// emitter either writes entropy-coded bits or, in statistics mode, counts
-// symbol frequencies and records replay tokens for optimal-table encoding.
+// emitter records entropy-coded symbols: it counts each symbol's frequency
+// per table and appends one replay token per emission.
 type emitter struct {
-	bw     *bitWriter
-	dcEnc  [2]*huffEncoder
-	acEnc  [2]*huffEncoder
-	dcFreq [2]*[256]int64
-	acFreq [2]*[256]int64
-	stats  bool
+	freq   [2][2][256]int64 // [table class: tokKindDC, tokKindAC][slot]
 	tokens []uint32
 }
 
-// newStatsEmitter returns an emitter in statistics mode with zeroed
-// frequency tables, recording tokens into the (possibly recycled) buffer.
-func newStatsEmitter(tokens []uint32) *emitter {
-	em := &emitter{stats: true, tokens: tokens[:0]}
-	for i := range em.dcFreq {
-		em.dcFreq[i] = &[256]int64{}
-		em.acFreq[i] = &[256]int64{}
-	}
-	return em
+// newEmitter returns an emitter with zeroed counts, recording tokens into
+// the (possibly recycled) buffer.
+func newEmitter(tokens []uint32) *emitter {
+	return &emitter{tokens: tokens[:0]}
 }
 
-// add accumulates another statistics emitter's frequencies. Addition is
-// commutative, so merging band-local counts in index order yields exactly
-// the sequential pass's tables.
+// add accumulates another emitter's frequencies. Addition is commutative,
+// so merging band-local counts in index order yields exactly the
+// sequential pass's tables.
 func (em *emitter) add(other *emitter) {
-	for s := range em.dcFreq {
-		for i := range em.dcFreq[s] {
-			em.dcFreq[s][i] += other.dcFreq[s][i]
-			em.acFreq[s][i] += other.acFreq[s][i]
+	for class := range em.freq {
+		for s := range em.freq[class] {
+			for i := range em.freq[class][s] {
+				em.freq[class][s][i] += other.freq[class][s][i]
+			}
 		}
 	}
 }
 
-// dcSym emits a DC Huffman symbol fused with its nb trailing value bits; in
-// statistics mode it counts the symbol and records a replay token instead.
+// dcSym records a DC Huffman symbol fused with its nb trailing value bits.
 func (em *emitter) dcSym(slot int, sym byte, val uint32, nb uint) {
-	if em.stats {
-		em.dcFreq[slot][sym]++
-		em.tokens = append(em.tokens, token(slot, tokKindDC, sym, val, nb))
-		return
-	}
-	enc := em.dcEnc[slot]
-	em.bw.writeBits(enc.code[sym]<<nb|val, uint(enc.size[sym])+nb)
+	em.freq[tokKindDC][slot][sym]++
+	em.tokens = append(em.tokens, token(slot, tokKindDC, sym, val, nb))
 }
 
 // acSym is dcSym for the AC table.
 func (em *emitter) acSym(slot int, sym byte, val uint32, nb uint) {
-	if em.stats {
-		em.acFreq[slot][sym]++
-		em.tokens = append(em.tokens, token(slot, tokKindAC, sym, val, nb))
-		return
-	}
-	enc := em.acEnc[slot]
-	em.bw.writeBits(enc.code[sym]<<nb|val, uint(enc.size[sym])+nb)
+	em.freq[tokKindAC][slot][sym]++
+	em.tokens = append(em.tokens, token(slot, tokKindAC, sym, val, nb))
 }
 
-// raw emits nb bare bits (nb ≤ 16) with no Huffman symbol.
+// raw records nb bare bits (nb ≤ 16) with no Huffman symbol.
 func (em *emitter) raw(val uint32, nb uint) {
-	if nb == 0 {
-		return
-	}
-	if em.stats {
+	if nb > 0 {
 		em.tokens = append(em.tokens, token(0, tokKindRaw, 0, val, nb))
-		return
 	}
-	em.bw.writeBits(val, nb)
 }
 
-// rawBits emits a sequence of single bits, packed 16 per token/write.
+// rawBits records a sequence of single bits, packed 16 per token.
 func (em *emitter) rawBits(bs []byte) {
 	var v uint32
 	var n uint
@@ -294,23 +283,84 @@ func (em *emitter) rawBits(bs []byte) {
 	em.raw(v, n)
 }
 
-// restart records a restart-marker boundary in the token stream.
-func (em *emitter) restart() {
-	em.tokens = append(em.tokens, tokRestart)
+// scanSpec is one scan of a stream being written: its component indices
+// (several only in a DC or baseline scan), spectral selection and
+// successive approximation, and the token streams of its entropy-coded
+// segment, replayed in order.
+type scanSpec struct {
+	comps  []int
+	ss, se int
+	ah, al int
+	tokens [][]uint32
 }
 
-// replayTokens re-emits a recorded token stream through em's encoders.
-// Restart sentinels byte-align the writer and emit the next RSTn marker.
-func (e *encoder) replayTokens(em *emitter, tokens []uint32, rst *int) error {
-	bw := em.bw
-	// Token bits 26..24 are slot|kind, so one 8-entry table replaces the
-	// kind switch plus slot indexing in the per-token loop; raw and restart
-	// tokens land on nil entries and take the rare path.
+// writeCoded is the package's one entropy-coded writer. It derives a
+// Huffman table per class and slot from counts (optimal when optimize, else
+// Annex K), skipping a table that counted no symbols, then writes the
+// headers, each slot's DC then AC table, every scan's SOS and replayed
+// tokens, and EOI. It writes nothing if a table cannot be built.
+func (e *encoder) writeCoded(sof byte, counts *emitter, optimize bool, scans []scanSpec) error {
+	nSlots := min(len(e.img.Components), 2)
+	annexK := [2][2]func() *HuffSpec{{StdDCLuma, StdDCChroma}, {StdACLuma, StdACChroma}}
+	var specs [2][2]*HuffSpec // [class][slot]
+	// Token bits 26..24 are slot|kind, so one 8-entry table serves the
+	// replay; raw and restart tokens land on nil entries.
 	var encs [8]*huffEncoder
-	encs[tokKindAC] = em.acEnc[0]
-	encs[4|tokKindAC] = em.acEnc[1]
-	encs[tokKindDC] = em.dcEnc[0]
-	encs[4|tokKindDC] = em.dcEnc[1]
+	for s := range nSlots {
+		for class, name := range [2]string{"DC", "AC"} {
+			freq := &counts.freq[class][s]
+			if *freq == ([256]int64{}) {
+				continue
+			}
+			spec := annexK[class][s]()
+			if optimize {
+				var err error
+				if spec, err = BuildOptimalSpec(freq); err != nil {
+					return fmt.Errorf("jpegx: optimizing %s table %d: %w", name, s, err)
+				}
+			}
+			enc, err := newHuffEncoder(spec)
+			if err != nil {
+				return err
+			}
+			specs[class][s], encs[s<<2|class] = spec, enc
+		}
+	}
+	if err := e.writeHeaders(sof); err != nil {
+		return err
+	}
+	for s := range nSlots {
+		for class := range specs {
+			if specs[class][s] != nil {
+				if err := e.writeDHT(class, s, specs[class][s]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	bw := newBitWriter(e.w)
+	rst := 0
+	for i := range scans {
+		sc := &scans[i]
+		if err := e.writeSOS(sc); err != nil {
+			return err
+		}
+		for _, tokens := range sc.tokens {
+			if err := e.replayTokens(bw, &encs, tokens, &rst); err != nil {
+				return err
+			}
+		}
+		if err := bw.pad(); err != nil {
+			return err
+		}
+	}
+	return e.writeMarker(mEOI)
+}
+
+// replayTokens writes a recorded token stream through encs, indexed by
+// token bits 26..24. Restart sentinels byte-align the writer and emit the
+// next RSTn marker.
+func (e *encoder) replayTokens(bw *bitWriter, encs *[8]*huffEncoder, tokens []uint32, rst *int) error {
 	// The writer's accumulator, bit count and chunk buffer live in locals for
 	// the whole replay (the loop is the encoder's hot path), synced back to
 	// the writer only around the rare non-Huffman tokens and buffer flushes.
@@ -373,167 +423,68 @@ func (e *encoder) replayTokens(em *emitter, tokens []uint32, rst *int) error {
 	return bw.err
 }
 
-// encodeBaseline writes a single interleaved baseline scan.
+// encodeBaseline writes a single interleaved baseline scan. The token pass
+// fans out over bands of MCU rows on opts.Workers when the scan has no
+// restart markers; the bands' summed counts equal the sequential pass's and
+// their token streams, replayed in band order, its emission.
 func (e *encoder) encodeBaseline() error {
-	gray := len(e.img.Components) == 1
-	nSlots := 2
-	if gray {
-		nSlots = 1
-	}
-
-	dcSpecs := [2]*HuffSpec{StdDCLuma(), StdDCChroma()}
-	acSpecs := [2]*HuffSpec{StdACLuma(), StdACChroma()}
-	var parts []*emitter
-	var bufps []*[]uint32
-	if e.opts.OptimizeHuffman {
-		// The statistics pass validates every coefficient's magnitude
-		// category before a single output byte is written, so the separate
-		// checkCoeffRange walk is skipped on this path.
-		var err error
-		parts, bufps, err = e.baselineStats()
-		if err != nil {
-			return err
-		}
-		defer func() {
-			for i, bufp := range bufps {
-				*bufp = parts[i].tokens // return the grown buffer, not the pre-append one
-				e.putTokens(bufp)
-			}
-		}()
-		sum := parts[0]
-		for _, part := range parts[1:] {
-			sum.add(part)
-		}
-		for s := 0; s < nSlots; s++ {
-			spec, err := BuildOptimalSpec(sum.dcFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing DC table %d: %w", s, err)
-			}
-			dcSpecs[s] = spec
-			spec, err = BuildOptimalSpec(sum.acFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing AC table %d: %w", s, err)
-			}
-			acSpecs[s] = spec
-		}
-	} else if err := e.checkCoeffRange(); err != nil {
-		return err
-	}
-
-	if err := e.writeHeaders(mSOF0); err != nil {
-		return err
-	}
-	for s := 0; s < nSlots; s++ {
-		if err := e.writeDHT(0, s, dcSpecs[s]); err != nil {
-			return err
-		}
-		if err := e.writeDHT(1, s, acSpecs[s]); err != nil {
+	if !e.opts.OptimizeHuffman {
+		// Annex-K encodes also bound every coefficient's value; the token
+		// pass checks only each symbol's magnitude category.
+		if err := e.checkCoeffRange(); err != nil {
 			return err
 		}
 	}
-	scomps := e.allComponentsScan()
-	if err := e.writeSOS(scomps, 0, 63, 0, 0); err != nil {
-		return err
-	}
-
-	em := &emitter{bw: newBitWriter(e.w)}
-	for s := 0; s < nSlots; s++ {
-		var err error
-		if em.dcEnc[s], err = newHuffEncoder(dcSpecs[s]); err != nil {
-			return err
-		}
-		if em.acEnc[s], err = newHuffEncoder(acSpecs[s]); err != nil {
-			return err
-		}
-	}
-	if parts != nil {
-		// Replay the recorded token streams in band order: one linear pass,
-		// no second block walk.
-		rst := 0
-		for _, part := range parts {
-			if err := e.replayTokens(em, part.tokens, &rst); err != nil {
-				return err
-			}
-		}
-	} else if err := e.baselineScan(em); err != nil {
-		return err
-	}
-	if err := em.bw.pad(); err != nil {
-		return err
-	}
-	return e.writeMarker(mEOI)
-}
-
-// allComponentsScan builds the scan-component list with the conventional
-// slot assignment: luma uses tables 0, chroma tables 1.
-func (e *encoder) allComponentsScan() []scanComp {
-	scomps := make([]scanComp, len(e.img.Components))
-	for i := range scomps {
-		slot := 0
-		if i > 0 {
-			slot = 1
-		}
-		scomps[i] = scanComp{ci: i, dcSel: slot, acSel: slot}
-	}
-	return scomps
-}
-
-// baselineStats runs the statistics pass, fanned out over bands of MCU rows
-// on opts.Workers when the scan has no restart markers. Each band seeds its
-// DC predictors from the last block preceding it — DC prediction needs only
-// the previous block's value, which is already in memory — so bands are
-// independent and their summed counts equal the sequential pass's exactly;
-// each band's token stream is replayed in band order, which reproduces the
-// sequential emission byte for byte. On error all token buffers have been
-// returned to the pool; on success the caller owns them.
-func (e *encoder) baselineStats() ([]*emitter, []*[]uint32, error) {
-	pool := e.opts.Workers
 	_, mcusY := e.img.mcuDims()
-	bands := pool.Size()
-	if bands > mcusY {
-		bands = mcusY
-	}
-	if bands <= 1 || e.opts.RestartInterval > 0 {
+	bands := min(e.opts.Workers.Size(), mcusY)
+	if e.opts.RestartInterval > 0 {
 		// Restart markers reset predictors on a global MCU counter, which
 		// crosses band boundaries; keep that rare path sequential.
-		bufp := e.opts.Tokens
-		if bufp == nil {
-			bufp = tokenBufs.Get().(*[]uint32)
-		}
-		em := newStatsEmitter(*bufp)
-		err := e.baselineScan(em)
-		*bufp = em.tokens
-		if err != nil {
-			e.putTokens(bufp)
-			return nil, nil, err
-		}
-		return []*emitter{em}, []*[]uint32{bufp}, nil
+		bands = 1
 	}
 	parts := make([]*emitter, bands)
+	tokens := make([][]uint32, bands)
 	bufps := make([]*[]uint32, bands)
-	for i := range bufps {
+	bufps[0] = e.tokenBuf()
+	for i := 1; i < bands; i++ {
 		bufps[i] = tokenBufs.Get().(*[]uint32)
 	}
-	err := pool.Do(bands, func(i int) error {
-		part := newStatsEmitter(*bufps[i])
-		parts[i] = part
-		err := e.baselineStatsRows(part, mcusY*i/bands, mcusY*(i+1)/bands)
-		*bufps[i] = part.tokens
+	defer func() {
+		for _, bufp := range bufps {
+			e.putTokens(bufp)
+		}
+	}()
+	err := e.opts.Workers.Do(bands, func(i int) error {
+		parts[i] = newEmitter(*bufps[i])
+		err := e.baselineRows(parts[i], mcusY*i/bands, mcusY*(i+1)/bands)
+		*bufps[i], tokens[i] = parts[i].tokens, parts[i].tokens
 		return err
 	})
 	if err != nil {
-		for _, bufp := range bufps {
-			tokenBufs.Put(bufp)
-		}
-		return nil, nil, err
+		return err
 	}
-	return parts, bufps, nil
+	for _, part := range parts[1:] {
+		parts[0].add(part)
+	}
+	return e.writeCoded(mSOF0, parts[0], e.opts.OptimizeHuffman,
+		[]scanSpec{{comps: e.allComponents(), se: 63, tokens: tokens}})
 }
 
-// baselineStatsRows feeds MCU rows [my0, my1) to a statistics emitter,
-// assuming no restart markers.
-func (e *encoder) baselineStatsRows(em *emitter, my0, my1 int) error {
-	scomps := e.allComponentsScan()
+// allComponents lists every component: the one interleaved baseline scan's.
+func (e *encoder) allComponents() []int {
+	cis := make([]int, len(e.img.Components))
+	for i := range cis {
+		cis[i] = i
+	}
+	return cis
+}
+
+// baselineRows records MCU rows [my0, my1) of the interleaved baseline
+// scan. A band seeds its DC predictors from the last block preceding it —
+// DC prediction needs only the previous block's value, which is already in
+// memory — so bands are independent. At each restart interval (a walk from
+// row 0 only) it records a restart sentinel and resets the predictors.
+func (e *encoder) baselineRows(em *emitter, my0, my1 int) error {
 	dcPred := make([]int32, len(e.img.Components))
 	for i := range dcPred {
 		c := &e.img.Components[i]
@@ -543,62 +494,24 @@ func (e *encoder) baselineStatsRows(em *emitter, my0, my1 int) error {
 			dcPred[i] = c.Blocks[(my0*c.V)*c.BlocksX-1][0]
 		}
 	}
-	mcusX, _ := e.img.mcuDims()
-	for my := my0; my < my1; my++ {
-		for mx := 0; mx < mcusX; mx++ {
-			for _, sc := range scomps {
-				c := &e.img.Components[sc.ci]
-				for v := 0; v < c.V; v++ {
-					for h := 0; h < c.H; h++ {
-						b := &c.Blocks[(my*c.V+v)*c.BlocksX+mx*c.H+h]
-						if err := encodeBaselineBlock(em, sc.dcSel, b, &dcPred[sc.ci]); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// baselineScan runs the MCU walk once, feeding the emitter.
-func (e *encoder) baselineScan(em *emitter) error {
-	scomps := e.allComponentsScan()
-	dcPred := make([]int32, len(e.img.Components))
 	ri := e.opts.RestartInterval
 	mcusX, mcusY := e.img.mcuDims()
-	mcu := 0
-	rst := 0
-	for my := 0; my < mcusY; my++ {
+	for my := my0; my < my1; my++ {
 		for mx := 0; mx < mcusX; mx++ {
-			for _, sc := range scomps {
-				c := &e.img.Components[sc.ci]
+			for ci := range e.img.Components {
+				c := &e.img.Components[ci]
 				for v := 0; v < c.V; v++ {
 					for h := 0; h < c.H; h++ {
 						b := &c.Blocks[(my*c.V+v)*c.BlocksX+mx*c.H+h]
-						if err := encodeBaselineBlock(em, sc.dcSel, b, &dcPred[sc.ci]); err != nil {
+						if err := encodeBaselineBlock(em, min(ci, 1), b, &dcPred[ci]); err != nil {
 							return err
 						}
 					}
 				}
 			}
-			mcu++
-			if ri > 0 && mcu%ri == 0 && !(my == mcusY-1 && mx == mcusX-1) {
-				if em.stats {
-					em.restart()
-				} else {
-					if err := em.bw.pad(); err != nil {
-						return err
-					}
-					if err := e.writeMarker(byte(mRST0 + rst%8)); err != nil {
-						return err
-					}
-				}
-				rst++
-				for i := range dcPred {
-					dcPred[i] = 0
-				}
+			if mcu := my*mcusX + mx + 1; ri > 0 && mcu%ri == 0 && mcu < mcusX*mcusY {
+				em.tokens = append(em.tokens, tokRestart)
+				clear(dcPred)
 			}
 		}
 	}
@@ -617,7 +530,7 @@ func blockNZ(b *Block) uint64 {
 	return m
 }
 
-// encodeBaselineBlock emits one block. Zero runs fall out of
+// encodeBaselineBlock records one block. Zero runs fall out of
 // TrailingZeros64 gaps in the block's nonzero map instead of a 63-iteration
 // test-and-branch walk — most AC coefficients are zero, and for P3's sparse
 // secret parts nearly all of them are.
@@ -626,7 +539,7 @@ func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
 	*pred = b[0]
 	n, val := magnitude(diff)
 	if n > 11 {
-		return fmt.Errorf("jpegx: DC difference %d out of baseline range", diff)
+		return fmt.Errorf("jpegx: DC difference %d out of range for baseline", diff)
 	}
 	em.dcSym(slot, byte(n), val, n)
 
@@ -644,7 +557,7 @@ func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
 		}
 		n, val := magnitude(v)
 		if n > 10 {
-			return fmt.Errorf("jpegx: AC coefficient %d out of baseline range", v)
+			return fmt.Errorf("jpegx: AC coefficient %d out of range for baseline", v)
 		}
 		em.acSym(slot, byte(run<<4)|byte(n), val, n)
 	}
@@ -654,8 +567,8 @@ func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
 	return nil
 }
 
-// checkCoeffRange validates that all coefficients fit baseline Huffman
-// magnitude categories before any bytes are written.
+// checkCoeffRange validates that every DC fits 16 bits and every AC a
+// baseline Huffman magnitude category.
 func (e *encoder) checkCoeffRange() error {
 	for ci := range e.img.Components {
 		c := &e.img.Components[ci]

@@ -79,10 +79,6 @@ func newHuffEncoder(spec *HuffSpec) (*huffEncoder, error) {
 	return e, nil
 }
 
-func (e *huffEncoder) emit(bw *bitWriter, sym byte) {
-	bw.writeBits(e.code[sym], uint(e.size[sym]))
-}
-
 // huffDecoder decodes symbols using an 8-bit fast lookup table with a
 // canonical-code fallback for longer codes (the approach used by libjpeg).
 type huffDecoder struct {

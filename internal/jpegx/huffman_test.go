@@ -38,7 +38,7 @@ func encodeDecodeSymbols(t *testing.T, spec *HuffSpec, syms []byte) {
 	var buf bytes.Buffer
 	bw := newBitWriter(&buf)
 	for _, s := range syms {
-		enc.emit(bw, s)
+		bw.writeBits(enc.code[s], uint(enc.size[s]))
 	}
 	if err := bw.pad(); err != nil {
 		t.Fatal(err)

@@ -8,13 +8,6 @@ import "fmt"
 // PSPs such as Facebook re-encode uploads to exactly this kind of stream
 // (§2.1 of the paper), so the PSP simulator uses this path.
 
-// scanSpec describes one scan of the progressive script.
-type scanSpec struct {
-	comps  []int // component indices; len>1 only allowed for DC scans
-	ss, se int
-	ah, al int
-}
-
 // progressiveScript returns the standard 10-scan script (3 components) or
 // its grayscale reduction.
 func progressiveScript(nComps int) []scanSpec {
@@ -79,122 +72,34 @@ func (ps *progState) flushEOBRun() {
 	ps.eobBits = ps.eobBits[:0]
 }
 
+// encodeProgressive records the whole script, then writes it with optimal
+// tables: the Annex-K tables lack EOBn (n>0) symbols. Each scan's
+// entropy-coded segment is a replay of its token range.
 func (e *encoder) encodeProgressive() error {
 	if err := e.checkCoeffRange(); err != nil {
 		return err
 	}
 	script := progressiveScript(len(e.img.Components))
-	gray := len(e.img.Components) == 1
-
-	// Statistics pass: progressive streams need optimal tables because the
-	// Annex-K tables lack EOBn (n>0) symbols. The pass records a replay
-	// token stream, so each scan's emission below is a linear replay of its
-	// token range instead of a second walk over the blocks.
-	bufp := tokenBufs.Get().(*[]uint32)
-	defer func() { tokenBufs.Put(bufp) }()
-	stats := newStatsEmitter(*bufp)
+	bufp := e.tokenBuf()
+	em := newEmitter(*bufp)
+	defer func() {
+		*bufp = em.tokens
+		e.putTokens(bufp)
+	}()
 	var ps progState
 	scanEnd := make([]int, len(script))
 	for i, sc := range script {
-		if err := e.runScan(sc, stats, &ps); err != nil {
-			*bufp = stats.tokens
+		if err := e.runScan(sc, em, &ps); err != nil {
 			return err
 		}
-		scanEnd[i] = len(stats.tokens)
+		scanEnd[i] = len(em.tokens)
 	}
-	*bufp = stats.tokens
-
-	var dcSpecs, acSpecs [2]*HuffSpec
-	nSlots := 2
-	if gray {
-		nSlots = 1
-	}
-	for s := 0; s < nSlots; s++ {
-		anyDC, anyAC := false, false
-		for _, f := range stats.dcFreq[s] {
-			if f > 0 {
-				anyDC = true
-				break
-			}
-		}
-		for _, f := range stats.acFreq[s] {
-			if f > 0 {
-				anyAC = true
-				break
-			}
-		}
-		if anyDC {
-			spec, err := BuildOptimalSpec(stats.dcFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing DC table %d: %w", s, err)
-			}
-			dcSpecs[s] = spec
-		}
-		if anyAC {
-			spec, err := BuildOptimalSpec(stats.acFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing AC table %d: %w", s, err)
-			}
-			acSpecs[s] = spec
-		}
-	}
-
-	if err := e.writeHeaders(mSOF2); err != nil {
-		return err
-	}
-	for s := 0; s < nSlots; s++ {
-		if dcSpecs[s] != nil {
-			if err := e.writeDHT(0, s, dcSpecs[s]); err != nil {
-				return err
-			}
-		}
-		if acSpecs[s] != nil {
-			if err := e.writeDHT(1, s, acSpecs[s]); err != nil {
-				return err
-			}
-		}
-	}
-
-	em := &emitter{}
-	for s := 0; s < nSlots; s++ {
-		var err error
-		if dcSpecs[s] != nil {
-			if em.dcEnc[s], err = newHuffEncoder(dcSpecs[s]); err != nil {
-				return err
-			}
-		}
-		if acSpecs[s] != nil {
-			if em.acEnc[s], err = newHuffEncoder(acSpecs[s]); err != nil {
-				return err
-			}
-		}
-	}
-
-	em.bw = newBitWriter(e.w)
 	start := 0
-	rst := 0
-	for i, sc := range script {
-		scomps := make([]scanComp, len(sc.comps))
-		for j, ci := range sc.comps {
-			slot := 0
-			if ci > 0 {
-				slot = 1
-			}
-			scomps[j] = scanComp{ci: ci, dcSel: slot, acSel: slot}
-		}
-		if err := e.writeSOS(scomps, sc.ss, sc.se, sc.ah, sc.al); err != nil {
-			return err
-		}
-		em.bw.reset(e.w)
-		if err := e.replayTokens(em, stats.tokens[start:scanEnd[i]], &rst); err != nil {
-			return err
-		}
+	for i := range script {
+		script[i].tokens = [][]uint32{em.tokens[start:scanEnd[i]]}
 		start = scanEnd[i]
-		if err := em.bw.pad(); err != nil {
-			return err
-		}
 	}
-	return e.writeMarker(mEOI)
+	return e.writeCoded(mSOF2, em, true, script)
 }
 
 // runScan walks the blocks of one progressive scan in scan order, emitting
@@ -215,10 +120,7 @@ func (e *encoder) runDCScan(sc scanSpec, em *emitter) error {
 	interleaved := len(sc.comps) > 1
 
 	visit := func(ci int, b *Block) error {
-		slot := 0
-		if ci > 0 {
-			slot = 1
-		}
+		slot := min(ci, 1)
 		if sc.ah == 0 {
 			// First pass: code (DC >> Al) differentially. Per T.81 the DC
 			// point transform is an arithmetic shift (toward -inf), unlike
@@ -271,10 +173,7 @@ func (e *encoder) runDCScan(sc scanSpec, em *emitter) error {
 
 func (e *encoder) runACScan(sc scanSpec, em *emitter, ps *progState) error {
 	ci := sc.comps[0]
-	slot := 0
-	if ci > 0 {
-		slot = 1
-	}
+	slot := min(ci, 1)
 	c := &e.img.Components[ci]
 	bw, bh := e.compScanDimsEnc(c)
 	ps.resetFor(em, slot)

@@ -19,9 +19,9 @@ import (
 // source that spends redundant ZRLs still yields the reference bytes.
 // decodeBaselineBlock therefore records, during a single decode, the complete
 // entropy-coding token streams and symbol frequencies of both parts into a
-// SplitCapture; encoding a part is then table derivation plus a linear token
-// replay — no coefficient images for the parts, no separate split walk, no
-// statistics pass.
+// SplitCapture; encoding a part is then writeCoded's table derivation plus a
+// linear token replay — no coefficient images for the parts, no separate
+// split walk, no token pass of its own.
 
 // SplitCapture holds the per-part token streams and symbol statistics
 // captured by DecodeBytesSplit. The two parts serialize independently with
@@ -62,8 +62,8 @@ func newSplitCapture(threshold int32) *SplitCapture {
 		threshold: threshold,
 		tn:        tn,
 		tval:      tval,
-		pub:       newStatsEmitter(*pb),
-		sec:       newStatsEmitter(*sb),
+		pub:       newEmitter(*pb),
+		sec:       newEmitter(*sb),
 		pubBufp:   pb,
 		secBufp:   sb,
 	}
@@ -152,11 +152,11 @@ func (c *SplitCapture) startBlock(dc int32, slot, ci int) error {
 	c.secDCPred[ci] = dc
 	dn, dval := magnitude(diff)
 	if dn > 11 {
-		return fmt.Errorf("jpegx: DC difference %d out of baseline range", diff)
+		return fmt.Errorf("jpegx: DC difference %d out of range for baseline", diff)
 	}
 	c.sec.dcSym(slot, byte(dn), dval, dn)
 	c.pub.dcSym(slot, 0, 0, 0)
-	c.slot, c.pubAC, c.zrl, c.secPrev = slot, c.pub.acFreq[slot], 0, 0
+	c.slot, c.pubAC, c.zrl, c.secPrev = slot, &c.pub.freq[tokKindAC][slot], 0, 0
 	return nil
 }
 
@@ -185,7 +185,7 @@ func (c *SplitCapture) coefficient(k int, sym byte, v int32) error {
 	}
 	sn, sval := magnitude(sv)
 	if sn > 10 {
-		return fmt.Errorf("jpegx: AC coefficient %d out of baseline range", v)
+		return fmt.Errorf("jpegx: AC coefficient %d out of range for baseline", v)
 	}
 	c.pub.acSym(slot, sym&0xF0|byte(c.tn), c.tval, c.tn)
 	run := k - c.secPrev - 1
@@ -233,58 +233,8 @@ func (c *SplitCapture) encodePart(w io.Writer, im *CoeffImage, part *emitter, op
 	}
 	bufw := bufio.NewWriter(w)
 	e := &encoder{w: bufw, img: im, opts: &EncodeOptions{}}
-	nSlots := 2
-	if len(im.Components) == 1 {
-		nSlots = 1
-	}
-	dcSpecs := [2]*HuffSpec{StdDCLuma(), StdDCChroma()}
-	acSpecs := [2]*HuffSpec{StdACLuma(), StdACChroma()}
-	if optimize {
-		for s := 0; s < nSlots; s++ {
-			spec, err := BuildOptimalSpec(part.dcFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing DC table %d: %w", s, err)
-			}
-			dcSpecs[s] = spec
-			spec, err = BuildOptimalSpec(part.acFreq[s])
-			if err != nil {
-				return fmt.Errorf("jpegx: optimizing AC table %d: %w", s, err)
-			}
-			acSpecs[s] = spec
-		}
-	}
-	if err := e.writeHeaders(mSOF0); err != nil {
-		return err
-	}
-	for s := 0; s < nSlots; s++ {
-		if err := e.writeDHT(0, s, dcSpecs[s]); err != nil {
-			return err
-		}
-		if err := e.writeDHT(1, s, acSpecs[s]); err != nil {
-			return err
-		}
-	}
-	if err := e.writeSOS(e.allComponentsScan(), 0, 63, 0, 0); err != nil {
-		return err
-	}
-	em := &emitter{bw: newBitWriter(e.w)}
-	for s := 0; s < nSlots; s++ {
-		var err error
-		if em.dcEnc[s], err = newHuffEncoder(dcSpecs[s]); err != nil {
-			return err
-		}
-		if em.acEnc[s], err = newHuffEncoder(acSpecs[s]); err != nil {
-			return err
-		}
-	}
-	rst := 0
-	if err := e.replayTokens(em, part.tokens, &rst); err != nil {
-		return err
-	}
-	if err := em.bw.pad(); err != nil {
-		return err
-	}
-	if err := e.writeMarker(mEOI); err != nil {
+	scan := scanSpec{comps: e.allComponents(), se: 63, tokens: [][]uint32{part.tokens}}
+	if err := e.writeCoded(mSOF0, part, optimize, []scanSpec{scan}); err != nil {
 		return err
 	}
 	return bufw.Flush()

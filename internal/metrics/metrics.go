@@ -1,7 +1,7 @@
 // Package metrics is the serving path's lock-cheap instrumentation layer:
-// atomic counters and gauges, log-scale latency histograms with percentile
-// snapshots, and a registry that renders everything as Prometheus-style
-// text exposition.
+// atomic counters, log-scale latency histograms with percentile snapshots,
+// scrape-time counter and gauge funcs, and a registry that renders
+// everything as Prometheus-style text exposition.
 //
 // The design optimizes the write side — every proxy download, cache probe
 // and codec call records through a single atomic add, no locks and no
@@ -52,21 +52,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous value that can move both ways. The zero value
-// is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the number of finite histogram buckets. Bucket i holds
 // observations in (2^(i-1), 2^i] nanoseconds, so the finite range spans
@@ -295,17 +280,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge returns the gauge for (name, labels), creating and registering it
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	inst := r.lookup(name, help, "gauge", labels, func() instrument { return new(Gauge) })
-	g, ok := inst.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("metrics: %s%s is not a Gauge", name, renderLabels(labels)))
-	}
-	return g
-}
-
 // Histogram returns the histogram for (name, labels), creating and
 // registering it on first use.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
@@ -317,15 +291,10 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return h
 }
 
-// SetCounterFunc registers (or replaces) a counter series whose value is
-// read by calling fn at scrape time. Replacement semantics let a component
-// re-register its view after reconstruction without leaking dead closures.
-func (r *Registry) SetCounterFunc(name, help string, fn CounterFunc, labels ...Label) {
-	r.setFunc(name, help, "counter", fn, labels)
-}
-
 // SetGaugeFunc registers (or replaces) a gauge series read from fn at
-// scrape time.
+// scrape time. Replacement semantics let a component re-register its view
+// after reconstruction without leaking dead closures; Export's counters and
+// gauges are registered the same way.
 func (r *Registry) SetGaugeFunc(name, help string, fn GaugeFunc, labels ...Label) {
 	r.setFunc(name, help, "gauge", fn, labels)
 }
@@ -410,9 +379,6 @@ func formatFloat(v float64) string {
 func writeSeries(w io.Writer, name, labels string, inst instrument) error {
 	switch m := inst.(type) {
 	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labels, m.Value())
-		return err
-	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, labels, m.Value())
 		return err
 	case CounterFunc:

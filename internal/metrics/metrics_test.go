@@ -87,12 +87,11 @@ func TestHistogramSkewed(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncrements hammers one counter, gauge and histogram from
-// many goroutines (run under -race in CI) and checks the totals are exact.
+// TestConcurrentIncrements hammers one counter and histogram from many
+// goroutines (run under -race in CI) and checks the totals are exact.
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("p3_test_ops_total", "test counter")
-	g := r.Gauge("p3_test_depth", "test gauge")
 	h := r.Histogram("p3_test_latency_seconds", "test histogram")
 	const workers = 16
 	const perWorker = 10000
@@ -104,8 +103,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(time.Duration(rng.Intn(1000)) * time.Microsecond)
 				// Concurrent lookups of the same series must return the
 				// same instrument, not race on registration.
@@ -118,9 +115,6 @@ func TestConcurrentIncrements(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
 	}
 	if got := h.Snapshot().Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
@@ -182,35 +176,40 @@ func TestExpositionHistogram(t *testing.T) {
 	}
 }
 
-// TestCounterAndGaugeFuncs checks scrape-time funcs and replacement.
+// shardReads is a one-counter snapshot for TestCounterAndGaugeFuncs.
+type shardReads struct {
+	Reads uint64 `json:"reads" metric:"counter" help:"reads"`
+}
+
+// TestCounterAndGaugeFuncs checks that a counter (through Export) and a
+// gauge func are read at scrape time, and that re-registering a series
+// replaces its func.
 func TestCounterAndGaugeFuncs(t *testing.T) {
 	r := NewRegistry()
 	n := uint64(41)
-	r.SetCounterFunc("p3_shard_reads_total", "reads", func() uint64 { return n }, Label{"shard", "0"})
+	Export(r, "p3_shard", func() shardReads { return shardReads{n} }, Label{"shard", "0"})
+	b := 1.5e6
+	r.SetGaugeFunc("p3_cache_bytes", "bytes held", func() float64 { return b }, Label{"cache", "variants"})
 	n++
-	r.SetGaugeFunc("p3_cache_bytes", "bytes held", func() float64 { return 1.5e6 }, Label{"cache", "variants"})
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := exposition(t, r)
 	if !strings.Contains(out, `p3_shard_reads_total{shard="0"} 42`) {
 		t.Errorf("counter func not read at scrape time:\n%s", out)
 	}
 	if !strings.Contains(out, `p3_cache_bytes{cache="variants"} 1.5e+06`) {
 		t.Errorf("gauge func missing:\n%s", out)
 	}
-	// Replacement must swap the closure, not add a second series.
-	r.SetCounterFunc("p3_shard_reads_total", "reads", func() uint64 { return 100 }, Label{"shard", "0"})
-	sb.Reset()
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	b = 2e6
+	if out := exposition(t, r); !strings.Contains(out, `p3_cache_bytes{cache="variants"} 2e+06`) {
+		t.Errorf("gauge func not read at scrape time:\n%s", out)
 	}
-	if got := strings.Count(sb.String(), "p3_shard_reads_total{"); got != 1 {
+	// Replacement must swap the closure, not add a second series.
+	r.SetGaugeFunc("p3_cache_bytes", "bytes held", func() float64 { return 100 }, Label{"cache", "variants"})
+	out = exposition(t, r)
+	if got := strings.Count(out, "p3_cache_bytes{"); got != 1 {
 		t.Errorf("replaced func produced %d series, want 1", got)
 	}
-	if !strings.Contains(sb.String(), `p3_shard_reads_total{shard="0"} 100`) {
-		t.Errorf("replacement not visible:\n%s", sb.String())
+	if !strings.Contains(out, `p3_cache_bytes{cache="variants"} 100`) {
+		t.Errorf("replacement not visible:\n%s", out)
 	}
 }
 
@@ -224,7 +223,7 @@ func TestTypeMismatchPanics(t *testing.T) {
 			t.Error("reusing a counter name as a gauge did not panic")
 		}
 	}()
-	r.Gauge("p3_thing_total", "now a gauge?")
+	r.SetGaugeFunc("p3_thing_total", "now a gauge?", func() float64 { return 0 })
 }
 
 func TestBucketFor(t *testing.T) {

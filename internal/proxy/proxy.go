@@ -336,8 +336,10 @@ func (p *Proxy) Stats() Stats {
 		Similar:       p.similarOp.stats(),
 		Calibration:   p.calib.stats(),
 	}
-	if ds, ok := p.photos.(dedupStatser); ok {
-		d := ds.DedupStats()
+	// A dedup layer in front of the photos backend adds its /stats block;
+	// its /metrics series are its own (dedup.New exports them).
+	if ds, ok := p.photos.(*dedup.Store); ok {
+		d := ds.Stats()
 		s.Dedup = &d
 	}
 	if p.sim != nil {

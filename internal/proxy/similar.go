@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"p3"
-	"p3/internal/dedup"
 	"p3/internal/similarity"
 )
 
@@ -32,14 +31,6 @@ const DefaultSimilarDistance = 10
 // The caller owns the index (and its Close).
 func WithSimilarity(ix *similarity.Index) ProxyOption {
 	return func(c *proxyConfig) { c.similarity = ix }
-}
-
-// dedupStatser detects a dedup layer in the photos backend for the /stats
-// view; satisfied by *dedup.Store. The proxy never names the concrete
-// backend, it only asks whether stats exist. (The layer's /metrics series
-// are its own: dedup.New exports them.)
-type dedupStatser interface {
-	DedupStats() dedup.Stats
 }
 
 // errNoSimilarity answers /similar when no index was configured.
