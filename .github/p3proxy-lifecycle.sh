@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# p3proxy lifecycle smoke: boot pspsim and p3proxy on loopback over a disk
-# store, with the background recalibration loop and the similarity workers
-# running; read /stats, upload one photo and view it through the proxy; scrape
-# /metrics and require the view counted and the cache, calibration and
+# p3proxy lifecycle smoke: boot pspsim and p3proxy on loopback over a
+# two-disk replicated store (so start-up runs the store's legacy-record
+# migration and every secret part goes through the striped store), with the
+# background recalibration loop and the similarity workers running; read
+# /stats, upload one photo and view it through the proxy; scrape /metrics
+# and require the view counted and the cache, calibration and
 # similarity families present; then SIGTERM the proxy and require a clean
 # exit (status 0, "stopped" logged) within 10 s. Run from the repository
 # root: bash .github/p3proxy-lifecycle.sh
@@ -25,7 +27,7 @@ fail() {
   exit 1
 }
 
-mkdir -p "$tmp/bin" "$tmp/store"
+mkdir -p "$tmp/bin" "$tmp/s0" "$tmp/s1"
 go build -o "$tmp/bin/" ./cmd/pspsim ./cmd/p3proxy ./cmd/p3
 
 # A test photo: the repo ships no fixtures, so encode a textured 320x240
@@ -72,8 +74,8 @@ go run "$tmp/gen.go" "$tmp/photo.jpg"
 
 "$tmp/bin/pspsim" -addr "$psp_addr" -store-addr '' -pipeline facebook > "$tmp/psp.log" 2>&1 &
 psp_pid=$!
-"$tmp/bin/p3proxy" -addr "$proxy_addr" -psp "http://$psp_addr" -store "disk:$tmp/store" \
-  -key "$tmp/k.hex" -recalibrate-interval 1s -similarity > "$tmp/proxy.log" 2>&1 &
+"$tmp/bin/p3proxy" -addr "$proxy_addr" -psp "http://$psp_addr" -store "disk:$tmp/s0,disk:$tmp/s1" \
+  -replicas 2 -key "$tmp/k.hex" -recalibrate-interval 1s -similarity > "$tmp/proxy.log" 2>&1 &
 proxy_pid=$!
 
 # Start-up calibration sweeps a parameter grid (~30 s on a small runner).
@@ -92,7 +94,9 @@ id="$(get -X POST --data-binary @"$tmp/photo.jpg" "http://$proxy_addr/upload" |
 [ -n "$id" ] || fail "upload returned no id"
 get "http://$proxy_addr/photo/$id?size=thumb" -o "$tmp/thumb.jpg" || fail "view of $id failed"
 [ -s "$tmp/thumb.jpg" ] || fail "view of $id was empty"
-ls "$tmp/store" | grep -q . || fail "no secret part reached the disk store"
+for shard in s0 s1; do
+  ls "$tmp/$shard" | grep -q . || fail "no secret part reached disk shard $shard"
+done
 get "http://$proxy_addr/metrics" > "$tmp/metrics.txt" || fail "GET /metrics failed"
 downloads="$(sed -n 's/^p3_proxy_requests_total{proxy="proxy",op="download"} \([0-9]*\)$/\1/p' "$tmp/metrics.txt")"
 [ "${downloads:-0}" -ge 1 ] || fail "/metrics counts ${downloads:-no} downloads, want >= 1"

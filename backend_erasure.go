@@ -158,8 +158,12 @@ func (s *ErasureSecretStore) Scheme() (k, n int) { return s.k, s.n }
 
 // --- Share keys --------------------------------------------------------
 
-// shareKeyPrefix namespaces erasure shares in the child stores, so a shard
-// directory shared with other stores stays unambiguous.
+// shareKeyPrefix namespaces erasure shares in the child stores. A k > 1
+// store skips keys without it as foreign, so its shard directories may be
+// shared with other stores. A replicated (k = 1) store's directories are
+// its own: the scrubber reads a bare key there as the record the
+// pre-merge replicated layout kept under that object id, migrates it and
+// removes it.
 const shareKeyPrefix = "es1-"
 
 // shareKey names object id's share index on whatever shard holds it. The ID
@@ -442,8 +446,8 @@ type objectWriteLock struct {
 }
 
 // beginWrite marks an object as having a write (put, delete, read-repair or
-// legacy migration) in flight —
-// so a concurrent scrub pass does not mistake its half-written stripe for
+// the scrubber's migration of a pre-merge record) in flight — so a
+// concurrent scrub pass does not mistake its half-written stripe for
 // damage, or worse, for data loss — and serializes writers for the same
 // id. Serialization is load-bearing: two concurrent epochs racing slot by
 // slot across the same n slots can each keep fewer than k shares while
@@ -587,6 +591,10 @@ type shareFetch struct {
 // (see repairObject). An n < 2k read hears every slot only when the k-th
 // matching share happens to come last, so it leaves repair to the
 // scrubber rather than repairing by answer order.
+//
+// Only share slots are read. A record the pre-merge replicated layout
+// kept under the bare id is the scrubber's to migrate (see ScrubOnce);
+// until then a read that finds every slot empty reports NotFound.
 func (s *ErasureSecretStore) GetSecret(ctx context.Context, id string) ([]byte, error) {
 	lay, placement := s.placementFor(id)
 	k, n := lay.k, lay.n
@@ -679,12 +687,6 @@ func (s *ErasureSecretStore) GetSecret(ctx context.Context, id string) ([]byte, 
 		}
 		return nil, &NotFoundError{Kind: "secret", ID: id}
 	}
-	if missing == n {
-		if k == 1 {
-			return s.readLegacy(ctx, lay, placement, id)
-		}
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
 	if len(groups) == 0 && len(errs) == 0 && invalid == 0 {
 		return nil, &NotFoundError{Kind: "secret", ID: id}
 	}
@@ -739,62 +741,4 @@ func parseShareBytes(index int, id string, raw []byte) shareFetch {
 		return shareFetch{index: index}
 	}
 	return shareFetch{index: index, share: sh, valid: true}
-}
-
-// readLegacy serves an object the pre-share replicated layout wrote: an
-// epoch-versioned record, or before that the raw blob, stored under the
-// bare id on the id's ring placements — the same shards, in the same
-// order, as its share slots. It runs only for 1-of-r stores and only once
-// every slot has answered NotFound, and it rewrites the newest record
-// (blob or tombstone) into the slots that are still empty, so each legacy
-// object pays the extra fan-out once. It holds the object's write lock, so
-// a write that lands meanwhile is never overwritten.
-func (s *ErasureSecretStore) readLegacy(ctx context.Context, lay storeLayout, placement []int, id string) ([]byte, error) {
-	s.beginWrite(id)
-	defer s.endWrite(id)
-	found := false
-	var kind recordKind
-	var epoch uint64
-	var payload []byte
-	for _, shard := range placement {
-		raw, err := lay.shards[shard].GetSecret(ctx, id)
-		if err != nil {
-			continue
-		}
-		// The newest record wins; on an epoch tie, the tombstone.
-		kd, e, p := decodeRecord(raw)
-		if !found || e > epoch || e == epoch && kd == recordTombstone {
-			found, kind, epoch, payload = true, kd, e, p
-		}
-	}
-	if !found {
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
-	rec := encodeRecord(recordTombstone, epoch, nil)
-	var shs []erasure.Share
-	if kind == recordBlob {
-		var err error
-		if shs, err = erasure.Encode(id, epoch, payload, lay.k, lay.n); err != nil {
-			return nil, err
-		}
-	}
-	for i, shard := range placement {
-		key := shareKey(id, i)
-		if _, err := lay.shards[shard].GetSecret(ctx, key); !IsNotFound(err) {
-			continue // a write landed meanwhile, or the shard is down
-		}
-		if shs != nil {
-			rec = shs[i].Marshal()
-		}
-		lay.counters[shard].puts.Add(1)
-		if err := lay.shards[shard].PutSecret(ctx, key, rec); err != nil {
-			lay.counters[shard].putFailures.Add(1)
-		} else {
-			lay.counters[shard].repairs.Add(1)
-		}
-	}
-	if kind == recordTombstone {
-		return nil, &NotFoundError{Kind: "secret", ID: id}
-	}
-	return payload, nil
 }

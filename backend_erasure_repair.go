@@ -42,6 +42,10 @@ type ScrubReport struct {
 	// enumerated (no SecretLister, or the listing failed); their objects
 	// are still scrubbed when any listable shard holds a share of them.
 	UnlistableShards int `json:"unlistable_shards"`
+	// LegacyRemaining counts bare-id records of the pre-merge replicated
+	// layout still present after the pass, which migrates and removes them
+	// unless a home shard was unreachable.
+	LegacyRemaining int `json:"legacy_remaining"`
 }
 
 // scrubSource is one store the scrubber reads from: a current shard
@@ -56,21 +60,36 @@ type scrubSource struct {
 // shards, walk every listable shard's share inventory, and for each object
 // verify all n home slots — re-encoding missing, corrupt or stale shares
 // from any k intact ones, propagating tombstones over shares that survived
-// a delete, and removing copies stranded off their home shard. Passes are
-// serialized; concurrent reads and writes proceed normally.
+// a delete, and removing copies stranded off their home shard. On a
+// replicated store the records the pre-merge layout kept under the bare
+// object id are such stray copies too, so one pass migrates them into
+// share slots (see legacyShare). Passes are serialized; concurrent reads
+// and writes proceed normally.
 func (s *ErasureSecretStore) ScrubOnce(ctx context.Context) (ScrubReport, error) {
-	return s.scrub(ctx, nil)
+	return s.scrub(ctx, nil, false)
+}
+
+// MigrateLegacy is the part of a scrub pass an upgraded replicated store
+// needs before it serves: it walks every shard's inventory as a pass does
+// but scrubs only the objects that still have a pre-merge bare-id record,
+// so once those are migrated it costs one listing per shard. It drains no
+// hints and does not count as a scrub cycle. The report's LegacyRemaining
+// and UnlistableShards say whether any such record may be left.
+func (s *ErasureSecretStore) MigrateLegacy(ctx context.Context) (ScrubReport, error) {
+	return s.scrub(ctx, nil, true)
 }
 
 // scrub is ScrubOnce plus optional extra read-only sources (the departed
-// shards during a Rebalance).
-func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore) (ScrubReport, error) {
+// shards during a Rebalance); legacyOnly narrows it to MigrateLegacy.
+func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore, legacyOnly bool) (ScrubReport, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
 	lay := s.layout()
 	var rep ScrubReport
 
-	rep.HintsDrained = s.drainHints(ctx, lay)
+	if !legacyOnly {
+		rep.HintsDrained = s.drainHints(ctx, lay)
+	}
 
 	// Inventory: every listable source's share keys, grouped by object.
 	sources := make([]scrubSource, 0, len(lay.shards)+len(extra))
@@ -82,7 +101,7 @@ func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore) (Sc
 			sources = append(sources, scrubSource{store: ex, shard: -1})
 		}
 	}
-	inv := map[string]map[int][]scrubSource{} // id -> share index -> holders
+	inv := map[string]map[int][]scrubSource{} // id -> share index (or legacyIndex) -> holders
 	for _, src := range sources {
 		lister, ok := src.store.(SecretLister)
 		if !ok {
@@ -96,7 +115,11 @@ func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore) (Sc
 		}
 		for _, key := range keys {
 			id, idx, ok := parseShareKey(key)
-			if !ok {
+			switch {
+			case ok:
+			case lay.k == 1:
+				id, idx = key, legacyIndex // a pre-merge replicated record
+			default:
 				continue // foreign key on a shared shard directory
 			}
 			byIdx := inv[id]
@@ -118,13 +141,24 @@ func (s *ErasureSecretStore) scrub(ctx context.Context, extra []SecretStore) (Sc
 			s.accumulateScrub(rep)
 			return rep, err
 		}
-		if s.writeInFlight(id) {
-			continue // half-written stripe; the writer owns it, next pass verifies
+		switch _, legacy := inv[id][legacyIndex]; {
+		case legacy:
+			// Migration writes slots a writer may be racing for; hold the
+			// object's write lock, as read-repair does.
+			s.beginWrite(id)
+			s.scrubObject(ctx, lay, id, inv[id], &rep)
+			s.endWrite(id)
+		case legacyOnly:
+		case s.writeInFlight(id):
+			// Half-written stripe; the writer owns it, next pass verifies.
+		default:
+			s.scrubObject(ctx, lay, id, inv[id], &rep)
 		}
-		s.scrubObject(ctx, lay, id, inv[id], &rep)
 	}
 	s.accumulateScrub(rep)
-	s.repairC.scrubCycles.Add(1)
+	if !legacyOnly {
+		s.repairC.scrubCycles.Add(1)
+	}
 	return rep, nil
 }
 
@@ -176,12 +210,32 @@ type slotView struct {
 }
 
 // misplacedCopy is a share or tombstone copy living somewhere other than
-// its current home slot (wrong shard, departed shard, or an index beyond
-// the current scheme) — readable for reconstruction, removable once the
-// home slots are healthy.
+// its current home slot (wrong shard, departed shard, an index beyond the
+// current scheme, or a pre-merge record under the bare id) — readable for
+// reconstruction, removable once the home slots are healthy.
 type misplacedCopy struct {
-	src scrubSource
-	key string
+	src    scrubSource
+	key    string
+	legacy bool
+}
+
+// legacyIndex is the inventory index of a record the pre-merge replicated
+// layout kept under the bare object id.
+const legacyIndex = -1
+
+// legacyShare reads a pre-merge record as a stray copy: a tombstone stays
+// a tombstone, a blob becomes share 0 of the current 1-of-n scheme at the
+// record's own epoch, so any later write supersedes its migrated copies.
+func legacyShare(id string, n int, raw []byte) shareFetch {
+	kind, epoch, payload := decodeRecord(raw)
+	if kind == recordTombstone {
+		return shareFetch{tomb: true, tombEpoch: epoch}
+	}
+	shs, err := erasure.Encode(id, epoch, payload, 1, n)
+	if err != nil {
+		return shareFetch{}
+	}
+	return shareFetch{share: shs[0], valid: true}
 }
 
 // scrubObject verifies and repairs one object's share slots.
@@ -196,8 +250,8 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 	groups := map[uint64][]erasure.Share{}
 	var tombMax uint64
 	haveTomb, haveReadErr := false, false
-	note := func(f shareFetch, present bool) *slotView {
-		v := &slotView{present: present}
+	note := func(f shareFetch) *slotView {
+		v := &slotView{present: true}
 		switch {
 		case f.tomb:
 			v.tomb, v.tombEpoch = true, f.tombEpoch
@@ -218,24 +272,35 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 			}
 			continue
 		}
-		homes[i] = *note(parseShareBytes(i, id, raw), true)
+		homes[i] = *note(parseShareBytes(i, id, raw))
 	}
 	var misplaced []misplacedCopy
 	for idx, srcs := range locs {
+		legacy := idx == legacyIndex
 		for _, src := range srcs {
-			if src.shard >= 0 && idx < n && src.shard == placement[idx] {
+			if src.shard >= 0 && !legacy && idx < n && src.shard == placement[idx] {
 				continue // that is the home copy, already read above
 			}
 			key := shareKey(id, idx)
+			if legacy {
+				key = id
+			}
 			raw, err := src.store.GetSecret(ctx, key)
+			if legacy && !IsNotFound(err) {
+				rep.LegacyRemaining++ // until removeCopies deletes it
+			}
 			if err != nil {
 				if !IsNotFound(err) {
 					haveReadErr = true
 				}
 				continue
 			}
-			note(parseShareBytes(idx, id, raw), true)
-			misplaced = append(misplaced, misplacedCopy{src: src, key: key})
+			if legacy {
+				note(legacyShare(id, n, raw))
+			} else {
+				note(parseShareBytes(idx, id, raw))
+			}
+			misplaced = append(misplaced, misplacedCopy{src: src, key: key, legacy: legacy})
 		}
 	}
 
@@ -283,7 +348,7 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 		// Stray copies may likewise be the last reachable shares of a newer
 		// write; keep them until a pass where every source answers.
 		if !haveReadErr {
-			rep.SharesRemoved += removeCopies(ctx, misplaced)
+			removeCopies(ctx, misplaced, rep)
 		}
 
 	case haveBest:
@@ -357,7 +422,7 @@ func (s *ErasureSecretStore) scrubObject(ctx context.Context, lay storeLayout, i
 		// healthy — while any slot is unreachable or failed its repair, a
 		// stray copy may be the margin between degraded and lost.
 		if !repairFailed && !haveReadErr {
-			rep.SharesRemoved += removeCopies(ctx, misplaced)
+			removeCopies(ctx, misplaced, rep)
 		}
 
 	default:
@@ -380,21 +445,22 @@ func uniqueShareCount(g []erasure.Share) int {
 	return len(seen)
 }
 
-// removeCopies best-effort deletes stray share copies from sources that
-// support deletion. Sources without SecretDeleter keep their strays —
-// harmless, since reads never consult them.
-func removeCopies(ctx context.Context, copies []misplacedCopy) int {
-	removed := 0
+// removeCopies best-effort deletes stray copies from sources that support
+// deletion, counting them into rep. Sources without SecretDeleter keep
+// their strays — harmless, since reads never consult them.
+func removeCopies(ctx context.Context, copies []misplacedCopy, rep *ScrubReport) {
 	for _, mp := range copies {
 		del, ok := mp.src.store.(SecretDeleter)
 		if !ok {
 			continue
 		}
 		if err := del.DeleteSecret(ctx, mp.key); err == nil {
-			removed++
+			rep.SharesRemoved++
+			if mp.legacy {
+				rep.LegacyRemaining--
+			}
 		}
 	}
-	return removed
 }
 
 // recordEpochOf extracts the write epoch from stored share or tombstone
@@ -463,7 +529,7 @@ func (s *ErasureSecretStore) Rebalance(ctx context.Context, newShards []SecretSt
 	// Parked hints address shards by index in the old layout; drop them and
 	// let the migration scrub restore redundancy from the data itself.
 	s.hints.clear()
-	_, err := s.scrub(ctx, old)
+	_, err := s.scrub(ctx, old, false)
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -544,46 +545,74 @@ func TestShardedSecretStoreReadRepairKeepsNewerWrite(t *testing.T) {
 	}
 }
 
-// TestShardedSecretStoreReadsLegacyShards seeds shards the way the
-// replicated store wrote them before it became the 1-of-r scheme — an
-// epoch-versioned record under the bare id, and before that the raw blob —
-// and checks that they read back byte-identical, move into share slots on
-// first read, and stay deleted once deleted.
-func TestShardedSecretStoreReadsLegacyShards(t *testing.T) {
-	mems := []*MemorySecretStore{NewMemorySecretStore(), NewMemorySecretStore(), NewMemorySecretStore()}
-	s, err := NewShardedSecretStore([]SecretStore{mems[0], mems[1], mems[2]}, WithShardReplicas(2))
-	if err != nil {
-		t.Fatal(err)
+// seedLegacy writes an object the way the replicated store wrote it before
+// it became the 1-of-r scheme, one record per replica in ring-preference
+// order: an epoch-versioned record under the bare id, or before that the
+// raw blob.
+func seedLegacy(t *testing.T, s *ErasureSecretStore, shards []SecretStore, id string, recs ...[]byte) {
+	t.Helper()
+	for i, shard := range s.ring.placements(id, len(recs)) {
+		if err := shards[shard].PutSecret(storeCtx, id, recs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// seed writes one legacy record per replica, in ring-preference order.
-	seed := func(id string, recs ...[]byte) {
-		for i, shard := range s.ring.placements(id, 2) {
-			if err := mems[shard].PutSecret(storeCtx, id, recs[i]); err != nil {
-				t.Fatal(err)
+}
+
+// assertNoBareKeys fails if any shard still holds a key that is not a
+// share key — a pre-merge record the scrubber should have removed.
+func assertNoBareKeys(t *testing.T, shards ...SecretStore) {
+	t.Helper()
+	for i, sh := range shards {
+		keys, err := sh.(SecretLister).ListSecrets(storeCtx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			if _, _, ok := parseShareKey(key); !ok {
+				t.Errorf("shard %d still holds bare key %q", i, key)
 			}
 		}
+	}
+}
+
+// TestShardedSecretStoreReadsLegacyShards seeds every layout the
+// pre-merge replicated store left behind and checks that one scrub pass
+// moves each object into checksummed share slots, byte-identical, removes
+// the bare records, and keeps deleted objects deleted.
+func TestShardedSecretStoreReadsLegacyShards(t *testing.T) {
+	shards := []SecretStore{NewMemorySecretStore(), NewMemorySecretStore(), NewMemorySecretStore()}
+	s, err := NewShardedSecretStore(shards, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
 	}
 	enveloped := bytes.Repeat([]byte("enveloped "), 30)
 	raw := bytes.Repeat([]byte{0xc3, 0x5a}, 200)
 	newer := []byte("the newer copy wins")
-	seed("enveloped", encodeRecord(recordBlob, 100, enveloped), encodeRecord(recordBlob, 100, enveloped))
-	seed("raw", raw, raw)
-	seed("diverged", encodeRecord(recordBlob, 100, []byte("older")), encodeRecord(recordBlob, 200, newer))
-	seed("deleted", encodeRecord(recordBlob, 100, raw), encodeRecord(recordTombstone, 200, nil))
-	seed("unread", encodeRecord(recordBlob, 100, raw), encodeRecord(recordBlob, 100, raw))
+	seedLegacy(t, s, shards, "enveloped", encodeRecord(recordBlob, 100, enveloped), encodeRecord(recordBlob, 100, enveloped))
+	seedLegacy(t, s, shards, "raw", raw, raw)
+	seedLegacy(t, s, shards, "diverged", encodeRecord(recordBlob, 100, []byte("older")), encodeRecord(recordBlob, 200, newer))
+	seedLegacy(t, s, shards, "deleted", encodeRecord(recordBlob, 100, raw), encodeRecord(recordTombstone, 200, nil))
+	seedLegacy(t, s, shards, "unread", encodeRecord(recordBlob, 100, raw), encodeRecord(recordBlob, 100, raw))
 
-	want := map[string][]byte{"enveloped": enveloped, "raw": raw, "diverged": newer}
+	rep, err := s.ScrubOnce(storeCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Objects != 5 || rep.LegacyRemaining != 0 || rep.LostObjects != 0 {
+		t.Errorf("scrub report %+v, want 5 objects, nothing remaining or lost", rep)
+	}
+	assertNoBareKeys(t, shards...)
+
+	want := map[string][]byte{"enveloped": enveloped, "raw": raw, "diverged": newer, "unread": raw}
 	for id, blob := range want {
 		got, err := s.GetSecret(storeCtx, id)
 		if err != nil || !bytes.Equal(got, blob) {
 			t.Fatalf("legacy %s = %q, %v; want the original bytes", id, got, err)
 		}
-		// The read rewrote the object into share slots: one checksummed
-		// copy per replica.
 		for i, shard := range s.ring.placements(id, 2) {
-			rec, err := mems[shard].GetSecret(storeCtx, shareKey(id, i))
+			rec, err := shards[shard].GetSecret(storeCtx, shareKey(id, i))
 			if err != nil {
-				t.Fatalf("%s: slot %d not rewritten: %v", id, i, err)
+				t.Fatalf("%s: slot %d not migrated: %v", id, i, err)
 			}
 			if f := parseShareBytes(i, id, rec); !f.valid {
 				t.Fatalf("%s: slot %d holds no valid share", id, i)
@@ -594,17 +623,133 @@ func TestShardedSecretStoreReadsLegacyShards(t *testing.T) {
 		t.Errorf("legacy object deleted by a newer tombstone = %v, want NotFoundError", err)
 	}
 
-	// Deleting a legacy object, migrated or not, must not resurrect it off
-	// the records still sitting under its bare id.
+	// Deleting a migrated object must hold across later scrubs.
 	for _, id := range []string{"enveloped", "unread"} {
 		if err := s.DeleteSecret(storeCtx, id); err != nil {
 			t.Fatal(err)
 		}
-		for pass := 0; pass < 2; pass++ {
-			if _, err := s.GetSecret(storeCtx, id); !IsNotFound(err) {
-				t.Errorf("deleted legacy %s read %d = %v, want NotFoundError", id, pass, err)
+	}
+	if _, err := s.ScrubOnce(storeCtx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"deleted", "enveloped", "unread"} {
+		if _, err := s.GetSecret(storeCtx, id); !IsNotFound(err) {
+			t.Errorf("deleted legacy %s = %v, want NotFoundError", id, err)
+		}
+	}
+}
+
+// TestShardedSecretStoreMigratedLegacySurvivesReplicaLoss checks that after
+// one scrub pass every legacy object is as redundant as a fresh write: it
+// reads with either of its replica shards down.
+func TestShardedSecretStoreMigratedLegacySurvivesReplicaLoss(t *testing.T) {
+	flaky := make([]*flakyStore, 3)
+	shards := make([]SecretStore, 3)
+	for i := range flaky {
+		flaky[i] = &flakyStore{inner: NewMemorySecretStore()}
+		shards[i] = flaky[i]
+	}
+	s, err := NewShardedSecretStore(shards, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("legacy%02d", i)
+		want[id] = bytes.Repeat([]byte{byte(i)}, 100+i)
+		rec := encodeRecord(recordBlob, uint64(100+i), want[id])
+		if i%2 == 1 {
+			rec = want[id] // the envelope-less layout
+		}
+		seedLegacy(t, s, shards, id, rec, rec)
+	}
+	if _, err := s.ScrubOnce(storeCtx); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flaky {
+		f.down.Store(true)
+		for id, blob := range want {
+			if got, err := s.GetSecret(storeCtx, id); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("%s with a replica shard down = %q, %v", id, got, err)
 			}
 		}
+		f.down.Store(false)
+	}
+}
+
+// TestShardedSecretStoreRebalanceMigratesLegacy rebalances stores holding
+// only never-read legacy objects: every object must survive the move onto
+// the new ring, and no shard, kept or departed, may keep a bare record.
+func TestShardedSecretStoreRebalanceMigratesLegacy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keep int // old shards kept in the new set
+		add  int // fresh shards joining it
+	}{
+		{"grow 3 to 5", 3, 2},
+		{"replace a shard", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := []SecretStore{NewMemorySecretStore(), NewMemorySecretStore(), NewMemorySecretStore()}
+			s, err := NewShardedSecretStore(old, WithShardReplicas(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][]byte{}
+			for i := 0; i < 20; i++ {
+				id := fmt.Sprintf("photo%02d", i)
+				want[id] = []byte(id + " sealed")
+				rec := encodeRecord(recordBlob, 100, want[id])
+				seedLegacy(t, s, old, id, rec, rec)
+			}
+			shards := slices.Clone(old[:tc.keep])
+			for range tc.add {
+				shards = append(shards, NewMemorySecretStore())
+			}
+			if err := s.Rebalance(storeCtx, shards); err != nil {
+				t.Fatal(err)
+			}
+			for id, blob := range want {
+				if got, err := s.GetSecret(storeCtx, id); err != nil || !bytes.Equal(got, blob) {
+					t.Errorf("%s after rebalance = %q, %v", id, got, err)
+				}
+			}
+			assertNoBareKeys(t, append(shards, old[tc.keep:]...)...)
+			for _, departed := range old[tc.keep:] {
+				if keys, _ := departed.(SecretLister).ListSecrets(storeCtx); len(keys) != 0 {
+					t.Errorf("departed shard still holds %d records", len(keys))
+				}
+			}
+		})
+	}
+}
+
+// TestErasureSecretStoreLeavesForeignKeys checks that a k > 1 store, which
+// never had a pre-merge layout, treats a bare key on its shards as another
+// store's and leaves it alone.
+func TestErasureSecretStoreLeavesForeignKeys(t *testing.T) {
+	shards := make([]SecretStore, 6)
+	for i := range shards {
+		shards[i] = NewMemorySecretStore()
+	}
+	s, err := NewErasureSecretStore(shards, WithErasureScheme(4, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := encodeRecord(recordBlob, 100, []byte("someone else's"))
+	if err := shards[0].PutSecret(storeCtx, "foreign", foreign); err != nil {
+		t.Fatal(err)
+	}
+	corpus := erasureCorpus(t, s, 4)
+	rep, err := s.ScrubOnce(storeCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Objects != len(corpus) || rep.SharesRemoved != 0 {
+		t.Errorf("scrub report %+v, want %d objects and nothing removed", rep, len(corpus))
+	}
+	if got, err := shards[0].GetSecret(storeCtx, "foreign"); err != nil || !bytes.Equal(got, foreign) {
+		t.Errorf("foreign key after scrub = %q, %v; want it untouched", got, err)
 	}
 }
 

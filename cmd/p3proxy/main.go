@@ -116,7 +116,8 @@ func registerFlags(fs *flag.FlagSet, cfg *stack.Config) (addr, keyPath *string) 
 	keyPath = fs.String("key", "p3.key", "hex key file (see `p3 keygen`)")
 	fs.StringVar(&cfg.PSP, "psp", cfg.PSP, "PSP base URL")
 	fs.StringVar(&cfg.Store, "store", cfg.Store,
-		"blob store(s): http(s)://... or disk:/path, comma-separated for sharding, erasure:k=4,n=6,... for erasure coding")
+		"blob store(s): http(s)://... or disk:/path, comma-separated for sharding, erasure:k=4,n=6,... for erasure coding; "+
+			"a replicated store owns its shards: it migrates a key there that is not one of its shares as a pre-merge record and removes it")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies of each secret part across shards")
 	fs.DurationVar(&cfg.ScrubInterval, "scrub-interval", cfg.ScrubInterval,
 		"multi-store -store: period of the background repair scrubber (0 disables)")

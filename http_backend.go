@@ -194,6 +194,7 @@ func (s *HTTPPhotoService) DeletePhoto(ctx context.Context, id string) error {
 //
 //	PUT {base}/blob/{id}   body: sealed blob
 //	GET {base}/blob/{id}
+//	GET {base}/blob/       → JSON array of every stored id
 type HTTPSecretStore struct {
 	httpBackend
 }
@@ -230,4 +231,19 @@ func (s *HTTPSecretStore) GetSecret(ctx context.Context, id string) ([]byte, err
 // DeleteSecret implements SecretDeleter (DELETE {base}/blob/{id}).
 func (s *HTTPSecretStore) DeleteSecret(ctx context.Context, id string) error {
 	return s.del(ctx, s.base+"/blob/"+url.PathEscape(id), "secret part")
+}
+
+// ListSecrets implements SecretLister (GET {base}/blob/), the inventory an
+// ErasureSecretStore's scrubber walks. A store that offers no listing
+// answers with an error, and its shard counts as unlistable.
+func (s *HTTPSecretStore) ListSecrets(ctx context.Context) ([]string, error) {
+	body, err := s.get(ctx, s.base+"/blob/", "secret listing", nil)
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	if err := json.Unmarshal(body, &ids); err != nil {
+		return nil, fmt.Errorf("p3: parsing blob store listing: %w", err)
+	}
+	return ids, nil
 }

@@ -64,19 +64,15 @@ type SplitOutput struct {
 // may leak EXIF data and PSPs strip them anyway).
 func SplitJPEG(jpegBytes []byte, key Key, opts *Options) (*SplitOutput, error) {
 	var s SplitScratch
-	out, err := splitJPEGInto(jpegBytes, key, opts, &s)
-	if err != nil {
-		return nil, err
-	}
-	out.PublicJPEG = s.pubBuf.Bytes()
-	return out, nil
+	return s.splitSealed(jpegBytes, key, opts)
 }
 
-// SplitScratch is the reusable working set of SplitJPEGScratch: the decode
-// destination and decoder state (Huffman LUTs, bit reader, MCU buffers), the
-// encode buffers, and the public/secret coefficient images a split writes
-// into. The zero value is ready to use; a pooled caller hands the same
-// scratch back on every call and same-geometry photos recycle all of it.
+// SplitScratch is the reusable working set of the split pipeline (Split,
+// SplitJPEGScratch): the decode destination and decoder state (Huffman
+// LUTs, bit reader, MCU buffers), the encode buffers, and the
+// public/secret coefficient images a split writes into. The zero value is
+// ready to use; a pooled caller hands the same scratch back on every call
+// and same-geometry photos recycle all of it.
 type SplitScratch struct {
 	pubBuf, secBuf bytes.Buffer
 	pubIm, secIm   *jpegx.CoeffImage
@@ -93,17 +89,17 @@ func SplitJPEGScratch(jpegBytes []byte, key Key, opts *Options, s *SplitScratch)
 	if s == nil {
 		s = new(SplitScratch)
 	}
-	out, err := splitJPEGInto(jpegBytes, key, opts, s)
+	out, err := s.splitSealed(jpegBytes, key, opts)
 	if err != nil {
 		return nil, err
 	}
-	out.PublicJPEG = append(make([]byte, 0, s.pubBuf.Len()), s.pubBuf.Bytes()...)
+	out.PublicJPEG = append(make([]byte, 0, len(out.PublicJPEG)), out.PublicJPEG...)
 	return out, nil
 }
 
-// splitJPEGInto performs the split, leaving the serialized public part in
-// s.pubBuf; the caller decides whether to alias or copy it into the output.
-func splitJPEGInto(jpegBytes []byte, key Key, opts *Options, s *SplitScratch) (*SplitOutput, error) {
+// splitSealed splits one photo and seals its secret part. The output's
+// PublicJPEG aliases s's buffer; the caller decides whether to copy it.
+func (s *SplitScratch) splitSealed(jpegBytes []byte, key Key, opts *Options) (*SplitOutput, error) {
 	if opts == nil {
 		o := DefaultOptions
 		opts = &o
@@ -112,8 +108,31 @@ func splitJPEGInto(jpegBytes []byte, key Key, opts *Options, s *SplitScratch) (*
 	if t == 0 {
 		t = DefaultThreshold
 	}
+	pub, sec, err := s.Split(jpegBytes, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := SealSecret(key, t, sec)
+	if err != nil {
+		return nil, err
+	}
+	return &SplitOutput{
+		PublicJPEG:    pub,
+		SecretBlob:    blob,
+		Threshold:     t,
+		SecretJPEGLen: len(sec),
+	}, nil
+}
+
+// Split is the one per-image split pipeline: it decodes a JPEG, drops its
+// application markers, splits it at threshold t and serializes both parts
+// as JPEGs, leaving the secret part unsealed. opts (non-nil) contributes
+// OptimizeHuffman and Workers. The returned slices alias s's buffers and
+// stay valid until s is used again. SplitJPEG seals the secret part per
+// photo; a video split seals all its frames' parts once per clip.
+func (s *SplitScratch) Split(jpegBytes []byte, t int, opts *Options) (pub, sec []byte, err error) {
 	if t < 1 || t > MaxThreshold {
-		return nil, fmt.Errorf("core: threshold %d out of range [1, %d]", t, MaxThreshold)
+		return nil, nil, fmt.Errorf("core: threshold %d out of range [1, %d]", t, MaxThreshold)
 	}
 	pool := opts.Workers
 	// The fused fast path captures both parts' entropy token streams during
@@ -123,69 +142,48 @@ func splitJPEGInto(jpegBytes []byte, key Key, opts *Options, s *SplitScratch) (*
 	// token pass over a part image, no coefficient images for the parts.
 	im, cap, err := jpegx.DecodeBytesSplit(jpegBytes, t, s.srcIm, &s.dec)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding input: %w", err)
+		return nil, nil, fmt.Errorf("core: decoding input: %w", err)
 	}
 	s.srcIm = im
 	im.StripMarkers()
-	pubBuf, secBuf := &s.pubBuf, &s.secBuf
-	pubBuf.Reset()
-	secBuf.Reset()
+	s.pubBuf.Reset()
+	s.secBuf.Reset()
+	var encode [2]func() error // public, secret
 	if cap != nil {
 		defer cap.Release()
-		// The two parts write to separate buffers and only read the capture,
-		// so they entropy-encode concurrently.
-		if err := pool.Do(2, func(i int) error {
-			if i == 0 {
-				if err := cap.EncodePublic(pubBuf, im, opts.OptimizeHuffman); err != nil {
-					return fmt.Errorf("core: encoding public part: %w", err)
-				}
-				return nil
-			}
-			if err := cap.EncodeSecret(secBuf, im, opts.OptimizeHuffman); err != nil {
-				return fmt.Errorf("core: encoding secret part: %w", err)
-			}
-			return nil
-		}); err != nil {
-			return nil, err
+		encode = [2]func() error{
+			func() error { return cap.EncodePublic(&s.pubBuf, im, opts.OptimizeHuffman) },
+			func() error { return cap.EncodeSecret(&s.secBuf, im, opts.OptimizeHuffman) },
 		}
-	} else if err := s.splitSlow(im, t, opts, pool); err != nil {
-		return nil, err
-	}
-	blob, err := SealSecret(key, t, secBuf.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return &SplitOutput{
-		SecretBlob:    blob,
-		Threshold:     t,
-		SecretJPEGLen: secBuf.Len(),
-	}, nil
-}
-
-// splitSlow is the reference split pipeline for stream shapes the fused
-// capture does not mirror (progressive sources, multi-scan or non-canonical
-// baseline layouts): split the decoded coefficients into public and secret
-// images, then encode each. Outputs are byte-identical to the fused path for
-// any stream both can handle.
-func (s *SplitScratch) splitSlow(im *jpegx.CoeffImage, t int, opts *Options, pool *work.Pool) error {
-	pub, sec, err := SplitInto(im, t, s.pubIm, s.secIm, pool)
-	if err != nil {
-		return err
-	}
-	s.pubIm, s.secIm = pub, sec
-	enc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool}
-	return pool.Do(2, func(i int) error {
-		if i == 0 {
-			if err := jpegx.EncodeCoeffs(&s.pubBuf, pub, enc); err != nil {
-				return fmt.Errorf("core: encoding public part: %w", err)
-			}
-			return nil
+	} else {
+		// The reference pipeline, for stream shapes the fused capture does
+		// not mirror (progressive sources, multi-scan or non-canonical
+		// baseline layouts): split the decoded coefficients into part
+		// images, then encode each. Its output is byte-identical to the
+		// fused path's for any stream both can handle.
+		p, sc, err := SplitInto(im, t, s.pubIm, s.secIm, pool)
+		if err != nil {
+			return nil, nil, err
 		}
-		if err := jpegx.EncodeCoeffs(&s.secBuf, sec, enc); err != nil {
-			return fmt.Errorf("core: encoding secret part: %w", err)
+		s.pubIm, s.secIm = p, sc
+		enc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool}
+		encode = [2]func() error{
+			func() error { return jpegx.EncodeCoeffs(&s.pubBuf, p, enc) },
+			func() error { return jpegx.EncodeCoeffs(&s.secBuf, sc, enc) },
+		}
+	}
+	// The parts write separate buffers and only read shared state, so they
+	// entropy-encode concurrently.
+	err = pool.Do(2, func(i int) error {
+		if err := encode[i](); err != nil {
+			return fmt.Errorf("core: encoding %s part: %w", [2]string{"public", "secret"}[i], err)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.pubBuf.Bytes(), s.secBuf.Bytes(), nil
 }
 
 // JoinJPEG reconstructs the original JPEG from an *unprocessed* public part

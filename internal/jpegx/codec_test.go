@@ -435,8 +435,8 @@ func TestEncodeValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	// A DC difference past category 11 passes checkCoeffRange and fails in
-	// the scan: the encode must fail before it writes a byte.
+	// A DC difference past category 11 between DC values within 16 bits
+	// fails in the scan: the encode must fail before it writes a byte.
 	big := randomCoeffImage(rng, 512, 512, false, Sub444)
 	big.Components[0].Blocks[len(big.Components[0].Blocks)-1][0] = 30000
 	for _, optimize := range []bool{false, true} {
@@ -444,6 +444,23 @@ func TestEncodeValidation(t *testing.T) {
 		err := EncodeCoeffs(&buf, big, &EncodeOptions{OptimizeHuffman: optimize})
 		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("optimize=%v: DC difference past category 11: err %v", optimize, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("optimize=%v: failed encode wrote %d bytes", optimize, buf.Len())
+		}
+	}
+	// A DC ramp whose every difference fits category 11 but whose values
+	// pass 16 bits, which 16-bit decoders cannot hold: refused under both
+	// table choices.
+	ramp := randomCoeffImage(rng, 256, 8, true, Sub444)
+	for i := range ramp.Components[0].Blocks {
+		ramp.Components[0].Blocks[i] = Block{0: int32(2000 * i)}
+	}
+	for _, optimize := range []bool{false, true} {
+		buf.Reset()
+		err := EncodeCoeffs(&buf, ramp, &EncodeOptions{OptimizeHuffman: optimize})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("optimize=%v: DC past 16 bits: err %v", optimize, err)
 		}
 		if buf.Len() != 0 {
 			t.Errorf("optimize=%v: failed encode wrote %d bytes", optimize, buf.Len())

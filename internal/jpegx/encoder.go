@@ -428,13 +428,6 @@ func (e *encoder) replayTokens(bw *bitWriter, encs *[8]*huffEncoder, tokens []ui
 // restart markers; the bands' summed counts equal the sequential pass's and
 // their token streams, replayed in band order, its emission.
 func (e *encoder) encodeBaseline() error {
-	if !e.opts.OptimizeHuffman {
-		// Annex-K encodes also bound every coefficient's value; the token
-		// pass checks only each symbol's magnitude category.
-		if err := e.checkCoeffRange(); err != nil {
-			return err
-		}
-	}
 	_, mcusY := e.img.mcuDims()
 	bands := min(e.opts.Workers.Size(), mcusY)
 	if e.opts.RestartInterval > 0 {
@@ -530,11 +523,16 @@ func blockNZ(b *Block) uint64 {
 	return m
 }
 
-// encodeBaselineBlock records one block. Zero runs fall out of
-// TrailingZeros64 gaps in the block's nonzero map instead of a 63-iteration
-// test-and-branch walk — most AC coefficients are zero, and for P3's sparse
-// secret parts nearly all of them are.
+// encodeBaselineBlock records one block, refusing coefficients a baseline
+// stream cannot carry: a DC outside 16 bits (which 16-bit decoders cannot
+// hold), a DC difference past category 11, an AC past category 10. Zero
+// runs fall out of TrailingZeros64 gaps in the block's nonzero map instead
+// of a 63-iteration test-and-branch walk — most AC coefficients are zero,
+// and for P3's sparse secret parts nearly all of them are.
 func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
+	if uint32(b[0]+32768) > 65535 {
+		return fmt.Errorf("jpegx: DC %d out of range for baseline", b[0])
+	}
 	diff := b[0] - *pred
 	*pred = b[0]
 	n, val := magnitude(diff)
@@ -568,7 +566,8 @@ func encodeBaselineBlock(em *emitter, slot int, b *Block, pred *int32) error {
 }
 
 // checkCoeffRange validates that every DC fits 16 bits and every AC a
-// baseline Huffman magnitude category.
+// baseline Huffman magnitude category. Progressive encodes run it up front;
+// baseline encodes apply the same bounds per block as they record.
 func (e *encoder) checkCoeffRange() error {
 	for ci := range e.img.Components {
 		c := &e.img.Components[ci]

@@ -146,8 +146,11 @@ func DecodeBytesSplit(data []byte, threshold int, dst *CoeffImage, s *DecoderScr
 
 // startBlock records a block's DC. The public DC is always zero (category
 // 0, no value bits); the secret DC is the source DC on its own prediction
-// chain.
+// chain, bounded as encodeBaselineBlock bounds it.
 func (c *SplitCapture) startBlock(dc int32, slot, ci int) error {
+	if uint32(dc+32768) > 65535 {
+		return fmt.Errorf("jpegx: DC %d out of range for baseline", dc)
+	}
 	diff := dc - c.secDCPred[ci]
 	c.secDCPred[ci] = dc
 	dn, dval := magnitude(diff)

@@ -1,6 +1,7 @@
 package psp
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 //
 //	PUT /blob/{name}   body: bytes
 //	GET /blob/{name}
+//	GET /blob/         → JSON array of every stored name
 type BlobStore struct {
 	mu    sync.RWMutex
 	blobs map[string][]byte
@@ -37,6 +39,17 @@ func (b *BlobStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name, err := url.PathUnescape(strings.TrimPrefix(r.URL.EscapedPath(), "/blob/"))
+	if err == nil && name == "" && r.Method == http.MethodGet {
+		b.mu.RLock()
+		names := make([]string, 0, len(b.blobs))
+		for name := range b.blobs {
+			names = append(names, name)
+		}
+		b.mu.RUnlock()
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(names)
+		return
+	}
 	if err != nil || name == "" {
 		http.NotFound(w, r)
 		return

@@ -11,16 +11,18 @@
 // shard.
 //
 // Build order: shard backends → composite store (the scrub daemon starts
-// here) → codec → admission controller → PSP client → dedup layer →
-// similarity index (hash workers start here) → proxy (the background
-// recalibration loop starts here). Close runs the other way: the proxy's
-// loop stops first, while the index and the store it reads through are
-// still live; then the index drains its workers; then the scrub daemon
-// stops. Build does not calibrate — callers run Proxy.Calibrate under their
-// own deadline before serving.
+// here; a replicated store also migrates the pre-merge replicated layout
+// and fails the build if any of it may be left) → codec → admission
+// controller → PSP client → dedup layer → similarity index (hash workers
+// start here) → proxy (the background recalibration loop starts here).
+// Close runs the other way: the proxy's loop stops first, while the index
+// and the store it reads through are still live; then the index drains its
+// workers; then the scrub daemon stops. Build does not calibrate — callers
+// run Proxy.Calibrate under their own deadline before serving.
 package stack
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,7 +53,9 @@ type Config struct {
 	// Replicas copies of each blob (the 1-of-Replicas scheme), or
 	// "erasure:[k=K,][n=N,]<list>" served with the k-of-n scheme. Either
 	// store's repair daemon runs every ScrubInterval (0 leaves repair to
-	// explicit ScrubOnce calls).
+	// explicit ScrubOnce calls). A replicated store owns its shards: Build
+	// and every scrub pass migrate a key there that is not one of its
+	// shares as a record of the pre-merge replicated layout, then remove it.
 	Store         string
 	Replicas      int           // -replicas
 	ScrubInterval time.Duration // -scrub-interval
@@ -245,6 +249,21 @@ func (s *Stack) openStore(cfg Config, reg *metrics.Registry) (p3.SecretStore, er
 	}
 	// Close only stops the daemon; it has no failure to report.
 	s.closers = append(s.closers, func() { es.Close() })
+	if k, _ := es.Scheme(); k == 1 {
+		// Reads see share slots only, so every record the pre-merge
+		// replicated layout left under a bare id must be migrated before
+		// the stack serves, and a shard that cannot be listed may hide one.
+		// Build takes no context; HTTP shards bound each request with
+		// cfg.Timeout.
+		rep, err := es.MigrateLegacy(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		if rep.UnlistableShards > 0 || rep.LegacyRemaining > 0 {
+			return nil, fmt.Errorf("replicated store: %d shards could not be listed and %d pre-merge replica records could not be migrated into share slots; bring every shard up and restart",
+				rep.UnlistableShards, rep.LegacyRemaining)
+		}
+	}
 	for i := range es.Shards() {
 		metrics.Export(reg, "p3_shard", func() (st p3.ShardStats) {
 			if all := es.ShardStats(); i < len(all) { // a Rebalance may have shrunk the list

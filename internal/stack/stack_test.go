@@ -3,11 +3,14 @@ package stack
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,6 +106,114 @@ func TestWrapShardSeesEveryLeafInOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seen, []int{0, 1, 2}) {
 		t.Errorf("WrapShard saw shards %v, want [0 1 2]", seen)
+	}
+}
+
+// downShard is a shard that refuses every request.
+type downShard struct{}
+
+func (downShard) PutSecret(context.Context, string, []byte) error {
+	return errors.New("shard down")
+}
+
+func (downShard) GetSecret(context.Context, string) ([]byte, error) {
+	return nil, errors.New("shard down")
+}
+
+// TestBuildMigratesLegacyRecords seeds two shards, disk and HTTP, with a
+// record in the pre-merge replicated layout. Build must refuse to serve
+// while the record cannot be migrated (a shard down) or a shard cannot be
+// listed (an HTTP store without the listing endpoint); otherwise it
+// migrates the record, removes the bare copies and serves it.
+func TestBuildMigratesLegacyRecords(t *testing.T) {
+	const id = "p00000001"
+	blob := []byte("sealed before the one-store merge")
+	dir := t.TempDir()
+	disks := []string{filepath.Join(dir, "a"), filepath.Join(dir, "b")}
+	for _, path := range disks {
+		d, err := p3.NewDiskSecretStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PutSecret(context.Background(), id, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	blobs := []*psp.BlobStore{psp.NewBlobStore(), psp.NewBlobStore()}
+	var listing, unlisted []string
+	for _, b := range blobs {
+		b.Put(id, blob)
+		listing = append(listing, serve(b))
+		noList := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/blob/" {
+				http.NotFound(w, r)
+				return
+			}
+			b.ServeHTTP(w, r)
+		})
+		unlisted = append(unlisted, serve(noList))
+	}
+	down := func(i int, s p3.SecretStore) p3.SecretStore {
+		if i == 1 {
+			return downShard{}
+		}
+		return s
+	}
+
+	for _, tc := range []struct {
+		name    string
+		store   string
+		wrap    func(int, p3.SecretStore) p3.SecretStore
+		refusal string // "" when Build must serve
+	}{
+		{"disk shard down", "disk:" + disks[0] + ",disk:" + disks[1], down,
+			"1 shards could not be listed and 1 pre-merge replica records"},
+		{"http without listing", strings.Join(unlisted, ","), nil,
+			"2 shards could not be listed and 0 pre-merge replica records"},
+		{"disk", "disk:" + disks[0] + ",disk:" + disks[1], nil, ""},
+		{"http", strings.Join(listing, ","), nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := goldenConfig(t)
+			cfg.Store, cfg.Replicas, cfg.WrapShard = tc.store, 2, tc.wrap
+			st, err := Build(cfg)
+			if tc.refusal != "" {
+				if err == nil {
+					st.Close()
+					t.Fatal("Build served a store that may hold an unmigrated legacy record")
+				}
+				if !strings.Contains(err.Error(), tc.refusal) {
+					t.Errorf("Build error %q does not say %q", err, tc.refusal)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got, err := st.Store.GetSecret(context.Background(), id); err != nil || !bytes.Equal(got, blob) {
+				t.Errorf("migrated record = %q, %v; want the original bytes", got, err)
+			}
+		})
+	}
+	for i, b := range blobs {
+		if b.Has(id) {
+			t.Errorf("HTTP shard %d still holds the bare record", i)
+		}
+	}
+	for _, path := range disks {
+		d, err := p3.NewDiskSecretStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.GetSecret(context.Background(), id); !p3.IsNotFound(err) {
+			t.Errorf("disk shard %s still holds the bare record (%v)", path, err)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"p3/internal/core"
-	"p3/internal/jpegx"
 	"p3/internal/work"
 )
 
@@ -222,21 +221,13 @@ type SplitResult struct {
 	SecretStreamLen int
 }
 
-// splitScratch is one worker's reusable per-frame working set for
-// SplitStream: decoder state, the three coefficient images, and the two
-// encode buffers. Recycled through a per-call sync.Pool so a clip costs
-// one scratch per *worker*, not per frame.
-type splitScratch struct {
-	dec            jpegx.DecoderScratch
-	src, pub, sec  *jpegx.CoeffImage
-	pubBuf, secBuf bytes.Buffer
-}
-
 // SplitStream splits every frame of an MJPEG stream with P3. All frames use
 // the same threshold and key; the secret parts travel together in a single
 // sealed container so the recipient makes one store round trip per video.
-// Frames are split concurrently on opts.Workers (nil runs sequentially);
-// outputs are byte-identical at every parallelism level.
+// Each frame takes core's per-image split pipeline (SplitScratch.Split), so
+// a frame splits exactly as a photo does. Frames are split concurrently on
+// opts.Workers (nil runs sequentially), each worker recycling one split
+// scratch; outputs are byte-identical at every parallelism level.
 func SplitStream(streamBytes []byte, key core.Key, opts *core.Options) (*SplitResult, error) {
 	s, err := parseStream(streamBytes)
 	if err != nil {
@@ -250,38 +241,21 @@ func SplitStream(streamBytes []byte, key core.Key, opts *core.Options) (*SplitRe
 	if threshold == 0 {
 		threshold = core.DefaultThreshold
 	}
-	pool := opts.Workers
 	pub := &Stream{Frames: make([][]byte, len(s.Frames))}
 	secrets := &Stream{Frames: make([][]byte, len(s.Frames))}
-	enc := &jpegx.EncodeOptions{OptimizeHuffman: opts.OptimizeHuffman, Workers: pool}
 	var scratches sync.Pool
-	err = pool.Do(len(s.Frames), func(i int) error {
-		fs, _ := scratches.Get().(*splitScratch)
+	err = opts.Workers.Do(len(s.Frames), func(i int) error {
+		fs, _ := scratches.Get().(*core.SplitScratch)
 		if fs == nil {
-			fs = new(splitScratch)
+			fs = new(core.SplitScratch)
 		}
 		defer scratches.Put(fs)
-		im, err := jpegx.DecodeBytesInto(s.Frames[i], fs.src, &fs.dec)
-		if err != nil {
-			return fmt.Errorf("video: decoding frame %d: %w", i, err)
-		}
-		fs.src = im
-		im.StripMarkers()
-		p, sec, err := core.SplitInto(im, threshold, fs.pub, fs.sec, pool)
+		p, sec, err := fs.Split(s.Frames[i], threshold, opts)
 		if err != nil {
 			return fmt.Errorf("video: splitting frame %d: %w", i, err)
 		}
-		fs.pub, fs.sec = p, sec
-		fs.pubBuf.Reset()
-		fs.secBuf.Reset()
-		if err := jpegx.EncodeCoeffs(&fs.pubBuf, p, enc); err != nil {
-			return fmt.Errorf("video: encoding public frame %d: %w", i, err)
-		}
-		if err := jpegx.EncodeCoeffs(&fs.secBuf, sec, enc); err != nil {
-			return fmt.Errorf("video: encoding secret frame %d: %w", i, err)
-		}
-		pub.Frames[i] = append([]byte(nil), fs.pubBuf.Bytes()...)
-		secrets.Frames[i] = append([]byte(nil), fs.secBuf.Bytes()...)
+		pub.Frames[i] = append([]byte(nil), p...)
+		secrets.Frames[i] = append([]byte(nil), sec...)
 		return nil
 	})
 	if err != nil {

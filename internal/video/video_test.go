@@ -198,6 +198,80 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSplitStreamMatchesPerFrameSplit holds SplitStream to the reference
+// per-frame pipeline — decode, core.Split, EncodeCoeffs of each part — for
+// both table choices, on a clip mixing baseline frames (which the fused
+// capture splits) with a progressive one (which it does not).
+func TestSplitStreamMatchesPerFrameSplit(t *testing.T) {
+	clip, err := ReadStream(bytes.NewReader(testClip(t, 3, 96, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := jpegx.DecodeBytes(clip.Frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog bytes.Buffer
+	if err := jpegx.EncodeCoeffs(&prog, im, &jpegx.EncodeOptions{Progressive: true}); err != nil {
+		t.Fatal(err)
+	}
+	clip.Frames = append(clip.Frames, prog.Bytes())
+	var raw bytes.Buffer
+	if err := clip.Write(&raw); err != nil {
+		t.Fatal(err)
+	}
+	key, err := core.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, optimize := range []bool{false, true} {
+		opts := &core.Options{Threshold: 12, OptimizeHuffman: optimize, Workers: work.New(2)}
+		split, err := SplitStream(raw.Bytes(), key, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, secStream, err := core.OpenSecret(key, split.SecretBlob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pubRef, secRef := &Stream{}, &Stream{}
+		for i, frame := range clip.Frames {
+			im, err := jpegx.DecodeBytes(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			im.StripMarkers()
+			pub, sec, err := core.Split(im, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pb, sb bytes.Buffer
+			enc := &jpegx.EncodeOptions{OptimizeHuffman: optimize}
+			if err := jpegx.EncodeCoeffs(&pb, pub, enc); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if err := jpegx.EncodeCoeffs(&sb, sec, enc); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			pubRef.Frames = append(pubRef.Frames, pb.Bytes())
+			secRef.Frames = append(secRef.Frames, sb.Bytes())
+		}
+		var pubWant, secWant bytes.Buffer
+		if err := pubRef.Write(&pubWant); err != nil {
+			t.Fatal(err)
+		}
+		if err := secRef.Write(&secWant); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(split.PublicStream, pubWant.Bytes()) {
+			t.Errorf("optimize=%v: public stream differs from the per-frame split", optimize)
+		}
+		if !bytes.Equal(secStream, secWant.Bytes()) {
+			t.Errorf("optimize=%v: secret stream differs from the per-frame split", optimize)
+		}
+	}
+}
+
 // TestJoinFrame checks the frame seek against the whole-clip join.
 func TestJoinFrame(t *testing.T) {
 	raw := testClip(t, 4, 96, 64)

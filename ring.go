@@ -87,8 +87,10 @@ func mix64(x uint64) uint64 {
 // blob off a shard that was down during the delete.
 //
 // The same envelope with kind 'B' is how the pre-share replicated layout
-// stored blobs under the bare object id. ErasureSecretStore.readLegacy
-// still reads those, and the envelope-less raw blobs from before them.
+// stored blobs under the bare object id, and before the envelope it stored
+// raw blobs there. No read path knows that layout: the scrubber of a
+// replicated store reads each such record as a stray copy of its object
+// (legacyShare), migrates it into share slots and removes it.
 
 // recordKind distinguishes the two enveloped record types.
 type recordKind byte
@@ -111,9 +113,9 @@ func encodeRecord(kind recordKind, epoch uint64, payload []byte) []byte {
 }
 
 // decodeRecord splits an on-shard record. Bytes without the envelope are
-// treated as a legacy epoch-0 blob, so a store pointed at shards holding
-// pre-envelope data still serves it (readLegacy rewrites it into share
-// slots on its first read).
+// treated as a legacy epoch-0 blob, so the scrubber migrates pre-envelope
+// records too, and any write since supersedes them. Share slots hold
+// erasure shares or tombstones; reads call it only to spot the latter.
 //
 // The migration is sniffed, not versioned: a pre-envelope blob that
 // happens to begin with the 5-byte prefix "p3r1B" or "p3r1T" is misparsed
