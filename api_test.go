@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -238,6 +239,77 @@ func TestPhotoVariantQueryRoundTrip(t *testing.T) {
 			t.Errorf("zero-area crop %q accepted", crop)
 		}
 	}
+}
+
+// TestPhotoVariantSizeTakesPrecedence: a named size clears the dynamic
+// fields, after they were checked, from either parse source.
+func TestPhotoVariantSizeTakesPrecedence(t *testing.T) {
+	v, err := ParsePhotoVariantQuery("crop=0,0,64,48&size=small&w=10&h=20")
+	if err != nil || v.Size != "small" || v.W != 0 || v.H != 0 || v.Crop != nil {
+		t.Errorf("size with crop and w/h = %+v, %v; want size alone", v, err)
+	}
+	if _, err := ParsePhotoVariant(url.Values{"size": {"small"}, "crop": {"1,2,3"}}); err == nil {
+		t.Error("bad crop beside a size accepted")
+	}
+}
+
+// FuzzPhotoVariantQuery holds the two parse sources to each other and the
+// rendering to its reference: for any raw query, ParsePhotoVariantQuery
+// equals ParsePhotoVariant of url.ParseQuery (its error ignored, as
+// url.URL.Query ignores it), error included; for every variant that
+// parses, AppendQuery appends exactly refQuery's encoding, and so does
+// Query().Encode().
+func FuzzPhotoVariantQuery(f *testing.F) {
+	for _, raw := range []string{
+		"", "size=small", "w=320&h=240", "h=240&w=320", "crop=32,32,160,120&w=200&h=150",
+		"crop=32%2C32%2C160%2C120", "crop=+1,2,+3,4", "size=&size=big", "size=a;b&size=c",
+		"size=%zz&size=big", "si%7Ae=thumb", "size=big+thumb", "size=%E2%82%AC", "w=+5",
+		"size=small&crop=0,0,64,48", "crop=1,2,3", "crop=4,4,0,0", "w=-1", "h=0&w=3", "&&w=1&",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, err := ParsePhotoVariantQuery(raw)
+		q, _ := url.ParseQuery(raw)
+		want, wantErr := ParsePhotoVariant(q)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q: raw parse error %v, url.Values parse error %v", raw, err, wantErr)
+		}
+		if got.Size != want.Size || got.W != want.W || got.H != want.H ||
+			(got.Crop == nil) != (want.Crop == nil) || got.Crop != nil && *got.Crop != *want.Crop {
+			t.Fatalf("%q: raw parse %+v, url.Values parse %+v", raw, got, want)
+		}
+		if err != nil {
+			return
+		}
+		enc := refQuery(got).Encode()
+		if a := string(got.AppendQuery([]byte("k\x00")))[2:]; a != enc {
+			t.Fatalf("%q: AppendQuery %q, reference %q", raw, a, enc)
+		}
+		if e := got.Query().Encode(); e != enc {
+			t.Fatalf("%q: Query().Encode() %q, reference %q", raw, e, enc)
+		}
+	})
+}
+
+// refQuery is the map-built rendering PhotoVariant.AppendQuery must equal
+// byte for byte once encoded: the test's reference.
+func refQuery(v PhotoVariant) url.Values {
+	q := url.Values{}
+	if v.Size != "" {
+		q.Set("size", v.Size)
+		return q
+	}
+	if v.Crop != nil {
+		q.Set("crop", fmt.Sprintf("%d,%d,%d,%d", v.Crop.X, v.Crop.Y, v.Crop.W, v.Crop.H))
+	}
+	if v.W > 0 {
+		q.Set("w", strconv.Itoa(v.W))
+	}
+	if v.H > 0 {
+		q.Set("h", strconv.Itoa(v.H))
+	}
+	return q
 }
 
 // TestJoinProcessedRejectsInapplicableTransform: a crop that misses the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,7 +75,8 @@ type SecretDeleter interface {
 // need it to walk a shard's share inventory; stores that cannot enumerate
 // (minimal HTTP blob stores) simply aren't scrubbed from that side.
 // Implementations may omit IDs they cannot faithfully reproduce (the disk
-// store's hash-named fallback for pathologically long IDs).
+// store's hash-named blobs for pathologically long IDs that were written
+// before it kept an ID sidecar beside each).
 type SecretLister interface {
 	ListSecrets(ctx context.Context) ([]string, error)
 }
@@ -99,69 +101,166 @@ type CropRect struct {
 // PhotoVariant selects which rendition of a stored photo to fetch. The zero
 // value requests the stored full-size re-encode. Size selects a named static
 // variant ("big", "small", "thumb" on a Facebook-like PSP) and takes
-// precedence over the dynamic W/H/Crop fields. The bundled PSP requires W
-// and H together for a dynamic resize.
+// precedence over the dynamic W/H/Crop fields: the parsers clear them when
+// Size is set, and Query and AppendQuery ignore them. The bundled PSP
+// requires W and H together for a dynamic resize.
 type PhotoVariant struct {
 	Size string    // named static variant, "" = none
 	W, H int       // dynamic fit-within resize, 0 = unset
 	Crop *CropRect // dynamic crop, nil = none
 }
 
-// Query renders the variant as the PSP wire API's query parameters.
+// Query renders the variant as the PSP wire API's query parameters: the
+// parse of AppendQuery's rendering, which always parses.
 func (v PhotoVariant) Query() url.Values {
-	q := url.Values{}
-	if v.Size != "" {
-		q.Set("size", v.Size)
-		return q
-	}
-	if v.Crop != nil {
-		q.Set("crop", fmt.Sprintf("%d,%d,%d,%d", v.Crop.X, v.Crop.Y, v.Crop.W, v.Crop.H))
-	}
-	if v.W > 0 {
-		q.Set("w", strconv.Itoa(v.W))
-	}
-	if v.H > 0 {
-		q.Set("h", strconv.Itoa(v.H))
-	}
+	q, _ := url.ParseQuery(string(v.AppendQuery(nil)))
 	return q
 }
+
+// AppendQuery appends the variant's wire query to b and returns the
+// extended slice, in url.Values.Encode's form (keys sorted, values
+// query-escaped, so a crop's commas are %2C) without building the map. It
+// is the one rendering of a variant, and canonical: equivalent requests
+// ("w=10&h=20" and "h=20&w=10") render alike.
+func (v PhotoVariant) AppendQuery(b []byte) []byte {
+	if v.Size != "" {
+		return appendQueryEscape(append(b, "size="...), v.Size)
+	}
+	sep := ""
+	if c := v.Crop; c != nil {
+		b = append(b, "crop="...)
+		for i, n := range [4]int{c.X, c.Y, c.W, c.H} {
+			if i > 0 {
+				b = append(b, "%2C"...)
+			}
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
+		sep = "&"
+	}
+	if v.H > 0 {
+		b = strconv.AppendInt(append(append(b, sep...), "h="...), int64(v.H), 10)
+		sep = "&"
+	}
+	if v.W > 0 {
+		b = strconv.AppendInt(append(append(b, sep...), "w="...), int64(v.W), 10)
+	}
+	return b
+}
+
+// appendQueryEscape appends url.QueryEscape(s) to b.
+func appendQueryEscape(b []byte, s string) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			b = append(b, c)
+		case c == ' ':
+			b = append(b, '+')
+		default:
+			b = append(b, '%', upperHex[c>>4], upperHex[c&15])
+		}
+	}
+	return b
+}
+
+// variantParams are the wire API's variant parameters, in the order
+// parseVariant takes their values.
+var variantParams = [4]string{"size", "crop", "w", "h"}
 
 // ParsePhotoVariant parses the PSP wire API's query parameters
 // (size=big|small|thumb, w=&h=, crop=x,y,w,h) into a PhotoVariant.
 func ParsePhotoVariant(q url.Values) (PhotoVariant, error) {
-	v := PhotoVariant{Size: q.Get("size")}
-	if cropStr := q.Get("crop"); cropStr != "" {
-		parts := strings.Split(cropStr, ",")
-		if len(parts) != 4 {
-			return PhotoVariant{}, fmt.Errorf("p3: bad crop %q", cropStr)
-		}
-		var vals [4]int
-		for i, part := range parts {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 0 {
-				return PhotoVariant{}, fmt.Errorf("p3: bad crop %q", cropStr)
-			}
-			vals[i] = n
-		}
-		if vals[2] == 0 || vals[3] == 0 {
-			return PhotoVariant{}, fmt.Errorf("p3: empty crop %q", cropStr)
-		}
-		v.Crop = &CropRect{X: vals[0], Y: vals[1], W: vals[2], H: vals[3]}
+	var vals [4]string
+	for i, k := range variantParams {
+		vals[i] = q.Get(k)
 	}
-	for _, dim := range []struct {
-		s   string
-		dst *int
-	}{{q.Get("w"), &v.W}, {q.Get("h"), &v.H}} {
-		if dim.s == "" {
+	return parseVariant(vals)
+}
+
+// ParsePhotoVariantQuery is ParsePhotoVariant of url.ParseQuery(rawQuery),
+// with the ParseQuery error ignored as url.URL.Query ignores it, read
+// straight from the raw query without building the map: the first value
+// of a parameter wins, pairs containing ';' or a bad %-escape are skipped,
+// and '+' and %XX are unescaped.
+func ParsePhotoVariantQuery(rawQuery string) (PhotoVariant, error) {
+	var vals [4]string
+	var seen [4]bool
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
 			continue
 		}
-		n, err := strconv.Atoi(dim.s)
-		if err != nil || n <= 0 {
-			return PhotoVariant{}, fmt.Errorf("p3: bad dimension %q", dim.s)
+		k, val, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
 		}
-		*dim.dst = n
+		i := slices.Index(variantParams[:], k)
+		if i < 0 || seen[i] {
+			continue
+		}
+		if vals[i], err = url.QueryUnescape(val); err == nil {
+			seen[i] = true
+		}
+	}
+	return parseVariant(vals)
+}
+
+// parseVariant is the one parse behind both sources: vals holds the first
+// value of each of variantParams ("" when absent). Every given parameter
+// is checked; a Size then clears the dynamic fields, so the rendition, its
+// cache key and the reconstruction operator all follow Size alone.
+func parseVariant(vals [4]string) (PhotoVariant, error) {
+	v := PhotoVariant{Size: vals[0]}
+	var crop *CropRect
+	if s := vals[1]; s != "" {
+		var n [4]int
+		rest := s
+		for i := range n {
+			var part string
+			var more bool
+			part, rest, more = strings.Cut(rest, ",")
+			if more != (i < 3) {
+				return PhotoVariant{}, fmt.Errorf("p3: bad crop %q", s)
+			}
+			x, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil || x < 0 {
+				return PhotoVariant{}, fmt.Errorf("p3: bad crop %q", s)
+			}
+			n[i] = x
+		}
+		if n[2] == 0 || n[3] == 0 {
+			return PhotoVariant{}, fmt.Errorf("p3: empty crop %q", s)
+		}
+		crop = &CropRect{X: n[0], Y: n[1], W: n[2], H: n[3]}
+	}
+	var err error
+	if v.W, err = parseDim(vals[2]); err != nil {
+		return PhotoVariant{}, err
+	}
+	if v.H, err = parseDim(vals[3]); err != nil {
+		return PhotoVariant{}, err
+	}
+	if v.Size != "" {
+		v.W, v.H = 0, 0
+	} else {
+		v.Crop = crop
 	}
 	return v, nil
+}
+
+// parseDim parses a w= or h= value; "" is unset (0).
+func parseDim(s string) (int, error) {
+	if s == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("p3: bad dimension %q", s)
+	}
+	return n, nil
 }
 
 // MemorySecretStore is an in-process SecretStore for tests and

@@ -36,6 +36,10 @@ type DiskSecretStore struct {
 // blobSuffix distinguishes committed blobs from in-flight temp files.
 const blobSuffix = ".secret"
 
+// idSuffix names the sidecar holding the ID of a hash-named blob, the one
+// name ListSecrets cannot decode.
+const idSuffix = ".id"
+
 // staleTempAge is how old a stranded temp file must be before the opening
 // sweep discards it. The age gate keeps the sweep from racing another live
 // store instance on a shared directory (NAS mount, synced folder) whose
@@ -75,23 +79,50 @@ const maxEncodedIDLen = 180
 // the base64url ID for normal IDs (reversible, debuggable with base64 -d),
 // or "sha256-" plus the ID's hash for IDs too long to fit in a filename.
 // The distinct prefixes keep the two namespaces disjoint, so no two IDs
-// can collide on one file.
-func (s *DiskSecretStore) blobPath(id string) string {
+// can collide on one file. hashed reports the fallback: such a blob has an
+// idSuffix sidecar naming its ID beside it.
+func (s *DiskSecretStore) blobPath(id string) (path string, hashed bool) {
 	enc := base64.RawURLEncoding.EncodeToString([]byte(id))
 	if len(enc) > maxEncodedIDLen {
 		sum := sha256.Sum256([]byte(id))
-		enc = "sha256-" + hex.EncodeToString(sum[:])
+		enc, hashed = "sha256-"+hex.EncodeToString(sum[:]), true
 	} else {
 		enc = "id-" + enc
 	}
-	return filepath.Join(s.dir, enc+blobSuffix)
+	return filepath.Join(s.dir, enc+blobSuffix), hashed
 }
 
-// PutSecret implements SecretStore with atomic, crash-safe writes.
+// sidecarPath is the ID sidecar of the hash-named blob at path.
+func sidecarPath(path string) string {
+	return strings.TrimSuffix(path, blobSuffix) + idSuffix
+}
+
+// PutSecret implements SecretStore with atomic, crash-safe writes. A
+// hash-named blob's ID sidecar is committed first, so every committed blob
+// can be listed; a crash between the two leaves only a sidecar, which
+// lists nothing.
 func (s *DiskSecretStore) PutSecret(ctx context.Context, id string, blob []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	path, hashed := s.blobPath(id)
+	if hashed {
+		if err := s.commit(id, sidecarPath(path), []byte(id), nil); err != nil {
+			return err
+		}
+		if err := s.syncDir(); err != nil {
+			return err
+		}
+	}
+	if err := s.commit(id, path, blob, s.testCrashAfterWrite); err != nil {
+		return err
+	}
+	return s.syncDir()
+}
+
+// commit writes data to a temp file, fsyncs it and renames it to path.
+// crash, when non-nil, runs before the rename (see testCrashAfterWrite).
+func (s *DiskSecretStore) commit(id, path string, data []byte, crash func() error) error {
 	f, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("p3: disk store: %w", err)
@@ -102,14 +133,14 @@ func (s *DiskSecretStore) PutSecret(ctx context.Context, id string, blob []byte)
 		os.Remove(tmp)
 		return fmt.Errorf("p3: disk store writing %q: %w", id, err)
 	}
-	if _, err := f.Write(blob); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(err)
 	}
-	if s.testCrashAfterWrite != nil {
-		if err := s.testCrashAfterWrite(); err != nil {
+	if crash != nil {
+		if err := crash(); err != nil {
 			// Simulated crash: the temp file stays behind, exactly as a real
 			// crash would leave it. It must never become visible.
 			f.Close()
@@ -119,11 +150,11 @@ func (s *DiskSecretStore) PutSecret(ctx context.Context, id string, blob []byte)
 	if err := f.Close(); err != nil {
 		return cleanup(err)
 	}
-	if err := os.Rename(tmp, s.blobPath(id)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("p3: disk store committing %q: %w", id, err)
 	}
-	return s.syncDir()
+	return nil
 }
 
 // syncDir fsyncs the store directory so the rename itself is durable.
@@ -144,7 +175,8 @@ func (s *DiskSecretStore) GetSecret(ctx context.Context, id string) ([]byte, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	blob, err := os.ReadFile(s.blobPath(id))
+	path, _ := s.blobPath(id)
+	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, &NotFoundError{Kind: "secret", ID: id}
 	}
@@ -160,17 +192,21 @@ func (s *DiskSecretStore) DeleteSecret(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := os.Remove(s.blobPath(id)); err != nil && !os.IsNotExist(err) {
+	path, hashed := s.blobPath(id)
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("p3: disk store deleting %q: %w", id, err)
+	}
+	if hashed {
+		if err := os.Remove(sidecarPath(path)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("p3: disk store deleting %q: %w", id, err)
+		}
 	}
 	return nil
 }
 
 // ListSecrets implements SecretLister by decoding committed blob filenames
-// back to their IDs. Hash-named blobs (IDs too long for a filename) are
-// skipped: their IDs cannot be recovered from the name, so they are
-// invisible to inventory walks — acceptable, since the proxy caps IDs far
-// below the fallback threshold.
+// back to their IDs; a hash-named blob's ID comes from its sidecar, and
+// is listed only when it hashes to the blob's name.
 func (s *DiskSecretStore) ListSecrets(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -185,15 +221,27 @@ func (s *DiskSecretStore) ListSecrets(ctx context.Context) ([]string, error) {
 		if !ok || e.IsDir() {
 			continue
 		}
-		enc, ok := strings.CutPrefix(name, "id-")
-		if !ok {
-			continue // sha256- fallback name: ID unrecoverable
+		if enc, ok := strings.CutPrefix(name, "id-"); ok {
+			id, err := base64.RawURLEncoding.DecodeString(enc)
+			if err != nil {
+				continue // foreign file in the store directory
+			}
+			ids = append(ids, string(id))
+			continue
 		}
-		id, err := base64.RawURLEncoding.DecodeString(enc)
+		if !strings.HasPrefix(name, "sha256-") {
+			continue
+		}
+		id, err := os.ReadFile(filepath.Join(s.dir, name+idSuffix))
+		if os.IsNotExist(err) {
+			continue // a blob the store wrote before it kept sidecars
+		}
 		if err != nil {
-			continue // foreign file in the store directory
+			return nil, fmt.Errorf("p3: disk store listing: %w", err)
 		}
-		ids = append(ids, string(id))
+		if path, _ := s.blobPath(string(id)); filepath.Base(path) == e.Name() {
+			ids = append(ids, string(id))
+		}
 	}
 	return ids, nil
 }

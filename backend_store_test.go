@@ -85,13 +85,60 @@ func TestDiskSecretStorePathSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inside) != len(hostile) {
+	// One blob per ID, plus the ID sidecar of the hash-named one.
+	if len(inside) != len(hostile)+1 {
 		t.Fatalf("%d files for %d ids", len(inside), len(hostile))
 	}
 	for _, e := range inside {
 		if e.IsDir() {
 			t.Errorf("unexpected subdirectory %q", e.Name())
 		}
+	}
+	listed, err := s.ListSecrets(storeCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(listed)
+	if want := slices.Sorted(slices.Values(hostile)); !slices.Equal(listed, want) {
+		t.Errorf("ListSecrets = %q, want %q", listed, want)
+	}
+	if err := s.DeleteSecret(storeCtx, hostile[len(hostile)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if inside, _ := os.ReadDir(dir); len(inside) != len(hostile)-1 {
+		t.Errorf("%d files left after deleting the hash-named blob, want %d", len(inside), len(hostile)-1)
+	}
+}
+
+// TestDiskShardsListLongIDs: on disk shards, an object whose share key is
+// too long for a filename (a hash-named blob) is still in the scrubber's
+// inventory, so it is repaired, rebalanced and migrated like any other.
+func TestDiskShardsListLongIDs(t *testing.T) {
+	dir := t.TempDir()
+	shards := make([]SecretStore, 3)
+	for i := range shards {
+		disk, err := NewDiskSecretStore(filepath.Join(dir, fmt.Sprintf("shard%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = disk
+	}
+	s, err := NewShardedSecretStore(shards, WithShardReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("L", 120)
+	for _, id := range []string{"short", long} {
+		if err := s.PutSecret(storeCtx, id, []byte("blob of "+id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.ScrubOnce(storeCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Objects != 2 {
+		t.Errorf("scrub saw %d objects, want 2 (report %+v)", rep.Objects, rep)
 	}
 }
 

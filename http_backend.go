@@ -179,8 +179,8 @@ func (s *HTTPPhotoService) UploadPhotoWithDims(ctx context.Context, jpegBytes []
 // address an arbitrary path on the backend instead of the photo namespace.
 func (s *HTTPPhotoService) FetchPhoto(ctx context.Context, id string, v PhotoVariant) ([]byte, error) {
 	u := s.base + "/photo/" + url.PathEscape(id)
-	if enc := v.Query().Encode(); enc != "" {
-		u += "?" + enc
+	if q := v.AppendQuery(nil); len(q) > 0 {
+		u += "?" + string(q)
 	}
 	return s.get(ctx, u, "public part", &NotFoundError{Kind: "photo", ID: id})
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,34 +260,36 @@ func (c *calibState) retryAfterLocked() time.Duration {
 	return remaining
 }
 
-// variantKeyFor addresses one reconstructed rendition in the variant cache.
-// The variant is canonicalized through Query() so equivalent requests
-// ("w=10&h=20" vs "h=20&w=10") share an entry, and the calibration epoch is
-// the key prefix, so reconstructions under superseded parameters can never
-// be served after a flip and lazy eviction can match entries by epoch.
+// variantKeyFor addresses one reconstructed rendition in the variant cache:
+// epoch, id and the variant's canonical query (PhotoVariant.AppendQuery),
+// NUL-separated. The canonical query lets equivalent requests ("w=10&h=20"
+// vs "h=20&w=10") share an entry, and the calibration epoch is the key
+// prefix, so reconstructions under superseded parameters can never be
+// served after a flip and lazy eviction can match entries by epoch. The key
+// is appended into a stack buffer and converted once, one allocation.
 func variantKeyFor(epoch uint64, id string, v p3.PhotoVariant) string {
-	return fmt.Sprintf("%d\x00%s\x00%s", epoch, id, v.Query().Encode())
+	var buf [128]byte
+	b := strconv.AppendUint(buf[:0], epoch, 10)
+	b = append(append(append(b, 0), id...), 0)
+	return string(v.AppendQuery(b))
 }
 
 // parseVariantKey inverts variantKeyFor. Video keys (prefix "video\x00")
 // fail the epoch parse and report ok = false.
 func parseVariantKey(key string) (id string, v p3.PhotoVariant, ok bool) {
-	parts := strings.SplitN(key, "\x00", 3)
-	if len(parts) != 3 {
+	epoch, rest, _ := strings.Cut(key, "\x00")
+	id, query, ok := strings.Cut(rest, "\x00")
+	if !ok {
 		return "", p3.PhotoVariant{}, false
 	}
-	if _, err := strconv.ParseUint(parts[0], 10, 64); err != nil {
+	if _, err := strconv.ParseUint(epoch, 10, 64); err != nil {
 		return "", p3.PhotoVariant{}, false
 	}
-	q, err := url.ParseQuery(parts[2])
+	variant, err := p3.ParsePhotoVariantQuery(query)
 	if err != nil {
 		return "", p3.PhotoVariant{}, false
 	}
-	variant, err := p3.ParsePhotoVariant(q)
-	if err != nil {
-		return "", p3.PhotoVariant{}, false
-	}
-	return parts[1], variant, true
+	return id, variant, true
 }
 
 // Calibrate runs one incremental calibration pass (see Recalibrate) and

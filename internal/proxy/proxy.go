@@ -529,14 +529,21 @@ func (p *Proxy) storedDims(ctx context.Context, id string) (int, int, error) {
 // calibration-epoch snapshot taken at entry, so a recalibration landing
 // mid-request cannot mix epochs; the request simply completes against the
 // epoch it started under (stale-while-revalidate).
-func (p *Proxy) Download(ctx context.Context, id string, q url.Values) (_ []byte, err error) {
+func (p *Proxy) Download(ctx context.Context, id string, q url.Values) ([]byte, error) {
+	variant, err := p3.ParsePhotoVariant(q)
+	return p.downloadVariant(ctx, id, variant, err)
+}
+
+// downloadVariant is Download and GET /photo/{id} after the query parse:
+// badQuery is that parse's error, reported after the id check, so both
+// refuse a request for the same reason.
+func (p *Proxy) downloadVariant(ctx context.Context, id string, variant p3.PhotoVariant, badQuery error) (_ []byte, err error) {
 	defer p.download.observe(time.Now(), &err)
 	if err := validateID(id); err != nil {
 		return nil, err
 	}
-	variant, err := p3.ParsePhotoVariant(q)
-	if err != nil {
-		return nil, &RequestError{Err: err}
+	if badQuery != nil {
+		return nil, &RequestError{Err: badQuery}
 	}
 	ep := p.calib.cur.Load()
 	if ep == nil {
@@ -793,7 +800,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"id": id})
 	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/photo/"):
 		id := strings.TrimPrefix(r.URL.Path, "/photo/")
-		jpegBytes, err := p.Download(r.Context(), id, r.URL.Query())
+		variant, err := p3.ParsePhotoVariantQuery(r.URL.RawQuery)
+		jpegBytes, err := p.downloadVariant(r.Context(), id, variant, err)
 		if err != nil {
 			httpError(w, err)
 			return

@@ -8,6 +8,8 @@ package p3_test
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"testing"
 
@@ -116,5 +118,48 @@ func BenchmarkProxy_DownloadHot(b *testing.B) {
 		if _, err := p.Download(ctx, id, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// serveHotQueries are the benchmark's eight view variants: three named
+// sizes, the full-size view, three dynamic resizes and a crop.
+var serveHotQueries = [...]string{
+	"size=thumb", "size=small", "size=big", "",
+	"w=320&h=240", "w=128&h=96", "w=480&h=360",
+	"crop=32,32,160,120&w=200&h=150",
+}
+
+// hotWriter is a ResponseWriter that keeps only the status, so the
+// benchmark counts the handler's allocations and not a recorder's.
+type hotWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *hotWriter) Header() http.Header         { return w.h }
+func (w *hotWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *hotWriter) WriteHeader(status int)      { w.status = status }
+
+// BenchmarkProxy_ServeHot is the hit path at the surface views arrive on:
+// GET /photo/{id}?… through ServeHTTP, cycling over the eight variants of
+// one 320×240 photo, every one already in the variant cache. Unlike
+// BenchmarkProxy_DownloadHot it pays the query parse.
+func BenchmarkProxy_ServeHot(b *testing.B) {
+	p, id := newBenchProxy(b, 320, 240)
+	reqs := make([]*http.Request, len(serveHotQueries))
+	w := &hotWriter{h: http.Header{}}
+	for i, q := range serveHotQueries {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/photo/"+id+"?"+q, nil)
+		w.status = http.StatusOK
+		p.ServeHTTP(w, reqs[i]) // prime the variant cache
+		if w.status != http.StatusOK {
+			b.Fatalf("GET ?%s: status %d", q, w.status)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(w.h)
+		p.ServeHTTP(w, reqs[i%len(reqs)])
 	}
 }
