@@ -1130,40 +1130,66 @@ func (im *CoeffImage) ToPlanarInto(dst *PlanarImage, s *PlanarScratch, pool *wor
 	dst.Width, dst.Height = im.Width, im.Height
 	dst.Planes = slices.Grow(dst.Planes[:0], len(im.Components))[:len(im.Components)]
 	for ci := range im.Components {
-		c := &im.Components[ci]
-		w, h := im.ComponentSize(ci)
-		out := slices.Grow(dst.Planes[ci][:0], im.Width*im.Height)[:im.Width*im.Height]
-		dst.Planes[ci] = out
-		// A full-size component (luma, or 4:4:4 chroma) is transformed into
-		// its plane; only a subsampled one goes through the temporary.
-		pix, sub := out, w != im.Width || h != im.Height
-		if sub {
-			s.native = slices.Grow(s.native[:0], w*h)[:w*h]
-			pix = s.native
-		}
-		// validate() prevents a missing table for encoder-produced images;
-		// decoded images always carry theirs. Produce zeros rather than
-		// panicking.
-		if q := im.Quant[c.TqIndex]; q == nil {
-			clear(pix)
-		} else {
-			bh := (h + 7) / 8
-			bands := min(pool.Size(), bh)
-			if bands <= 1 {
-				idctRows(pix, w, h, c, q, 0, bh)
-			} else {
-				// Band errors are impossible; ignore Do's error.
-				_ = pool.Do(bands, func(i int) error {
-					idctRows(pix, w, h, c, q, bh*i/bands, bh*(i+1)/bands)
-					return nil
-				})
-			}
-		}
-		if sub {
-			s.hor = upsamplePlane(pix, w, h, out, im.Width, im.Height, s.hor)
-		}
+		dst.Planes[ci] = im.componentPlane(ci, dst.Planes[ci], s, pool)
 	}
 	return dst
+}
+
+// ToLumaInto is ToPlanarInto for component 0 alone (luma, or the only
+// component of a grayscale image): dst becomes a one-plane image whose plane
+// holds the samples of ToPlanar's first plane, bit for bit. The chroma
+// components are neither transformed nor upsampled. dst and s are reused as
+// in ToPlanarInto (nil allocates); the IDCT runs sequentially.
+func (im *CoeffImage) ToLumaInto(dst *PlanarImage, s *PlanarScratch) *PlanarImage {
+	if dst == nil {
+		dst = new(PlanarImage)
+	}
+	if s == nil {
+		s = new(PlanarScratch)
+	}
+	dst.Width, dst.Height = im.Width, im.Height
+	dst.Planes = slices.Grow(dst.Planes[:0], 1)[:1]
+	dst.Planes[0] = im.componentPlane(0, dst.Planes[0], s, nil)
+	return dst
+}
+
+// componentPlane writes component ci as a full-resolution plane into out's
+// storage (grown when too small) and returns it: dequantize and IDCT, banded
+// on pool, then a chroma upsample when the component is subsampled, its
+// native-resolution samples held in s.
+func (im *CoeffImage) componentPlane(ci int, out []float64, s *PlanarScratch, pool *work.Pool) []float64 {
+	c := &im.Components[ci]
+	w, h := im.ComponentSize(ci)
+	out = slices.Grow(out[:0], im.Width*im.Height)[:im.Width*im.Height]
+	// A full-size component (luma, or 4:4:4 chroma) is transformed into
+	// its plane; only a subsampled one goes through the temporary.
+	pix, sub := out, w != im.Width || h != im.Height
+	if sub {
+		s.native = slices.Grow(s.native[:0], w*h)[:w*h]
+		pix = s.native
+	}
+	// validate() prevents a missing table for encoder-produced images;
+	// decoded images always carry theirs. Produce zeros rather than
+	// panicking.
+	if q := im.Quant[c.TqIndex]; q == nil {
+		clear(pix)
+	} else {
+		bh := (h + 7) / 8
+		bands := min(pool.Size(), bh)
+		if bands <= 1 {
+			idctRows(pix, w, h, c, q, 0, bh)
+		} else {
+			// Band errors are impossible; ignore Do's error.
+			_ = pool.Do(bands, func(i int) error {
+				idctRows(pix, w, h, c, q, bh*i/bands, bh*(i+1)/bands)
+				return nil
+			})
+		}
+	}
+	if sub {
+		s.hor = upsamplePlane(pix, w, h, out, im.Width, im.Height, s.hor)
+	}
+	return out
 }
 
 // idctRows dequantizes and inverse-transforms block rows [by0, by1) of c,

@@ -92,6 +92,50 @@ func TestToPlanarPoolIdentical(t *testing.T) {
 	}
 }
 
+// TestToLumaIntoMatchesToPlanar: ToLumaInto, run through one destination
+// and one scratch over alternating geometries and layouts — gray, 4:2:0,
+// 4:2:2, 4:4:4, and a frame whose luma is the subsampled component — gives
+// ToPlanar's first plane bit for bit, as a one-plane image in dst.
+func TestToLumaIntoMatchesToPlanar(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var luma PlanarImage
+	var ps PlanarScratch
+	for trial := 0; trial < 10; trial++ {
+		w, h := 40+24*(trial%3), 24+16*(trial%4)+trial%2
+		var im *CoeffImage
+		switch trial % 5 {
+		case 0:
+			im = randomCoeffImage(rng, w, h, true, Sub444)
+		case 4:
+			// Chroma sampled 2×2 against luma's 1×1: the luma component is
+			// the one ToPlanar upsamples.
+			im = randomCoeffImage(rng, w, h, false, Sub444)
+			im.Components[1].H, im.Components[1].V = 2, 2
+			mcusX, mcusY := im.mcuDims()
+			for ci := range im.Components {
+				c := &im.Components[ci]
+				c.BlocksX, c.BlocksY = mcusX*c.H, mcusY*c.V
+				blocks := make([]Block, c.BlocksX*c.BlocksY)
+				copy(blocks, c.Blocks)
+				c.Blocks = blocks
+			}
+		default:
+			im = randomCoeffImage(rng, w, h, false, []Subsampling{Sub420, Sub422, Sub444}[trial%5-1])
+		}
+		want := im.ToPlanar()
+		got := im.ToLumaInto(&luma, &ps)
+		if got != &luma || got.Width != want.Width || got.Height != want.Height || len(got.Planes) != 1 || len(got.Planes[0]) != len(want.Planes[0]) {
+			t.Fatalf("trial %d: ToLumaInto gave a %dx%dx%d image, want %dx%dx1 in dst",
+				trial, got.Width, got.Height, len(got.Planes), want.Width, want.Height)
+		}
+		for i, v := range want.Planes[0] {
+			if math.Float64bits(got.Planes[0][i]) != math.Float64bits(v) {
+				t.Fatalf("trial %d: ToLumaInto sample %d = %v, ToPlanar %v", trial, i, got.Planes[0][i], v)
+			}
+		}
+	}
+}
+
 // TestIntoVariantsReuseMatchFresh: ToPlanarInto and ToCoeffsInto, run through
 // one destination and one set of temporaries over alternating geometries,
 // gray and colour, 4:2:0 and 4:4:4, give the samples and coefficients of a

@@ -311,7 +311,7 @@ func (p *Proxy) Calibrate(ctx context.Context) (core.SearchResult, error) {
 // runs per proxy; concurrent calls fail fast with
 // *CalibrationInFlightError.
 func (p *Proxy) Recalibrate(ctx context.Context, force bool) (_ CalibrationOutcome, err error) {
-	defer p.calibrate.observe(time.Now(), &err)
+	defer p.calibrate.observe(clock(), &err)
 	release, err := p.admit(ctx, admission.Calibrate)
 	if err != nil {
 		return CalibrationOutcome{}, err

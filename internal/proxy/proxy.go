@@ -229,15 +229,24 @@ type opMetrics struct {
 }
 
 // observe records one finished call; use as
-// `defer p.download.observe(time.Now(), &err)` so the deferred read sees
-// the function's final error.
-func (m *opMetrics) observe(start time.Time, err *error) {
+// `defer p.download.observe(clock(), &err)` so the deferred read sees the
+// function's final error.
+func (m *opMetrics) observe(start time.Duration, err *error) {
 	m.requests.Inc()
 	if *err != nil {
 		m.errors.Inc()
 	}
-	m.latency.Observe(time.Since(start))
+	m.latency.Observe(clock() - start)
 }
+
+// clockBase anchors clock. It carries a monotonic reading, so time.Since of
+// it reads the monotonic clock alone, where time.Now also reads the wall
+// clock.
+var clockBase = time.Now()
+
+// clock is the monotonic time since clockBase, read once at each end of a
+// timed operation.
+func clock() time.Duration { return time.Since(clockBase) }
 
 // stats summarizes the operation for the JSON /stats view.
 func (m *opMetrics) stats() OpStats {
@@ -421,7 +430,7 @@ func validateID(id string) error {
 // secret and dims caches are warmed from the upload itself, so the
 // uploader's first view costs no extra backend fetches.
 func (p *Proxy) Upload(ctx context.Context, jpegBytes []byte) (_ string, err error) {
-	defer p.upload.observe(time.Now(), &err)
+	defer p.upload.observe(clock(), &err)
 	release, err := p.admit(ctx, admission.Cold)
 	if err != nil {
 		return "", err
@@ -538,7 +547,7 @@ func (p *Proxy) Download(ctx context.Context, id string, q url.Values) ([]byte, 
 // badQuery is that parse's error, reported after the id check, so both
 // refuse a request for the same reason.
 func (p *Proxy) downloadVariant(ctx context.Context, id string, variant p3.PhotoVariant, badQuery error) (_ []byte, err error) {
-	defer p.download.observe(time.Now(), &err)
+	defer p.download.observe(clock(), &err)
 	if err := validateID(id); err != nil {
 		return nil, err
 	}
@@ -633,7 +642,7 @@ func exact(b []byte) []byte {
 // and dims fetches underneath still are. It counts toward the download
 // metrics like Download does.
 func (p *Proxy) DownloadPixels(ctx context.Context, id string, q url.Values) (_ *jpegx.PlanarImage, err error) {
-	defer p.download.observe(time.Now(), &err)
+	defer p.download.observe(clock(), &err)
 	if err := validateID(id); err != nil {
 		return nil, err
 	}

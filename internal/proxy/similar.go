@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"p3"
 	"p3/internal/similarity"
@@ -41,7 +40,7 @@ var errNoSimilarity = errors.New("proxy: similarity index not enabled")
 // A photo whose ingest is still queued becomes visible after an index
 // flush, so an upload immediately followed by /similar never 404s.
 func (p *Proxy) Similar(ctx context.Context, id string, maxDist int) (_ []similarity.Match, err error) {
-	defer p.similarOp.observe(time.Now(), &err)
+	defer p.similarOp.observe(clock(), &err)
 	if p.sim == nil {
 		return nil, &RequestError{Err: errNoSimilarity}
 	}
@@ -71,7 +70,7 @@ func (p *Proxy) Similar(ctx context.Context, id string, maxDist int) (_ []simila
 // cannot be reconstructed, never a deleted public part with a live
 // secret dangling in the blob store.
 func (p *Proxy) Delete(ctx context.Context, id string) (err error) {
-	defer p.deleteOp.observe(time.Now(), &err)
+	defer p.deleteOp.observe(clock(), &err)
 	if err := validateID(id); err != nil {
 		return err
 	}

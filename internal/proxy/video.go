@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"p3"
 	"p3/internal/admission"
@@ -79,7 +78,7 @@ func newVideoID() (string, error) {
 // and the sealed secret container at "<id>.sec". Both caches are warmed
 // from the upload. Returns the clip ID and its frame count.
 func (p *Proxy) UploadVideo(ctx context.Context, streamBytes []byte) (_ string, _ int, err error) {
-	defer p.videoUpload.observe(time.Now(), &err)
+	defer p.videoUpload.observe(clock(), &err)
 	if int64(len(streamBytes)) > p.videoMaxBytes {
 		return "", 0, &RequestError{Err: fmt.Errorf("proxy: video of %d bytes over the %d-byte limit", len(streamBytes), p.videoMaxBytes)}
 	}
@@ -171,7 +170,7 @@ func videoKey(id string, frame int) string {
 // one (id, frame) run the fetch+join once. Callers must treat the
 // returned bytes as immutable — they are shared with the cache.
 func (p *Proxy) DownloadVideo(ctx context.Context, id string, q url.Values) (_ []byte, err error) {
-	defer p.videoDownload.observe(time.Now(), &err)
+	defer p.videoDownload.observe(clock(), &err)
 	if err := validateID(id); err != nil {
 		return nil, err
 	}

@@ -94,6 +94,7 @@ func WithQueueDepth(n int) Option {
 type job struct {
 	id   string
 	jpeg []byte
+	seq  uint64 // the id's entry in Index.queued when enqueued
 }
 
 // Index is a concurrent perceptual-hash index over public parts.
@@ -105,6 +106,12 @@ type Index struct {
 	mu   sync.RWMutex
 	root *node
 	byID map[string]Hash
+	// queued maps each id with an ingest in flight to the sequence number
+	// of its latest Enqueue. A job inserts its hash only while its number
+	// is still the id's entry, so a Remove (which drops the entry) or a
+	// newer Enqueue of the id overrides a job that has not finished.
+	queued map[string]uint64
+	seq    uint64
 
 	jobs    chan job
 	workers sync.WaitGroup
@@ -126,8 +133,9 @@ func NewIndex(opts ...Option) *Index {
 		opt(&cfg)
 	}
 	ix := &Index{
-		byID: make(map[string]Hash),
-		jobs: make(chan job, cfg.queue),
+		byID:   make(map[string]Hash),
+		queued: make(map[string]uint64),
+		jobs:   make(chan job, cfg.queue),
 	}
 	r := cfg.registry
 	labels := []metrics.Label{{Key: "index", Value: "similarity"}}
@@ -149,7 +157,8 @@ func NewIndex(opts ...Option) *Index {
 // Enqueue schedules (id, jpeg) for background hashing. jpeg must not be
 // mutated by the caller afterwards. With a full queue (or zero workers)
 // the hash runs inline, so Enqueue never drops work and never blocks on
-// a slow consumer. After Close, Enqueue is a no-op.
+// a slow consumer. A Remove of id before the hash lands cancels it, and a
+// later Enqueue of id supersedes it. After Close, Enqueue is a no-op.
 func (ix *Index) Enqueue(id string, jpeg []byte) {
 	ix.closeMu.Lock()
 	if ix.closed {
@@ -157,13 +166,18 @@ func (ix *Index) Enqueue(id string, jpeg []byte) {
 		return
 	}
 	ix.pending.Add(1)
+	ix.mu.Lock()
+	ix.seq++
+	j := job{id: id, jpeg: jpeg, seq: ix.seq}
+	ix.queued[id] = j.seq
+	ix.mu.Unlock()
 	select {
-	case ix.jobs <- job{id: id, jpeg: jpeg}:
+	case ix.jobs <- j:
 		ix.closeMu.Unlock()
 	default:
 		ix.closeMu.Unlock()
 		ix.inline.Inc()
-		ix.ingest(job{id: id, jpeg: jpeg})
+		ix.ingest(j)
 	}
 }
 
@@ -172,15 +186,26 @@ func (ix *Index) ingest(j job) {
 	h, err := PHash(j.jpeg)
 	if err != nil {
 		ix.ingestErrors.Inc()
-		return
 	}
-	ix.Add(j.id, h)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.queued[j.id] != j.seq {
+		return // removed or enqueued again while this job ran
+	}
+	delete(ix.queued, j.id)
+	if err == nil {
+		ix.addLocked(j.id, h)
+	}
 }
 
 // Add inserts a pre-computed hash. Re-adding an ID replaces its hash.
 func (ix *Index) Add(id string, h Hash) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.addLocked(id, h)
+}
+
+func (ix *Index) addLocked(id string, h Hash) {
 	if old, ok := ix.byID[id]; ok {
 		if old == h {
 			ix.ingests.Inc()
@@ -197,11 +222,13 @@ func (ix *Index) Add(id string, h Hash) {
 	ix.ingests.Inc()
 }
 
-// Remove drops an ID from the index (no-op when absent). The BK-tree
-// node stays for routing; only the ID set shrinks.
+// Remove drops an ID from the index (no-op when absent) and cancels its
+// queued ingest, if any. The BK-tree node stays for routing; only the ID
+// set shrinks.
 func (ix *Index) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	delete(ix.queued, id)
 	if h, ok := ix.byID[id]; ok {
 		ix.removeLocked(id, h)
 	}

@@ -1,11 +1,15 @@
 package similarity
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
+
+	"p3/internal/dataset"
+	"p3/internal/jpegx"
 )
 
 // bruteForce is the oracle for BK-tree queries: scan every indexed hash.
@@ -168,6 +172,7 @@ func TestQueryIDExcludesSelf(t *testing.T) {
 // from many goroutines (run under -race) and then checks the final index
 // against the oracle.
 func TestConcurrentIngestAndQuery(t *testing.T) {
+	tiny := encodeJPEG(t, dataset.Natural(1, 16, 16), 90)
 	ix := NewIndex(WithWorkers(4), WithQueueDepth(16))
 	defer ix.Close()
 
@@ -180,19 +185,26 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < 100; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0, 1:
 					ix.Add(id, Hash(rng.Uint64()))
 				case 2:
 					ix.Query(Hash(rng.Uint64()), 10)
 				case 3:
 					ix.Remove(fmt.Sprintf("w%d-%d", rng.Intn(workers), rng.Intn(100)))
+				case 4:
+					ix.Enqueue(fmt.Sprintf("w%d-%d", rng.Intn(workers), rng.Intn(100)), tiny)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	ix.Flush()
+	ix.mu.RLock()
+	if n := len(ix.queued); n != 0 {
+		t.Errorf("%d ingests still pending after Flush", n)
+	}
+	ix.mu.RUnlock()
 	// The index must still answer exactly: rebuild the oracle from Hash().
 	entries := map[string]Hash{}
 	for w := 0; w < workers; w++ {
@@ -236,5 +248,70 @@ func TestEnqueueIngestsRealJPEGs(t *testing.T) {
 	st := ix.Stats()
 	if st.IngestErrors != 1 {
 		t.Fatalf("ingest errors %d, want 1", st.IngestErrors)
+	}
+}
+
+// bigJPEG is a 1600×1200 photo whose hash keeps an ingest worker busy for
+// milliseconds, built once for the tests that queue work behind it. Its
+// content does not matter, so it is a cheap diagonal ramp.
+var bigJPEG = sync.OnceValue(func() []byte {
+	const w, h = 1600, 1200
+	img := &jpegx.PlanarImage{Width: w, Height: h, Planes: [][]float64{
+		make([]float64, w*h), make([]float64, w*h), make([]float64, w*h)}}
+	for i := range img.Planes[0] {
+		img.Planes[0][i] = float64((i%w + i/w) % 256)
+		img.Planes[1][i], img.Planes[2][i] = 128, 128
+	}
+	coeffs, err := img.ToCoeffs(90, jpegx.Sub420)
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := jpegx.EncodeCoeffs(&buf, coeffs, nil); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// TestRemoveCancelsQueuedIngest: a Remove that lands while the id's ingest
+// is still queued behind another must keep the id out of the index once the
+// worker gets to it, or a deleted photo comes back as a ghost.
+func TestRemoveCancelsQueuedIngest(t *testing.T) {
+	big := bigJPEG()
+	small := encodeJPEG(t, dataset.Natural(2, 64, 48), 90)
+	ix := NewIndex(WithWorkers(1))
+	defer ix.Close()
+	ix.Enqueue("a", big) // keeps the one worker busy
+	ix.Enqueue("b", small)
+	ix.Remove("b")
+	ix.Flush()
+	if h, ok := ix.Hash("b"); ok {
+		t.Fatalf("removed id b indexed by its queued ingest (hash %s)", h)
+	}
+	if _, ok := ix.Hash("a"); !ok {
+		t.Fatal("id a missing after Flush")
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len %d, want 1", ix.Len())
+	}
+}
+
+// TestReEnqueueKeepsLatestHash: when an id is enqueued again before its
+// first ingest finished, the later photo's hash is the one indexed, even
+// when the earlier (larger) one finishes last.
+func TestReEnqueueKeepsLatestHash(t *testing.T) {
+	big := bigJPEG()
+	small := encodeJPEG(t, dataset.Natural(4, 64, 48), 90)
+	want, err := PHash(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex(WithWorkers(2))
+	defer ix.Close()
+	ix.Enqueue("x", big)
+	ix.Enqueue("x", small)
+	ix.Flush()
+	if got, ok := ix.Hash("x"); !ok || got != want {
+		t.Fatalf("Hash(x) = %s, %v; want the later photo's %s", got, ok, want)
 	}
 }

@@ -15,11 +15,11 @@
 package similarity
 
 import (
-	"bytes"
 	"math"
 	"math/bits"
 	"sort"
 	"strconv"
+	"sync"
 
 	"p3/internal/imaging"
 	"p3/internal/jpegx"
@@ -77,14 +77,34 @@ var dctBasis = func() [hashEdge][thumbSize]float64 {
 }()
 
 // PHash computes the perceptual hash of a JPEG. It returns an error —
-// never panics — on undecodable input (FuzzPHash pins this).
+// never panics — on undecodable input (FuzzPHash pins this). Only the luma
+// plane is reconstructed, on a recycled working set; the hash equals
+// HashPlanar of the full decode (jpegx.DecodeToPlanar), which reads no
+// chroma either.
 func PHash(jpegBytes []byte) (Hash, error) {
-	img, err := jpegx.DecodeToPlanar(bytes.NewReader(jpegBytes))
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	im, err := jpegx.DecodeBytesInto(jpegBytes, &s.coeffs, &s.dec)
 	if err != nil {
 		return 0, err
 	}
-	return HashPlanar(img), nil
+	return HashPlanar(im.ToLumaInto(&s.luma, &s.planar)), nil
 }
+
+// scratch is one PHash's working set: the decoder state, the coefficients,
+// the luma plane and, for a subsampled luma component, its native samples.
+// Each is sized by the largest photo it has hashed.
+type scratch struct {
+	dec    jpegx.DecoderScratch
+	coeffs jpegx.CoeffImage
+	planar jpegx.PlanarScratch
+	luma   jpegx.PlanarImage
+}
+
+// scratches recycles working sets between hashes. A sync.Pool suffices: the
+// ingest workers hash back to back, and an idle index lets the collector
+// take the sets back.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // HashPlanar computes the perceptual hash of an already-decoded image.
 func HashPlanar(img *jpegx.PlanarImage) Hash {

@@ -2,8 +2,11 @@ package similarity
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"p3/internal/dataset"
@@ -182,26 +185,154 @@ func TestPHashRejectsGarbage(t *testing.T) {
 	}
 }
 
-// FuzzPHash pins two properties: PHash never panics, whatever the input,
-// and any input it does accept hashes identically on every call.
+// oracleHash is PHash as it was before it reconstructed luma alone: every
+// component IDCT'd and upsampled to full planes, then HashPlanar keeps the
+// first. PHash must return its hash, and fail where it fails.
+func oracleHash(jpegBytes []byte) (Hash, error) {
+	img, err := jpegx.DecodeToPlanar(bytes.NewReader(jpegBytes))
+	if err != nil {
+		return 0, err
+	}
+	return HashPlanar(img), nil
+}
+
+// checkAgainstOracle fails t unless PHash and oracleHash agree on b: the
+// same hash, or both an error.
+func checkAgainstOracle(t *testing.T, name string, b []byte) {
+	t.Helper()
+	want, werr := oracleHash(b)
+	got, err := PHash(b)
+	switch {
+	case (err != nil) != (werr != nil):
+		t.Fatalf("%s: PHash error %v, oracle error %v", name, err, werr)
+	case got != want:
+		t.Fatalf("%s: PHash %s, oracle %s (distance %d)", name, got, want, Distance(got, want))
+	}
+}
+
+// TestPHashMatchesFullDecodeOracle holds the luma-only hash to the full
+// decode across sizes (odd ones and sub-block ones included), every
+// component layout, baseline and progressive sources, and public parts at
+// T = 1 and 15. The cases run from large to small and back through one
+// recycled scratch, each followed by a truncated copy of itself, so reuse
+// after a larger photo and after a failed or partial decode is covered.
+func TestPHashMatchesFullDecodeOracle(t *testing.T) {
+	sizes := [][2]int{{320, 240}, {333, 257}, {64, 48}, {17, 9}, {1, 1}, {129, 7}}
+	layouts := []struct {
+		name string
+		gray bool
+		sub  jpegx.Subsampling
+	}{
+		{"gray", true, jpegx.Sub444},
+		{"420", false, jpegx.Sub420},
+		{"422", false, jpegx.Sub422},
+		{"440", false, jpegx.Sub440},
+		{"444", false, jpegx.Sub444},
+	}
+	for i, size := range sizes {
+		for _, l := range layouts {
+			img := dataset.Natural(int64(i+1), size[0], size[1])
+			if l.gray {
+				img.Planes = img.Planes[:1]
+			}
+			coeffs, err := img.ToCoeffs(90, l.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var base, prog bytes.Buffer
+			if err := jpegx.EncodeCoeffs(&base, coeffs, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := jpegx.EncodeCoeffs(&prog, coeffs, &jpegx.EncodeOptions{Progressive: true}); err != nil {
+				t.Fatal(err)
+			}
+			inputs := map[string][]byte{
+				"baseline":    base.Bytes(),
+				"progressive": prog.Bytes(),
+				"public T=1":  publicPart(t, img, 90, l.sub, 1),
+				"public T=15": publicPart(t, img, 90, l.sub, 15),
+			}
+			for kind, b := range inputs {
+				name := fmt.Sprintf("%dx%d %s %s", size[0], size[1], l.name, kind)
+				checkAgainstOracle(t, name, b)
+				checkAgainstOracle(t, name+" truncated", b[:len(b)/2])
+			}
+		}
+	}
+}
+
+// TestPHashWarmAllocation bounds what a warm hash of a 1024×768 public
+// part allocates: the decode and the luma plane reuse pooled scratch, so
+// only the 32×32 resize's small buffers are new (the full decode allocated
+// ≈ 29 MB). Each call is measured on its own and the median taken, so a
+// call that lands on a processor whose pool slot is still empty does not
+// count.
+func TestPHashWarmAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decodes a 1024x768 photo repeatedly")
+	}
+	pub := publicPart(t, dataset.Natural(1, 1024, 768), 92, jpegx.Sub420, 15)
+	if _, err := PHash(pub); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	const calls, limit = 5, 1 << 20
+	var per [calls]uint64
+	var ms runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := PHash(pub); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+	}
+	sorted := per
+	slices.Sort(sorted[:])
+	if med := sorted[calls/2]; med >= limit {
+		t.Fatalf("warm PHash of a 1024x768 public part allocates %d bytes (median of %v), want < %d", med, per, limit)
+	}
+}
+
+// FuzzPHash pins three properties: PHash never panics, whatever the input;
+// any input it does accept hashes identically on every call; and it agrees
+// with the full-decode oracle, hash for hash and error for error. The
+// oracle builds every plane at full size, so it is skipped for inputs whose
+// frame header declares more than 2²⁰ pixels, which keeps a fuzz worker's
+// memory small.
 func FuzzPHash(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a jpeg at all"))
 	f.Add([]byte{0xff, 0xd8, 0xff, 0xe0, 0x00, 0x10})
-	// One real JPEG seed so the corpus explores the decode path too.
+	// Real JPEG seeds so the corpus explores the decode path too: baseline
+	// 4:2:0, progressive 4:2:2 and grayscale.
 	img := dataset.Natural(9, 96, 64)
-	coeffs, err := img.ToCoeffs(85, jpegx.Sub420)
-	if err != nil {
-		f.Fatal(err)
+	for _, src := range []struct {
+		planes int
+		sub    jpegx.Subsampling
+		opts   *jpegx.EncodeOptions
+	}{
+		{3, jpegx.Sub420, nil},
+		{3, jpegx.Sub422, &jpegx.EncodeOptions{Progressive: true}},
+		{1, jpegx.Sub444, nil},
+	} {
+		in := &jpegx.PlanarImage{Width: img.Width, Height: img.Height, Planes: img.Planes[:src.planes]}
+		coeffs, err := in.ToCoeffs(85, src.sub)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := jpegx.EncodeCoeffs(&buf, coeffs, src.opts); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	var buf bytes.Buffer
-	if err := jpegx.EncodeCoeffs(&buf, coeffs, nil); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h1, err := PHash(data) // must return an error, never panic
+		if w, h, _, _, cerr := jpegx.DecodeConfigBytes(data); cerr != nil || w*h <= 1<<20 {
+			checkAgainstOracle(t, "fuzz input", data)
+		}
 		if err != nil {
 			return
 		}
