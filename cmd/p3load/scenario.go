@@ -186,9 +186,9 @@ var scenarios = []scenario{
 		photos: 16, zipf: 1.2, mix: photoMix(1, 40), dynamic: 0.3, replicas: 2,
 		faults: twoRecalibrations, gates: slices.Concat(servingGates, recalGates)},
 	// The admission acceptance drill: eight victims and one attacker share
-	// 90 req/s fairly until the attacker ramps to 50x its share. No
-	// per-client buckets — nobody pre-declared the attacker — so the storm
-	// detector alone must clamp it.
+	// 90 req/s fairly until the attacker ramps to 50x its share. Nobody
+	// pre-declared the attacker, so the storm detector alone must clamp
+	// it.
 	{name: "storm", driver: "storm", duration: 12 * time.Second, rate: 90,
 		clients: 8, attackerMult: 50,
 		photos: 12, zipf: 1.2, mix: photoMix(0, 1), dynamic: 0.15, replicas: 2,

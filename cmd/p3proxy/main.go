@@ -46,13 +46,14 @@
 // -max-inflight N turns on admission control (internal/admission): at
 // most N requests execute at once, the rest wait in per-cost-class
 // priority queues (cached-hit downloads ahead of cold reconstructions
-// ahead of calibrations) bounded by -queue-depth, and requests that
-// cannot be served in time are shed with 503 + Retry-After. -client-rps
-// adds per-client token buckets keyed by the X-P3-Client header (or the
-// remote address), and an online storm detector clamps clients that ramp
-// far past their fair share (-storm-clamp) without any per-client
-// configuration. The /metrics and /stats endpoints expose the
-// p3_admission_* series when admission is on.
+// ahead of calibrations) bounded by -queue-depth, and a request that
+// finds its queue full is shed with 503 + Retry-After. -storm-clamp F
+// adds an online storm detector: while a request storm is on, it clamps
+// any client (keyed by the X-P3-Client header, or the remote address)
+// running past F times its fair share; it needs no per-client
+// configuration, and it is off when F is 0, the default. The /metrics
+// and /stats endpoints expose the p3_admission_* series when admission
+// is on.
 //
 // Serving-layer cache budgets are tunable (-secret-cache-bytes,
 // -variant-cache-bytes). The proxy is fully instrumented: GET /stats
@@ -137,10 +138,8 @@ func registerFlags(fs *flag.FlagSet, cfg *stack.Config) (addr, keyPath *string) 
 		"admission control: concurrent requests the proxy serves, queueing the rest (0 disables admission entirely)")
 	fs.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth,
 		"admission control: bounded queue depth per cost class (0 = default)")
-	fs.Float64Var(&cfg.ClientRPS, "client-rps", cfg.ClientRPS,
-		"admission control: per-client token-bucket refill rate, keyed by X-P3-Client or remote address (0 = no per-client limit)")
 	fs.Float64Var(&cfg.StormClamp, "storm-clamp", cfg.StormClamp,
-		"admission control: during a detected request storm, shed clients over this multiple of their fair share (0 = default)")
+		"admission control: during a detected request storm, shed clients over this multiple of their fair share (0 disables the storm detector)")
 	fs.BoolVar(&cfg.Dedup, "dedup", cfg.Dedup,
 		"content-addressed dedup of public parts: identical uploads share one PSP blob (refcounted; DELETE /photo/{id} drops a reference)")
 	fs.BoolVar(&cfg.Similarity, "similarity", cfg.Similarity,
@@ -218,8 +217,8 @@ func describe(cfg stack.Config, st *stack.Stack) {
 		}
 	}
 	if st.Admission != nil {
-		fmt.Printf("p3proxy: admission control on (max-inflight %d, queue depth %d, client rps %g, storm clamp %g)\n",
-			cfg.MaxInflight, cfg.QueueDepth, cfg.ClientRPS, cfg.StormClamp)
+		fmt.Printf("p3proxy: admission control on (max-inflight %d, queue depth %d, storm clamp %g)\n",
+			cfg.MaxInflight, cfg.QueueDepth, cfg.StormClamp)
 	}
 	if st.Dedup != nil {
 		fmt.Println("p3proxy: content-addressed dedup of public parts on")

@@ -21,17 +21,17 @@ import (
 	"p3/internal/stack"
 )
 
-// TestFlagsAreTheStackConfig pins the flag surface: the twenty flags this
-// binary has always had, whose defaults are stack.DefaultConfig and whose
-// values land in the Config the stack is built from.
+// TestFlagsAreTheStackConfig pins the flag surface: the nineteen flags of
+// this binary, whose defaults are stack.DefaultConfig and whose values
+// land in the Config the stack is built from.
 func TestFlagsAreTheStackConfig(t *testing.T) {
 	fs := flag.NewFlagSet("p3proxy", flag.ContinueOnError)
 	cfg := stack.DefaultConfig()
 	registerFlags(fs, &cfg)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 20 {
-		t.Errorf("p3proxy registers %d flags, want 20", n)
+	if n != 19 {
+		t.Errorf("p3proxy registers %d flags, want 19", n)
 	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 package admission
 
-// Client identity parsing. The admission layer keys its token buckets and
-// storm rates by a small opaque client string derived from the request.
-// The header is attacker-controlled input: an unbounded or
-// attacker-minted key would let one client smear its traffic across
-// endless bucket identities (defeating rate limiting) or blow up the
-// bucket LRU with megabyte keys, so parsing is strictly bounding and
-// normalizing — never trusting.
+// Client identity parsing. The admission layer keys its storm rates by a
+// small opaque client string derived from the request. The header is
+// attacker-controlled input: an unbounded or attacker-minted key would let
+// one client smear its traffic across endless identities (defeating the
+// storm clamp) or fill the detector's key table with megabyte keys, so
+// parsing is strictly bounding and normalizing — never trusting.
 
 import (
 	"context"
@@ -22,13 +21,13 @@ const ClientKeyHeader = "X-P3-Client"
 
 // maxClientKeyLen bounds derived client keys. Long enough for any real
 // identity token; short enough that a hostile header cannot inflate the
-// bucket LRU's per-entry cost.
+// storm detector's per-key cost.
 const maxClientKeyLen = 64
 
-// anonymousKey is the bucket every request with no derivable identity
-// shares. Grouping the unidentifiable into one bucket is deliberate: an
+// anonymousKey is the identity every request with no derivable identity
+// shares. Grouping the unidentifiable under one key is deliberate: an
 // attacker who can strip their identity should compete with every other
-// anonymous client, not get a fresh bucket each.
+// anonymous client, not get a fresh key each.
 const anonymousKey = "anon"
 
 // ClientKey derives the admission identity from the client-key header
@@ -38,7 +37,7 @@ const anonymousKey = "anon"
 // with control and non-ASCII bytes rejected (hostile headers fall through
 // to the address rather than minting unprintable identities). The
 // fallback is the remote address's host part, so NATed apps behind one
-// address share a bucket. Always returns a non-empty key of at most
+// address share a key. Always returns a non-empty key of at most
 // maxClientKeyLen bytes.
 func ClientKey(header, remoteAddr string) string {
 	if k, ok := sanitizeHeaderKey(header); ok {

@@ -45,7 +45,7 @@ func TestClientContext(t *testing.T) {
 // FuzzAdmissionKey hammers client-key derivation with hostile header and
 // address bytes. Whatever goes in, the key out must be non-empty, at most
 // maxClientKeyLen bytes, and printable ASCII — anything else would let an
-// attacker mint unbounded or unprintable bucket identities.
+// attacker mint unbounded or unprintable client identities.
 func FuzzAdmissionKey(f *testing.F) {
 	f.Add("app-123", "10.0.0.1:5000")
 	f.Add("a, b, c", "[::1]:8080")

@@ -12,7 +12,7 @@ package admission
 // The baseline only adapts while the CUSUM is at zero, so a surge (or a
 // long-running attack) cannot teach the detector that storming is normal.
 //
-// Per key, an exponentially decayed arrival count (half-life KeyHalfLife)
+// Per key, an exponentially decayed arrival count (half-life keyHalfLife)
 // estimates each client's current request rate for a few words of memory
 // per client. Clamping needs both signals: a storm must be active
 // (globally, something is wrong) AND the key's rate must exceed
@@ -27,77 +27,31 @@ import (
 	"time"
 )
 
-// StormConfig tunes the storm detector. Zero fields take the defaults
-// documented on each field.
-type StormConfig struct {
-	// Window is the arrival-count window (default 250ms).
-	Window time.Duration
-	// BaselineAlpha is the EWMA weight for the per-window baseline
-	// (default 0.2; smaller adapts slower).
-	BaselineAlpha float64
-	// Slack is the CUSUM slack as a fraction of the baseline (default 0.5):
-	// windows within (1+Slack)x baseline never accumulate.
-	Slack float64
-	// Threshold is the CUSUM trip point in multiples of the per-window
-	// baseline (default 4).
-	Threshold float64
-	// MinExcess is an absolute floor on the trip point, in arrivals
-	// (default 50), so near-idle traffic cannot trip on a handful of
-	// requests.
-	MinExcess float64
-	// KeyHalfLife is the half-life of the per-key decayed rate (default 1s).
-	KeyHalfLife time.Duration
-	// MinClampRate is the absolute per-key rate (req/s) below which a key
-	// is never clamped regardless of fair-share multiples (default 5).
-	MinClampRate float64
-	// ClampFor is how long a clamped key stays clamped after it last
-	// exceeded the limit (default 5s).
-	ClampFor time.Duration
-	// MaxKeys bounds the per-key rate table (default 4096).
-	MaxKeys int
-}
+// Detector tuning. Each value is the one every deployment has run with;
+// StormClamp is the only knob a workload sets.
+const (
+	stormWindow    = 250 * time.Millisecond // arrival-count window
+	baselineAlpha  = 0.2                    // EWMA weight of the per-window baseline; smaller adapts slower
+	cusumSlack     = 0.5                    // windows within (1+slack)x baseline never accumulate
+	cusumThreshold = 4                      // CUSUM trip point, in multiples of the per-window baseline
+	minExcess      = 50                     // absolute trip-point floor in arrivals, so near-idle traffic cannot trip
+	keyHalfLife    = time.Second            // half-life of the per-key decayed rate
+	minClampRate   = 5                      // req/s below which a key is never clamped, whatever its fair-share multiple
+	clampFor       = 5 * time.Second        // how long a key stays clamped after it last exceeded the limit
+	maxStormKeys   = 4096                   // bound on the per-key table, clamped keys included
+)
 
-func (c StormConfig) withDefaults() StormConfig {
-	if c.Window <= 0 {
-		c.Window = 250 * time.Millisecond
-	}
-	if c.BaselineAlpha <= 0 {
-		c.BaselineAlpha = 0.2
-	}
-	if c.Slack <= 0 {
-		c.Slack = 0.5
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 4
-	}
-	if c.MinExcess <= 0 {
-		c.MinExcess = 50
-	}
-	if c.KeyHalfLife <= 0 {
-		c.KeyHalfLife = time.Second
-	}
-	if c.MinClampRate <= 0 {
-		c.MinClampRate = 5
-	}
-	if c.ClampFor <= 0 {
-		c.ClampFor = 5 * time.Second
-	}
-	if c.MaxKeys <= 0 {
-		c.MaxKeys = 4096
-	}
-	return c
-}
-
-// keyRate is one client's decayed arrival count.
-type keyRate struct {
+// keyState is one client's record: its decayed arrival count and, once
+// clamped, the clamp's expiry.
+type keyState struct {
 	weight float64
 	last   time.Time
+	until  time.Time // clamp expiry; the key is clamped while now is before it
 }
 
 // detector is the storm detector. All state lives behind one mutex; the
 // per-arrival critical section is a handful of float ops.
 type detector struct {
-	cfg         StormConfig
 	clampFactor float64
 
 	mu          sync.Mutex
@@ -107,72 +61,52 @@ type detector struct {
 	current     float64 // fast EWMA of the same, tracks storms too
 	cusum       float64
 	active      bool
-	keys        map[string]*keyRate
-	clamped     map[string]time.Time // key -> clamp expiry
+	keys        map[string]*keyState
 }
 
-func newDetector(clampFactor float64, cfg StormConfig) *detector {
-	return &detector{
-		cfg:         cfg.withDefaults(),
-		clampFactor: clampFactor,
-		keys:        make(map[string]*keyRate),
-		clamped:     make(map[string]time.Time),
-	}
+func newDetector(clampFactor float64) *detector {
+	return &detector{clampFactor: clampFactor, keys: make(map[string]*keyState)}
 }
 
 // arrival records one request from key at now and decides whether the key
 // is (still or newly) clamped. until is the clamp expiry when clamped;
-// newClamps counts keys that transitioned into the clamped state on this
-// call (feeds p3_admission_clamped_total).
-func (d *detector) arrival(key string, now time.Time) (isClamped bool, until time.Time, newClamps int) {
+// newClamp reports a key that entered the clamped state on this call
+// (feeds p3_admission_clamped_total).
+func (d *detector) arrival(key string, now time.Time) (clamped bool, until time.Time, newClamp bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rollWindowsLocked(now)
 	d.windowCount++
 
-	// Per-key decayed rate update.
-	kr, ok := d.keys[key]
+	ks, ok := d.keys[key]
 	if !ok {
-		if len(d.keys) >= d.cfg.MaxKeys {
-			d.evictKeysLocked(now)
+		if len(d.keys) >= maxStormKeys {
+			d.evictLocked(now)
 		}
-		kr = &keyRate{last: now}
-		d.keys[key] = kr
+		ks = &keyState{last: now}
+		d.keys[key] = ks
 	}
-	kr.weight *= decay(now.Sub(kr.last), d.cfg.KeyHalfLife)
-	kr.weight++
-	kr.last = now
-	keyRatePerSec := kr.weight * math.Ln2 / d.cfg.KeyHalfLife.Seconds()
+	ks.weight = ks.weight*decay(now.Sub(ks.last)) + 1
+	ks.last = now
 
-	// An existing clamp answers first (and expires lazily).
-	if exp, ok := d.clamped[key]; ok {
-		if now.Before(exp) {
-			// Renew while the key keeps storming, so a clamped attacker
-			// that never slows down never un-clamps.
-			if d.active && d.overLimitLocked(keyRatePerSec) {
-				d.clamped[key] = now.Add(d.cfg.ClampFor)
-			}
-			return true, d.clamped[key], 0
-		}
-		delete(d.clamped, key)
+	wasClamped := now.Before(ks.until)
+	if d.active && d.overLimitLocked(ks.weight*math.Ln2/keyHalfLife.Seconds()) {
+		// Set or renew: a clamped attacker that never slows down never
+		// un-clamps.
+		ks.until = now.Add(clampFor)
+		return true, ks.until, !wasClamped
 	}
-
-	if d.active && d.overLimitLocked(keyRatePerSec) {
-		exp := now.Add(d.cfg.ClampFor)
-		d.clamped[key] = exp
-		return true, exp, 1
-	}
-	return false, time.Time{}, 0
+	return wasClamped, ks.until, false
 }
 
 // overLimitLocked reports whether a per-key rate exceeds clampFactor times
 // the current per-client fair share (current global rate over active
-// keys), with the absolute MinClampRate floor.
+// keys), with the absolute minClampRate floor.
 func (d *detector) overLimitLocked(keyRatePerSec float64) bool {
-	if keyRatePerSec < d.cfg.MinClampRate {
+	if keyRatePerSec < minClampRate {
 		return false
 	}
-	globalRate := d.current / d.cfg.Window.Seconds()
+	globalRate := d.current / stormWindow.Seconds()
 	fairShare := globalRate / float64(max(len(d.keys), 1))
 	return fairShare > 0 && keyRatePerSec > d.clampFactor*fairShare
 }
@@ -187,7 +121,7 @@ func (d *detector) rollWindowsLocked(now time.Time) {
 		return
 	}
 	const maxReplay = 64
-	for i := 0; !now.Before(d.windowStart.Add(d.cfg.Window)); i++ {
+	for i := 0; !now.Before(d.windowStart.Add(stormWindow)); i++ {
 		if i >= maxReplay {
 			// The gap dwarfs the detector's memory: start fresh at now.
 			d.windowStart = now
@@ -198,56 +132,61 @@ func (d *detector) rollWindowsLocked(now time.Time) {
 		}
 		x := d.windowCount
 		d.windowCount = 0
-		d.windowStart = d.windowStart.Add(d.cfg.Window)
+		d.windowStart = d.windowStart.Add(stormWindow)
 		if d.baseline == 0 {
 			d.baseline = x
 		}
 		d.current += 0.5 * (x - d.current)
-		d.cusum = math.Max(0, d.cusum+x-d.baseline*(1+d.cfg.Slack))
+		d.cusum = math.Max(0, d.cusum+x-d.baseline*(1+cusumSlack))
 		if d.cusum == 0 {
 			// In control: let the baseline track the level. The moment any
 			// excess accumulates the baseline freezes — if it kept adapting
 			// it would absorb a surge faster than the CUSUM can accumulate
 			// it (the trip point scales with the baseline, so a chasing
 			// baseline means the trip chases the CUSUM and never fires).
-			d.baseline += d.cfg.BaselineAlpha * (x - d.baseline)
+			d.baseline += baselineAlpha * (x - d.baseline)
 			d.active = false
-		} else if d.cusum >= math.Max(d.cfg.MinExcess, d.cfg.Threshold*d.baseline) {
+		} else if d.cusum >= math.Max(minExcess, cusumThreshold*d.baseline) {
 			d.active = true
 		}
 	}
 }
 
-// evictKeysLocked trims the key table: idle keys (decayed weight < 1) go
-// first; if every key is hot the table is genuinely full and arbitrary
-// entries are dropped to make room — their rates rebuild within a
-// half-life.
-func (d *detector) evictKeysLocked(now time.Time) {
-	for k, kr := range d.keys {
-		if kr.weight*decay(now.Sub(kr.last), d.cfg.KeyHalfLife) < 1 {
+// evictLocked makes room in the full key table: idle unclamped records
+// (decayed weight < 1) go first; if every record is hot or clamped the
+// table is genuinely full and arbitrary entries are dropped — their rates
+// rebuild within a half-life.
+func (d *detector) evictLocked(now time.Time) {
+	for k, ks := range d.keys {
+		if !now.Before(ks.until) && ks.weight*decay(now.Sub(ks.last)) < 1 {
 			delete(d.keys, k)
 		}
 	}
 	for k := range d.keys {
-		if len(d.keys) < d.cfg.MaxKeys {
+		if len(d.keys) < maxStormKeys {
 			break
 		}
 		delete(d.keys, k)
 	}
 }
 
-// snapshot reports the number of currently clamped keys and whether a
-// storm is active.
-func (d *detector) snapshot() (clampedKeys int, active bool) {
+// snapshot reports the number of keys clamped at now and whether a storm
+// is active.
+func (d *detector) snapshot(now time.Time) (clampedKeys int, active bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.clamped), d.active
+	for _, ks := range d.keys {
+		if now.Before(ks.until) {
+			clampedKeys++
+		}
+	}
+	return clampedKeys, d.active
 }
 
-// decay returns the exponential decay factor 2^(-dt/halfLife).
-func decay(dt, halfLife time.Duration) float64 {
+// decay returns the exponential decay factor 2^(-dt/keyHalfLife).
+func decay(dt time.Duration) float64 {
 	if dt <= 0 {
 		return 1
 	}
-	return math.Exp2(-dt.Seconds() / halfLife.Seconds())
+	return math.Exp2(-dt.Seconds() / keyHalfLife.Seconds())
 }

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -43,7 +44,7 @@ func synthesize(phases []stormPhase) []struct {
 // were ever clamped.
 func runStorm(t *testing.T, clampFactor float64, phases []stormPhase) map[string]bool {
 	t.Helper()
-	d := newDetector(clampFactor, StormConfig{})
+	d := newDetector(clampFactor)
 	epoch := time.Unix(1_700_000_000, 0)
 	clampedEver := make(map[string]bool)
 	for _, ev := range synthesize(phases) {
@@ -142,10 +143,10 @@ func flashCrowd(n int, rps float64, start, end time.Duration) []stormPhase {
 	return phases
 }
 
-// TestStormClampExpires: a clamp outlives the storm by ClampFor, then the
+// TestStormClampExpires: a clamp outlives the storm by clampFor, then the
 // key is served again.
 func TestStormClampExpires(t *testing.T) {
-	d := newDetector(4, StormConfig{ClampFor: 2 * time.Second})
+	d := newDetector(4)
 	epoch := time.Unix(1_700_000_000, 0)
 	phases := append(victims(8, 10, 0, 3*time.Second),
 		stormPhase{key: "attacker", rps: 500, start: 1 * time.Second, end: 3 * time.Second})
@@ -161,40 +162,99 @@ func TestStormClampExpires(t *testing.T) {
 	// Long after the attack and the clamp window, the key is clean again.
 	later := epoch.Add(3 * time.Minute)
 	if clamped, _, _ := d.arrival("attacker", later); clamped {
-		t.Fatal("clamp survived far past ClampFor")
+		t.Fatal("clamp survived far past clampFor")
 	}
 }
 
 // TestStormIdleGapResets: a long idle gap resets the CUSUM instead of
 // replaying hundreds of phantom windows.
 func TestStormIdleGapResets(t *testing.T) {
-	d := newDetector(4, StormConfig{})
+	d := newDetector(4)
 	epoch := time.Unix(1_700_000_000, 0)
 	for _, ev := range synthesize(append(victims(8, 10, 0, 2*time.Second),
 		stormPhase{key: "attacker", rps: 500, start: 500 * time.Millisecond, end: 2 * time.Second})) {
 		d.arrival(ev.key, epoch.Add(ev.t))
 	}
-	if _, active := d.snapshot(); !active {
+	if _, active := d.snapshot(epoch.Add(2 * time.Second)); !active {
 		t.Fatal("storm not active after attack — test premise broken")
 	}
 	d.arrival("quiet", epoch.Add(10*time.Minute))
-	if _, active := d.snapshot(); active {
+	if _, active := d.snapshot(epoch.Add(10 * time.Minute)); active {
 		t.Fatal("storm still active after a 10-minute idle gap")
 	}
 }
 
 // TestKeyTableBounded: distinct keys cannot grow the rate table past
-// MaxKeys.
+// maxStormKeys.
 func TestKeyTableBounded(t *testing.T) {
-	d := newDetector(4, StormConfig{MaxKeys: 64})
+	d := newDetector(4)
 	now := time.Unix(1_700_000_000, 0)
-	for i := 0; i < 1000; i++ {
-		d.arrival(fmtKey(i), now.Add(time.Duration(i)*time.Millisecond))
+	for i := 0; i < 5000; i++ {
+		d.arrival("client-"+strconv.Itoa(i), now.Add(time.Duration(i)*time.Millisecond))
 	}
 	d.mu.Lock()
 	n := len(d.keys)
 	d.mu.Unlock()
-	if n > 64 {
-		t.Fatalf("key table holds %d keys, MaxKeys is 64", n)
+	if n > maxStormKeys {
+		t.Fatalf("key table holds %d keys, maxStormKeys is %d", n, maxStormKeys)
+	}
+}
+
+// TestStormSnapshotCountsLiveClamps: an attacker that stops and never
+// comes back leaves the clamped count once its clamp expires.
+func TestStormSnapshotCountsLiveClamps(t *testing.T) {
+	d := newDetector(4)
+	epoch := time.Unix(1_700_000_000, 0)
+	for _, ev := range synthesize(append(victims(8, 10, 0, 3*time.Second),
+		stormPhase{key: "attacker", rps: 500, start: 1 * time.Second, end: 3 * time.Second})) {
+		d.arrival(ev.key, epoch.Add(ev.t))
+	}
+	if n, _ := d.snapshot(epoch.Add(3 * time.Second)); n != 1 {
+		t.Fatalf("clamped keys = %d during the attack, want 1 (test premise)", n)
+	}
+	// The victims keep going for a minute; the attacker is silent.
+	for _, ev := range synthesize(victims(8, 10, 3*time.Second, 63*time.Second)) {
+		d.arrival(ev.key, epoch.Add(ev.t))
+	}
+	n, active := d.snapshot(epoch.Add(63 * time.Second))
+	if active {
+		t.Fatal("storm still active a minute after the attack (test premise)")
+	}
+	if n != 0 {
+		t.Fatalf("clamped keys = %d a minute after the attack stopped, want 0", n)
+	}
+}
+
+// TestStormClampsBounded: keys that are clamped once and never seen again
+// cannot grow the detector past maxStormKeys records, clamps included.
+func TestStormClampsBounded(t *testing.T) {
+	d := newDetector(4)
+	epoch := time.Unix(1_700_000_000, 0)
+	for _, ev := range synthesize(victims(8, 10, 0, 2*time.Second)) {
+		d.arrival(ev.key, epoch.Add(ev.t))
+	}
+	// 20,000 rotating keys, each one burst of 10 requests 1 ms apart.
+	now := epoch.Add(2 * time.Second)
+	newClamps := 0
+	for i := 0; i < 20000; i++ {
+		key := "rotating-" + strconv.Itoa(i)
+		for j := 0; j < 10; j++ {
+			now = now.Add(time.Millisecond)
+			if _, _, isNew := d.arrival(key, now); isNew {
+				newClamps++
+			}
+		}
+	}
+	if newClamps <= maxStormKeys {
+		t.Fatalf("%d keys clamped, test premise needs more than %d", newClamps, maxStormKeys)
+	}
+	d.mu.Lock()
+	n := len(d.keys)
+	d.mu.Unlock()
+	if n > maxStormKeys {
+		t.Fatalf("key table holds %d records, maxStormKeys is %d", n, maxStormKeys)
+	}
+	if live, _ := d.snapshot(now); live > maxStormKeys {
+		t.Fatalf("snapshot reports %d clamped keys, more than the %d-record table", live, maxStormKeys)
 	}
 }

@@ -5,6 +5,7 @@ package proxy
 // Retry-After helper both back-pressure errors flow through.
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,10 @@ import (
 func newAdmissionBed(t *testing.T, cfg admission.Config) (*servingBed, *admission.Controller) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	ctrl := admission.MustNew(cfg, reg, "test")
+	ctrl, err := admission.New(cfg, reg, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bed := newServingBed(t, WithMetricsRegistry(reg), WithAdmission(ctrl))
 	return bed, ctrl
 }
@@ -53,38 +57,59 @@ func TestAdmissionClassDetermination(t *testing.T) {
 	}
 }
 
-// TestAdmissionHTTPShed: a client past its token-bucket burst gets 503
-// with a Retry-After of at least one second, identified via the
-// X-P3-Client header; a different client is still served.
+// TestAdmissionHTTPShed: with the one slot held and the one queue place
+// taken, a download is shed over HTTP as 503 with a Retry-After of at
+// least one second; once the slot frees, the same download is served.
 func TestAdmissionHTTPShed(t *testing.T) {
-	bed, _ := newAdmissionBed(t, admission.Config{
-		MaxInflight: 4, ClientRPS: 0.001, ClientBurst: 1,
-	})
+	bed, ctrl := newAdmissionBed(t, admission.Config{MaxInflight: 1, QueueDepth: 1})
 	jpegBytes, _ := photoJPEG(t, 42, 320, 240)
-	id, err := bed.proxy.Upload(admission.WithClient(ctx, "uploader"), jpegBytes)
+	id, err := bed.proxy.Upload(ctx, jpegBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(client string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, "/photo/"+id, nil)
-		req.Header.Set(admission.ClientKeyHeader, client)
+	release, err := ctrl.Admit(ctx, admission.Cold, "holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiterCtx, cancelWaiter := context.WithCancel(ctx)
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		if rel, err := ctrl.Admit(waiterCtx, admission.Cold, "waiter"); err == nil {
+			rel()
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ctrl.Stats().Cold.QueueDepth != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	get := func() *httptest.ResponseRecorder {
+		// Bounded, so a download mispriced into an empty queue fails the
+		// test instead of hanging it.
+		reqCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
 		w := httptest.NewRecorder()
-		bed.proxy.ServeHTTP(w, req)
+		bed.proxy.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/photo/"+id, nil).WithContext(reqCtx))
 		return w
 	}
-	if w := get("greedy"); w.Code != http.StatusOK {
-		t.Fatalf("first request: status %d, body %q", w.Code, w.Body.String())
-	}
-	w := get("greedy")
+	w := get()
 	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("over-budget request: status %d, want 503", w.Code)
+		t.Fatalf("download past a full queue: status %d, want 503", w.Code)
 	}
 	secs, err := strconv.Atoi(w.Header().Get("Retry-After"))
 	if err != nil || secs < 1 {
 		t.Fatalf("Retry-After = %q, want integer >= 1", w.Header().Get("Retry-After"))
 	}
-	if w := get("patient"); w.Code != http.StatusOK {
-		t.Fatalf("other client: status %d, want 200", w.Code)
+	if got := ctrl.Stats().ShedByReason[admission.ReasonQueueFull]; got != 1 {
+		t.Fatalf("queue_full sheds = %d, want 1", got)
+	}
+	cancelWaiter()
+	<-waited
+	release()
+	if w := get(); w.Code != http.StatusOK {
+		t.Fatalf("download after release: status %d, body %q", w.Code, w.Body.String())
 	}
 }
 

@@ -68,8 +68,7 @@ type Config struct {
 
 	MaxInflight int     // -max-inflight (0 = admission off)
 	QueueDepth  int     // -queue-depth
-	ClientRPS   float64 // -client-rps
-	StormClamp  float64 // -storm-clamp
+	StormClamp  float64 // -storm-clamp (0 = no storm detector)
 
 	Dedup             bool // -dedup
 	Similarity        bool // -similarity
@@ -155,7 +154,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 		s.Admission, err = admission.New(admission.Config{
 			MaxInflight: cfg.MaxInflight,
 			QueueDepth:  cfg.QueueDepth,
-			ClientRPS:   cfg.ClientRPS,
 			StormClamp:  cfg.StormClamp,
 		}, reg, "proxy")
 		if err != nil {
