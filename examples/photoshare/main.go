@@ -7,7 +7,7 @@
 //
 // Secret parts are spread over three local disk shards with 2-way
 // replication (consistent hashing + read-repair), and each proxy serves
-// repeat views from its bounded LRU caches — the same serving layer
+// repeat views from its bounded caches — the same serving layer
 // `p3proxy -store disk:a,disk:b,disk:c -replicas 2` runs in production.
 //
 //	go run ./examples/photoshare

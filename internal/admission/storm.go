@@ -39,6 +39,7 @@ const (
 	minClampRate   = 5                      // req/s below which a key is never clamped, whatever its fair-share multiple
 	clampFor       = 5 * time.Second        // how long a key stays clamped after it last exceeded the limit
 	maxStormKeys   = 4096                   // bound on the per-key table, clamped keys included
+	maxReplay      = 64                     // windows an arrival replays before a gap counts as idle
 )
 
 // keyState is one client's record: its decayed arrival count and, once
@@ -120,7 +121,6 @@ func (d *detector) rollWindowsLocked(now time.Time) {
 		d.windowStart = now
 		return
 	}
-	const maxReplay = 64
 	for i := 0; !now.Before(d.windowStart.Add(stormWindow)); i++ {
 		if i >= maxReplay {
 			// The gap dwarfs the detector's memory: start fresh at now.
@@ -171,7 +171,9 @@ func (d *detector) evictLocked(now time.Time) {
 }
 
 // snapshot reports the number of keys clamped at now and whether a storm
-// is active.
+// is active. A storm ends at the idle gap rollWindowsLocked resets on (more
+// than maxReplay windows past the open one) whether or not an arrival has
+// come to roll the windows.
 func (d *detector) snapshot(now time.Time) (clampedKeys int, active bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -180,7 +182,8 @@ func (d *detector) snapshot(now time.Time) (clampedKeys int, active bool) {
 			clampedKeys++
 		}
 	}
-	return clampedKeys, d.active
+	idle := !now.Before(d.windowStart.Add((maxReplay + 1) * stormWindow))
+	return clampedKeys, d.active && !idle
 }
 
 // decay returns the exponential decay factor 2^(-dt/keyHalfLife).

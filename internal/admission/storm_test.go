@@ -184,6 +184,24 @@ func TestStormIdleGapResets(t *testing.T) {
 	}
 }
 
+// TestStormSnapshotIdleWithoutArrival: the same attack with no later
+// arrival; a snapshot ten minutes on reports no storm, though nothing has
+// rolled the windows since.
+func TestStormSnapshotIdleWithoutArrival(t *testing.T) {
+	d := newDetector(4)
+	epoch := time.Unix(1_700_000_000, 0)
+	for _, ev := range synthesize(append(victims(8, 10, 0, 2*time.Second),
+		stormPhase{key: "attacker", rps: 500, start: 500 * time.Millisecond, end: 2 * time.Second})) {
+		d.arrival(ev.key, epoch.Add(ev.t))
+	}
+	if _, active := d.snapshot(epoch.Add(2 * time.Second)); !active {
+		t.Fatal("storm not active after attack — test premise broken")
+	}
+	if _, active := d.snapshot(epoch.Add(10 * time.Minute)); active {
+		t.Fatal("snapshot reports a storm ten minutes after the last arrival")
+	}
+}
+
 // TestKeyTableBounded: distinct keys cannot grow the rate table past
 // maxStormKeys.
 func TestKeyTableBounded(t *testing.T) {

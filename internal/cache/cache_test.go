@@ -184,7 +184,9 @@ func TestWaiterContextCancel(t *testing.T) {
 	close(release)
 }
 
-func TestByteBoundEvictsLRU(t *testing.T) {
+// TestByteBoundEvictsInInsertionOrder: with nothing touched, the hand
+// evicts the oldest entries first.
+func TestByteBoundEvictsInInsertionOrder(t *testing.T) {
 	c := New[[]byte](100, 0, byteSize)
 	blob := make([]byte, 40)
 	for i := 0; i < 10; i++ {
@@ -201,24 +203,26 @@ func TestByteBoundEvictsLRU(t *testing.T) {
 		t.Errorf("evictions %d, want 8", st.Evictions)
 	}
 	// The survivors are the most recently inserted.
-	if _, ok := c.Get("k9"); !ok {
+	if _, ok := c.Get([]byte("k9")); !ok {
 		t.Error("most recent entry evicted")
 	}
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := c.Get([]byte("k0")); ok {
 		t.Error("oldest entry survived")
 	}
 }
 
-func TestLRUOrderRespectsAccess(t *testing.T) {
+// TestClockSparesTouchedEntry: a hit sets the entry's reference bit, so
+// the next eviction passes over it and takes the untouched one.
+func TestClockSparesTouchedEntry(t *testing.T) {
 	c := New[[]byte](0, 2, byteSize)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
-	c.Get("a") // a becomes most recent; b is now LRU
+	c.Get([]byte("a")) // a is referenced; b, inserted later, is not
 	c.Put("c", []byte("3"))
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted as LRU")
+	if _, ok := c.Get([]byte("b")); ok {
+		t.Error("untouched b should have been evicted before touched a")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get([]byte("a")); !ok {
 		t.Error("recently used a was evicted")
 	}
 }
@@ -227,15 +231,15 @@ func TestOversizedValueNotCached(t *testing.T) {
 	c := New[[]byte](10, 0, byteSize)
 	c.Put("small", []byte("1234"))
 	c.Put("huge", make([]byte, 1000))
-	if _, ok := c.Get("huge"); ok {
+	if _, ok := c.Get([]byte("huge")); ok {
 		t.Error("oversized value was cached")
 	}
-	if _, ok := c.Get("small"); !ok {
+	if _, ok := c.Get([]byte("small")); !ok {
 		t.Error("oversized insert evicted unrelated entries")
 	}
 	// Replacing a cached value with an oversized one must drop the stale copy.
 	c.Put("small", make([]byte, 1000))
-	if _, ok := c.Get("small"); ok {
+	if _, ok := c.Get([]byte("small")); ok {
 		t.Error("stale small value survived oversized replacement")
 	}
 }
@@ -272,7 +276,7 @@ func TestPurgeDuringLoadNotReinserted(t *testing.T) {
 	c.Purge()
 	close(release)
 	<-done
-	if _, ok := c.Get("k"); ok {
+	if _, ok := c.Get([]byte("k")); ok {
 		t.Error("pre-purge load was inserted after Purge")
 	}
 }
@@ -290,7 +294,7 @@ func TestDeleteAndPurge(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 0 {
 		t.Errorf("after purge: %+v", st)
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Error("purged entry still present")
 	}
 }
@@ -314,18 +318,22 @@ func TestConcurrentMixedUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", (g*7+i)%32)
-				switch i % 5 {
+				key := fmt.Sprintf("1\x00p%d\x00%d", (g*7+i)%8, (g*7+i)%4)
+				switch i % 7 {
 				case 0:
 					c.Put(key, make([]byte, 64))
 				case 1:
-					c.Get(key)
+					c.Get([]byte(key))
 				case 2:
 					c.GetOrLoad(ctx, key, func(context.Context) ([]byte, error) {
 						return make([]byte, 64), nil
 					})
 				case 3:
 					c.Delete(key)
+				case 4:
+					c.DeleteGroup(fmt.Sprintf("p%d", i%8))
+				case 5:
+					c.HotKeys(4)
 				default:
 					c.Stats()
 				}
@@ -337,6 +345,57 @@ func TestConcurrentMixedUse(t *testing.T) {
 	if st.Bytes > 1<<12 || st.Entries > 64 {
 		t.Errorf("bounds violated after concurrent use: %+v", st)
 	}
+	checkIndex(t, c)
+}
+
+// checkIndex holds the ring and the group index to the entry map: the ring
+// links every entry once, each group lists exactly its keys' entries, and
+// no record outlives its entries and loads, whose count it keeps.
+func checkIndex[V any](t *testing.T, c *Cache[V]) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ring := 0
+	if c.hand != nil {
+		for e := c.hand; ; e = e.next {
+			if c.entries[e.key] != e || e.next.prev != e {
+				t.Fatalf("ring entry %q is not the mapped one or is mislinked", e.key)
+			}
+			if ring++; e.next == c.hand {
+				break
+			}
+		}
+	}
+	if ring != len(c.entries) || ring != c.stats.Entries {
+		t.Fatalf("ring holds %d entries, map %d, stats %d", ring, len(c.entries), c.stats.Entries)
+	}
+	loads := make(map[string]int)
+	for key := range c.inflight {
+		if id, ok := groupOf(key); ok {
+			loads[id]++
+		}
+	}
+	grouped := 0
+	for id, g := range c.groups {
+		if g.id != id || g.head == nil && g.loads == 0 || g.loads != loads[id] {
+			t.Errorf("group %q kept as %q with head %p and %d loads (%d in flight)", id, g.id, g.head, g.loads, loads[id])
+		}
+		for e := g.head; e != nil; e = e.gnext {
+			if kid, _ := groupOf(e.key); kid != id || e.grp != g || c.entries[e.key] != e ||
+				(e.gnext != nil && e.gnext.gprev != e) || (e == g.head) != (e.gprev == nil) {
+				t.Fatalf("group %q lists %q wrongly", id, e.key)
+			}
+			grouped++
+		}
+	}
+	for key := range c.entries {
+		if _, ok := groupOf(key); ok {
+			grouped--
+		}
+	}
+	if grouped != 0 {
+		t.Errorf("group index and entry map disagree by %d entries", grouped)
+	}
 }
 
 // TestPurgeMatching removes only the entries the predicate selects and
@@ -347,13 +406,13 @@ func TestPurgeMatching(t *testing.T) {
 	c.Put("photo\x00b", make([]byte, 20))
 	c.Put("video\x00a", make([]byte, 40))
 	c.PurgeMatching(func(key string) bool { return key[:6] == "photo\x00" })
-	if _, ok := c.Get("photo\x00a"); ok {
+	if _, ok := c.Get([]byte("photo\x00a")); ok {
 		t.Error("matched entry survived")
 	}
-	if _, ok := c.Get("photo\x00b"); ok {
+	if _, ok := c.Get([]byte("photo\x00b")); ok {
 		t.Error("matched entry survived")
 	}
-	if _, ok := c.Get("video\x00a"); !ok {
+	if _, ok := c.Get([]byte("video\x00a")); !ok {
 		t.Error("unmatched entry purged")
 	}
 	st := c.Stats()
@@ -363,6 +422,7 @@ func TestPurgeMatching(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Errorf("selective purge counted as %d evictions", st.Evictions)
 	}
+	checkIndex(t, c)
 }
 
 // TestHotKeys: the ranking orders entries by lookups served, hottest
@@ -373,10 +433,10 @@ func TestHotKeys(t *testing.T) {
 	c.Put("warm", []byte("w"))
 	c.Put("hot", []byte("h"))
 	for i := 0; i < 5; i++ {
-		c.Get("hot")
+		c.Get([]byte("hot"))
 	}
 	for i := 0; i < 2; i++ {
-		c.Get("warm")
+		c.Get([]byte("warm"))
 	}
 	got := c.HotKeys(2)
 	if len(got) != 2 || got[0].Key != "hot" || got[0].Hits != 5 || got[1].Key != "warm" || got[1].Hits != 2 {
@@ -400,22 +460,22 @@ func TestHotKeys(t *testing.T) {
 	}
 }
 
-// TestContains is a pure probe: no hit counted, no LRU refresh.
+// TestContains is a pure probe: no hit counted, no reference bit set.
 func TestContains(t *testing.T) {
 	c := New[[]byte](0, 2, byteSize)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
-	if !c.Contains("a") || c.Contains("missing") {
+	if !c.Contains([]byte("a")) || c.Contains([]byte("missing")) {
 		t.Error("Contains gave wrong membership")
 	}
 	if st := c.Stats(); st.Hits != 0 {
 		t.Errorf("Contains counted %d hits, want 0", st.Hits)
 	}
-	// "a" is still the LRU tail despite the Contains probe: inserting a
+	// "a" is still unreferenced despite the Contains probe: inserting a
 	// third entry into the 2-entry budget must evict it, not "b".
 	c.Put("c", []byte("3"))
-	if c.Contains("a") || !c.Contains("b") {
-		t.Error("Contains refreshed LRU position")
+	if c.Contains([]byte("a")) || !c.Contains([]byte("b")) {
+		t.Error("Contains set the reference bit")
 	}
 }
 
@@ -446,7 +506,90 @@ func TestPurgeMatchingDuringLoadNotReinserted(t *testing.T) {
 	<-done
 	// …yet the in-flight load still must not insert: its bytes were
 	// computed before the purge's cutoff.
-	if c.Contains("1\x00photo") {
+	if c.Contains([]byte("1\x00photo")) {
 		t.Error("load in flight across PurgeMatching was inserted")
+	}
+}
+
+// TestDeleteGroupSparesOtherLoads: deleting photo A removes A's entries
+// and blocks A's in-flight load from inserting, while B's load, in flight
+// across the same delete, is cached when it lands.
+func TestDeleteGroupSparesOtherLoads(t *testing.T) {
+	c := New[[]byte](1<<20, 0, byteSize)
+	c.Put("1\x00A\x00size=small", []byte("a-small"))
+	c.Put("1\x00AB\x00", []byte("other"))
+	inLoad := make(chan struct{}, 2)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, key := range []string{"1\x00A\x00", "1\x00B\x00"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := c.GetOrLoad(ctx, key, func(context.Context) ([]byte, error) {
+				inLoad <- struct{}{}
+				<-release
+				return []byte(key), nil
+			})
+			if err != nil || string(v) != key {
+				t.Errorf("load of %q got %q, %v", key, v, err)
+			}
+		}()
+	}
+	<-inLoad
+	<-inLoad
+	c.DeleteGroup("A")
+	close(release)
+	wg.Wait()
+	for key, want := range map[string]bool{
+		"1\x00A\x00size=small": false, // deleted
+		"1\x00A\x00":           false, // loading across the delete
+		"1\x00B\x00":           true,  // another photo's load
+		"1\x00AB\x00":          true,  // another photo sharing a prefix
+	} {
+		if got := c.Contains([]byte(key)); got != want {
+			t.Errorf("Contains(%q) = %v after DeleteGroup(A), want %v", key, got, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Errorf("stats after DeleteGroup: %+v", st)
+	}
+	checkIndex(t, c)
+	if c.mu.RLock(); c.groups["A"] != nil {
+		t.Error("A's group record outlived its entries and loads")
+	}
+	c.mu.RUnlock()
+	// The group's index went with its last entry and load; a new load of A
+	// inserts again.
+	c.GetOrLoad(ctx, "1\x00A\x00", func(context.Context) ([]byte, error) { return []byte("again"), nil })
+	if !c.Contains([]byte("1\x00A\x00")) {
+		t.Error("load of A after the delete was not cached")
+	}
+}
+
+// TestPutDuringLoadKeepsGroupIndex: a Put of a key whose load is in flight
+// leaves the loaded value, when it lands, indexed under the key's group, so
+// a later DeleteGroup still finds it.
+func TestPutDuringLoadKeepsGroupIndex(t *testing.T) {
+	c := New[[]byte](1<<20, 0, byteSize)
+	const key = "1\x00A\x00"
+	inLoad := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.GetOrLoad(ctx, key, func(context.Context) ([]byte, error) {
+			close(inLoad)
+			<-release
+			return []byte("loaded"), nil
+		})
+	}()
+	<-inLoad
+	c.Put(key, []byte("put"))
+	close(release)
+	<-done
+	checkIndex(t, c)
+	c.DeleteGroup("A")
+	if c.Contains([]byte(key)) {
+		t.Error("DeleteGroup missed an entry a load replaced")
 	}
 }

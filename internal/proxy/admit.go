@@ -37,15 +37,23 @@ func (p *Proxy) admit(ctx context.Context, class admission.Class) (func(), error
 	return p.admission.Admit(ctx, class, admission.ClientFromContext(ctx))
 }
 
-// downloadClass classifies one variant-cache key: a resident key is a
-// cheap memory read (Cached), anything else pays fetch + reconstruct
-// (Cold). Containment can go stale between this peek and the real lookup —
-// that only mis-prices a request, never mis-serves it.
-func (p *Proxy) downloadClass(key string) admission.Class {
-	if p.admission == nil || p.variants.Contains(key) {
-		return admission.Cached
+// admitVariant admits a view of one variant-cache key and serves it from
+// the cache when it is there (hit). A resident key is a cheap memory read
+// (Cached), anything else pays fetch + reconstruct (Cold). Containment can
+// go stale between this peek and the lookup — that only mis-prices a
+// request, never mis-serves it. On a miss the caller loads the key while
+// still admitted; either way it calls release when done.
+func (p *Proxy) admitVariant(ctx context.Context, key []byte) (b []byte, hit bool, release func(), err error) {
+	class := admission.Cached
+	if p.admission != nil && !p.variants.Contains(key) {
+		class = admission.Cold
 	}
-	return admission.Cold
+	if release, err = p.admit(ctx, class); err != nil {
+		return nil, false, nil, err
+	}
+	b, hit = p.variants.Get(key)
+	p.calib.noteWarmHit(key, hit)
+	return b, hit, release, nil
 }
 
 // retryAfterSeconds renders a back-off hint as the whole-second value the

@@ -225,23 +225,23 @@ func (c *calibState) setWarm(keys []string) {
 	c.warmCount.Store(int64(len(m)))
 }
 
-// noteWarmHit counts the first download landing on a pre-warmed entry. The
-// common case — nothing pending — is one atomic load.
-func (c *calibState) noteWarmHit(variants *cache.Cache[[]byte], key string) {
+// noteWarmHit counts the first download of a pre-warmed key when it is a
+// hit. The common case — nothing pending — is one atomic load.
+func (c *calibState) noteWarmHit(key []byte, hit bool) {
 	if c.warmCount.Load() == 0 {
 		return
 	}
 	c.warmMu.Lock()
-	_, ok := c.warmKeys[key]
+	_, ok := c.warmKeys[string(key)]
 	if ok {
-		delete(c.warmKeys, key)
+		delete(c.warmKeys, string(key))
 	}
 	c.warmMu.Unlock()
 	if !ok {
 		return
 	}
 	c.warmCount.Add(-1)
-	if variants.Contains(key) {
+	if hit {
 		c.warmHits.Inc()
 	}
 }
@@ -265,13 +265,19 @@ func (c *calibState) retryAfterLocked() time.Duration {
 // NUL-separated. The canonical query lets equivalent requests ("w=10&h=20"
 // vs "h=20&w=10") share an entry, and the calibration epoch is the key
 // prefix, so reconstructions under superseded parameters can never be
-// served after a flip and lazy eviction can match entries by epoch. The key
-// is appended into a stack buffer and converted once, one allocation.
+// served after a flip and lazy eviction can match entries by epoch. The id
+// is the cache's group field, so Delete drops one photo's entries alone.
 func variantKeyFor(epoch uint64, id string, v p3.PhotoVariant) string {
 	var buf [128]byte
-	b := strconv.AppendUint(buf[:0], epoch, 10)
+	return string(appendVariantKey(buf[:0], epoch, id, v))
+}
+
+// appendVariantKey appends variantKeyFor's key to b; the hit path looks it
+// up as bytes and converts it only on a miss.
+func appendVariantKey(b []byte, epoch uint64, id string, v p3.PhotoVariant) []byte {
+	b = strconv.AppendUint(b, epoch, 10)
 	b = append(append(append(b, 0), id...), 0)
-	return string(v.AppendQuery(b))
+	return v.AppendQuery(b)
 }
 
 // parseVariantKey inverts variantKeyFor. Video keys (prefix "video\x00")

@@ -155,7 +155,7 @@ func TestCachedValuesAreExact(t *testing.T) {
 			t.Errorf("%s: cached with len %d but cap %d", what, len(b), cap(b))
 		}
 	}
-	b, ok := p.secrets.Get(id)
+	b, ok := p.secrets.Get([]byte(id))
 	check("uploaded secret", b, ok)
 	p.secrets.Purge()
 	epoch := p.calib.cur.Load().Epoch
@@ -171,10 +171,10 @@ func TestCachedValuesAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, ok := p.variants.Get(variantKeyFor(epoch, id, variant))
+		b, ok := p.variants.Get([]byte(variantKeyFor(epoch, id, variant)))
 		check("variant "+q, b, ok)
 	}
-	b, ok = p.secrets.Get(id)
+	b, ok = p.secrets.Get([]byte(id))
 	check("fetched secret", b, ok)
 }
 

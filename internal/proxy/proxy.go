@@ -36,9 +36,9 @@
 //     under the new parameters (see calibration.go); clip renditions are
 //     calibration-independent and stay.
 //
-// All three are LRU-bounded (bytes and entries), so proxy memory stays flat
-// no matter how many distinct photos flow through; Stats exposes hit,
-// miss, coalesce and eviction counters for each.
+// All three are CLOCK caches bounded by bytes and entries, so proxy memory
+// stays flat no matter how many distinct photos flow through; Stats exposes
+// hit, miss, coalesce and eviction counters for each.
 //
 // # Observability
 //
@@ -559,14 +559,17 @@ func (p *Proxy) downloadVariant(ctx context.Context, id string, variant p3.Photo
 		return nil, errNotCalibrated
 	}
 	p.calib.noteServe()
-	key := variantKeyFor(ep.Epoch, id, variant)
-	release, err := p.admit(ctx, p.downloadClass(key))
+	var buf [128]byte
+	key := appendVariantKey(buf[:0], ep.Epoch, id, variant)
+	b, hit, release, err := p.admitVariant(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	p.calib.noteWarmHit(p.variants, key)
-	return p.variants.GetOrLoad(ctx, key, func(ctx context.Context) ([]byte, error) {
+	if hit {
+		return b, nil
+	}
+	return p.variants.GetOrLoad(ctx, string(key), func(ctx context.Context) ([]byte, error) {
 		return p.serveVariant(ctx, &ep.Params, id, variant)
 	})
 }
@@ -775,6 +778,11 @@ func statusFor(err error) int {
 	}
 }
 
+// jpegContentType is the Content-Type of every served photo, one slice
+// shared by all responses (nothing writes into it), so a hit allocates no
+// header value.
+var jpegContentType = []string{"image/jpeg"}
+
 // ServeHTTP exposes the PSP's own API shape, making interposition
 // transparent to applications: POST /upload and GET /photo/{id}?… behave
 // exactly like the PSP, except photos are split on the way up and
@@ -815,7 +823,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			httpError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "image/jpeg")
+		w.Header()["Content-Type"] = jpegContentType
 		w.Write(jpegBytes)
 	case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/photo/"):
 		id := strings.TrimPrefix(r.URL.Path, "/photo/")

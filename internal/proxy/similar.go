@@ -81,10 +81,7 @@ func (p *Proxy) Delete(ctx context.Context, id string) (err error) {
 	}
 	p.secrets.Delete(id)
 	p.dims.Delete(id)
-	p.variants.PurgeMatching(func(key string) bool {
-		kid, _, ok := parseVariantKey(key)
-		return ok && kid == id
-	})
+	p.variants.DeleteGroup(id)
 	if p.sim != nil {
 		p.sim.Remove(id)
 	}

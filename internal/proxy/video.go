@@ -38,7 +38,7 @@ import (
 // Both shapes are served through the bounded variant cache, keyed on the
 // clip ID plus the *parsed* frame index (-1 = whole clip; `frame` is the
 // only rendition parameter the video path accepts, and other query
-// parameters are ignored — a new parameter MUST be added to videoKey
+// parameters are ignored — a new parameter MUST be added to appendVideoKey
 // before it may affect the response). The fan-out of a popular clip — or
 // of one hot frame inside it — is thus absorbed in memory and concurrent
 // misses coalesce into one reconstruction. The two stored blobs are
@@ -152,16 +152,18 @@ func (p *Proxy) videoParts(ctx context.Context, id string) (pub, sec []byte, err
 // epoch) and lets Calibrate's purge spare them.
 const videoKeyPrefix = "video\x00"
 
-// videoKey addresses one reconstructed clip rendition in the variant
-// cache, keyed on the *parsed* frame index (-1 = whole clip) so
+// appendVideoKey appends the variant-cache key of one reconstructed clip
+// rendition to b, keyed on the *parsed* frame index (-1 = whole clip) so
 // equivalent spellings of one frame ("1", "01", "+1") share an entry.
 // Clip reconstruction does not depend on the calibrated pipeline, so the
-// calibration epoch is not part of the key.
-func videoKey(id string, frame int) string {
-	if frame < 0 {
-		return videoKeyPrefix + id + "\x00"
+// calibration epoch is not part of the key; the id is the cache's group
+// field, as in a photo key.
+func appendVideoKey(b []byte, id string, frame int) []byte {
+	b = append(append(append(b, videoKeyPrefix...), id...), 0)
+	if frame >= 0 {
+		b = strconv.AppendInt(b, int64(frame), 10)
 	}
-	return videoKeyPrefix + id + "\x00" + strconv.Itoa(frame)
+	return b
 }
 
 // DownloadVideo serves a clip rendition: the whole reconstructed P3MJ
@@ -182,13 +184,17 @@ func (p *Proxy) DownloadVideo(ctx context.Context, id string, q url.Values) (_ [
 		}
 		frame = n
 	}
-	key := videoKey(id, frame)
-	release, err := p.admit(ctx, p.downloadClass(key))
+	var buf [128]byte
+	key := appendVideoKey(buf[:0], id, frame)
+	b, hit, release, err := p.admitVariant(ctx, key)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return p.variants.GetOrLoad(ctx, key, func(ctx context.Context) ([]byte, error) {
+	if hit {
+		return b, nil
+	}
+	return p.variants.GetOrLoad(ctx, string(key), func(ctx context.Context) ([]byte, error) {
 		pub, sec, err := p.videoParts(ctx, id)
 		if err != nil {
 			return nil, err

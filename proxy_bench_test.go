@@ -163,3 +163,29 @@ func BenchmarkProxy_ServeHot(b *testing.B) {
 		p.ServeHTTP(w, reqs[i%len(reqs)])
 	}
 }
+
+// BenchmarkProxy_ServeHotParallel is BenchmarkProxy_ServeHot with every
+// goroutine of RunParallel (GOMAXPROCS of them; set with -cpu) serving the
+// same eight cached variants through its own writer, so views that share a
+// hot photo contend on the variant cache as they do in a busy feed.
+func BenchmarkProxy_ServeHotParallel(b *testing.B) {
+	p, id := newBenchProxy(b, 320, 240)
+	reqs := make([]*http.Request, len(serveHotQueries))
+	for i, q := range serveHotQueries {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/photo/"+id+"?"+q, nil)
+		w := &hotWriter{h: http.Header{}, status: http.StatusOK}
+		p.ServeHTTP(w, reqs[i]) // prime the variant cache
+		if w.status != http.StatusOK {
+			b.Fatalf("GET ?%s: status %d", q, w.status)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := &hotWriter{h: http.Header{}}
+		for i := 0; pb.Next(); i++ {
+			clear(w.h)
+			p.ServeHTTP(w, reqs[i%len(reqs)])
+		}
+	})
+}
